@@ -15,6 +15,7 @@ and redundant compute of overlapping operators.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.codegen.memo import MemoEntry, MemoTable
@@ -22,13 +23,42 @@ from repro.codegen.template import TemplateType
 from repro.codegen.partitions import PlanPartition
 from repro.config import CodegenConfig
 from repro.hops import memory
-from repro.hops.hop import AggBinaryOp, BinaryOp, Hop, UnaryOp
-from repro.hops.types import OpKind, SPARSE_SAFE_UNARY
+from repro.hops.hop import (
+    AggBinaryOp,
+    AggUnaryOp,
+    BinaryOp,
+    Hop,
+    UnaryOp,
+    topological_order,
+)
+from repro.hops.types import AggOp, OpKind, SPARSE_SAFE_UNARY
 
 INFINITE = math.inf
 
 # Cell operations safe over non-zeros of the main input.
 _CELL_SPARSE_SAFE_BINARY = {"*"}
+
+_LEAF_KINDS = (OpKind.DATA, OpKind.LITERAL)
+
+# Cost ties favour sparsity-exploiting and multi-aggregate templates: an
+# Outer or MAgg operator of equal local cost enables cross-operator
+# benefits (sparse drivers, shared single-pass reads).
+_COST_TIE_RANK = {
+    TemplateType.OUTER: 0,
+    TemplateType.MAGG: 1,
+    TemplateType.CELL: 2,
+    TemplateType.ROW: 3,
+    None: 4,
+}
+
+# Maximal-fusion ties favour templates covering more operators.
+_FUSION_TIE_RANK = {
+    None: 0,
+    TemplateType.OUTER: 1,
+    TemplateType.MAGG: 2,
+    TemplateType.CELL: 3,
+    TemplateType.ROW: 4,
+}
 
 
 @dataclass
@@ -65,52 +95,84 @@ class OperatorPlan:
 
 
 class CostEstimator:
-    """Costs plan partitions under materialization assignments."""
+    """Costs plan partitions under materialization assignments.
+
+    An assignment ``q`` is an int mask over ``part.points``: bit ``i``
+    set materializes the dependency of point ``i``, which invalidates
+    all fusion references along it.  Covers, operator choices and
+    produce costs of a hop only ever test dependencies at or below that
+    hop, so they are memoized on ``q`` restricted to the points the hop
+    can reach — assignments that differ elsewhere share the entry.  The
+    memos belong to one partition at a time: costing another partition
+    starts them afresh.
+    """
 
     def __init__(self, memo: MemoTable, config: CodegenConfig,
-                 hop_by_id: dict[int, Hop], stats=None):
+                 hop_by_id: dict[int, Hop]):
         self.memo = memo
         self.config = config
         self.hops = hop_by_id
-        self.stats = stats
+        self.n_covers_built = 0
+        self._threads = config.effective_intra_op_threads()
+        # Assignment-independent tables, filled on first use.
         self._flops_cache: dict[int, float] = {}
-        # Plans are pure functions of (hop, template, blocked edges);
-        # enumeration revisits the same assignments' sub-structures, so
-        # memoize covers, basic plans, and operator choices.
-        self._cover_cache: dict = {}
+        self._bytes_cache: dict[int, float] = {}
         self._basic_cache: dict[int, OperatorPlan] = {}
-        self._best_cache: dict = {}
+        self._root_table: dict[int, list] = {}
+        self._absorb_table: dict[tuple[int, TemplateType], list[MemoEntry]] = {}
+        # The partition the assignment-keyed memos belong to.
+        self._part: PlanPartition | None = None
+
+    def _bind(self, part: PlanPartition) -> None:
+        """Index ``part``'s points and start empty memos for it.
+
+        ``_reach[h]`` is the mask of points whose consumer is ``h`` or
+        below it, from one pass over the DAG under the partition roots
+        (hops that reach no point are left out).
+        """
+        self._part = part
+        self._roots_desc = sorted(part.roots, reverse=True)
+        self._edge_bit: dict[tuple[int, int], int] = {}
+        own: dict[int, int] = {}
+        for i, point in enumerate(part.points):
+            self._edge_bit[point.consumer_id, point.target_id] = 1 << i
+            own[point.consumer_id] = own.get(point.consumer_id, 0) | 1 << i
+        reach: dict[int, int] = {}
+        if own:
+            for hop in topological_order(self.hops[r] for r in self._roots_desc):
+                mask = own.get(hop.id, 0)
+                for hop_in in hop.inputs:
+                    mask |= reach.get(hop_in.id, 0)
+                if mask:
+                    reach[hop.id] = mask
+        self._reach = reach
+        self._candidates_memo: dict[tuple[int, int], list[OperatorPlan]] = {}
+        self._best_memo: dict[tuple[int, bool, int], OperatorPlan] = {}
+        self._produce_memo: dict[tuple[int, int], float] = {}
 
     # ------------------------------------------------------------------
     # Partition costing (getPlanCost)
     # ------------------------------------------------------------------
-    def cost_partition(self, part: PlanPartition,
-                       blocked: frozenset[tuple[int, int]] = frozenset(),
+    def cost_partition(self, part: PlanPartition, q: int = 0,
                        record: dict[int, OperatorPlan] | None = None,
                        bound: float = INFINITE,
                        prefer_max_fusion: bool = False) -> float:
-        """Total cost of producing all partition roots under ``blocked``.
+        """Total cost of producing all partition roots under ``q``.
 
-        ``blocked`` contains (consumer, target) dependencies assigned
-        True (materialize); all fusion references along them are
-        invalid.  Costing stops early once ``bound`` is exceeded
-        (partial costing, Section 4.4).
+        Costing stops early once ``bound`` is exceeded (partial
+        costing, Section 4.4).
         """
-        if self.stats is not None:
-            self.stats.n_plans_evaluated += 1
+        if part is not self._part:
+            self._bind(part)
         total = 0.0
         produced: set[int] = set()
-        lookahead_cache: dict[int, float] = {}
-        pending = sorted(part.roots, reverse=True)
+        pending = list(self._roots_desc)
         while pending:
             hop_id = pending.pop()
             if hop_id in produced:
                 continue
             produced.add(hop_id)
-            hop = self.hops[hop_id]
-            plan = self._best_operator(
-                hop, blocked, lookahead_cache, prefer_max_fusion
-            )
+            plan = self._best_operator(self.hops[hop_id], q, prefer_max_fusion)
             total += plan.time
             if total >= bound:
                 return INFINITE
@@ -124,78 +186,99 @@ class CostEstimator:
     # ------------------------------------------------------------------
     # Operator-level costing
     # ------------------------------------------------------------------
-    def _best_operator(self, hop: Hop, blocked, lookahead_cache,
+    def _best_operator(self, hop: Hop, q: int,
                        prefer_max_fusion: bool) -> OperatorPlan:
-        cache_key = (hop.id, blocked, prefer_max_fusion)
-        cached = self._best_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        plan = self._best_operator_uncached(
-            hop, blocked, lookahead_cache, prefer_max_fusion
-        )
-        self._best_cache[cache_key] = plan
-        return plan
-
-    def _best_operator_uncached(self, hop: Hop, blocked, lookahead_cache,
-                                prefer_max_fusion: bool) -> OperatorPlan:
-        candidates = [self._basic_plan(hop)]
-        types = {
-            e.ttype for e in self.memo.root_entries(hop.id)
-        }
-        for ttype in sorted(types, key=lambda t: t.value):
-            plan = self._cover(hop, ttype, blocked)
-            if plan is not None:
-                candidates.append(plan)
-        if prefer_max_fusion:
-            # Heuristic policies: maximal fusion, ignoring costs.  Ties
-            # favour templates covering more operators.
-            best = max(candidates, key=lambda p: (p.n_covered, _type_rank(p.ttype)))
+        key = (hop.id, prefer_max_fusion, q & self._reach.get(hop.id, 0))
+        best = self._best_memo.get(key)
+        if best is not None:
             return best
-        # Cost-based choice with a one-level lookahead on the cost of
-        # producing each candidate's materialized inputs.  Ties favour
-        # sparsity-exploiting and multi-aggregate templates: an Outer
-        # or MAgg operator of equal local cost enables cross-operator
-        # benefits (sparse drivers, shared single-pass reads).
-        def score(plan: OperatorPlan) -> tuple[float, int]:
-            extra = 0.0
-            for hop_in in plan.inputs:
-                extra += self._produce_cost(hop_in, blocked, lookahead_cache, depth=0)
-            tie = {
-                TemplateType.OUTER: 0,
-                TemplateType.MAGG: 1,
-                TemplateType.CELL: 2,
-                TemplateType.ROW: 3,
-                None: 4,
-            }[plan.ttype]
-            return (plan.time + extra, tie)
-
-        return min(candidates, key=score)
-
-    def _produce_cost(self, hop: Hop, blocked, cache, depth: int) -> float:
-        """Recursive estimate of the cost of materializing ``hop``."""
-        if hop.id in cache:
-            return cache[hop.id]
-        if not self.memo.contains(hop.id) or hop.kind in (OpKind.DATA, OpKind.LITERAL):
-            cache[hop.id] = 0.0 if hop.kind in (OpKind.DATA, OpKind.LITERAL) else (
-                self._basic_plan(hop).time
+        candidates = self._candidates(hop, q)
+        if prefer_max_fusion:
+            # Heuristic policies: maximal fusion, ignoring costs.
+            best = max(
+                candidates, key=lambda p: (p.n_covered, _FUSION_TIE_RANK[p.ttype])
             )
-            return cache[hop.id]
-        if depth > 12:
-            return 0.0
-        cache[hop.id] = 0.0  # cycle guard (DAG, but shared paths)
-        best = INFINITE
-        plans = [self._basic_plan(hop)]
-        for ttype in {e.ttype for e in self.memo.root_entries(hop.id)}:
-            plan = self._cover(hop, ttype, blocked)
-            if plan is not None:
-                plans.append(plan)
-        for plan in plans:
-            extra = sum(
-                self._produce_cost(i, blocked, cache, depth + 1) for i in plan.inputs
-            )
-            best = min(best, plan.time + extra)
-        cache[hop.id] = best
+        else:
+            # Cost-based choice with a lookahead on the cost of
+            # producing each candidate's materialized inputs.
+            def score(plan: OperatorPlan) -> tuple[float, int]:
+                extra = 0.0
+                for hop_in in plan.inputs:
+                    extra += self._produce_cost(hop_in, q)
+                return (plan.time + extra, _COST_TIE_RANK[plan.ttype])
+
+            best = min(candidates, key=score)
+        self._best_memo[key] = best
         return best
+
+    def _produce_cost(self, hop: Hop, q: int) -> float:
+        """Cheapest way to materialize ``hop``: the minimum over its
+        candidates of operator time plus producing the operator's inputs.
+
+        Evaluated in post-order on an explicit stack (chains of fusable
+        operators can be thousands deep), every value memoized.
+        """
+        memo, reach = self._produce_memo, self._reach
+        stack = [hop]
+        while True:
+            node = stack[-1]
+            key = (node.id, q & reach.get(node.id, 0))
+            if key not in memo:
+                if node.kind in _LEAF_KINDS:
+                    memo[key] = 0.0
+                elif not self.memo.contains(node.id):
+                    memo[key] = self._basic_plan(node).time
+                else:
+                    plans = self._candidates(node, q)
+                    missing = [
+                        i for plan in plans for i in plan.inputs
+                        if (i.id, q & reach.get(i.id, 0)) not in memo
+                    ]
+                    if missing:
+                        stack.extend(missing)
+                        continue
+                    best = INFINITE
+                    for plan in plans:
+                        extra = sum(
+                            memo[i.id, q & reach.get(i.id, 0)] for i in plan.inputs
+                        )
+                        best = min(best, plan.time + extra)
+                    memo[key] = best
+            stack.pop()
+            if not stack:
+                return memo[key]
+
+    def _candidates(self, hop: Hop, q: int) -> list[OperatorPlan]:
+        """The basic operator plus one greedy maximal cover of ``hop``
+        per template type it can root, in template order."""
+        key = (hop.id, q & self._reach.get(hop.id, 0))
+        plans = self._candidates_memo.get(key)
+        if plans is None:
+            plans = [self._basic_plan(hop)]
+            for ttype, entries in self._root_entries(hop.id):
+                plans.append(self._cover(hop, ttype, entries, q))
+            self._candidates_memo[key] = plans
+        return plans
+
+    def _root_entries(self, hop_id: int) -> list[tuple[TemplateType, list[MemoEntry]]]:
+        table = self._root_table.get(hop_id)
+        if table is None:
+            by_type: dict[TemplateType, list[MemoEntry]] = {}
+            for entry in self.memo.root_entries(hop_id):
+                by_type.setdefault(entry.ttype, []).append(entry)
+            table = sorted(by_type.items(), key=lambda item: item[0].value)
+            self._root_table[hop_id] = table
+        return table
+
+    def _absorbable(self, hop_id: int, ttype: TemplateType) -> list[MemoEntry]:
+        """Plans of ``hop_id`` a ``ttype`` operator may absorb, narrowed
+        to same-type plans where there are any."""
+        entries = self._absorb_table.get((hop_id, ttype))
+        if entries is None:
+            entries = self.memo.compatible_entries(hop_id, ttype)
+            entries = [e for e in entries if e.ttype is ttype] or entries
+            self._absorb_table[hop_id, ttype] = entries
+        return entries
 
     def _basic_plan(self, hop: Hop) -> OperatorPlan:
         cached = self._basic_cache.get(hop.id)
@@ -211,36 +294,37 @@ class CostEstimator:
         self._basic_cache[hop.id] = plan
         return plan
 
-    def _cover(self, hop: Hop, ttype: TemplateType, blocked) -> OperatorPlan | None:
+    def _cover(self, hop: Hop, ttype: TemplateType, entries: list[MemoEntry],
+               q: int) -> OperatorPlan:
         """Greedy maximal cover of ``hop`` with a ``ttype`` operator."""
-        cache_key = (hop.id, ttype, blocked)
-        if cache_key in self._cover_cache:
-            return self._cover_cache[cache_key]
-        entries = [e for e in self.memo.root_entries(hop.id) if e.ttype is ttype]
-        if not entries:
-            self._cover_cache[cache_key] = None
-            return None
-        entry = max(entries, key=lambda e: self._usable_refs(hop, e, blocked))
+        self.n_covers_built += 1
         cv = CostVector(ttype, hop)
-        self._visit(hop, entry, cv, blocked)
+        self._visit(hop, self._most_usable(hop, entries, q), cv, q)
         time = self._vector_time(cv)
         plan = OperatorPlan(
             hop, ttype, cv.entries, cv.covered, list(cv.inputs.values()), time
         )
         plan.sparse_safe = self._is_sparse_safe(cv)
-        self._cover_cache[cache_key] = plan
         return plan
 
-    def _usable_refs(self, hop: Hop, entry: MemoEntry, blocked) -> int:
-        count = 0
-        for idx, ref in enumerate(entry.refs):
-            if ref != -1 and (hop.id, ref) not in blocked:
-                count += 1
-        return count
+    def _most_usable(self, hop: Hop, entries: list[MemoEntry], q: int) -> MemoEntry:
+        """The first entry with the most references ``q`` leaves fusable."""
+        if len(entries) == 1:
+            return entries[0]
+        edge_bit = self._edge_bit
 
-    def _visit(self, hop: Hop, entry: MemoEntry, cv: CostVector, blocked) -> None:
+        def usable_refs(entry: MemoEntry) -> int:
+            return sum(
+                1 for ref in entry.refs
+                if ref != -1 and not q & edge_bit.get((hop.id, ref), 0)
+            )
+
+        return max(entries, key=usable_refs)
+
+    def _visit(self, hop: Hop, entry: MemoEntry, cv: CostVector, q: int) -> None:
         # Iterative DFS preserving the recursive pre-order (fusion covers
         # can be thousands of operators deep, e.g. long cellwise chains).
+        edge_bit = self._edge_bit
         stack: list[tuple[Hop, MemoEntry]] = [(hop, entry)]
         while stack:
             node, node_entry = stack.pop()
@@ -253,19 +337,14 @@ class CostEstimator:
             pending: list[tuple[Hop, MemoEntry]] = []
             for idx, hop_in in enumerate(node.inputs):
                 fused = False
-                if node_entry.refs[idx] != -1 and (node.id, hop_in.id) not in blocked:
-                    sub_entries = self.memo.compatible_entries(
-                        hop_in.id, node_entry.ttype
-                    )
-                    sub_entries = [
-                        e for e in sub_entries if e.ttype is node_entry.ttype
-                    ] or sub_entries
+                if node_entry.refs[idx] != -1 and not (
+                    q & edge_bit.get((node.id, hop_in.id), 0)
+                ):
+                    sub_entries = self._absorbable(hop_in.id, node_entry.ttype)
                     if sub_entries:
-                        sub = max(
-                            sub_entries,
-                            key=lambda e: self._usable_refs(hop_in, e, blocked),
+                        pending.append(
+                            (hop_in, self._most_usable(hop_in, sub_entries, q))
                         )
-                        pending.append((hop_in, sub))
                         fused = True
                 if not fused and hop_in.kind is not OpKind.LITERAL:
                     cv.add_input(hop_in)
@@ -281,10 +360,17 @@ class CostEstimator:
             self._flops_cache[hop.id] = cached
         return cached
 
+    def _bytes(self, hop: Hop) -> float:
+        cached = self._bytes_cache.get(hop.id)
+        if cached is None:
+            cached = memory.output_bytes(hop)
+            self._bytes_cache[hop.id] = cached
+        return cached
+
     def _vector_time(self, cv: CostVector) -> float:
         config = self.config
-        out_bytes = memory.output_bytes(cv.output)
-        in_bytes = sum(memory.output_bytes(h) for h in cv.inputs.values())
+        out_bytes = self._bytes(cv.output)
+        in_bytes = sum(self._bytes(h) for h in cv.inputs.values())
         scale = self._sparsity_scale(cv)
         distributed = (
             config.cluster is not None
@@ -292,9 +378,7 @@ class CostEstimator:
         )
         if distributed:
             cluster = config.cluster
-            sizes = sorted(
-                (memory.output_bytes(h) for h in cv.inputs.values()), reverse=True
-            )
+            sizes = sorted((self._bytes(h) for h in cv.inputs.values()), reverse=True)
             main_bytes = sizes[0] if sizes else 0.0
             side_bytes = sum(sizes[1:])
             read_time = main_bytes / cluster.hdfs_bandwidth
@@ -328,7 +412,7 @@ class CostEstimator:
         """
         if cv.ttype is None:
             return 1.0
-        par = self.config.effective_intra_op_threads()
+        par = self._threads
         if par <= 1:
             return 1.0
         main = self._main_input(cv)
@@ -375,9 +459,6 @@ class CostEstimator:
     def _is_sparse_safe(self, cv: CostVector) -> bool:
         if cv.ttype not in (TemplateType.CELL, TemplateType.MAGG):
             return False
-        from repro.hops.hop import AggUnaryOp
-        from repro.hops.types import AggOp
-
         main = self._main_input(cv)
         if main is None:
             return False
@@ -403,44 +484,43 @@ class CostEstimator:
     # ------------------------------------------------------------------
     # Lower bounds for cost-based pruning (Algorithm 2)
     # ------------------------------------------------------------------
-    def static_partition_cost(self, part: PlanPartition) -> float:
-        """C_Pi: partition input reads, minimal compute, root writes."""
+    def static_partition_cost(self, part: PlanPartition) -> tuple[float, float, float]:
+        """The (write, read, compute) times of C_Pi: root writes,
+        partition input reads, minimal compute.  C_Pi itself is
+        ``write + max(read, compute)``."""
         config = self.config
-        read_bytes = sum(
-            memory.output_bytes(self.hops[i]) for i in part.inputs if i in self.hops
-        )
-        write_bytes = sum(
-            memory.output_bytes(self.hops[r]) for r in part.roots
-        )
+        read_bytes = sum(self._bytes(self.hops[i]) for i in part.inputs if i in self.hops)
+        write_bytes = sum(self._bytes(self.hops[r]) for r in part.roots)
         min_scale = 1.0
         for i in part.inputs:
             hop = self.hops.get(i)
             if hop is not None and hop.is_matrix and hop.nnz >= 0:
                 min_scale = min(min_scale, max(hop.sparsity, 1e-9))
         flops = sum(self._flops(self.hops[m]) for m in part.members)
-        read_time = read_bytes / config.read_bandwidth
-        compute_time = flops * min_scale / config.peak_flops
-        write_time = write_bytes / config.write_bandwidth
-        self._static_parts = (write_time, read_time, compute_time)
-        return write_time + max(read_time, compute_time)
+        return (
+            write_bytes / config.write_bandwidth,
+            read_bytes / config.read_bandwidth,
+            flops * min_scale / config.peak_flops,
+        )
 
-    def materialization_cost(self, part: PlanPartition, q,
-                             points) -> float:
-        """Minimum additional cost of the positive assignments in q:
-        each distinct materialization target requires at least one
-        write and one read."""
+    def materialization_cost(self, static_parts: tuple[float, float, float],
+                             q: int, points) -> float:
+        """Minimum additional cost, over the ``static_parts`` of the
+        points' partition, of the positive assignments in q: each
+        distinct materialization target requires at least one write and
+        one read."""
         config = self.config
-        targets = {points[i].target_id for i, flag in enumerate(q) if flag}
+        targets = {p.target_id for i, p in enumerate(points) if q >> i & 1}
         extra_write = 0.0
         extra_read = 0.0
         for target in targets:
             hop = self.hops.get(target)
             if hop is None:
                 continue
-            size = memory.output_bytes(hop)
+            size = self._bytes(hop)
             extra_write += size / config.write_bandwidth
             extra_read += size / config.read_bandwidth
-        write_time, read_time, compute_time = self._static_parts
+        write_time, read_time, compute_time = static_parts
         return (
             write_time
             + extra_write
@@ -449,20 +529,6 @@ class CostEstimator:
         )
 
 
-def _type_rank(ttype: TemplateType | None) -> int:
-    """Tie-break order for maximal-fusion heuristics."""
-    order = {
-        None: 0,
-        TemplateType.OUTER: 1,
-        TemplateType.MAGG: 2,
-        TemplateType.CELL: 3,
-        TemplateType.ROW: 4,
-    }
-    return order[ttype]
-
-
-def blocked_set(points, q) -> frozenset[tuple[int, int]]:
-    """The blocked dependencies of a boolean assignment q."""
-    return frozenset(
-        (p.consumer_id, p.target_id) for p, flag in zip(points, q) if flag
-    )
+def assignment_mask(flags: Iterable[bool]) -> int:
+    """The int mask of a boolean assignment: bit i is ``flags[i]``."""
+    return sum(1 << i for i, flag in enumerate(flags) if flag)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.codegen.cost import CostEstimator, blocked_set
+from repro.codegen.cost import CostEstimator
 from repro.codegen.memo import MemoTable
 from repro.codegen.partitions import (
     CutSet,
@@ -39,27 +39,21 @@ class EnumResult:
     n_skipped: float
 
 
-def create_assignment(n: int, j: int) -> list[bool]:
-    """The j-th (1-based) assignment of the linearized search space.
-
-    Position 0 is the most significant bit, so the space runs from
-    all-False (fuse-all) to all-True (materialize-all).
-    """
-    value = j - 1
-    return [bool((value >> (n - 1 - p)) & 1) for p in range(n)]
+def _num_skip_plans(local_q: int, n: int) -> int:
+    """Plans sharing the positive prefix of local_q (Algorithm 2, line
+    14): those that differ only after its last positive position."""
+    return ((local_q & -local_q) or 1 << n) - 1
 
 
-def _last_true_index(q: list[bool]) -> int:
-    for idx in range(len(q) - 1, -1, -1):
-        if q[idx]:
-            return idx
-    return -1
-
-
-def _num_skip_plans(q: list[bool]) -> int:
-    """Plans sharing the positive prefix of q (Algorithm 2, line 14)."""
-    x = _last_true_index(q)
-    return (1 << (len(q) - x - 1)) - 1
+def _point_mask(local_q: int, bits: list[int]) -> int:
+    """Scatter a linearized assignment onto the partition's points;
+    ``bits[k]`` is the point mask of bit k of local_q."""
+    q = 0
+    while local_q:
+        low = local_q & -local_q
+        q |= bits[low.bit_length() - 1]
+        local_q ^= low
+    return q
 
 
 def mpskip_enum(estimator: CostEstimator, part: PlanPartition,
@@ -72,6 +66,13 @@ def mpskip_enum(estimator: CostEstimator, part: PlanPartition,
     ``point_indices`` restricts enumeration to a subset of points (used
     by recursive cut-set sub-problems); the remaining points are fixed
     False inside this call and combined by the caller.
+
+    The j-th (1-based) plan of the linearized space is the int
+    ``local_q = j - 1`` read as n positions, position 0 the most
+    significant bit: the space runs from all-False (fuse-all) to
+    all-True (materialize-all), and plans sharing a positive prefix are
+    contiguous.  ``bits[k]`` is the point mask (over ``part.points``, as
+    ``cost_partition`` takes it) of bit k of ``local_q``.
     """
     points = part.points
     indices = list(range(len(points))) if point_indices is None else point_indices
@@ -97,9 +98,18 @@ def mpskip_enum(estimator: CostEstimator, part: PlanPartition,
                 list(cut.cut_points)
                 + [i for i in indices if i not in cut.cut_points]
             )
+    bits = [1 << idx for idx in reversed(indices)]
+    # The first plan of the cut's subspace: exactly the cut-set
+    # positions (laid out first) positive, everything after negative.
+    cut_boundary = None
+    if cut is not None:
+        n_cut = len(cut.cut_points)
+        cut_boundary = ((1 << n_cut) - 1) << (n - n_cut)
 
-    static_cost = estimator.static_partition_cost(part)
-    best_q: list[bool] | None = None
+    static_parts = estimator.static_partition_cost(part)
+    write_time, read_time, compute_time = static_parts
+    static_cost = write_time + max(read_time, compute_time)
+    best_q: int | None = None
     best_cost = math.inf
     n_evaluated = 0
     n_skipped = 0.0
@@ -107,39 +117,36 @@ def mpskip_enum(estimator: CostEstimator, part: PlanPartition,
 
     j = 1
     while j <= total:
-        local_q = create_assignment(n, j)
-        q = [False] * len(points)
-        for pos, idx in enumerate(indices):
-            q[idx] = local_q[pos]
+        local_q = j - 1
+        q = _point_mask(local_q, bits)
 
-        # Structural pruning via cut-set sub-problems: when exactly the
-        # cut-set positions are positive (first plan of that subspace),
-        # solve both sides independently and skip the subspace.
-        if cut is not None and _is_cut_boundary(local_q, cut, indices):
+        # Structural pruning via cut-set sub-problems: at the cut
+        # boundary solve both sides independently and skip the subspace.
+        if local_q == cut_boundary:
             sub_q, sub_cost, sub_eval = _solve_subproblems(
-                estimator, part, config, memo, hop_by_id, cut, q, stats
+                estimator, part, config, cut, q
             )
             n_evaluated += sub_eval
             if sub_cost < best_cost:
                 best_cost = sub_cost
                 best_q = sub_q
-            remaining = (1 << (n - len(cut.cut_points))) - 1
+            remaining = (1 << (n - n_cut)) - 1
             n_skipped += remaining
             j += remaining + 1
             continue
 
         # Cost-based pruning via lower bounds.
         if config.enable_cost_pruning and best_q is not None:
-            lower = static_cost + estimator.materialization_cost(part, q, points)
+            lower = static_cost + estimator.materialization_cost(
+                static_parts, q, points
+            )
             if lower >= best_cost:
-                skip = _num_skip_plans(local_q)
+                skip = _num_skip_plans(local_q, n)
                 n_skipped += skip
                 j += skip + 1
                 continue
 
-        cost = estimator.cost_partition(
-            part, blocked_set(points, q), bound=best_cost
-        )
+        cost = estimator.cost_partition(part, q, bound=best_cost)
         n_evaluated += 1
         if cost < best_cost:
             best_cost = cost
@@ -150,62 +157,40 @@ def mpskip_enum(estimator: CostEstimator, part: PlanPartition,
         stats.n_plans_evaluated += n_evaluated
         stats.n_plans_skipped += n_skipped
     assert best_q is not None
-    return EnumResult(tuple(best_q), best_cost, n_evaluated, n_skipped)
+    assignment = tuple(bool(best_q >> i & 1) for i in range(len(points)))
+    return EnumResult(assignment, best_cost, n_evaluated, n_skipped)
 
 
-def _is_cut_boundary(local_q: list[bool], cut: CutSet, indices: list[int]) -> bool:
-    """True when exactly the cut-set positions (laid out first) are
-    positive and everything after them is negative."""
-    n_cut = len(cut.cut_points)
-    return all(local_q[:n_cut]) and not any(local_q[n_cut:])
-
-
-def _solve_subproblems(estimator, part, config, memo, hop_by_id,
-                       cut: CutSet, q: list[bool], stats):
+def _solve_subproblems(estimator, part, config, cut: CutSet, q: int):
     """Solve the independent sub-problems created by a cut set."""
     n_evaluated = 0
-    combined = list(q)
     for side in (cut.side1, cut.side2):
         if not side:
             continue
-        result = _enumerate_subset(
-            estimator, part, config, memo, hop_by_id, side, combined
-        )
-        n_evaluated += result[1]
-        for idx, val in zip(side, result[0]):
-            combined[idx] = val
-    from repro.codegen.cost import blocked_set as _bs
-
-    cost = estimator.cost_partition(part, _bs(part.points, combined))
-    n_evaluated += 1
-    return tuple(combined), cost, n_evaluated
+        q, side_eval = _enumerate_subset(estimator, part, config, side, q)
+        n_evaluated += side_eval
+    cost = estimator.cost_partition(part, q)
+    return q, cost, n_evaluated + 1
 
 
-def _enumerate_subset(estimator, part, config, memo, hop_by_id,
-                      side: list[int], base_q: list[bool]):
-    """Exhaustively enumerate a sub-problem's points with cost pruning.
+def _enumerate_subset(estimator, part, config, side: list[int], base_q: int):
+    """Exhaustively enumerate a sub-problem's points with partial costing.
 
     Sub-problems are independent given the materialized cut set, so
     each side is optimized in isolation (other side fixed at its
-    current values in ``base_q``).
+    current values in ``base_q``).  Returns ``base_q`` with the side's
+    points at their best values, and the number of plans costed.
     """
     n = len(side)
-    best_vals: tuple[bool, ...] = tuple(False for _ in side)
+    bits = [1 << idx for idx in reversed(side)]
+    base_q &= ~sum(bits)
+    best_q = base_q
     best_cost = math.inf
-    n_evaluated = 0
     total = min(1 << n, config.max_enum_plans)
-    j = 1
-    while j <= total:
-        local_q = create_assignment(n, j)
-        q = list(base_q)
-        for pos, idx in enumerate(side):
-            q[idx] = local_q[pos]
-        cost = estimator.cost_partition(
-            part, blocked_set(part.points, q), bound=best_cost
-        )
-        n_evaluated += 1
+    for local_q in range(total):
+        q = base_q | _point_mask(local_q, bits)
+        cost = estimator.cost_partition(part, q, bound=best_cost)
         if cost < best_cost:
             best_cost = cost
-            best_vals = tuple(local_q)
-        j += 1
-    return best_vals, n_evaluated
+            best_q = q
+    return best_q, total

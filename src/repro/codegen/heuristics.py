@@ -12,7 +12,7 @@ paper uses them as baselines (Gen-FA, Gen-FNR).
 
 from __future__ import annotations
 
-from repro.codegen.cost import CostEstimator, OperatorPlan, blocked_set
+from repro.codegen.cost import CostEstimator, OperatorPlan, assignment_mask
 from repro.codegen.memo import MemoTable
 from repro.codegen.partitions import PlanPartition
 
@@ -20,18 +20,14 @@ from repro.codegen.partitions import PlanPartition
 def fuse_all(estimator: CostEstimator, part: PlanPartition) -> dict[int, OperatorPlan]:
     """Maximal fusion: no materialization points, maximal covers."""
     record: dict[int, OperatorPlan] = {}
-    estimator.cost_partition(part, frozenset(), record=record, prefer_max_fusion=True)
+    estimator.cost_partition(part, record=record, prefer_max_fusion=True)
     return record
 
 
 def fuse_no_redundancy(estimator: CostEstimator,
                        part: PlanPartition) -> dict[int, OperatorPlan]:
     """Materialize all intermediates with multiple consumers."""
-    blocked = frozenset(
-        (p.consumer_id, p.target_id)
-        for p in part.points
-        if p.target_id in part.mat_points
-    )
+    q = assignment_mask(p.target_id in part.mat_points for p in part.points)
     record: dict[int, OperatorPlan] = {}
-    estimator.cost_partition(part, blocked, record=record, prefer_max_fusion=True)
+    estimator.cost_partition(part, q, record=record, prefer_max_fusion=True)
     return record

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.codegen.template import CloseType, MERGE_COMPATIBILITY, TemplateType
-from repro.hops.hop import Hop
+from repro.hops.hop import AggUnaryOp, Hop
+from repro.hops.types import AggDir
 
 
 @dataclass(frozen=True)
@@ -135,9 +136,6 @@ class MemoTable:
         exception: a Row operator absorbs row-wise-aggregation Cell
         plans (rowSums of a fused intermediate is row-local).
         """
-        from repro.hops.hop import AggUnaryOp
-        from repro.hops.types import AggDir
-
         if entry.ttype not in MERGE_COMPATIBILITY[parent_ttype]:
             return False
         if entry.status is CloseType.CLOSED_INVALID:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 
 from repro.codegen.construct import construct_cplan, construct_multi_agg
-from repro.codegen.cost import CostEstimator, OperatorPlan, blocked_set
+from repro.codegen.cost import CostEstimator, OperatorPlan, assignment_mask
 from repro.codegen.enumerate import mpskip_enum
 from repro.codegen.explore import explore
 from repro.codegen.heuristics import fuse_all, fuse_no_redundancy
@@ -21,6 +21,7 @@ from repro.codegen.partitions import build_partitions
 from repro.codegen.plan_cache import PlanCache
 from repro.codegen.template import TemplateType
 from repro.config import CodegenConfig
+from repro.errors import CodegenError
 from repro.hops.hop import Hop, SpoofOp, SpoofOutOp, collect_dag
 from repro.runtime.stats import RuntimeStats
 
@@ -66,17 +67,14 @@ class CodegenOptimizer:
                 # Degenerate giant partition (e.g. a multi-thousand-op
                 # cellwise chain) with nothing to enumerate: the cost
                 # descent would compute one O(|members|) cover per node
-                # (quadratic overall) and its depth-limited lookahead
-                # under-costs deep chains anyway.  Take maximal fusion.
+                # (quadratic overall).  Take maximal fusion.
                 chosen.update(fuse_all(estimator, part))
             else:
                 result = mpskip_enum(
                     estimator, part, self.config, memo, hop_by_id, self.stats
                 )
                 estimator.cost_partition(
-                    part,
-                    blocked_set(part.points, result.assignment),
-                    record=chosen,
+                    part, assignment_mask(result.assignment), record=chosen
                 )
 
         roots = self._materialize_operators(roots, chosen)
@@ -102,7 +100,10 @@ class CodegenOptimizer:
         for group in magg_groups:
             try:
                 cplan, input_hops = construct_multi_agg(group, self.config)
-            except Exception:
+            except CodegenError:
+                # The group cannot share one pass: compile each
+                # aggregate as an operator of its own.
+                self.stats.n_magg_fallbacks += 1
                 for plan in group:
                     built = construct_cplan(plan, self.config)
                     if built is not None:

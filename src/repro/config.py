@@ -95,11 +95,11 @@ class CodegenConfig:
     # Candidate selection.
     max_enum_plans: int = 1 << 22  # safety cap per partition
     # Partitions at least this large with zero interesting points skip
-    # the per-node cost descent (quadratic in partition size, and its
-    # depth-limited lookahead systematically underestimates deep chains)
-    # and take the maximal-fusion cover directly.  Far above any DAG the
-    # experiments produce; only pathological programs (e.g. thousands of
-    # chained cellwise ops) hit it.
+    # the per-node cost descent (one O(|members|) cover per node, so
+    # quadratic in partition size) and take the maximal-fusion cover
+    # directly.  Far above any DAG the experiments produce; only
+    # pathological programs (e.g. thousands of chained cellwise ops)
+    # hit it.
     large_partition_members: int = 512
     enable_cost_pruning: bool = True
     enable_structural_pruning: bool = True

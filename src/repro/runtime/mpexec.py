@@ -74,6 +74,9 @@ _SHM_MIN_BYTES = 1 << 14
 #: deadlock) while hiding one task of dispatch latency.
 _MAX_INFLIGHT = 2
 
+#: How long the pool waits for a spawned worker's "ready" message.
+_BOOT_TIMEOUT_S = 60.0
+
 #: Globally monotonic task ids so results from an aborted operator can
 #: never be matched against a later one.
 _TASK_IDS = itertools.count(1)
@@ -216,24 +219,33 @@ class _BlockCache:
         return entry[0]
 
     def put(self, wkey, value, seg) -> list:
-        """Insert; returns the keys evicted to make room."""
+        """Insert or replace; returns the keys evicted to make room.
+
+        The driver ships a block under a key this cache already holds
+        only after it forgot the location.  For a ``("data", id)`` key
+        that means the source died and another object now lives at its
+        address, so the shipped block supersedes the cached one.
+        """
         if wkey in self.entries:
-            self.entries.move_to_end(wkey)
-            return []
+            self._drop(wkey)
         nbytes = _approx_bytes(value)
         evicted = []
         while self.entries and self.bytes + nbytes > self.cap:
-            old_key, (_, old_seg, old_bytes) = self.entries.popitem(last=False)
-            self.bytes -= old_bytes
-            if old_seg is not None:
-                try:
-                    old_seg.close()
-                except BufferError:
-                    pass  # a live view still pins the mapping
+            old_key = next(iter(self.entries))
+            self._drop(old_key)
             evicted.append(old_key)
         self.entries[wkey] = (value, seg, nbytes)
         self.bytes += nbytes
         return evicted
+
+    def _drop(self, wkey) -> None:
+        _, seg, nbytes = self.entries.pop(wkey)
+        self.bytes -= nbytes
+        if seg is not None:
+            try:
+                seg.close()
+            except BufferError:
+                pass  # a live view still pins the mapping
 
     def prune(self, backend_id: int, live_epoch) -> None:
         for wkey in list(self.entries):
@@ -241,13 +253,7 @@ class _BlockCache:
             if bid != backend_id or not (isinstance(key, tuple) and key):
                 continue
             if key[0] == "v" and (live_epoch is None or key[1] < live_epoch):
-                _, seg, nbytes = self.entries.pop(wkey)
-                self.bytes -= nbytes
-                if seg is not None:
-                    try:
-                        seg.close()
-                    except BufferError:
-                        pass
+                self._drop(wkey)
 
 
 def _materialize_operator(operators: dict, name: str, stats):
@@ -383,6 +389,10 @@ def _worker_main(conn, worker_id: int) -> None:
     caches: dict = {}
     operators: dict = {}
     broadcasts: dict = {}
+    try:
+        conn.send(("ready",))  # imports done: see ProcessPool._await_boot
+    except (OSError, ValueError):
+        return
     while True:
         try:
             msg = conn.recv()
@@ -515,6 +525,7 @@ class ProcessPool:
             # Replace workers that died between operators (e.g. killed
             # by fault injection after their run was aborted) silently:
             # no task was lost, so this is not a counted respawn.
+            fresh = []
             for wid, worker in enumerate(self.workers[:n]):
                 if not worker.proc.is_alive():
                     try:
@@ -522,9 +533,33 @@ class ProcessPool:
                     except OSError:
                         pass
                     self.workers[wid] = self._spawn(wid)
+                    fresh.append(self.workers[wid])
             while len(self.workers) < n:
                 self.workers.append(self._spawn(len(self.workers)))
+                fresh.append(self.workers[-1])
+            self._await_boot(fresh)
             return self.workers[:n]
+
+    @staticmethod
+    def _await_boot(workers: list) -> None:
+        """Block until each worker spawned for a starting operator has
+        finished importing.
+
+        A spawned interpreter takes about a second to import NumPy, SciPy
+        and this package.  Dispatching into that boot would hold the
+        operator's shared-memory segments mapped for its whole length
+        and count it against the first task's ``mp_task_timeout``.  A
+        worker that dies or stalls while booting is left to the
+        operator's own failure handling; mid-operator respawns are not
+        waited for (their "ready" is dropped like any stale message).
+        """
+        for worker in workers:
+            try:
+                if worker.conn.poll(_BOOT_TIMEOUT_S):
+                    worker.conn.recv()
+            except (EOFError, OSError):
+                pass
+            worker.last_activity = time.monotonic()
 
     def respawn(self, wid: int) -> _Worker:
         with self.lock:

@@ -63,6 +63,7 @@ class RuntimeStats:
     # Compiler / codegen overhead (Table 3, Fig 11).
     n_dags_optimized: int = 0
     n_cplans_constructed: int = 0
+    n_magg_fallbacks: int = 0  # multi-aggregate groups split into single operators
     n_classes_compiled: int = 0
     codegen_seconds: float = 0.0
     class_compile_seconds: float = 0.0

@@ -27,7 +27,7 @@ def _select_plan(exprs, want_type=None):
     estimator = CostEstimator(memo, config, hop_by_id)
     chosen = {}
     for part in build_partitions(memo, roots):
-        estimator.cost_partition(part, frozenset(), record=chosen)
+        estimator.cost_partition(part, record=chosen)
     plans = list(chosen.values())
     if want_type is not None:
         plans = [p for p in plans if p.ttype is want_type]

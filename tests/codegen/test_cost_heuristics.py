@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.codegen.cost import CostEstimator, blocked_set
+from repro.codegen.cost import CostEstimator
 from repro.codegen.explore import explore
 from repro.codegen.heuristics import fuse_all, fuse_no_redundancy
 from repro.codegen.optimizer import CodegenOptimizer
@@ -33,16 +33,33 @@ class TestCostModel:
         y = api.matrix(rng.random((1000, 100)), "Y")
         _, memo, hop_by_id, est, parts, _ = _setup([(x * y * 2.0 + 1.0).sum()])
         (part,) = parts
-        fused_cost = est.cost_partition(part, frozenset())
-        # Blocking every fusion reference forces basic execution.
-        all_edges = frozenset(
-            (c, r)
-            for m in part.members
-            for e in memo.get(m)
-            for c, r in [(m, ref) for ref in e.ref_ids()]
-        )
-        unfused_cost = est.cost_partition(part, all_edges)
+        fused_cost = est.cost_partition(part)
+        # Every member executed as a basic operator of its own.  (An
+        # assignment can only block the partition's interesting points,
+        # so this is summed rather than costed as one plan.)
+        unfused_cost = sum(est._basic_plan(hop_by_id[m]).time for m in part.members)
         assert fused_cost < unfused_cost
+        # Materializing every point never beats fuse-all on a chain.
+        all_points = (1 << len(part.points)) - 1
+        assert est.cost_partition(part, all_points) >= fused_cost
+
+    def test_materializing_shared_intermediate_costs_a_write(self, rng):
+        """The public costing path under a fully materialized assignment:
+        blocking the one shared point adds its write and read back."""
+        x = api.matrix(rng.random((1000, 100)), "X")
+        shared = x * 2.0 + 1.0
+        _, memo, hop_by_id, est, parts, _ = _setup(
+            [(shared * 3.0).sum(), (shared * shared).sum()]
+        )
+        (part,) = [p for p in parts if p.points]
+        all_points = (1 << len(part.points)) - 1
+        fused, materialized = {}, {}
+        fused_cost = est.cost_partition(part, 0, record=fused)
+        materialized_cost = est.cost_partition(part, all_points, record=materialized)
+        assert materialized_cost > fused_cost
+        # Fuse-all recomputes the shared chain in each consumer; with
+        # the points blocked it becomes an operator of its own.
+        assert len(materialized) > len(fused)
 
     def test_sparsity_scaling_reduces_outer_cost(self, rng):
         u = rng.random((500, 8))
@@ -53,7 +70,7 @@ class TestCostModel:
             um, vm = api.matrix(u, "U"), api.matrix(v, "V")
             expr = (s * api.log(um @ vm.T + 1e-15)).sum()
             _, memo, hop_by_id, est, parts, _ = _setup([expr])
-            return min(est.cost_partition(p, frozenset()) for p in parts)
+            return min(est.cost_partition(p) for p in parts)
 
         assert cost_for(0.001) < cost_for(0.5)
 
@@ -70,7 +87,7 @@ class TestCostModel:
             _, memo, hop_by_id, est, parts, _ = _setup(
                 [expr], CodegenConfig(intra_op_threads=threads)
             )
-            return min(est.cost_partition(p, frozenset()) for p in parts)
+            return min(est.cost_partition(p) for p in parts)
 
         assert cost_for(4) < cost_for(1)
 
@@ -84,7 +101,7 @@ class TestCostModel:
             _, memo, hop_by_id, est, parts, _ = _setup(
                 [expr], CodegenConfig(intra_op_threads=threads)
             )
-            return min(est.cost_partition(p, frozenset()) for p in parts)
+            return min(est.cost_partition(p) for p in parts)
 
         assert cost_for(4) == cost_for(1)
 
@@ -102,16 +119,16 @@ class TestCostModel:
         v2 = api.matrix(rng.random((2000, 1)), "v")
         expr2 = ((x2 * v2) * 2.0).sum()
         _, _, _, est_d, parts_d, _ = _setup([expr2], dist_cfg)
-        local = sum(est_l.cost_partition(p, frozenset()) for p in parts_l)
-        dist = sum(est_d.cost_partition(p, frozenset()) for p in parts_d)
+        local = sum(est_l.cost_partition(p) for p in parts_l)
+        dist = sum(est_d.cost_partition(p) for p in parts_d)
         assert dist > local  # network bandwidths are slower than memory
 
     def test_partial_costing_cutoff(self, rng):
         x = api.matrix(rng.random((100, 20)), "X")
         _, _, _, est, parts, _ = _setup([(x * 2.0 + 1.0).sum()])
         (part,) = parts
-        full = est.cost_partition(part, frozenset())
-        assert est.cost_partition(part, frozenset(), bound=full / 2) == float("inf")
+        full = est.cost_partition(part)
+        assert est.cost_partition(part, bound=full / 2) == float("inf")
 
 
 class TestHeuristics:
@@ -154,9 +171,7 @@ class TestHeuristics:
             result = mpskip_enum(est, part, config, memo, hop_by_id)
             gen_cost += result.cost
             fa_plans = fuse_all(est, part)
-            fa_cost += est.cost_partition(
-                part, frozenset(), prefer_max_fusion=True
-            )
+            fa_cost += est.cost_partition(part, prefer_max_fusion=True)
         assert gen_cost <= fa_cost
 
 
@@ -202,6 +217,48 @@ class TestOptimizerSplicing:
         }
         for spoof in spoofs.values():
             assert len(spoof.operator.cplan.roots) <= 3
+
+    def test_multi_agg_failure_falls_back_to_single_operators(self, rng, monkeypatch):
+        """A group ``construct_multi_agg`` rejects is counted and each
+        aggregate still gets a fused operator of its own; anything but a
+        ``CodegenError`` is a bug and propagates."""
+        from repro.codegen import optimizer as optimizer_mod
+        from repro.compiler.execution import Engine
+        from repro.errors import CodegenError
+
+        def build():
+            data = np.random.default_rng(3)
+            x = api.matrix(data.random((200, 50)), "X")
+            mats = [api.matrix(data.random((200, 50)), f"M{i}") for i in range(2)]
+            return [(x * m).sum() for m in mats]
+
+        engine = Engine(mode="gen")
+        expected = api.eval_all(build(), engine=engine)
+        assert engine.stats.n_magg_fallbacks == 0
+
+        def refuse(group, config):
+            raise CodegenError("forced")
+
+        monkeypatch.setattr(optimizer_mod, "construct_multi_agg", refuse)
+        engine = Engine(mode="gen")
+        assert api.eval_all(build(), engine=engine) == pytest.approx(expected)
+        assert engine.stats.n_magg_fallbacks == 1
+        optimizer = CodegenOptimizer(CodegenConfig())
+        new_roots = optimizer.optimize(
+            apply_rewrites([e.hop for e in build()]), policy="cost"
+        )
+        spoofs = [h for h in collect_dag(new_roots) if isinstance(h, SpoofOp)]
+        assert len(spoofs) == 2
+        assert all(len(s.operator.cplan.roots) == 1 for s in spoofs)
+
+        def broken(group, config):
+            raise ValueError("a bug, not a rejected plan")
+
+        monkeypatch.setattr(optimizer_mod, "construct_multi_agg", broken)
+        with pytest.raises(ValueError):
+            CodegenOptimizer(CodegenConfig()).optimize(
+                apply_rewrites([e.hop for e in build()]), policy="cost"
+            )
 
     def test_optimizer_counts_stats(self, rng):
         x = api.matrix(rng.random((100, 20)), "X")

@@ -8,6 +8,10 @@ oversubscription guard when the pool runs under a SessionScheduler.
 """
 
 import json
+import multiprocessing
+import threading
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -302,6 +306,33 @@ class TestSpawnGuards:
     def test_start_method_is_spawn(self):
         assert mpexec.start_method() == "spawn"
 
+    def test_ensure_waits_for_each_new_worker_to_boot(self, monkeypatch):
+        """An operator gets workers that have finished importing, so the
+        segments it creates and its task timeouts never span a boot."""
+        booted, worker_ends = [], []
+
+        def spawn(self, wid):
+            ours, theirs = multiprocessing.Pipe()
+            worker_ends.append(theirs)  # a closed end reads as ready
+
+            def boot():
+                time.sleep(0.2)
+                booted.append(wid)
+                theirs.send(("ready",))
+
+            threading.Thread(target=boot, daemon=True).start()
+            proc = SimpleNamespace(is_alive=lambda: True)
+            return mpexec._Worker(wid, proc, ours)
+
+        monkeypatch.setattr(mpexec.ProcessPool, "_spawn", spawn)
+        pool = mpexec.ProcessPool()
+        workers = pool.ensure(2)
+        assert sorted(booted) == [0, 1]
+        assert not any(worker.conn.poll() for worker in workers)
+        # Nothing new to spawn: nothing to wait for.
+        assert pool.ensure(2) == workers
+        assert len(booted) == 2
+
     def test_worker_rejects_nondeterministic_source(self, rng):
         """The worker-side regeneration assert: a shipped source that
         the cplan cannot reproduce byte-for-byte must be refused."""
@@ -381,6 +412,32 @@ class TestWorkerHelpers:
         assert evicted == [(1, ("v", 0), 1)]
         assert cache.get((1, ("v", 0), 1)) is None
         assert cache.get((1, ("v", 0), 0)) is block
+
+    def test_reshipped_block_supersedes_the_cached_one(self, rng):
+        """A ``("data", id)`` key comes back once its source died and a
+        new block took the address: the driver ships the new block, and
+        every later locality hit must read it, not the dead one."""
+        wkey = (1, ("data", 1234), 0)
+        caches: dict = {}
+
+        def ship(block):
+            task = {"cache_bytes": 1e6, "kind": "echo",
+                    "inputs": [("block", wkey, ("raw", block))]}
+            return mpexec._run_task(task, caches, {}, {})[0][0]
+
+        def hit():
+            task = {"cache_bytes": 1e6, "kind": "echo",
+                    "inputs": [("block", wkey, None)]}
+            return mpexec._run_task(task, caches, {}, {})[0][0]
+
+        dead = MatrixBlock(rng.random((50, 8)))
+        live = MatrixBlock(rng.random((50, 8)))
+        assert ship(dead) is dead and hit() is dead
+        assert ship(live) is live
+        assert hit() is live
+        cache = caches["blocks"]
+        assert list(cache.entries) == [wkey]
+        assert cache.bytes == cache.entries[wkey][2]
 
     def test_block_cache_prune_drops_dead_epochs(self, rng):
         block = MatrixBlock(rng.random((10, 10)))
