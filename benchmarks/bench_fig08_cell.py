@@ -93,70 +93,6 @@ def test_fig08b_cell_sparse(benchmark, cells, mode):
     benchmark.extra_info["sparsity"] = 0.1
 
 
-def _time_tiers(build, rtol: float):
-    """Time the gen engine's interpreted vs compiled kernel tiers.
-
-    Returns ``(seconds, summaries)`` keyed by tier, after asserting
-    both tiers produce the same scalar result within the configured
-    comparison tolerance (whole-array kernels reassociate sums).
-    """
-    seconds, summaries, values = {}, {}, {}
-    for tier, vectorized in (("interpreted", False), ("compiled", True)):
-        config = CodegenConfig(vectorized_kernels=vectorized)
-        engine = Engine(mode="gen", config=config)
-
-        def evaluate():
-            return api.eval_all(build(), engine=engine)
-
-        values[tier] = float(evaluate()[0])  # warmup: codegen + kernels
-        seconds[tier] = time_best(evaluate, 3)
-        summaries[tier] = engine.stats.kernel_summary()
-    assert values["compiled"] == pytest.approx(
-        values["interpreted"], rel=rtol
-    )
-    assert summaries["interpreted"]["n_compiled_runs"] == 0
-    assert summaries["compiled"]["n_interpreted_runs"] == 0
-    return seconds, summaries
-
-
-@pytest.mark.bench
-def test_fig08_cell_tier_speedup(benchmark):
-    """Compiled vectorized kernels vs interpreted tile loops.
-
-    The einsum cell kernel contracts sum(X*Y*Z) in one pass; the
-    interpreted tier dispatches one primitive call per tile.  The
-    asserted floor is deliberately loose — end-to-end timings include
-    compiler overhead, and at the quick 100K-cell size the kernel win
-    shrinks to ~1.3x — while the JSON artifact records the measured
-    timings of both tiers (kernel-only microbenchmarks reach ~3.5x at
-    4M cells where the tile loop is bandwidth-bound).
-    """
-    rtol = CodegenConfig().kernel_compare_rtol
-
-    def run():
-        results = []
-        floors = {}
-        for cells in SIZES:
-            blocks = _dense_inputs(cells)
-            seconds, summaries = _time_tiers(lambda: _build(blocks), rtol)
-            result = BenchResult(f"cell_dense_{cells}", seconds=seconds,
-                                 stats=summaries)
-            results.append(result)
-            speedup = result.speedup("interpreted", "compiled")
-            floors[f"cell_dense_{cells}"] = speedup
-            assert speedup > 1.1, (
-                f"compiled cell kernel slower than expected at {cells} "
-                f"cells: {speedup:.2f}x"
-            )
-        print_table("Fig 8 cell: kernel tiers",
-                    ["interpreted", "compiled"], results)
-        print("speedups:", {k: f"{v:.2f}x" for k, v in floors.items()})
-        maybe_export_json("fig08_cell_tiers", results,
-                          extra={"speedup_compiled": floors})
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-
-
 @pytest.mark.bench
 def test_fig08_verify_overhead(benchmark):
     """``verify_level="boundaries"`` stays under 10% end-to-end.

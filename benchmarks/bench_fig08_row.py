@@ -8,20 +8,12 @@ Base and Fused coincide while Gen keeps its single-pass advantage.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from conftest import quick_trim
 
 from repro import api
-from repro.bench.harness import (
-    BenchResult,
-    maybe_export_json,
-    print_table,
-    time_best,
-)
 from repro.compiler.execution import Engine
-from repro.config import CodegenConfig
 from repro.runtime.matrix import MatrixBlock
 
 MODES = ["numpy", "base", "fused", "gen"]
@@ -98,65 +90,6 @@ def test_fig08g_mm_chain_dense(benchmark, cells, mode):
     evaluate()
     benchmark.pedantic(evaluate, rounds=3, iterations=1)
     benchmark.extra_info["cells"] = cells
-
-
-def _time_row_tiers(x_block, v_block, rtol: float):
-    """Time interpreted vs compiled tiers for the fused row operator."""
-    seconds, summaries, values = {}, {}, {}
-    for tier, vectorized in (("interpreted", False), ("compiled", True)):
-        config = CodegenConfig(vectorized_kernels=vectorized)
-        engine = Engine(mode="gen", config=config)
-
-        def evaluate():
-            return api.eval_all(_build(x_block, v_block), engine=engine)
-
-        values[tier] = evaluate()[0].to_dense()  # warmup: codegen + kernels
-        seconds[tier] = time_best(evaluate, 3)
-        summaries[tier] = engine.stats.kernel_summary()
-    np.testing.assert_allclose(values["compiled"], values["interpreted"],
-                               rtol=rtol)
-    return seconds, summaries
-
-
-@pytest.mark.bench
-def test_fig08_row_tier_speedup(benchmark):
-    """Compiled row kernels vs interpreted tile loops, dense and sparse.
-
-    Dense t(X)(Xv) is BLAS-bound, so whole-block compilation mostly
-    removes per-tile dispatch (measured ~1.1-2.3x; report-only).  On
-    sparse X the CSR-main-safe kernel runs the matmul chain directly on
-    the CSR block without per-tile densification — measured ~2.4x at 1M
-    cells and ~5.7x at 4M — so a conservative 1.5x floor is asserted at
-    sizes >= 1M (the 100K quick size is dominated by fixed dispatch
-    cost and only reported).
-    """
-    rtol = CodegenConfig().kernel_compare_rtol
-
-    def run():
-        results = []
-        speedups = {}
-        for cells in SIZES:
-            for sparse in (False, True):
-                label = f"row_{'sparse' if sparse else 'dense'}_{cells}"
-                seconds, summaries = _time_row_tiers(
-                    _x(cells, sparse), _v(1), rtol
-                )
-                results.append(BenchResult(label, seconds=seconds,
-                                           stats=summaries))
-                speedups[label] = results[-1].speedup("interpreted",
-                                                      "compiled")
-                if sparse and cells >= 1_000_000:
-                    assert speedups[label] > 1.5, (
-                        f"sparse row kernel slower than expected at "
-                        f"{cells} cells: {speedups[label]:.2f}x"
-                    )
-        print_table("Fig 8 row: kernel tiers",
-                    ["interpreted", "compiled"], results)
-        print("speedups:", {k: f"{v:.2f}x" for k, v in speedups.items()})
-        maybe_export_json("fig08_row_tiers", results,
-                          extra={"speedup_compiled": speedups})
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
 
 
 @pytest.mark.bench

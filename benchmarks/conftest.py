@@ -4,7 +4,7 @@ Run with ``pytest benchmarks/ --benchmark-only``.  Each benchmark test
 measures one (workload, engine) cell of a paper table/figure; the
 pytest-benchmark report provides the cross-engine comparison that the
 paper plots.  Workload sizes are scaled down from the paper's cluster
-scale by factors recorded in EXPERIMENTS.md.
+scale; each benchmark's docstring states its factor.
 """
 
 from __future__ import annotations

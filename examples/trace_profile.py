@@ -3,7 +3,7 @@
 The workload compiles a scoring chain over a dense-stored matrix whose
 sparsity is hidden from the compiler (``nnz_unknown=True``).  With
 ``trace_level="full"`` the engine records every phase — the compiler
-passes, per-instruction execution with tier/format/bytes annotations,
+passes, per-instruction execution with format/bytes annotations,
 generated-operator bodies, kernel compiles, and the mid-run
 ``recompile-splice`` where the executor observes the real non-zero
 count and re-enters the pipeline.

@@ -85,8 +85,7 @@ def main() -> None:
     print(format_report(verify_dag(roots, stage="mutant")))
 
     # 5. The kernel lint on a hostile "generated" source: every rule
-    # class fires (imports, I/O builtins, nondeterminism, loops in a
-    # vectorized-tier kernel).
+    # class fires (imports, I/O builtins, nondeterminism, loops).
     hostile = (
         "import os\n"
         "import numpy as np\n"
@@ -98,7 +97,7 @@ def main() -> None:
         "    return acc\n"
     )
     print("\n== kernel lint: hostile source ==")
-    for finding in lint_source("HOSTILE", hostile, kind="vectorized"):
+    for finding in lint_source("HOSTILE", hostile):
         print(f"  {finding}")
 
     engine.close()

@@ -1,6 +1,6 @@
 """AST lint over generated kernel sources before they are ``exec()``-ed.
 
-The codegen backends emit Python source at runtime (``genexec`` bodies
+The code generators emit Python source at runtime (``genexec`` bodies
 from :mod:`repro.codegen.pygen`, ``genkernel`` bodies from
 :mod:`repro.codegen.npgen`) and compile it through the plan cache's
 ``exec`` path.  This pass checks each emitted source against the
@@ -15,14 +15,10 @@ contract the templates are supposed to honor, *before* compilation:
 * **Determinism**: no ``random``/``time``/``datetime``/``uuid`` use —
   generated operators must be pure functions of their inputs (the
   differential harness depends on it).
-* **Tier discipline**: vectorized-tier kernels (``kind="vectorized"``)
-  must contain no Python-level loops (the whole point of the tier);
+* **Whole-value discipline**: generated functions are straight-line
+  calls over whole arrays and contain no Python-level loops;
   CSR-main-safe Row kernels must not densify their sparse main input
   (no ``.toarray()``/``.todense()``, no ``np.asarray(a, ...)``).
-
-Interpreted (``genexec``) and Numba sources keep their loops: the
-inline-primitives mode and the jitted per-cell variants are loop-based
-by design.
 """
 
 from __future__ import annotations
@@ -104,13 +100,9 @@ def _collect_bound_names(tree: ast.Module) -> set:
     return bound
 
 
-def lint_source(name: str, source: str, kind: str = "interpreted",
+def lint_source(name: str, source: str,
                 csr_main_safe: bool = False) -> list[LintFinding]:
-    """Lint one generated source; returns all findings (empty = clean).
-
-    ``kind`` is ``"interpreted"`` (pygen ``genexec``), ``"vectorized"``
-    (npgen ``genkernel``), or ``"numba"`` (the jitted loop variant).
-    """
+    """Lint one generated source; returns all findings (empty = clean)."""
     from repro.codegen.pygen import GENERATED_IMPORT_MODULES
 
     findings: list[LintFinding] = []
@@ -159,9 +151,7 @@ def lint_source(name: str, source: str, kind: str = "interpreted",
                      f"'.{node.attr}()' densifies the CSR main input",
                      node)
         elif isinstance(node, _LOOP_NODES):
-            if kind == "vectorized":
-                flag("python-loop",
-                     "Python-level loop in a vectorized-tier kernel", node)
+            flag("python-loop", "Python-level loop in generated code", node)
         elif isinstance(node, ast.Call) and csr_main_safe:
             func = node.func
             if (
@@ -177,15 +167,14 @@ def lint_source(name: str, source: str, kind: str = "interpreted",
     return findings
 
 
-def check_source(name: str, source: str, kind: str = "interpreted",
-                 csr_main_safe: bool = False, stats=None) -> None:
+def check_source(name: str, source: str, csr_main_safe: bool = False,
+                 stats=None) -> None:
     """Lint and raise :class:`KernelLintError` on any finding.
 
     Records one ``n_lint_rejects`` per rejected source when ``stats``
     is provided.
     """
-    findings = lint_source(name, source, kind=kind,
-                           csr_main_safe=csr_main_safe)
+    findings = lint_source(name, source, csr_main_safe=csr_main_safe)
     if not findings:
         return
     if stats is not None:
@@ -193,7 +182,7 @@ def check_source(name: str, source: str, kind: str = "interpreted",
             stats.n_lint_rejects += 1
     details = "\n  ".join(str(f) for f in findings)
     raise KernelLintError(
-        f"generated source '{name}' ({kind}) failed lint with "
+        f"generated source '{name}' failed lint with "
         f"{len(findings)} finding(s):\n  {details}"
     )
 

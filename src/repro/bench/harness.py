@@ -3,7 +3,7 @@
 Every benchmark regenerates one table or figure of the paper's
 evaluation.  Helpers here time expression evaluations under the
 experimental engine configurations and collect rows for the printed
-summaries that EXPERIMENTS.md records.
+summaries.
 """
 
 from __future__ import annotations

@@ -173,12 +173,11 @@ class CPlan:
 def compressed_cell_eligible(cplan: CPlan) -> bool:
     """Dictionary-only execution guard (Figure 9 conditions).
 
-    The single source of truth for the serial cell skeleton, the
-    group-wise intra-op partitioner, the kernel tier's compressed-CELL
-    variant, and npgen's variant emission: sparse-safe, no side inputs,
-    sum-aggregated FULL/MULTI_AGG cell plans execute over distinct
-    dictionary values only.  A static plan property — independent of
-    the bound runtime inputs.
+    The single source of truth for the cell driver, the group-wise
+    intra-op partitioner, and npgen's ``genkernel_comp`` emission:
+    sparse-safe, no side inputs, sum-aggregated FULL/MULTI_AGG cell
+    plans execute over distinct dictionary values only.  A static plan
+    property — independent of the bound runtime inputs.
     """
     n_sides = sum(
         1 for idx, spec in enumerate(cplan.inputs)

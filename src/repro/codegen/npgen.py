@@ -1,37 +1,31 @@
-"""Vectorized-kernel code generation (second codegen backend).
+"""Code generation: whole-block kernels (codegen step 4).
 
-:mod:`repro.codegen.pygen` emits the *interpreted* tier: a ``genexec``
-body that the hand-coded skeletons invoke per tile / non-zero batch /
-row, dispatching one Python call per tile into the shared vector
-primitives.  This module emits the *compiled* tier: one ``genkernel``
-per operator that consumes whole runtime values in a single call —
+:mod:`repro.codegen.pygen` emits ``genexec``, the fused body over
+aligned value batches.  This module wraps the same template expansion
+into one ``genkernel`` per Cell, MAgg or Row operator that consumes
+whole runtime values in a single call —
 
 * **Cell/MAgg** kernels run over the full dense value array with the
   output aggregation folded into the body; sum-of-products bodies
   contract into a single ``np.einsum`` pass (no materialized
   intermediates, the paper's fused single-pass claim),
-* **Row** kernels run over the whole dense row block with side inputs
+* **Row** kernels run over the whole row block with side inputs
   prepared once; when every use of the main input is a matrix multiply
   the kernel is *CSR-main-safe* and executes directly on the sparse
   main without densifying,
-* **Outer** kernels evaluate the per-non-zero body over batched CSR row
-  ranges (the driver in :mod:`repro.runtime.npexec` owns chunking and
-  the U/V/W products).
+* compressed-eligible Cell plans additionally get ``genkernel_comp``,
+  which runs the body over a column's distinct dictionary values and
+  combines with their counts (Figure 9).
 
-Kernels are attached to the :class:`~repro.codegen.pygen
-.GeneratedOperator` that the semantic-hash plan cache shares across
-programs, serving specializations, and adaptive recompiles, so a kernel
-compiles once per equivalent operator.  An optional Numba tier JIT-jits
-a per-cell loop variant behind ``config.numba_kernels``; when Numba is
-absent or the body is outside the jittable subset, execution degrades
-to the vectorized NumPy kernel with a recorded fallback.
+Outer operators have no ``genkernel``: their driver in
+:mod:`repro.runtime.npexec` calls ``genexec`` once per batch of cells.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
+from repro.analysis.kernel_lint import check_source
 from repro.codegen.cplan import (
     Access,
     CNode,
@@ -39,12 +33,7 @@ from repro.codegen.cplan import (
     OutType,
     compressed_cell_eligible,
 )
-from repro.codegen.pygen import (
-    _SCALAR_BINARY_FMT,
-    _SCALAR_UNARY_EXPR,
-    _Emitter,
-    operator_name,
-)
+from repro.codegen.pygen import _Emitter, operator_name
 from repro.codegen.template import TemplateType
 from repro.errors import CodegenError
 
@@ -54,31 +43,17 @@ _REDUCERS = {"sum": "np.sum", "min": "np.min", "max": "np.max"}
 _CELL_TEMPLATES = (TemplateType.CELL, TemplateType.MAGG)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompiledKernel:
-    """A compiled vectorized kernel attached to a generated operator."""
+    """The compiled whole-block functions of a generated operator."""
 
     name: str
     source: str
     entry: object  # genkernel callable
     csr_main_safe: bool = False
-    # Optional Numba tier: the per-cell loop variant and its jitted
-    # callable.  ``numba_failed`` pins the kernel to the NumPy tier
-    # after an unavailable import or a jit/runtime failure.
-    numba_source: str = ""
-    numba_entry: object = None
-    numba_failed: bool = False
-    # Compressed-CELL variant: runs the vectorized body over each
-    # column group's distinct dictionary values and combines with
-    # counts (emitted only for compressed-eligible cell plans).
+    # Compressed-CELL variant (compressed-eligible cell plans only).
     comp_source: str = ""
     comp_entry: object = None
-
-    @property
-    def tier(self) -> str:
-        if self.numba_entry is not None and not self.numba_failed:
-            return "numba"
-        return "numpy"
 
 
 def kernel_name(cplan: CPlan) -> str:
@@ -92,29 +67,21 @@ def kernel_name(cplan: CPlan) -> str:
 def generate_kernel_source(cplan: CPlan) -> tuple[str, str, bool]:
     """Emit the vectorized kernel for a CPlan.
 
-    Returns ``(name, source, csr_main_safe)``.  The ``genkernel``
-    signature mirrors ``genexec`` (``(a, b, s)``; Outer adds ``uv``)
-    but ``a``/``b`` are whole runtime values, and for the Cell and Row
-    templates the output aggregation is folded into the kernel so one
+    Returns ``(name, source, csr_main_safe)``.  ``genkernel(a, b, s)``
+    has the signature of ``genexec`` but ``a``/``b`` are whole runtime
+    values and the output aggregation is folded into the kernel, so one
     call produces the finished raw result.
     """
     name = kernel_name(cplan)
-    emitter = _Emitter(cplan, inline_primitives=False)
-    body_lines, result_vars = emitter.emit_roots()
+    body_lines, result_vars = _Emitter(cplan).emit_roots()
     csr_safe = cplan.ttype is TemplateType.ROW and _csr_main_safe(cplan)
 
-    if cplan.ttype is TemplateType.OUTER:
-        header = "def genkernel(a, uv, b, s):"
-        final = [f"return {result_vars[0]}"]
-    elif cplan.ttype is TemplateType.ROW:
-        header = "def genkernel(a, b, s):"
+    if cplan.ttype is TemplateType.ROW:
         final = _finalize_row(cplan, result_vars)
     elif cplan.ttype in _CELL_TEMPLATES:
-        header = "def genkernel(a, b, s):"
-        body_lines, final = _finalize_cell(cplan, emitter, body_lines,
-                                           result_vars)
+        body_lines, final = _finalize_cell(cplan, body_lines, result_vars)
     else:
-        raise CodegenError(f"no vectorized kernel for {cplan.ttype}")
+        raise CodegenError(f"no whole-block kernel for {cplan.ttype}")
 
     lines = [
         f"# generated vectorized kernel {name}: {cplan.ttype.value} "
@@ -124,7 +91,7 @@ def generate_kernel_source(cplan: CPlan) -> tuple[str, str, bool]:
         "",
         f"CSR_MAIN_SAFE = {csr_safe}",
         "",
-        header,
+        "def genkernel(a, b, s):",
     ]
     lines.extend("    " + line for line in body_lines)
     lines.extend("    " + line for line in final)
@@ -150,7 +117,7 @@ def _finalize_row(cplan: CPlan, result_vars: list[str]) -> list[str]:
     raise CodegenError(f"bad row out type {out}")
 
 
-def _finalize_cell(cplan: CPlan, emitter: _Emitter, body_lines: list[str],
+def _finalize_cell(cplan: CPlan, body_lines: list[str],
                    result_vars: list[str]) -> tuple[list[str], list[str]]:
     """Fold the cell/multi-agg output aggregation into the kernel.
 
@@ -279,7 +246,7 @@ def _csr_main_safe(cplan: CPlan) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Compressed-CELL variant (dictionary-direct tier)
+# Compressed-CELL variant (dictionary-direct)
 # ----------------------------------------------------------------------
 def generate_compressed_cell_source(cplan: CPlan) -> tuple[str, str]:
     """Emit the compressed-CELL kernel variant for an eligible plan.
@@ -298,8 +265,7 @@ def generate_compressed_cell_source(cplan: CPlan) -> tuple[str, str]:
             f"plan not compressed-cell eligible: {cplan.ttype}"
         )
     name = kernel_name(cplan) + "_comp"
-    emitter = _Emitter(cplan, inline_primitives=False)
-    body_lines, result_vars = emitter.emit_roots()
+    body_lines, result_vars = _Emitter(cplan).emit_roots()
     final = []
     parts = []
     for k, res in enumerate(result_vars):
@@ -325,193 +291,31 @@ def generate_compressed_cell_source(cplan: CPlan) -> tuple[str, str]:
 
 
 # ----------------------------------------------------------------------
-# Numba per-cell variant (optional tier)
-# ----------------------------------------------------------------------
-def generate_numba_source(cplan: CPlan) -> str | None:
-    """Emit a fixed-arity per-cell loop variant for Numba jitting.
-
-    Covers dense Cell/MAgg plans whose body is a pure per-cell
-    expression, for the NO_AGG / ROW_AGG / FULL_AGG output variants.
-    Returns ``None`` when the plan is outside this subset — callers
-    degrade to the NumPy kernel and record a fallback.
-    """
-    if cplan.ttype not in _CELL_TEMPLATES or len(cplan.roots) != 1:
-        return None
-    if cplan.out_type not in (OutType.NO_AGG, OutType.ROW_AGG,
-                              OutType.FULL_AGG):
-        return None
-    agg = cplan.agg_ops[0] if cplan.agg_ops else "sum"
-    if cplan.out_type is not OutType.NO_AGG and agg not in ("sum", "min", "max"):
-        return None
-
-    side_slot: dict[int, int] = {}
-    scalar_slot: dict[int, int] = {}
-    for idx, spec in enumerate(cplan.inputs):
-        if idx == cplan.main_index:
-            continue
-        if spec.access is Access.SCALAR:
-            scalar_slot[idx] = len(scalar_slot)
-        else:
-            side_slot[idx] = len(side_slot)
-
-    counter = itertools.count(1)
-    exprs: dict[int, str] = {}
-    body: list[str] = []
-
-    def expand(node: CNode) -> str | None:
-        if node.id in exprs:
-            return exprs[node.id]
-        kind, _, detail = node.op.partition(":")
-        if node.op == "lit":
-            expr = repr(node.value)
-        elif node.op == "data":
-            if node.input_index == cplan.main_index:
-                expr = "a[_i, _j]"
-            elif node.input_index in scalar_slot:
-                expr = f"s{scalar_slot[node.input_index]}"
-            else:
-                slot = side_slot[node.input_index]
-                expr = f"b{slot}[_i % _b{slot}_r, _j % _b{slot}_c]"
-        elif kind == "u" and detail in _SCALAR_UNARY_EXPR:
-            inner = expand(node.inputs[0])
-            if inner is None:
-                return None
-            expr = _SCALAR_UNARY_EXPR[detail].format(inner)
-        elif kind == "b" and detail in _SCALAR_BINARY_FMT:
-            left = expand(node.inputs[0])
-            right = expand(node.inputs[1])
-            if left is None or right is None:
-                return None
-            expr = _SCALAR_BINARY_FMT[detail].format(left, right)
-        else:
-            return None
-        var = f"v{next(counter)}"
-        exprs[node.id] = var
-        body.append(f"{var} = {expr}")
-        return var
-
-    cell = expand(cplan.roots[0])
-    if cell is None:
-        return None
-
-    sides = "".join(f", b{k}" for k in range(len(side_slot)))
-    scalars = "".join(f", s{k}" for k in range(len(scalar_slot)))
-    lines = [
-        f"def genkernel_numba(a{sides}{scalars}):",
-        "    bs, n = a.shape",
-    ]
-    for k in range(len(side_slot)):
-        lines.append(f"    _b{k}_r, _b{k}_c = b{k}.shape")
-    out = cplan.out_type
-    if out is OutType.NO_AGG:
-        lines.append("    out = np.empty((bs, n))")
-    elif out is OutType.ROW_AGG:
-        lines.append("    out = np.empty((bs, 1))")
-    else:
-        init = {"sum": "0.0", "min": "np.inf", "max": "-np.inf"}[agg]
-        lines.append(f"    acc = {init}")
-    lines.append("    for _i in range(bs):")
-    if out is OutType.ROW_AGG:
-        init = {"sum": "0.0", "min": "np.inf", "max": "-np.inf"}[agg]
-        lines.append(f"        _racc = {init}")
-    lines.append("        for _j in range(n):")
-    lines.extend("            " + line for line in body)
-    combine = {
-        "sum": "{0} + {1}", "min": "min({0}, {1})", "max": "max({0}, {1})"
-    }[agg if out is not OutType.NO_AGG else "sum"]
-    if out is OutType.NO_AGG:
-        lines.append(f"            out[_i, _j] = {cell}")
-        lines.append("    return out")
-    elif out is OutType.ROW_AGG:
-        lines.append(f"            _racc = {combine.format('_racc', cell)}")
-        lines.append("        out[_i, 0] = _racc")
-        lines.append("    return out")
-    else:
-        lines.append(f"            acc = {combine.format('acc', cell)}")
-        lines.append("    return acc")
-    header = [
-        f"# generated numba kernel variant: {cplan.ttype.value} "
-        f"({cplan.out_type.value})",
-        "import numpy as np",
-        "",
-    ]
-    return "\n".join(header + lines) + "\n"
-
-
-# ----------------------------------------------------------------------
 # Kernel compilation
 # ----------------------------------------------------------------------
 def compile_kernel(cplan: CPlan, config, stats=None) -> CompiledKernel:
-    """Emit and compile the vectorized kernel for a CPlan.
+    """Emit and compile the whole-block kernel(s) for a CPlan.
 
     Byte-identical kernel source is shared through the process-wide
     source cache, so equivalent operators across engines never
-    re-``exec`` identical code.  The optional Numba tier is attached
-    here; a missing/unusable Numba records a fallback and leaves the
-    NumPy kernel active.
+    re-``exec`` identical code.
     """
     from repro.codegen.plan_cache import compile_source
 
+    verify = config.verify_level != "off"
     name, source, csr_safe = generate_kernel_source(cplan)
-    if getattr(config, "verify_level", "off") != "off":
-        from repro.analysis.kernel_lint import check_source
-
-        check_source(name, source, kind="vectorized",
-                     csr_main_safe=csr_safe, stats=stats)
-    namespace = compile_source(name, source, "exec", stats=stats)
-    kernel = CompiledKernel(
-        name=name,
-        source=source,
-        entry=namespace["genkernel"],
-        csr_main_safe=csr_safe,
-    )
+    if verify:
+        check_source(name, source, csr_main_safe=csr_safe, stats=stats)
+    entry = compile_source(name, source, "exec", stats=stats)["genkernel"]
+    comp_source, comp_entry = "", None
     if compressed_cell_eligible(cplan):
         comp_name, comp_source = generate_compressed_cell_source(cplan)
-        if getattr(config, "verify_level", "off") != "off":
-            from repro.analysis.kernel_lint import check_source
-
-            check_source(comp_name, comp_source, kind="vectorized",
-                         stats=stats)
-        comp_ns = compile_source(comp_name, comp_source, "exec", stats=stats)
-        kernel.comp_source = comp_source
-        kernel.comp_entry = comp_ns["genkernel_comp"]
-    if getattr(config, "numba_kernels", False):
-        _attach_numba(kernel, cplan, config, stats)
-    return kernel
-
-
-def _attach_numba(kernel: CompiledKernel, cplan: CPlan, config=None,
-                  stats=None) -> None:
-    numba_source = generate_numba_source(cplan)
-    if numba_source is None:
-        _record_numba_fallback(kernel, stats)
-        return
-    if getattr(config, "verify_level", "off") != "off":
-        from repro.analysis.kernel_lint import check_source
-
-        # The jitted variant is loop-based by design; everything else
-        # (imports, names, determinism) is held to the same contract.
-        check_source(kernel.name + "_nb", numba_source, kind="numba",
-                     stats=stats)
-    kernel.numba_source = numba_source
-    try:
-        import numba  # noqa: F401
-    except Exception:
-        _record_numba_fallback(kernel, stats)
-        return
-    try:
-        from repro.codegen.plan_cache import compile_source
-
-        namespace = compile_source(kernel.name + "_nb", numba_source,
-                                   "exec", stats=stats)
-        kernel.numba_entry = numba.njit(cache=False)(
-            namespace["genkernel_numba"]
-        )
-    except Exception:
-        _record_numba_fallback(kernel, stats)
-
-
-def _record_numba_fallback(kernel: CompiledKernel, stats=None) -> None:
-    kernel.numba_failed = True
+        if verify:
+            check_source(comp_name, comp_source, stats=stats)
+        comp_entry = compile_source(comp_name, comp_source, "exec",
+                                    stats=stats)["genkernel_comp"]
     if stats is not None:
-        stats.n_numba_fallbacks += 1
+        with stats.lock:
+            stats.n_kernel_compiles += 1
+    return CompiledKernel(name, source, entry, csr_safe, comp_source,
+                          comp_entry)

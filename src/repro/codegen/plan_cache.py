@@ -30,13 +30,18 @@ import threading
 import time
 
 from repro.analysis import lockset
+from repro.analysis.kernel_lint import check_source
 from repro.codegen.cplan import CPlan
+from repro.codegen.npgen import compile_kernel
 from repro.codegen.pygen import (
     GENERATED_IMPORT_MODULES,
     GeneratedOperator,
     generate_source,
+    operator_name,
 )
+from repro.codegen.template import TemplateType
 from repro.errors import CodegenError
+from repro.obs import trace as obs_trace
 
 # Process-wide exec()-compile cache keyed by source hash: semantically
 # identical operators regenerated across recompiles, specializations,
@@ -105,9 +110,6 @@ class PlanCache:
                     self.hits += 1
                     operator = self._cache[key]
                     self._record(stats, plan_cache_hits=1)
-                    # Plan-cache hit telemetry feeds the tiered-kernel
-                    # promotion policy: reused operators get hotter.
-                    operator.note_hot()
                     return operator
                 event = self._building.get(key)
                 if event is None:
@@ -119,26 +121,7 @@ class PlanCache:
             event.wait()
 
         try:
-            from repro.obs import trace as obs_trace
-
-            tracer = (stats.tracer if stats is not None
-                      else obs_trace.NULL_TRACER)
-            start = time.perf_counter()
-            with tracer.span("codegen-source", cat="compile",
-                             template=cplan.ttype.value):
-                name, source = generate_source(cplan, config.inline_primitives)
-                if getattr(config, "verify_level", "off") != "off":
-                    from repro.analysis.kernel_lint import check_source
-
-                    check_source(name, source, kind="interpreted",
-                                 stats=stats)
-            gen_elapsed = time.perf_counter() - start
-
-            start = time.perf_counter()
-            with tracer.span("operator-compile", cat="compile", op=name):
-                genexec = compile_operator(name, source, config.compiler,
-                                           stats=stats)
-            compile_elapsed = time.perf_counter() - start
+            operator = build_operator(cplan, config, stats)
         except BaseException:
             with self._lock:
                 failed = self._building.pop(key, None)
@@ -146,7 +129,6 @@ class PlanCache:
                 failed.set()
             raise
 
-        operator = GeneratedOperator(name, cplan, source, genexec)
         with self._lock:
             lockset.note_access("PlanCache", self, "cache")
             if self.enabled:
@@ -154,13 +136,40 @@ class PlanCache:
             finished = self._building.pop(key, None)
         if finished is not None:
             finished.set()
-        self._record(
-            stats,
-            n_classes_compiled=1,
-            codegen_seconds=gen_elapsed + compile_elapsed,
-            class_compile_seconds=compile_elapsed,
-        )
+        self._record(stats, n_classes_compiled=1)
         return operator
+
+
+def build_operator(cplan: CPlan, config, stats=None) -> GeneratedOperator:
+    """Generate and compile everything a fused operator executes.
+
+    The one place generated code comes from: the plan cache calls it on
+    a miss and the worker processes of the multiprocess backend call it
+    on the shipped CPlan, so both sides hold the same sources.  Each
+    template gets the functions its driver in
+    :mod:`repro.runtime.npexec` calls — ``genexec`` for the non-zero
+    batches of Cell/MAgg and every Outer batch, the whole-block
+    ``genkernel`` (plus ``genkernel_comp`` when eligible) for
+    Cell/MAgg and Row.
+    """
+    tracer = stats.tracer if stats is not None else obs_trace.NULL_TRACER
+    ttype = cplan.ttype
+    name, source, genexec, kernel = operator_name(cplan), "", None, None
+    start = time.perf_counter()
+    with tracer.span("operator-compile", cat="compile", op=name,
+                     template=ttype.value):
+        if ttype is not TemplateType.ROW:
+            _, source = generate_source(cplan)
+            if config.verify_level != "off":
+                check_source(name, source, stats=stats)
+            genexec = compile_operator(name, source, config.compiler,
+                                       stats=stats)
+        if ttype is not TemplateType.OUTER:
+            kernel = compile_kernel(cplan, config, stats)
+    if stats is not None:
+        with stats.lock:
+            stats.codegen_seconds += time.perf_counter() - start
+    return GeneratedOperator(name, cplan, source, genexec, kernel)
 
 
 def compile_source(name: str, source: str, backend: str = "exec",
@@ -170,7 +179,7 @@ def compile_source(name: str, source: str, backend: str = "exec",
     Byte-identical source compiles exactly once per process; later
     requests (recompiles, serving specializations, other engines) reuse
     the namespace and record a ``n_source_cache_hits``.  Used for both
-    interpreted ``genexec`` modules and vectorized kernel modules.
+    ``genexec`` modules and whole-block kernel modules.
     """
     key = _source_cache_key(name, source, backend)
     with _SOURCE_CACHE_LOCK:
@@ -181,7 +190,11 @@ def compile_source(name: str, source: str, backend: str = "exec",
             with stats.lock:
                 stats.n_source_cache_hits += 1
         return namespace
+    start = time.perf_counter()
     namespace = _compile_namespace(name, source, backend)
+    if stats is not None:
+        with stats.lock:
+            stats.class_compile_seconds += time.perf_counter() - start
     with _SOURCE_CACHE_LOCK:
         lockset.note_access("plan_cache", _SOURCE_CACHE, "source_cache")
         _SOURCE_CACHE.setdefault(key, namespace)

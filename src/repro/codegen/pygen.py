@@ -1,30 +1,28 @@
 """Code generation: CPlans to Python source (codegen step 4).
 
-Mirrors the paper's recursive template expansion: each CPlan expands
-depth-first into the body of a ``genexec`` function, which the runtime
-skeletons (:mod:`repro.runtime.skeletons`) invoke per data tile, per
-cell batch, or per non-zero row — the hand-coded skeletons own the data
-access, exactly as in the paper's runtime integration (Figure 4).
-
-Generated code calls the shared vector-primitive library ``vp``; with
-``inline_primitives`` (the "Gen inlined" configuration of Figure 10)
-element-wise chains are instead expanded into per-element loops,
-modelling monolithic generated code without shared primitives.
+Mirrors the paper's recursive template expansion: each CPlan body
+expands depth-first into straight-line calls of the shared
+vector-primitive library ``vp``.  This module emits ``genexec``, the
+body over aligned value batches that the drivers in
+:mod:`repro.runtime.npexec` call for the non-zero batches of a
+sparse-safe Cell operator and for every Outer batch;
+:mod:`repro.codegen.npgen` wraps the same expansion into the
+whole-block ``genkernel`` functions.  The hand-written drivers own the
+data access, exactly as in the paper's runtime integration (Figure 4).
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.codegen.cplan import Access, CNode, CPlan
 from repro.codegen.template import TemplateType
 from repro.errors import CodegenError
 from repro.runtime.vector import BINARY_PRIMITIVES, UNARY_PRIMITIVES
 
-#: Import surface of generated sources.  Both codegen backends emit
-#: only ``import numpy as np`` / ``from repro.runtime import vector as
+#: Import surface of generated sources.  Both emitters produce only
+#: ``import numpy as np`` / ``from repro.runtime import vector as
 #: vp`` (scipy is reserved for sparse kernel bodies); the kernel lint
 #: (:mod:`repro.analysis.kernel_lint`) and the restricted ``exec``
 #: namespace (:mod:`repro.codegen.plan_cache`) enforce exactly this
@@ -43,56 +41,54 @@ def operator_name(cplan: CPlan) -> str:
     return f"TMP_{cplan.semantic_hash()[:10]}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratedOperator:
-    """A compiled fused operator: metadata plus the genexec callable.
+    """A compiled fused operator: metadata plus its generated functions.
 
-    Beyond the interpreted ``genexec`` tier, an operator may hold a
-    compiled vectorized kernel (:mod:`repro.codegen.npgen`).  Operators
-    are shared through the semantic-hash plan cache, so the kernel slot
-    — and the hotness telemetry that triggers promotion — is shared by
-    every program, serving specialization, and adaptive recompile that
-    reuses the operator.
+    Built once by :func:`repro.codegen.plan_cache.build_operator` and
+    never mutated, so the instance the semantic-hash plan cache shares
+    across programs, serving specializations, adaptive recompiles and
+    threads needs no lock.  A template carries only the functions its
+    driver calls: ``genexec`` is ``None`` for Row, ``kernel`` (a
+    :class:`~repro.codegen.npgen.CompiledKernel`) is ``None`` for Outer.
     """
 
     name: str
     cplan: CPlan
     source: str
-    genexec: object  # callable
-    # Tiered-kernel state (guarded by ``lock``): ``kernel`` holds the
-    # CompiledKernel once promoted; ``hotness`` counts executions plus
-    # plan-cache hits plus serving warm-bind touches.
+    genexec: object  # callable | None
     kernel: object = None
-    hotness: int = 0
-    kernel_failed: bool = False
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
     def template(self) -> TemplateType:
         return self.cplan.ttype
 
-    def note_hot(self, touches: int = 1) -> None:
-        """Bump hotness without an execution (cache hit / warm bind)."""
-        with self.lock:
-            self.hotness += touches
+    @property
+    def sources(self) -> tuple[str, ...]:
+        """Every generated source, in build order (the worker processes
+        of the multiprocess backend compare these byte for byte)."""
+        if self.kernel is None:
+            return (self.source,)
+        return (self.source, self.kernel.source, self.kernel.comp_source)
 
 
-def generate_source(cplan: CPlan, inline_primitives: bool = False) -> tuple[str, str]:
-    """Generate the Python source of a fused operator.
+def generate_source(cplan: CPlan) -> tuple[str, str]:
+    """Generate the ``genexec`` source of a fused operator.
 
     Returns ``(class_name, source)``.  The genexec signature depends on
     the template:
 
-    * Cell/MAgg: ``genexec(a, b, s)`` over aligned value tiles,
-    * Row: ``genexec(a, b, s)`` over a dense row-block tile,
-    * Outer: ``genexec(a, uv, b, s)`` over one row's non-zero cells.
+    * Cell/MAgg: ``genexec(a, b, s)`` over aligned value batches,
+    * Row: ``genexec(a, b, s)`` over a dense row block,
+    * Outer: ``genexec(a, uv, b, s)`` over a batch of cells and their
+      ``U V^T`` products.
     """
     name = operator_name(cplan)
-    emitter = _Emitter(cplan, inline_primitives)
+    emitter = _Emitter(cplan)
     if cplan.ttype is TemplateType.OUTER:
-        header = f"def genexec(a, uv, b, s):"
+        header = "def genexec(a, uv, b, s):"
     else:
-        header = f"def genexec(a, b, s):"
+        header = "def genexec(a, b, s):"
     lines = [
         f"# generated fused operator {name}: {cplan.ttype.value} "
         f"({cplan.out_type.value})",
@@ -113,9 +109,8 @@ def generate_source(cplan: CPlan, inline_primitives: bool = False) -> tuple[str,
 class _Emitter:
     """Depth-first template expansion of a CPlan body DAG."""
 
-    def __init__(self, cplan: CPlan, inline_primitives: bool):
+    def __init__(self, cplan: CPlan):
         self.cplan = cplan
-        self.inline = inline_primitives
         self.lines: list[str] = []
         self.vars: dict[int, str] = {}
         self.counter = itertools.count(1)
@@ -135,8 +130,6 @@ class _Emitter:
 
     # ------------------------------------------------------------------
     def emit_roots(self) -> tuple[list[str], list[str]]:
-        if self.inline and self._inline_applicable():
-            return self._emit_inline()
         results = [self._emit(root) for root in self.cplan.roots]
         if not self.lines:
             # Ensure at least one statement for trivial bodies.
@@ -237,115 +230,3 @@ class _Emitter:
         if input_index in self.scalar_slot:
             return f"s[{self.scalar_slot[input_index]}]"
         return f"b[{self.side_slot[input_index]}]"
-
-    # ------------------------------------------------------------------
-    # Inline mode (Figure 10): expand element-wise chains into explicit
-    # per-element loops instead of shared vector primitives.
-    # ------------------------------------------------------------------
-    def _inline_applicable(self) -> bool:
-        from repro.codegen.cplan import OutType
-
-        if self.cplan.ttype not in (
-            TemplateType.CELL, TemplateType.ROW, TemplateType.MAGG
-        ):
-            return False
-        if len(self.cplan.roots) != 1:
-            return False
-        root = self.cplan.roots[0]
-        kind, _, detail = root.op.partition(":")
-        if kind in ("rowagg", "fullagg") and detail == "sum":
-            # Row template: an explicit aggregation node at the root.
-            return self._pure_cell(root.inputs[0])
-        if (
-            self.cplan.out_type is OutType.FULL_AGG
-            and self.cplan.agg_ops == ["sum"]
-        ):
-            # Cell template: the skeleton reduces; partial per-row sums
-            # returned by inline code sum to the same total.
-            return self._pure_cell(root)
-        return False
-
-    def _pure_cell(self, node: CNode) -> bool:
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            if cur.op in ("data", "lit"):
-                continue
-            kind, _, detail = cur.op.partition(":")
-            if kind == "u" and detail in _SCALAR_UNARY_EXPR:
-                stack.extend(cur.inputs)
-            elif kind == "b" and detail in _SCALAR_BINARY_FMT:
-                stack.extend(cur.inputs)
-            else:
-                return False
-        return True
-
-    def _emit_inline(self) -> tuple[list[str], list[str]]:
-        root = self.cplan.roots[0]
-        lines: list[str] = ["bs, n = a.shape", "out = np.zeros((bs, 1))"]
-        scalar_exprs: dict[int, str] = {}
-        counter = itertools.count(1)
-
-        def expand(node: CNode) -> str:
-            if node.id in scalar_exprs:
-                return scalar_exprs[node.id]
-            kind, _, detail = node.op.partition(":")
-            if node.op == "lit":
-                expr = repr(node.value)
-            elif node.op == "data":
-                base = self._data_expr(node.input_index)
-                expr = "a[_i, _j]" if base == "a" else (
-                    base if node.input_index in self.scalar_slot else f"{base}[_i % {base}.shape[0], _j % {base}.shape[1]]"
-                )
-            elif kind == "u":
-                expr = _SCALAR_UNARY_EXPR[detail].format(expand(node.inputs[0]))
-            elif kind == "b":
-                expr = _SCALAR_BINARY_FMT[detail].format(
-                    expand(node.inputs[0]), expand(node.inputs[1])
-                )
-            else:
-                raise CodegenError(f"inline mode cannot expand {node.op}")
-            var = f"v{next(counter)}"
-            scalar_exprs[node.id] = var
-            inner_body.append(f"{var} = {expr}")
-            return var
-
-        # Innermost expression: the cell chain below the final sum (the
-        # root itself for Cell full-agg plans, where the skeleton sums
-        # the returned per-row partials).
-        kind, _, detail = root.op.partition(":")
-        chain = root.inputs[0] if kind in ("rowagg", "fullagg") else root
-        inner_body: list[str] = []
-        result_var = expand(chain)
-        lines.append("for _i in range(bs):")
-        lines.append("    _acc = 0.0")
-        lines.append("    for _j in range(n):")
-        lines.extend("        " + line for line in inner_body)
-        lines.append(f"        _acc += {result_var}")
-        lines.append("    out[_i, 0] = _acc")
-        if kind == "fullagg":
-            # Row template full aggregation: reduce to a scalar here;
-            # for Cell plans the skeleton sums the per-row partials.
-            lines.append("out = np.sum(out)")
-        return lines, ["out"]
-
-
-_SCALAR_UNARY_EXPR = {
-    "exp": "np.exp({0})",
-    "log": "np.log({0})",
-    "sqrt": "np.sqrt({0})",
-    "abs": "abs({0})",
-    "neg": "-({0})",
-    "pow2": "({0}) * ({0})",
-    "sigmoid": "1.0 / (1.0 + np.exp(-({0})))",
-    "sprop": "({0}) * (1.0 - ({0}))",
-}
-
-_SCALAR_BINARY_FMT = {
-    "+": "({0}) + ({1})",
-    "-": "({0}) - ({1})",
-    "*": "({0}) * ({1})",
-    "/": "({0}) / ({1})",
-    "min": "min({0}, {1})",
-    "max": "max({0}, {1})",
-}

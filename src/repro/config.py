@@ -50,11 +50,6 @@ class CodegenConfig:
     # the constraint ncol(X) <= blocksize for distributed operations.
     blocksize: int = 1024
 
-    # Tile size (rows) used by the local fused-operator skeletons.  Row
-    # tiles play the role of the cache-resident ring-buffer intermediates
-    # of the paper's generated operators.
-    tile_rows: int = 256
-
     # Outer template: the common dimension (rank) must be small.
     outer_max_rank: int = 256
 
@@ -103,7 +98,6 @@ class CodegenConfig:
     large_partition_members: int = 512
     enable_cost_pruning: bool = True
     enable_structural_pruning: bool = True
-    enable_partitioning: bool = True
 
     # Runtime executor: 'parallel' schedules lowered Program instructions
     # over a thread pool by dependency readiness (independent DAG
@@ -135,32 +129,6 @@ class CodegenConfig:
     # (max(8, cpu_count)); >0 caps grants made under this config.
     thread_budget: int = 0
 
-    # Tiered vectorized-kernel backend for generated fused operators.
-    # Operators start on the interpreted path (tile-loop skeletons
-    # calling ``genexec``); once their hotness — executions plus
-    # plan-cache hits plus serving warm-bind touches — reaches
-    # ``kernel_hot_threshold``, a vectorized NumPy kernel is emitted
-    # (whole-array CELL/MAGG bodies with einsum contraction, whole-block
-    # ROW bodies that stay CSR for sparse-safe matmult chains, OUTER
-    # bodies batched over CSR row ranges) and shared through the
-    # semantic-hash plan cache.  0 = compile at first execution.
-    vectorized_kernels: bool = True
-    kernel_hot_threshold: int = 0
-    # Optionally JIT the per-cell kernel variant with Numba when a
-    # kernel is promoted.  With Numba absent (or the body outside the
-    # jittable subset) execution degrades to the vectorized NumPy
-    # kernel and records a fallback — never an error.
-    numba_kernels: bool = False
-    # Cell budget for the Outer driver's CSR row-range batches: each
-    # batch holds roughly this many (nnz x rank) gather cells, bounding
-    # the batched side-product temporaries.
-    kernel_chunk_cells: int = 1 << 22
-    # Relative tolerance for compiled-vs-interpreted comparisons where
-    # the vectorized kernel reassociates an aggregation (whole-array
-    # einsum/sum vs the tile-loop combine chain).  Order-preserving
-    # kernels (element-wise, row-wise) are compared exactly.
-    kernel_compare_rtol: float = 1e-9
-
     # Static analysis (repro.analysis).  verify_level gates the IR
     # verifier and the generated-kernel lint: 'off' disables them,
     # 'boundaries' verifies the optimized DAG and the lowered program at
@@ -176,11 +144,11 @@ class CodegenConfig:
 
     # Observability (repro.obs): hierarchical span tracing.  'off' uses
     # the module-level no-op tracer (near-zero cost); 'phases' records
-    # request, compiler-pass, lowering/verify, kernel-compile,
+    # request, compiler-pass, lowering/verify, operator-compile,
     # recompile-splice, and serving admission/queue/batch/bind spans;
     # 'instructions' adds one span per executed instruction (the
-    # profiler's input); 'full' adds operator-body (kernel/interpreted
-    # run) spans.  Spans land in a bounded ring buffer of
+    # profiler's input); 'full' adds operator-body spans.  Spans land
+    # in a bounded ring buffer of
     # trace_buffer_events entries, exportable as Chrome trace-event
     # JSON via Engine.export_trace() (loadable in Perfetto).
     trace_level: str = "off"
@@ -191,7 +159,6 @@ class CodegenConfig:
     # (javac analogue).
     compiler: str = "exec"
     plan_cache_enabled: bool = True
-    inline_primitives: bool = False  # Fig 10: inline vs shared primitives
 
     # Distributed backend implementation behind SparkExecutor:
     # 'simulated' partitions and reduces in-process (cost model only);

@@ -2,10 +2,9 @@
 
 Consumes a tracer's recorded events (``trace_level="instructions"`` or
 ``"full"``) and attributes wall-clock to instructions: per operator
-label it reports executions, total/mean time, execution tier
-(interpreted / kernel / numba), input format (dense / csr / compressed),
-bytes moved, observed-vs-estimated nnz at recompile boundaries, and
-recompile triggers.  Compile-phase and serving totals ride along so one
+label it reports executions, total/mean time, input format (dense /
+csr / compressed), bytes moved, observed-vs-estimated nnz at recompile
+boundaries, and recompile triggers.  Compile-phase and serving totals ride along so one
 report answers "where did the time go" end to end.
 
 ``Engine.profile_report()`` is the entry point; the returned
@@ -42,7 +41,6 @@ def _operator_entry() -> dict:
         "executions": 0,
         "seconds": 0.0,
         "bytes": 0.0,
-        "tiers": {},
         "formats": {},
         "nnz_estimated": None,
         "nnz_observed": None,
@@ -62,9 +60,6 @@ def build_profile(events, stats=None) -> dict:
             entry["seconds"] += span.duration
             args = span.args
             entry["bytes"] += args.get("bytes", 0) or 0
-            tier = args.get("tier")
-            if tier:
-                entry["tiers"][tier] = entry["tiers"].get(tier, 0) + 1
             fmt = args.get("fmt")
             if fmt:
                 entry["formats"][fmt] = entry["formats"].get(fmt, 0) + 1
@@ -77,7 +72,7 @@ def build_profile(events, stats=None) -> dict:
                 if "nnz_est" in span.args:
                     entry["nnz_estimated"] = span.args["nnz_est"]
                     entry["nnz_observed"] = span.args.get("nnz_obs")
-        elif span.cat in ("compile", "kernel", "serve"):
+        elif span.cat in ("compile", "serve"):
             phase = phases.setdefault(
                 span.name, {"count": 0, "seconds": 0.0}
             )
@@ -115,7 +110,7 @@ def render_profile(data: dict) -> str:
     operators = data["operators"]
     lines = [
         f"{'operator':<28}{'execs':>6}{'total ms':>10}{'mean ms':>9}"
-        f"{'tier':>12}{'fmt':>12}{'MB':>8}{'nnz obs/est':>14}{'rc':>4}"
+        f"{'fmt':>12}{'MB':>8}{'nnz obs/est':>14}{'rc':>4}"
     ]
     ordered = sorted(
         operators.items(), key=lambda item: -item[1]["seconds"]
@@ -129,7 +124,6 @@ def render_profile(data: dict) -> str:
             f"{name:<28}{entry['executions']:>6}"
             f"{entry['seconds'] * 1e3:>10.3f}"
             f"{entry['mean_seconds'] * 1e3:>9.3f}"
-            f"{_dominant(entry['tiers']):>12}"
             f"{_dominant(entry['formats']):>12}"
             f"{entry['bytes'] / 1e6:>8.2f}"
             f"{nnz:>14}"

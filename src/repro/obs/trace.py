@@ -11,10 +11,10 @@ Levels gate instrumentation sites, not span kinds::
 
     off           no-op tracer (module-level ``NULL_TRACER`` singleton)
     phases        request/evaluate, compiler passes, lowering, verify,
-                  kernel compile/promote, recompile splices, serving
+                  operator compile, recompile splices, serving
                   admission/queue/batch/bind
     instructions  adds one span per executed instruction
-    full          adds operator-body (kernel/interpreted run) spans
+    full          adds operator-body spans
 
 The ``off`` path is near-zero cost: hot loops hoist one
 ``tracer.enabled(...)`` check, and every ``NULL_TRACER`` method is a

@@ -355,16 +355,14 @@ class SparkExecutor:
             return self._execute_reduce(hop, main_blocked, plans,
                                         keys[main_idx])
 
+        spec = rops.hop_spec(hop)
         if self.backend is not None:
-            from repro.runtime.mpexec import hop_task_spec
-
             parts = self.backend.run_map(
-                hop_task_spec(hop), main_blocked, plans,
-                keys[main_idx], output_key
+                spec, main_blocked, plans, keys[main_idx], output_key
             )
         else:
             parts = [
-                _basic_kernel(hop, values)
+                rops.apply_spec(spec, values)
                 for values in _materialize_plans(plans, main_blocked)
             ]
         result = BlockedMatrix(
@@ -456,7 +454,7 @@ class SparkExecutor:
                 else:
                     self.charge_broadcast(value.size_bytes)
             local_values.append(value)
-        result = _basic_kernel(hop, local_values)
+        result = rops.apply_spec(rops.hop_spec(hop), local_values)
         if isinstance(result, MatrixBlock):
             self.charge_write(result.size_bytes, key=output_key, value=result)
         return result
@@ -465,18 +463,17 @@ class SparkExecutor:
                         plans: list, main_key=None) -> object:
         """Full/column aggregations: per-partition partials combined by
         a tree-reduce (mean decomposes into a sum of partials)."""
-        agg = hop.agg_op.value
-        direction = hop.direction.value
+        kernel, agg, direction = rops.hop_spec(hop)
         base_op = "sum" if agg == "mean" else agg
+        spec = (kernel, base_op, direction)
         combine_op = "sum" if base_op in ("sum", "sumsq") else base_op
         if self.backend is not None:
             partials = self.backend.run_map(
-                ("agg_unary", base_op, direction), main_blocked, plans,
-                main_key, None
+                spec, main_blocked, plans, main_key, None
             )
         else:
             partials = [
-                rops.agg_unary(base_op, values[0], direction)
+                rops.apply_spec(spec, values)
                 for values in _materialize_plans(plans, main_blocked)
             ]
         result, levels = tree_reduce(
@@ -550,19 +547,10 @@ class SparkExecutor:
         self.stats.record_spoof(cplan.ttype.value)
         row_partitioned = is_row_partitioned_output(cplan.out_type)
         if self.backend is not None:
-            from repro.runtime import npexec
-
-            # Resolve the kernel tier on the driver — one hotness bump
-            # per partition, exactly like the simulated loop — and ship
-            # the decision so workers execute the same tier.
-            use_kernel = [
-                npexec.resolve_kernel(hop.operator, self.config) is not None
-                for _ in main_blocked.bounds
-            ]
             partials = self.backend.run_spoof(
                 hop.operator, values, sliceable, main_index, main_blocked,
                 keys[main_index],
-                output_key if row_partitioned else None, use_kernel
+                output_key if row_partitioned else None
             )
         else:
             partials = []
@@ -634,52 +622,3 @@ def _value_bytes(value) -> float:
     if isinstance(value, (MatrixBlock, BlockedMatrix)):
         return value.size_bytes
     return 8.0
-
-
-def _basic_kernel(hop: Hop, values: list, stats=None) -> object:
-    """Dispatch a basic HOP to the kernel library.
-
-    The kernel library handles compressed inputs natively (dictionary
-    transforms, count-weighted aggregates, pre-aggregated matvec) and
-    decompresses explicitly — counting ``n_decompressions`` — where no
-    dictionary-direct form exists; ``stats`` threads those counters
-    through.
-    """
-    from repro.hops.hop import (
-        AggBinaryOp,
-        AggUnaryOp,
-        BinaryOp,
-        IndexingOp,
-        NaryOp,
-        ReorgOp,
-        TernaryOp,
-        UnaryOp,
-    )
-
-    if isinstance(hop, UnaryOp):
-        if hop.op == "cumsum":
-            return rops.cumsum(values[0], stats=stats)
-        return rops.unary(hop.op, values[0], stats=stats)
-    if isinstance(hop, BinaryOp):
-        return rops.binary(hop.op, values[0], values[1], stats=stats)
-    if isinstance(hop, TernaryOp):
-        return rops.ternary(hop.op, values[0], values[1], values[2],
-                            stats=stats)
-    if isinstance(hop, AggUnaryOp):
-        return rops.agg_unary(
-            hop.agg_op.value, values[0], hop.direction.value, stats=stats
-        )
-    if isinstance(hop, AggBinaryOp):
-        return rops.matmult(values[0], values[1], stats=stats)
-    if isinstance(hop, ReorgOp):
-        return rops.transpose(values[0], stats=stats)
-    if isinstance(hop, IndexingOp):
-        return rops.rix(values[0], hop.rl, hop.ru, hop.cl, hop.cu,
-                        stats=stats)
-    if isinstance(hop, NaryOp):
-        result = values[0]
-        func = rops.cbind if hop.op == "cbind" else rops.rbind
-        for nxt in values[1:]:
-            result = func(result, nxt, stats=stats)
-        return result
-    raise RuntimeExecError(f"no kernel for {hop.opcode()}")

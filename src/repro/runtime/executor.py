@@ -97,7 +97,8 @@ def execute_instruction(instr, inputs: list, config: CodegenConfig,
     symbol-table slot) that the distributed backend's RDD-cache model
     uses instead of runtime-value identity.
     """
-    from repro.runtime.distributed import BlockedMatrix, _basic_kernel
+    from repro.runtime import ops as rops
+    from repro.runtime.distributed import BlockedMatrix
     from repro.runtime.skeletons import execute_operator
 
     hop = instr.hop
@@ -134,12 +135,21 @@ def execute_instruction(instr, inputs: list, config: CodegenConfig,
         _record_output(stats, result)
         return result
     if instr.opcode == "spoof":
-        if spark is not None and hop.exec_type is ExecType.SPARK:
-            result = spark.execute_instruction(
-                instr, inputs, input_keys, output_key
-            )
-        else:
-            result = execute_operator(hop.operator, inputs, config, stats)
+        try:
+            if spark is not None and hop.exec_type is ExecType.SPARK:
+                result = spark.execute_instruction(
+                    instr, inputs, input_keys, output_key
+                )
+            else:
+                result = execute_operator(hop.operator, inputs, config,
+                                          stats)
+        except Exception as exc:
+            # Generated code that raises is a compiler bug: name the
+            # operator, whichever backend and thread it ran on.
+            raise RuntimeExecError(
+                f"generated operator {hop.operator.name} "
+                f"({hop.operator.cplan.ttype.value}) failed: {exc}"
+            ) from exc
         _record_output(stats, result)
         return result
     if spark is not None and hop.exec_type is ExecType.SPARK:
@@ -147,7 +157,7 @@ def execute_instruction(instr, inputs: list, config: CodegenConfig,
             instr, inputs, input_keys, output_key
         )
     else:
-        result = _basic_kernel(hop, inputs, stats)
+        result = rops.apply_spec(rops.hop_spec(hop), inputs, stats)
     _record_output(stats, result)
     return result
 

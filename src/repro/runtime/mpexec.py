@@ -12,12 +12,12 @@ Design invariants (what makes the two backends bit-identical):
 * Placement, partitioning (``partition_bounds``), side-input slicing
   (driver-side ``rops.rix``), and the fixed tree-reduce topology all
   stay on the driver; workers only run the per-partition kernel the
-  simulated loop would have run, with ``allow_parallel=False``.
-* The kernel tier is resolved on the driver (one ``resolve_kernel``
-  call per partition, exactly like the simulated loop) and shipped as
-  a boolean; workers rebuild generated operators from the shipped
-  ``(name, source, cplan)`` and *assert* that regenerating the source
-  from the cplan reproduces it byte-for-byte (the deterministic
+  simulated loop would have run (the same ``rops.apply_spec`` /
+  ``execute_operator`` calls), with ``allow_parallel=False``.
+* Workers rebuild generated operators from the shipped
+  ``(name, sources, cplan)`` with the function the driver's plan cache
+  uses (``plan_cache.build_operator``) and *assert* that the rebuilt
+  sources equal the shipped ones byte-for-byte (the deterministic
   ``TMP_<hash10>`` naming makes this checkable), so the worker executes
   the same code the driver compiled.
 
@@ -154,53 +154,6 @@ def decode_value(desc):
 
 
 # ----------------------------------------------------------------------
-# Task specs for basic hops (mirrors distributed._basic_kernel)
-# ----------------------------------------------------------------------
-def hop_task_spec(hop) -> tuple:
-    """Picklable kernel spec for the map-placed basic hops."""
-    from repro.hops.hop import (
-        AggBinaryOp,
-        AggUnaryOp,
-        BinaryOp,
-        TernaryOp,
-        UnaryOp,
-    )
-
-    if isinstance(hop, UnaryOp):
-        return ("unary", hop.op)
-    if isinstance(hop, BinaryOp):
-        return ("binary", hop.op)
-    if isinstance(hop, TernaryOp):
-        return ("ternary", hop.op)
-    if isinstance(hop, AggUnaryOp):
-        return ("agg_unary", hop.agg_op.value, hop.direction.value)
-    if isinstance(hop, AggBinaryOp):
-        return ("matmult",)
-    raise RuntimeExecError(f"no multiprocess spec for {hop.opcode()}")
-
-
-def _apply_spec(spec: tuple, values: list, stats):
-    """Run one hop kernel spec — the worker-side twin of the driver's
-    per-partition ``_basic_kernel`` dispatch (same rops entry points,
-    so results are bitwise identical)."""
-    from repro.runtime import ops as rops
-
-    op = spec[0]
-    if op == "unary":
-        return rops.unary(spec[1], values[0], stats=stats)
-    if op == "binary":
-        return rops.binary(spec[1], values[0], values[1], stats=stats)
-    if op == "ternary":
-        return rops.ternary(spec[1], values[0], values[1], values[2],
-                            stats=stats)
-    if op == "agg_unary":
-        return rops.agg_unary(spec[1], values[0], spec[2], stats=stats)
-    if op == "matmult":
-        return rops.matmult(values[0], values[1], stats=stats)
-    raise RuntimeExecError(f"unknown multiprocess kernel spec {spec!r}")
-
-
-# ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
 class _BlockCache:
@@ -256,30 +209,27 @@ class _BlockCache:
                 self._drop(wkey)
 
 
-def _materialize_operator(operators: dict, name: str, stats):
+def _materialize_operator(operators: dict, name: str, config, stats):
     """Rebuild a generated operator from its shipped payload.
 
-    Asserts the fork-safety contract: regenerating the source from the
-    shipped cplan must reproduce the driver's source byte-for-byte
-    (deterministic ``TMP_<hash10>`` naming), so the source-hash compile
-    cache and the driver/worker execution paths can never diverge.
+    Asserts the fork-safety contract: building the operator from the
+    shipped cplan must reproduce every source the driver compiled
+    byte-for-byte (deterministic ``TMP_<hash10>`` naming), so the
+    source-hash compile cache and the driver/worker execution paths can
+    never diverge.
     """
     entry = operators[name]
     if not isinstance(entry, tuple):
         return entry
-    source, cplan, inline = entry
-    from repro.codegen import plan_cache, pygen
+    sources, cplan = entry
+    from repro.codegen.plan_cache import build_operator
 
-    regen_name, regen_source = pygen.generate_source(cplan, inline)
-    if regen_name != name or regen_source != source:
+    operator = build_operator(cplan, config, stats)
+    if operator.name != name or operator.sources != sources:
         raise RuntimeExecError(
             f"worker regeneration of operator {name} diverged from the "
             "driver's source — generated code is not deterministic"
         )
-    genexec = plan_cache.compile_operator(name, source, backend="exec",
-                                          stats=stats)
-    operator = pygen.GeneratedOperator(name=name, cplan=cplan,
-                                       source=source, genexec=genexec)
     operators[name] = operator
     return operator
 
@@ -353,14 +303,15 @@ def _run_task(task: dict, caches: dict, operators: dict,
     if kind == "echo":
         result = values
     elif kind == "hop":
-        result = _apply_spec(task["spec"], values, stats)
+        from repro.runtime import ops as rops
+
+        result = rops.apply_spec(task["spec"], values, stats)
     else:  # "spoof"
-        operator = _materialize_operator(operators, task["op_name"], stats)
-        config = dataclass_replace(task["config"],
-                                   vectorized_kernels=task["use_kernel"],
-                                   kernel_hot_threshold=0)
         from repro.runtime.skeletons import execute_operator
 
+        config = task["config"]
+        operator = _materialize_operator(operators, task["op_name"], config,
+                                         stats)
         result = execute_operator(operator, values, config, stats,
                                   allow_parallel=False)
 
@@ -402,9 +353,9 @@ def _worker_main(conn, worker_id: int) -> None:
         if tag == "stop":
             break
         if tag == "operator":
-            _, name, source, cplan, inline = msg
+            _, name, sources, cplan = msg
             if name not in operators:
-                operators[name] = (source, cplan, inline)
+                operators[name] = (sources, cplan)
             continue
         if tag == "bcast":
             _, bkey, descs = msg
@@ -706,7 +657,7 @@ class ProcessPoolBackend:
 
     def run_spoof(self, operator, values: list, sliceable: set,
                   main_index: int, main_blocked, main_key,
-                  output_key, use_kernel: list) -> list:
+                  output_key) -> list:
         """Per-partition generated-operator execution."""
         from repro.runtime import ops as rops
 
@@ -734,13 +685,13 @@ class ProcessPoolBackend:
                     inputs.append((mode, value))
             protos.append({
                 "kind": "spoof", "op_name": operator.name,
-                "use_kernel": use_kernel[p], "inputs": inputs,
+                "inputs": inputs,
                 "cache_as": (output_key, p) if output_key is not None
                 else None,
                 "label": operator.name, "partition": p,
             })
-        payload = ("operator", operator.name, operator.source,
-                   operator.cplan, self.config.inline_primitives)
+        payload = ("operator", operator.name, operator.sources,
+                   operator.cplan)
         return self._execute(protos, sides, payload)
 
     def roundtrip(self, values: list, force_shm: bool = False) -> list:
@@ -1007,7 +958,6 @@ class ProcessPoolBackend:
             task["spec"] = proto["spec"]
         elif proto["kind"] == "spoof":
             task["op_name"] = proto["op_name"]
-            task["use_kernel"] = proto["use_kernel"]
         if self._inject:
             # Armed fault injection: each armed fault fells exactly one
             # task *dispatch* (so retries can be made to fail too, which

@@ -1,32 +1,39 @@
-"""Compiled-kernel execution drivers (tiered vectorized backend).
+"""Drivers of generated fused operators (runtime integration, Figure 4).
 
-:mod:`repro.runtime.skeletons` owns the *interpreted* tier: tile /
-non-zero-batch / per-row loops around ``genexec``.  This module owns the
-*compiled* tier: whole-value drivers around the vectorized kernels of
-:mod:`repro.codegen.npgen`, plus the tier-resolution policy
-(hotness-based promotion, failure pinning, Numba fallback accounting).
+One hand-written driver per template owns the data access over dense,
+CSR and compressed inputs and calls the operator's generated functions
+(:func:`repro.codegen.plan_cache.build_operator`) on whole values:
 
-The drivers mirror the skeleton semantics value-for-value:
+* **Cell/MAgg** — a dense main runs ``genkernel`` once on the whole
+  array (aggregation folded in, einsum contraction when eligible); a
+  CSR main of a sparse-safe plan runs ``genexec`` over batched
+  non-zero gathers and assembles outputs with ``bincount``/CSR
+  rebuilds, any other CSR main is densified; a compressed main of a
+  dictionary-compatible plan runs ``genkernel_comp`` over each
+  column's distinct values and counts, any other is decompressed.
+* **Row** — ``genkernel`` runs once on the whole row block: dense as
+  is, CSR as is when the body is CSR-main-safe (the main feeds matrix
+  multiplies only), otherwise densified in row chunks whose results
+  combine like intra-operator partitions; compressed mains decompress.
+* **Outer** — ``genexec`` runs once per batch of cells: CSR drivers
+  batch row ranges by non-zero count and fold the U/V/W products into
+  chunk-CSR matmuls, dense drivers batch row blocks; compressed
+  drivers decompress.
 
-* Cell/MAgg over a dense main runs ``genkernel`` once on the whole
-  array (aggregation folded in, einsum contraction when eligible);
-  sparse-safe mains evaluate the body over batched non-zero gathers and
-  assemble outputs with ``bincount``/CSR rebuilds,
-* Row runs the whole row block through one kernel call, staying CSR for
-  CSR-main-safe plans,
-* Outer batches CSR row ranges (bounded by ``kernel_chunk_cells``) and
-  folds the U/V/W products into block matmuls.
-
-Element-wise and row-aligned kernels reproduce the interpreted results
-bit-identically; kernels that reassociate an aggregation (whole-array
-sums, einsum) match within ``config.kernel_compare_rtol``.
+Batches and chunks are bounded by ``_CHUNK_CELLS``.  A generated
+function that raises is a compiler bug: nothing here catches it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.codegen.cplan import Access, OutType, compressed_cell_eligible
+from repro.codegen.cplan import (
+    Access,
+    CPlan,
+    OutType,
+    compressed_cell_eligible,
+)
 from repro.codegen.template import TemplateType
 from repro.errors import RuntimeExecError
 from repro.runtime.compressed import CompressedMatrix
@@ -35,106 +42,46 @@ from repro.runtime.sideinput import SideInput
 
 _CELL_TEMPLATES = (TemplateType.CELL, TemplateType.MAGG)
 
-
-# ----------------------------------------------------------------------
-# Tier resolution
-# ----------------------------------------------------------------------
-def resolve_kernel(operator, config, stats=None):
-    """Resolve the execution tier for one operator execution.
-
-    Bumps the operator's hotness (executions count toward promotion,
-    alongside the plan-cache hits and serving warm binds recorded via
-    ``note_hot``), compiles the vectorized kernel when the operator
-    crosses ``kernel_hot_threshold`` (0 = first execution), and returns
-    the kernel — or ``None`` to stay interpreted.  Compile failures pin
-    the operator to the interpreted tier permanently.
-
-    The kernel lands on the shared :class:`GeneratedOperator`, so every
-    program, serving specialization, and adaptive recompile that reuses
-    the operator through the plan cache shares one compiled kernel.
-    """
-    if not getattr(config, "vectorized_kernels", False):
-        return None
-    with operator.lock:
-        operator.hotness += 1
-        if operator.kernel is not None:
-            return operator.kernel
-        if operator.kernel_failed:
-            return None
-        threshold = getattr(config, "kernel_hot_threshold", 0)
-        if threshold > 0 and operator.hotness < threshold:
-            return None
-        promoted = operator.hotness > 1
-        from repro.codegen.npgen import compile_kernel
-        from repro.obs import trace as obs_trace
-
-        tracer = (stats.tracer if stats is not None
-                  else obs_trace.NULL_TRACER)
-        try:
-            with tracer.span("kernel-compile", cat="kernel",
-                             op=operator.name,
-                             template=operator.cplan.ttype.value):
-                kernel = compile_kernel(operator.cplan, config, stats)
-        except Exception:
-            operator.kernel_failed = True
-            if stats is not None:
-                stats.n_kernel_failures += 1
-            return None
-        operator.kernel = kernel
-    if stats is not None:
-        stats.n_kernel_compiles += 1
-        if promoted:
-            stats.n_kernel_promotions += 1
-            tracer.instant("kernel-promote", cat="kernel",
-                           op=operator.name, hotness=operator.hotness)
-    return kernel
+#: Cell budget of one batch: non-zeros per Cell batch, (non-zeros x
+#: rank) gather cells per Outer batch, densified cells per Row chunk —
+#: it bounds the temporaries a driver materializes at a time.
+_CHUNK_CELLS = 1 << 22
 
 
-def kernel_supported(kernel, cplan, inputs) -> bool:
-    """Whether the compiled kernel can execute these runtime inputs.
-
-    Decided once per operator execution — before partitioning — so all
-    intra-op partitions run the same tier.  Unsupported combinations
-    (dictionary-compatible compressed cell plans, where the interpreted
-    distinct-value loop is already optimal; sparse Row mains whose body
-    is not CSR-main-safe) fall back to the interpreted skeletons.
-    """
-    if not 0 <= cplan.main_index < len(inputs):
-        return False
-    main = inputs[cplan.main_index]
-    if cplan.ttype in _CELL_TEMPLATES:
-        if isinstance(main, CompressedMatrix):
-            if compressed_cell_eligible(cplan):
-                # Dictionary-compatible plans run compiled only when the
-                # compressed-CELL variant was emitted; otherwise the
-                # interpreted distinct-value loop stays the oracle.
-                return kernel.comp_entry is not None
-            return True  # driver decompresses, then runs the cell kernel
-        return isinstance(main, MatrixBlock)
-    if cplan.ttype is TemplateType.ROW:
-        if isinstance(main, CompressedMatrix):
-            return True
-        if not isinstance(main, MatrixBlock):
-            return False
-        return (not main.is_sparse) or kernel.csr_main_safe
-    if cplan.ttype is TemplateType.OUTER:
-        return isinstance(main, (MatrixBlock, CompressedMatrix))
-    return False
+def execute_kernel(operator, inputs: list, stats=None):
+    """Run a generated operator's driver on one partition's inputs."""
+    ttype = operator.cplan.ttype
+    if ttype in _CELL_TEMPLATES:
+        return _execute_cell(operator, inputs)
+    if ttype is TemplateType.ROW:
+        return _execute_row(operator, inputs, stats)
+    if ttype is TemplateType.OUTER:
+        return _execute_outer(operator, inputs)
+    raise RuntimeExecError(f"no driver for template {ttype}")
 
 
-def execute_kernel(operator, kernel, inputs, config):
-    """Execute a generated operator on its compiled vectorized kernel.
+def _split_inputs(cplan: CPlan, inputs: list):
+    main = None
+    sides: list = []
+    scalars: list[float] = []
+    for idx, (spec, value) in enumerate(zip(cplan.inputs, inputs)):
+        if idx == cplan.main_index:
+            main = value
+        elif spec.access is Access.SCALAR:
+            scalars.append(_as_float(value))
+        else:
+            sides.append((spec, value))
+    if main is None:
+        raise RuntimeExecError(
+            f"{cplan.ttype.value} operator without main input"
+        )
+    return main, sides, scalars
 
-    Callers must have checked :func:`kernel_supported` for these inputs.
-    """
-    cplan = operator.cplan
-    if cplan.ttype in _CELL_TEMPLATES:
-        return _execute_cell(operator, kernel, inputs, config)
-    if cplan.ttype is TemplateType.ROW:
-        return _execute_row(operator, kernel, inputs, config)
-    if cplan.ttype is TemplateType.OUTER:
-        return _execute_outer(operator, kernel, inputs, config)
-    raise RuntimeExecError(f"no kernel driver for {cplan.ttype}")
+
+def _as_float(value) -> float:
+    if isinstance(value, MatrixBlock):
+        return value.as_scalar()
+    return float(value)
 
 
 def _csr_row_chunks(indptr, rows: int, budget_nnz: int):
@@ -155,30 +102,26 @@ def _csr_row_chunks(indptr, rows: int, budget_nnz: int):
 # ----------------------------------------------------------------------
 # Cell / MultiAgg driver
 # ----------------------------------------------------------------------
-def _execute_cell(operator, kernel, inputs, config):
-    from repro.runtime.skeletons import _split_inputs
-
-    cplan = operator.cplan
+def _execute_cell(operator, inputs):
+    cplan, kernel = operator.cplan, operator.kernel
     main, sides, scalars = _split_inputs(cplan, inputs)
     if isinstance(main, CompressedMatrix):
-        if kernel.comp_entry is not None and compressed_cell_eligible(cplan):
-            return _cell_compressed(operator, kernel, main, scalars)
-        # No dictionary-direct variant: run on the dense values.
+        if compressed_cell_eligible(cplan):
+            return _cell_compressed(cplan, kernel, main, scalars)
+        # No dictionary-direct form: run on the dense values.
         main = main.decompress()
     if main.is_sparse and cplan.sparse_safe:
-        return _cell_sparse(operator, main, sides, scalars, config)
-    return _cell_dense(operator, kernel, main, sides, scalars)
+        return _cell_sparse(operator, main, sides, scalars)
+    return _cell_dense(cplan, kernel, main, sides, scalars)
 
 
-def _cell_compressed(operator, kernel, main: CompressedMatrix, scalars):
-    """Dictionary-direct compiled execution (Figure 9, compiled tier).
+def _cell_compressed(cplan, kernel, main: CompressedMatrix, scalars):
+    """Dictionary-direct execution (Figure 9).
 
-    Runs the compressed-CELL kernel variant over each column member's
-    distinct values with its counts; per-column contributions sum into
-    the per-root accumulators exactly like the interpreted
-    distinct-value loop in :mod:`repro.runtime.skeletons`.
+    Runs ``genkernel_comp`` over each column member's distinct values
+    with its counts; per-column contributions sum into the per-root
+    accumulators.
     """
-    cplan = operator.cplan
     accs = np.zeros(max(1, len(cplan.roots)))
     for values, counts in main.iter_distinct():
         accs += np.atleast_1d(kernel.comp_entry(values, counts, [], scalars))
@@ -187,26 +130,10 @@ def _cell_compressed(operator, kernel, main: CompressedMatrix, scalars):
     return MatrixBlock(accs.reshape(-1, 1))
 
 
-def _cell_dense(operator, kernel, main: MatrixBlock, sides, scalars):
-    cplan = operator.cplan
+def _cell_dense(cplan, kernel, main: MatrixBlock, sides, scalars):
     rows, _ = main.shape
-    arr = main.to_dense()
     side_tiles = [SideInput(v).row_tile(0, rows) for (_, v) in sides]
-
-    raw = None
-    if kernel.numba_entry is not None and not kernel.numba_failed:
-        try:
-            raw = kernel.numba_entry(
-                arr,
-                *[np.ascontiguousarray(t) for t in side_tiles],
-                *scalars,
-            )
-        except Exception:
-            # JIT/runtime failure: pin this kernel to the NumPy tier.
-            kernel.numba_failed = True
-            raw = None
-    if raw is None:
-        raw = kernel.entry(arr, side_tiles, scalars)
+    raw = kernel.entry(main.to_dense(), side_tiles, scalars)
 
     out = cplan.out_type
     if out is OutType.NO_AGG:
@@ -218,12 +145,11 @@ def _cell_dense(operator, kernel, main: MatrixBlock, sides, scalars):
     raise RuntimeExecError(f"bad cell out type {out}")
 
 
-def _cell_sparse(operator, main: MatrixBlock, sides, scalars, config):
+def _cell_sparse(operator, main: MatrixBlock, sides, scalars):
     """Sparse-safe cell execution over batched non-zero gathers.
 
-    The body evaluates once per chunk over the flat non-zero values (no
-    tile loop); outputs assemble through ``bincount`` / CSR rebuilds,
-    mirroring the interpreted sparse skeleton's per-batch logic.
+    The body evaluates once per chunk over the flat non-zero values;
+    outputs assemble through ``bincount`` / CSR rebuilds.
     """
     import scipy.sparse as sp
 
@@ -231,7 +157,7 @@ def _cell_sparse(operator, main: MatrixBlock, sides, scalars, config):
     csr = main.to_csr()
     rows, cols = csr.shape
     side_inputs = [SideInput(v) for (_, v) in sides]
-    budget = max(1024, getattr(config, "kernel_chunk_cells", 1 << 22))
+    budget = max(1024, _CHUNK_CELLS)
 
     out = cplan.out_type
     accs = [None] * max(1, len(cplan.roots))
@@ -286,33 +212,51 @@ def _cell_sparse(operator, main: MatrixBlock, sides, scalars, config):
 # ----------------------------------------------------------------------
 # Row driver
 # ----------------------------------------------------------------------
-def _execute_row(operator, kernel, inputs, config):
-    from repro.runtime.skeletons import _split_inputs
-
-    cplan = operator.cplan
+def _execute_row(operator, inputs, stats=None):
+    cplan, kernel = operator.cplan, operator.kernel
     main, sides, scalars = _split_inputs(cplan, inputs)
     if isinstance(main, CompressedMatrix):
         main = main.decompress()
-    rows, _ = main.shape
-    side_tiles = []
-    for spec, value in sides:
-        handle = SideInput(
-            value if not isinstance(value, CompressedMatrix)
-            else value.decompress()
-        )
-        side_tiles.append(
-            handle.dense() if spec.access is Access.SIDE_FULL
-            else handle.row_tile(0, rows)
-        )
-    if main.is_sparse:
-        # kernel_supported admitted this input: the body is
-        # CSR-main-safe (main feeds matmuls only), so the kernel runs
-        # on the CSR directly without densifying.
-        a = main.to_csr()
-    else:
-        a = main.to_dense()
-    raw = kernel.entry(a, side_tiles, scalars)
+    handles = [(spec, SideInput(value)) for spec, value in sides]
 
+    def run(a, r0: int, r1: int):
+        side_tiles = [
+            handle.dense() if spec.access is Access.SIDE_FULL
+            else handle.row_tile(r0, r1)
+            for spec, handle in handles
+        ]
+        return _row_result(cplan, kernel.entry(a, side_tiles, scalars))
+
+    rows, cols = main.shape
+    if not main.is_sparse:
+        return run(main.to_dense(), 0, rows)
+    csr = main.to_csr()
+    if kernel.csr_main_safe:
+        # The main feeds matrix multiplies only: no densifying.
+        return run(csr, 0, rows)
+    # The body reads cells of the main: densify row chunks within the
+    # cell budget and combine them the way intra-op partitions combine.
+    from repro.runtime.skeletons import (
+        _concat_row_partials,
+        is_row_partitioned_output,
+        reduce_spoof_partials,
+        tree_reduce,
+    )
+
+    if stats is not None:
+        with stats.lock:
+            stats.n_format_conversions += 1
+    step = max(1, _CHUNK_CELLS // max(1, cols))
+    partials = [
+        run(csr[r0:r0 + step].toarray(), r0, min(rows, r0 + step))
+        for r0 in range(0, rows, step)
+    ]
+    if is_row_partitioned_output(cplan.out_type):
+        return _concat_row_partials(partials)
+    return reduce_spoof_partials(cplan, partials, tree_reduce)[0]
+
+
+def _row_result(cplan, raw):
     out = cplan.out_type
     if out in (OutType.NO_AGG, OutType.ROW_AGG):
         return MatrixBlock(raw).examine_representation()
@@ -326,17 +270,14 @@ def _execute_row(operator, kernel, inputs, config):
 # ----------------------------------------------------------------------
 # Outer driver
 # ----------------------------------------------------------------------
-def _execute_outer(operator, kernel, inputs, config):
+def _execute_outer(operator, inputs):
     """Outer-template execution over batched row ranges.
 
-    Replaces the interpreted per-row Python loop: each batch evaluates
-    ``uv`` for all its non-zeros in one einsum, runs the body once, and
-    folds the W-side accumulation into a block matmul (chunk-CSR
-    ``S @ W`` / ``S.T @ W`` for sparse drivers).
+    Each batch evaluates ``uv`` for all its non-zeros in one einsum,
+    runs the body once, and folds the W-side accumulation into a block
+    matmul (chunk-CSR ``S @ W`` / ``S.T @ W`` for sparse drivers).
     """
     import scipy.sparse as sp
-
-    from repro.runtime.skeletons import _as_float
 
     cplan = operator.cplan
     driver = inputs[cplan.main_index]
@@ -364,9 +305,9 @@ def _execute_outer(operator, kernel, inputs, config):
 
     rows, cols = driver.shape
     rank = max(1, u_arr.shape[1])
-    budget = max(1024, getattr(config, "kernel_chunk_cells", 1 << 22) // rank)
+    budget = max(1024, _CHUNK_CELLS // rank)
     out_type = cplan.out_type
-    genk = kernel.entry
+    genexec = operator.genexec
 
     if out_type is OutType.OUTER_FULL_AGG:
         acc = 0.0
@@ -393,7 +334,7 @@ def _execute_outer(operator, kernel, inputs, config):
             xv = data[lo:hi]
             uv = np.einsum("ij,ij->i", u_arr[row_idx], v_arr[col_idx])
             side_vals = [s.gather(row_idx, col_idx) for s in side_handles]
-            w_vals = np.broadcast_to(genk(xv, uv, side_vals, scalars),
+            w_vals = np.broadcast_to(genexec(xv, uv, side_vals, scalars),
                                      xv.shape)
             if out_type is OutType.OUTER_FULL_AGG:
                 acc += float(np.sum(w_vals))
@@ -431,7 +372,7 @@ def _execute_outer(operator, kernel, inputs, config):
             xv = arr[r0:r1]
             uv = u_arr[r0:r1] @ v_t
             side_vals = [s.row_tile(r0, r1) for s in side_handles]
-            w_vals = np.broadcast_to(genk(xv, uv, side_vals, scalars),
+            w_vals = np.broadcast_to(genexec(xv, uv, side_vals, scalars),
                                      xv.shape)
             if out_type is OutType.OUTER_FULL_AGG:
                 acc += float(np.sum(w_vals))

@@ -30,6 +30,7 @@ import scipy.sparse as sp
 import scipy.special
 
 from repro.errors import RuntimeExecError, ShapeError
+from repro.hops.types import OpKind
 from repro.runtime.compressed import CompressedMatrix, transform_dictionaries
 from repro.runtime.matrix import MatrixBlock
 
@@ -456,3 +457,62 @@ def rbind(a: MatrixBlock, b: MatrixBlock, stats=None) -> MatrixBlock:
     if a.is_sparse and b.is_sparse:
         return MatrixBlock(sp.vstack([a.to_csr(), b.to_csr()]).tocsr())
     return MatrixBlock(np.vstack([a.to_dense(), b.to_dense()]))
+
+
+# ----------------------------------------------------------------------
+# Basic-HOP dispatch
+# ----------------------------------------------------------------------
+def hop_spec(hop) -> tuple:
+    """Picklable ``(kernel, *params)`` spec of the call that executes a
+    basic HOP.  The local executor applies it at once; the multiprocess
+    backend ships it to its workers, which hold no HOPs."""
+    kind = hop.kind
+    if kind is OpKind.UNARY:
+        return ("cumsum",) if hop.op == "cumsum" else ("unary", hop.op)
+    if kind is OpKind.BINARY:
+        return ("binary", hop.op)
+    if kind is OpKind.TERNARY:
+        return ("ternary", hop.op)
+    if kind is OpKind.AGG_UNARY:
+        return ("agg_unary", hop.agg_op.value, hop.direction.value)
+    if kind is OpKind.AGG_BINARY:
+        return ("matmult",)
+    if kind is OpKind.REORG:
+        return ("transpose",)
+    if kind is OpKind.INDEX:
+        return ("rix", hop.rl, hop.ru, hop.cl, hop.cu)
+    if kind is OpKind.NARY:
+        return (hop.op,)  # "cbind" | "rbind"
+    raise RuntimeExecError(f"no kernel for {hop.opcode()}")
+
+
+def apply_spec(spec: tuple, values: list, stats=None) -> Value:
+    """Run the kernel a :func:`hop_spec` names on runtime values.
+
+    ``stats`` threads the compressed-format counters
+    (``n_compressed_ops`` / ``n_decompressions``) through.
+    """
+    name = spec[0]
+    if name == "unary":
+        return unary(spec[1], values[0], stats=stats)
+    if name == "cumsum":
+        return cumsum(values[0], stats=stats)
+    if name == "binary":
+        return binary(spec[1], values[0], values[1], stats=stats)
+    if name == "ternary":
+        return ternary(spec[1], values[0], values[1], values[2], stats=stats)
+    if name == "agg_unary":
+        return agg_unary(spec[1], values[0], spec[2], stats=stats)
+    if name == "matmult":
+        return matmult(values[0], values[1], stats=stats)
+    if name == "transpose":
+        return transpose(values[0], stats=stats)
+    if name == "rix":
+        return rix(values[0], *spec[1:], stats=stats)
+    if name in ("cbind", "rbind"):
+        bind = cbind if name == "cbind" else rbind
+        result = values[0]
+        for nxt in values[1:]:
+            result = bind(result, nxt, stats=stats)
+        return result
+    raise RuntimeExecError(f"unknown kernel spec {spec!r}")

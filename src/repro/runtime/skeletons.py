@@ -1,16 +1,16 @@
-"""Fused-operator skeletons (runtime integration, Figure 4).
+"""Fused-operator execution: partitioning and combining around the drivers.
 
-The hand-coded skeletons implement the data access over dense, sparse,
-and compressed matrices — depending on sparse-safeness over cells or
-non-zero values — and call the generated ``genexec`` per tile / row /
-non-zero batch.  Generated operators only override ``genexec``, which
-keeps them lean; the skeletons own tiling (the cache-blocking/ring
-buffer analogue), aggregation, and output assembly.
+:func:`execute_operator` is the runtime entry point of every generated
+fused operator.  It normalizes the inputs (observed-sparsity format
+switch, compressed side inputs), decides whether the main input splits
+into partitions, and hands each partition to the template's driver in
+:mod:`repro.runtime.npexec`, which owns the data access over dense,
+CSR and compressed values and calls the generated code.
 
-Large operators additionally execute *intra-operator parallel*: the
-main input splits into a fixed number of row partitions (dense slices,
-CSR row ranges, compressed column-group views) that run on the shared
-worker pool (:mod:`repro.runtime.parallel`) with thread-local partial
+Large operators execute *intra-operator parallel*: the main input
+splits into a fixed number of row partitions (dense slices, CSR row
+ranges, compressed column-group views) that run on the shared worker
+pool (:mod:`repro.runtime.parallel`) with thread-local partial
 results.  Row-aligned outputs concatenate; aggregating outputs combine
 through :func:`reduce_spoof_partials` over the fixed-topology
 :func:`tree_reduce` — the same combine path the simulated distributed
@@ -26,12 +26,10 @@ from repro.codegen.cplan import Access, CPlan, OutType, compressed_cell_eligible
 from repro.codegen.template import TemplateType
 from repro.errors import RuntimeExecError
 from repro.obs import trace as obs_trace
+from repro.runtime import npexec
 from repro.runtime.compressed import CompressedMatrix
 from repro.runtime.matrix import MatrixBlock, recommend_format
 from repro.runtime.parallel import run_tasks
-from repro.runtime.sideinput import SideInput
-
-_TILE_CELLS = 1 << 18
 
 #: Output variants whose partition-wise results are row-aligned with the
 #: main input — the distributed backend keeps them as a BlockedMatrix.
@@ -137,12 +135,10 @@ def execute_operator(operator, inputs: list, config, stats=None,
     it is split into row partitions (dense slices, CSR row ranges,
     compressed column-group views) executed on the shared worker pool
     with thread-local partial results, which combine through the fixed
-    :func:`tree_reduce` topology.  ``allow_parallel=False`` keeps the
-    serial skeletons — the distributed backend sets it for its
-    per-partition calls so partitions never nest another fan-out.
+    :func:`tree_reduce` topology.  ``allow_parallel=False`` keeps one
+    partition — the distributed backend sets it for its per-partition
+    calls so partitions never nest another fan-out.
     """
-    from repro.runtime import npexec
-
     cplan = operator.cplan
     if stats is not None:
         stats.record_spoof(cplan.ttype.value)
@@ -152,13 +148,13 @@ def execute_operator(operator, inputs: list, config, stats=None,
         CompressedMatrix,
     ):
         # Dictionary-compatible plans run over distinct values only;
-        # everything else decompresses inside the skeleton below.
+        # everything else decompresses inside the driver.
         if compressed_cell_eligible(cplan):
             stats.n_compressed_ops += 1
         else:
             stats.n_decompressions += 1
     # Side inputs are consumed through dense/CSR tile access in every
-    # skeleton (only the main input has a dictionary-direct path), so
+    # driver (only the main input has a dictionary-direct path), so
     # compressed sides decompress once here, explicitly and counted.
     for idx, (spec, value) in enumerate(zip(cplan.inputs, inputs)):
         if idx == cplan.main_index or spec.access is Access.SCALAR:
@@ -168,42 +164,21 @@ def execute_operator(operator, inputs: list, config, stats=None,
                 stats.n_decompressions += 1
             inputs = list(inputs)
             inputs[idx] = value.decompress()
-    # Tier resolution happens once, before partitioning, so every
-    # intra-op partition of this execution runs the same backend and
-    # the run counters count one execution each.
-    kernel = npexec.resolve_kernel(operator, config, stats)
-    if kernel is not None and not npexec.kernel_supported(kernel, cplan, inputs):
-        kernel = None
     if stats is not None:
-        if kernel is not None:
-            stats.n_compiled_runs += 1
-        else:
-            stats.n_interpreted_runs += 1
+        stats.n_compiled_runs += 1
     tracer = stats.tracer if stats is not None else obs_trace.NULL_TRACER
-    tier = _tier_name(kernel)
     if tracer.level >= obs_trace.INSTRUCTIONS:
         # Enrich the executor's enclosing instruction span (same
         # thread) with what the profiler attributes per operator.
-        tracer.annotate(template=cplan.ttype.value, tier=tier,
+        tracer.annotate(template=cplan.ttype.value,
                         fmt=_main_input_format(cplan, inputs))
     with tracer.span(f"op:{cplan.ttype.value}", cat="operator",
-                     level=obs_trace.FULL, tier=tier):
+                     level=obs_trace.FULL):
         if allow_parallel and config.effective_intra_op_threads() > 1:
             plan = _plan_intra_op(cplan, inputs, config)
             if plan is not None:
-                return _execute_intra_op(operator, plan, config, stats,
-                                         kernel=kernel)
-        return _execute_serial(operator, inputs, config, kernel=kernel)
-
-
-def _tier_name(kernel) -> str:
-    """The execution tier a resolved kernel implies."""
-    if kernel is None:
-        return "interpreted"
-    if getattr(kernel, "numba_entry", None) is not None \
-            and not getattr(kernel, "numba_failed", False):
-        return "numba"
-    return "kernel"
+                return _execute_intra_op(operator, plan, config, stats)
+        return npexec.execute_kernel(operator, inputs, stats)
 
 
 def _main_input_format(cplan: CPlan, inputs: list) -> str:
@@ -248,48 +223,9 @@ def _consult_observed_sparsity(cplan: CPlan, inputs: list, config,
     return inputs
 
 
-def _execute_serial(operator, inputs: list, config, kernel=None):
-    """Dispatch to the single-threaded skeleton for the template.
-
-    With a resolved ``kernel`` the whole-value driver of
-    :mod:`repro.runtime.npexec` runs instead of the tile loops; a
-    driver failure pins the operator back to the interpreted tier and
-    re-executes these inputs interpreted (same inputs, same result
-    contract), so a kernel bug can never fail a run the interpreted
-    skeletons would have completed.
-    """
-    cplan = operator.cplan
-    if kernel is not None:
-        from repro.runtime import npexec
-
-        try:
-            return npexec.execute_kernel(operator, kernel, inputs, config)
-        except Exception:
-            with operator.lock:
-                operator.kernel = None
-                operator.kernel_failed = True
-    if cplan.ttype in (TemplateType.CELL, TemplateType.MAGG):
-        return _execute_cellwise(operator, inputs, config)
-    if cplan.ttype is TemplateType.ROW:
-        return _execute_rowwise(operator, inputs, config)
-    if cplan.ttype is TemplateType.OUTER:
-        return _execute_outer(operator, inputs, config)
-    raise RuntimeExecError(f"unknown template {cplan.ttype}")
-
-
 # ----------------------------------------------------------------------
 # Intra-operator parallel execution
 # ----------------------------------------------------------------------
-def _compressed_cell_compatible(cplan: CPlan, inputs: list) -> bool:
-    """Dictionary-only execution guard (Figure 9 conditions).
-
-    Delegates to :func:`repro.codegen.cplan.compressed_cell_eligible`
-    — a static plan property shared with npgen's compressed-kernel
-    emission; ``inputs`` is kept for signature compatibility.
-    """
-    return compressed_cell_eligible(cplan)
-
-
 def _plan_intra_op(cplan: CPlan, inputs: list, config):
     """Per-partition input lists, or None when serial execution wins.
 
@@ -306,7 +242,7 @@ def _plan_intra_op(cplan: CPlan, inputs: list, config):
     if isinstance(main, CompressedMatrix):
         if main.rows * main.cols < config.intra_op_min_cells:
             return None
-        if _compressed_cell_compatible(cplan, inputs):
+        if compressed_cell_eligible(cplan):
             return _plan_group_partitions(main, inputs, main_index, n_parts)
         if main.rows < 2 * n_parts:
             return None  # gate on metadata before materializing anything
@@ -349,11 +285,11 @@ def _plan_group_partitions(main: CompressedMatrix, inputs: list,
                            main_index: int, n_parts: int):
     """Split a compressed main input by column groups.
 
-    Valid only under :func:`_compressed_cell_compatible` (sum-aggregated
-    sparse-safe cell plans without side inputs): each partition sums its
-    groups' dictionary contributions independently, and the per-group
-    sums add up to the full result exactly as the serial group loop
-    does.
+    Valid only for :func:`~repro.codegen.cplan.compressed_cell_eligible`
+    plans (sum-aggregated sparse-safe cell plans without side inputs):
+    each partition sums its groups' dictionary contributions
+    independently, and the per-group sums add up to the full result
+    exactly as the serial group loop does.
     """
     groups = main.groups
     if len(groups) < 2:
@@ -383,12 +319,11 @@ def _row_slice(block: MatrixBlock, r0: int, r1: int) -> MatrixBlock:
     return MatrixBlock(block.to_dense()[r0:r1])
 
 
-def _execute_intra_op(operator, part_inputs: list, config, stats,
-                      kernel=None):
+def _execute_intra_op(operator, part_inputs: list, config, stats):
     cplan = operator.cplan
     tasks = [
-        (lambda values: lambda: _execute_serial(
-            operator, values, config, kernel=kernel))(pv)
+        (lambda values: lambda: npexec.execute_kernel(
+            operator, values, stats))(pv)
         for pv in part_inputs
     ]
     partials, workers = run_tasks(
@@ -430,8 +365,7 @@ def decompress_side_inputs(cplan: CPlan, values: list, main_rows: int,
     otherwise :func:`sliceable_spoof_inputs` skips it and every
     partition reads rows ``[0, len)`` of the full side through
     partition-local indices.  The local partitioner decompresses every
-    compressed side once up front (``row_aligned_only=False`` — cheaper
-    than the serial skeletons decompressing inside each partition); the
+    compressed side once up front (``row_aligned_only=False``); the
     distributed path keeps non-aligned sides compressed
     (``row_aligned_only=True``) since it charges broadcast traffic for
     the compressed representation.
@@ -478,36 +412,7 @@ def sliceable_spoof_inputs(cplan: CPlan, values: list,
     return sliceable
 
 
-# ----------------------------------------------------------------------
-# Shared input preparation
-# ----------------------------------------------------------------------
-def _split_inputs(cplan: CPlan, inputs: list):
-    main = None
-    sides: list = []
-    scalars: list[float] = []
-    for idx, (spec, value) in enumerate(zip(cplan.inputs, inputs)):
-        if idx == cplan.main_index:
-            main = value
-        elif spec.access is Access.SCALAR:
-            scalars.append(_as_float(value))
-        else:
-            sides.append((spec, value))
-    return main, sides, scalars
-
-
-def _as_float(value) -> float:
-    if isinstance(value, MatrixBlock):
-        return value.as_scalar()
-    return float(value)
-
-
-def _tile_rows(rows: int, cols: int) -> int:
-    return max(16, min(rows, _TILE_CELLS // max(1, cols)))
-
-
 def _combine(acc, value, agg: str):
-    if acc is None:
-        return value
     if agg == "sum":
         return acc + value
     if agg == "min":
@@ -515,307 +420,3 @@ def _combine(acc, value, agg: str):
     if agg == "max":
         return np.maximum(acc, value)
     raise RuntimeExecError(f"unknown aggregation '{agg}'")
-
-
-# ----------------------------------------------------------------------
-# Cell / MultiAgg skeleton
-# ----------------------------------------------------------------------
-def _execute_cellwise(operator, inputs, config):
-    cplan = operator.cplan
-    main, sides, scalars = _split_inputs(cplan, inputs)
-    if main is None:
-        raise RuntimeExecError("cell operator without main input")
-
-    if isinstance(main, CompressedMatrix):
-        if _compressed_cell_compatible(cplan, inputs):
-            return _execute_cell_compressed(operator, main, sides, scalars)
-        main = main.decompress()
-    if main.is_sparse and cplan.sparse_safe:
-        return _execute_cell_sparse(operator, main, sides, scalars)
-    return _execute_cell_dense(operator, main, sides, scalars)
-
-
-def _cell_finalize(cplan: CPlan, accs, out):
-    if cplan.out_type is OutType.NO_AGG:
-        return MatrixBlock(out).examine_representation()
-    if cplan.out_type is OutType.FULL_AGG:
-        return float(accs[0])
-    if cplan.out_type is OutType.MULTI_AGG:
-        return MatrixBlock(np.array([[float(a)] for a in accs]))
-    if cplan.out_type is OutType.ROW_AGG:
-        return MatrixBlock(out)
-    if cplan.out_type is OutType.COL_AGG:
-        return MatrixBlock(accs[0].reshape(1, -1))
-    raise RuntimeExecError(f"bad cell out type {cplan.out_type}")
-
-
-def _execute_cell_dense(operator, main: MatrixBlock, sides, scalars):
-    cplan = operator.cplan
-    rows, cols = main.shape
-    arr = main.to_dense()
-    side_inputs = [SideInput(v) for (_, v) in sides]
-    bs = _tile_rows(rows, cols)
-    agg = cplan.agg_ops[0] if cplan.agg_ops else "sum"
-
-    # Output shapes derive from the runtime inputs: operators are
-    # size-generic and shared across matrix sizes via the plan cache.
-    out = None
-    if cplan.out_type is OutType.ROW_AGG:
-        out = np.empty((rows, 1))
-    accs = [None] * max(1, len(cplan.roots))
-
-    reducer = {"sum": np.sum, "min": np.min, "max": np.max}[agg]
-    for r0 in range(0, rows, bs):
-        r1 = min(rows, r0 + bs)
-        tile = arr[r0:r1]
-        side_tiles = [s.row_tile(r0, r1) for s in side_inputs]
-        value = operator.genexec(tile, side_tiles, scalars)
-        if cplan.out_type is OutType.NO_AGG:
-            if out is None:
-                out = np.empty((rows, np.shape(value)[-1]))
-            out[r0:r1] = np.broadcast_to(value, (r1 - r0, out.shape[1]))
-        elif cplan.out_type is OutType.ROW_AGG:
-            out[r0:r1] = reducer(np.broadcast_to(value, tile.shape), axis=1, keepdims=True)
-        elif cplan.out_type is OutType.COL_AGG:
-            tile_val = reducer(np.broadcast_to(value, tile.shape), axis=0)
-            accs[0] = _combine(accs[0], tile_val, agg)
-        elif cplan.out_type is OutType.FULL_AGG:
-            accs[0] = _combine(accs[0], reducer(value), agg)
-        else:  # MULTI_AGG
-            for k, part in enumerate(value):
-                red = {"sum": np.sum, "min": np.min, "max": np.max}[cplan.agg_ops[k]]
-                accs[k] = _combine(accs[k], red(part), cplan.agg_ops[k])
-    return _cell_finalize(cplan, accs, out)
-
-
-def _execute_cell_sparse(operator, main: MatrixBlock, sides, scalars):
-    """Sparse-safe execution over non-zero cells only."""
-    import scipy.sparse as sp
-
-    cplan = operator.cplan
-    csr = main.to_csr()
-    rows, cols = csr.shape
-    side_inputs = [SideInput(v) for (_, v) in sides]
-    bs = _tile_rows(rows, max(1, csr.nnz // max(1, rows)))
-
-    accs = [None] * max(1, len(cplan.roots))
-    out_data = np.empty(csr.nnz) if cplan.out_type is OutType.NO_AGG else None
-    row_out = (
-        np.zeros((rows, 1)) if cplan.out_type is OutType.ROW_AGG else None
-    )
-    col_acc = (
-        np.zeros(cols) if cplan.out_type is OutType.COL_AGG else None
-    )
-
-    indptr = csr.indptr
-    for r0 in range(0, rows, bs):
-        r1 = min(rows, r0 + bs)
-        lo, hi = indptr[r0], indptr[r1]
-        if hi == lo:
-            continue
-        values = csr.data[lo:hi]
-        col_idx = csr.indices[lo:hi]
-        row_idx = np.repeat(
-            np.arange(r0, r1), np.diff(indptr[r0 : r1 + 1])
-        )
-        side_vals = [s.gather(row_idx, col_idx) for s in side_inputs]
-        value = operator.genexec(values, side_vals, scalars)
-        if cplan.out_type is OutType.NO_AGG:
-            out_data[lo:hi] = value
-        elif cplan.out_type is OutType.ROW_AGG:
-            row_out[r0:r1, 0] += np.bincount(
-                row_idx - r0, weights=np.broadcast_to(value, values.shape), minlength=r1 - r0
-            )
-        elif cplan.out_type is OutType.COL_AGG:
-            col_acc += np.bincount(
-                col_idx, weights=np.broadcast_to(value, values.shape), minlength=cols
-            )
-        elif cplan.out_type is OutType.FULL_AGG:
-            accs[0] = _combine(accs[0], float(np.sum(value)), "sum")
-        else:  # MULTI_AGG
-            for k, part in enumerate(value):
-                accs[k] = _combine(accs[k], float(np.sum(part)), "sum")
-
-    if cplan.out_type is OutType.NO_AGG:
-        result = sp.csr_matrix((out_data, csr.indices.copy(), csr.indptr.copy()), shape=csr.shape)
-        return MatrixBlock(result).examine_representation()
-    if cplan.out_type is OutType.ROW_AGG:
-        return MatrixBlock(row_out)
-    if cplan.out_type is OutType.COL_AGG:
-        return MatrixBlock(col_acc.reshape(1, -1))
-    if cplan.out_type is OutType.FULL_AGG:
-        return float(accs[0] or 0.0)
-    return MatrixBlock(np.array([[float(a or 0.0)] for a in accs]))
-
-
-def _execute_cell_compressed(operator, main: CompressedMatrix, sides, scalars):
-    """Execute over distinct dictionary values only (Figure 9).
-
-    Valid for sparse-safe, single-input, sum-aggregated cell plans;
-    the caller routes other plans through decompression.
-    """
-    cplan = operator.cplan
-    accs = [0.0] * max(1, len(cplan.roots))
-    for values, counts in main.iter_distinct():
-        result = operator.genexec(values, [], scalars)
-        parts = result if cplan.out_type is OutType.MULTI_AGG else (result,)
-        for k, part in enumerate(parts):
-            accs[k] += float(np.dot(np.broadcast_to(part, values.shape), counts))
-    if cplan.out_type is OutType.FULL_AGG:
-        return accs[0]
-    return MatrixBlock(np.array([[a] for a in accs]))
-
-
-# ----------------------------------------------------------------------
-# Row skeleton
-# ----------------------------------------------------------------------
-def _execute_rowwise(operator, inputs, config):
-    cplan = operator.cplan
-    main, sides, scalars = _split_inputs(cplan, inputs)
-    if main is None:
-        raise RuntimeExecError("row operator without main input")
-    if isinstance(main, CompressedMatrix):
-        main = main.decompress()
-    rows, cols = main.shape
-    side_handles = [
-        (spec, SideInput(v if not isinstance(v, CompressedMatrix) else v.decompress()))
-        for (spec, v) in sides
-    ]
-    bs = _tile_rows(rows, cols)
-    agg = cplan.agg_ops[0] if cplan.agg_ops else "sum"
-
-    # Output allocation is deferred until the first tile result is
-    # known: operators are size-generic (plan-cache reuse across
-    # sizes), so the runtime — not the CPlan — determines the shape.
-    out = None
-    acc = None
-
-    dense_main = None if main.is_sparse else main.to_dense()
-    csr = main.to_csr() if main.is_sparse else None
-    for r0 in range(0, rows, bs):
-        r1 = min(rows, r0 + bs)
-        if dense_main is not None:
-            tile = dense_main[r0:r1]
-        else:
-            tile = np.asarray(csr[r0:r1].todense())
-        side_tiles = [
-            handle.dense() if spec.access is Access.SIDE_FULL else handle.row_tile(r0, r1)
-            for (spec, handle) in side_handles
-        ]
-        value = operator.genexec(tile, side_tiles, scalars)
-        if cplan.out_type in (OutType.NO_AGG, OutType.ROW_AGG):
-            if out is None:
-                width = 1 if cplan.out_type is OutType.ROW_AGG else np.shape(value)[-1]
-                out = np.empty((rows, width))
-            out[r0:r1] = value
-        elif cplan.out_type in (OutType.COL_AGG, OutType.COL_AGG_T):
-            acc = _combine(acc, value, agg)
-        else:  # FULL_AGG
-            acc = _combine(acc, float(value), agg)
-
-    if cplan.out_type in (OutType.NO_AGG, OutType.ROW_AGG):
-        return MatrixBlock(out).examine_representation()
-    if cplan.out_type is OutType.FULL_AGG:
-        return float(acc)
-    result = np.asarray(acc)
-    if result.ndim == 1:
-        result = result.reshape(1, -1)
-    return MatrixBlock(result).examine_representation()
-
-
-# ----------------------------------------------------------------------
-# Outer-product skeleton
-# ----------------------------------------------------------------------
-def _execute_outer(operator, inputs, config):
-    import scipy.sparse as sp
-
-    cplan = operator.cplan
-    driver = inputs[cplan.main_index]
-    if isinstance(driver, CompressedMatrix):
-        driver = driver.decompress()
-    u_arr = _dense_of(inputs[cplan.u_index])
-    v_arr = _dense_of(inputs[cplan.v_index])
-    if cplan.v_transposed:
-        v_arr = np.ascontiguousarray(v_arr.T)
-    w_arr = _dense_of(inputs[cplan.w_index]) if cplan.w_index >= 0 else None
-
-    side_handles = []
-    scalars: list[float] = []
-    for idx, (spec, value) in enumerate(zip(cplan.inputs, inputs)):
-        if idx in (cplan.main_index, cplan.u_index, cplan.v_index, cplan.w_index):
-            continue
-        if spec.access is Access.SCALAR:
-            scalars.append(_as_float(value))
-        else:
-            side_handles.append(
-                SideInput(value if not isinstance(value, CompressedMatrix) else value.decompress())
-            )
-
-    rows, cols = driver.shape
-    out_type = cplan.out_type
-    if out_type is OutType.OUTER_FULL_AGG:
-        acc = 0.0
-    elif out_type is OutType.OUTER_RIGHT:
-        acc = np.zeros((rows, w_arr.shape[1]))
-    elif out_type is OutType.OUTER_LEFT:
-        acc = np.zeros((cols, w_arr.shape[1]))
-    else:  # OUTER_NO_AGG
-        acc = None
-
-    if driver.is_sparse:
-        csr = driver.to_csr()
-        indptr, indices, data = csr.indptr, csr.indices, csr.data
-        out_data = np.empty(csr.nnz) if out_type is OutType.OUTER_NO_AGG else None
-        for i in range(rows):
-            lo, hi = indptr[i], indptr[i + 1]
-            if hi == lo:
-                continue
-            cols_i = indices[lo:hi]
-            xv = data[lo:hi]
-            uv = v_arr[cols_i] @ u_arr[i]
-            side_vals = [s.gather_row(i, cols_i) for s in side_handles]
-            w_vals = operator.genexec(xv, uv, side_vals, scalars)
-            w_vals = np.broadcast_to(w_vals, xv.shape)
-            if out_type is OutType.OUTER_FULL_AGG:
-                acc += float(np.sum(w_vals))
-            elif out_type is OutType.OUTER_RIGHT:
-                acc[i] = w_vals @ w_arr[cols_i]
-            elif out_type is OutType.OUTER_LEFT:
-                acc[cols_i] += np.outer(w_vals, w_arr[i])
-            else:
-                out_data[lo:hi] = w_vals
-        if out_type is OutType.OUTER_NO_AGG:
-            result = sp.csr_matrix(
-                (out_data, indices.copy(), indptr.copy()), shape=(rows, cols)
-            )
-            return MatrixBlock(result).examine_representation()
-    else:
-        arr = driver.to_dense()
-        all_cols = np.arange(cols)
-        out_dense = np.empty((rows, cols)) if out_type is OutType.OUTER_NO_AGG else None
-        for i in range(rows):
-            xv = arr[i]
-            uv = v_arr @ u_arr[i]
-            side_vals = [s.gather_row(i, all_cols) for s in side_handles]
-            w_vals = operator.genexec(xv, uv, side_vals, scalars)
-            w_vals = np.broadcast_to(w_vals, xv.shape)
-            if out_type is OutType.OUTER_FULL_AGG:
-                acc += float(np.sum(w_vals))
-            elif out_type is OutType.OUTER_RIGHT:
-                acc[i] = w_vals @ w_arr
-            elif out_type is OutType.OUTER_LEFT:
-                acc += np.outer(w_vals, w_arr[i])
-            else:
-                out_dense[i] = w_vals
-        if out_type is OutType.OUTER_NO_AGG:
-            return MatrixBlock(out_dense).examine_representation()
-
-    if out_type is OutType.OUTER_FULL_AGG:
-        return float(acc)
-    return MatrixBlock(acc).examine_representation()
-
-
-def _dense_of(value) -> np.ndarray:
-    if isinstance(value, CompressedMatrix):
-        return value.decompress().to_dense()
-    return value.to_dense()

@@ -107,13 +107,9 @@ class RuntimeStats:
     intra_op_combine_levels: int = 0  # total tree-reduce levels combined
     intra_op_max_threads: int = 0  # gauge: peak workers granted per operator
 
-    # Tiered vectorized-kernel backend for generated fused operators.
-    n_kernel_compiles: int = 0  # vectorized kernels emitted and compiled
-    n_kernel_promotions: int = 0  # hot operators promoted off the interpreted tier
-    n_interpreted_runs: int = 0  # operator executions on the interpreted tier
-    n_compiled_runs: int = 0  # operator executions on a compiled kernel
-    n_numba_fallbacks: int = 0  # numba requested but unavailable/unjittable
-    n_kernel_failures: int = 0  # kernel compiles that failed (operator pinned interpreted)
+    # Generated fused operators.
+    n_kernel_compiles: int = 0  # whole-block kernels emitted and compiled
+    n_compiled_runs: int = 0  # generated-operator executions
     n_source_cache_hits: int = 0  # exec() compiles skipped via the source-hash cache
 
     # Compressed (CLA) execution format.
@@ -306,22 +302,16 @@ class RuntimeStats:
         }
 
     def kernel_summary(self) -> dict:
-        """Tiered-kernel counters (bench/doc observability).
+        """Generated-operator counters (bench/doc observability).
 
         All fields are plain additive counters, so run-local instances
         merge into a shared engine's stats through :meth:`merge` under
         its lock like every other runtime counter family.
         """
-        runs = self.n_interpreted_runs + self.n_compiled_runs
         return {
             "n_kernel_compiles": self.n_kernel_compiles,
-            "n_kernel_promotions": self.n_kernel_promotions,
-            "n_interpreted_runs": self.n_interpreted_runs,
             "n_compiled_runs": self.n_compiled_runs,
-            "n_numba_fallbacks": self.n_numba_fallbacks,
-            "n_kernel_failures": self.n_kernel_failures,
             "n_source_cache_hits": self.n_source_cache_hits,
-            "compiled_run_fraction": self.n_compiled_runs / max(runs, 1),
         }
 
     def compressed_summary(self) -> dict:

@@ -178,12 +178,6 @@ class PreparedProgram:
                     spec.last_use = self._use_tick
                     with stats.lock:
                         stats.n_specialization_hits += 1
-                    # Warm binds feed the tiered-kernel promotion
-                    # policy: fused operators of a reused program get
-                    # hotter even before they execute again.
-                    for instr in spec.program.instructions:
-                        if instr.opcode == "spoof":
-                            instr.hop.operator.note_hot()
                     return spec
                 event = self._building.get(signature)
                 if event is None:

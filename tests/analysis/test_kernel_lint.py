@@ -30,11 +30,6 @@ class TestCleanSources:
     def test_handwritten_template_shape_passes(self):
         assert lint_source("ok", CLEAN) == []
 
-    def test_loops_allowed_in_interpreted_and_numba(self):
-        src = CLEAN + "\ndef loop(n):\n    for i in range(n):\n        pass\n"
-        assert lint_source("ok", src, kind="interpreted") == []
-        assert lint_source("ok", src, kind="numba") == []
-
     def test_real_engine_kernels_pass_lint(self):
         """Every source the gen engine emits under full verification."""
         engine = Engine(
@@ -76,7 +71,7 @@ class TestViolations:
 
     def test_loop_in_vectorized_tier(self):
         src = CLEAN + "\ndef loop(n):\n    for i in range(n):\n        pass\n"
-        assert _codes(lint_source("bad", src, kind="vectorized")) == {
+        assert _codes(lint_source("bad", src)) == {
             "python-loop"
         }
 

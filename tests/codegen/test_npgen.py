@@ -1,4 +1,4 @@
-"""Vectorized-kernel code generation (npgen backend)."""
+"""Whole-block kernel code generation (npgen)."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,8 @@ import pytest
 from repro import api
 from repro.codegen.construct import construct_cplan
 from repro.codegen.npgen import (
-    CompiledKernel,
     compile_kernel,
     generate_kernel_source,
-    generate_numba_source,
     kernel_name,
 )
 from repro.codegen.pygen import generate_source, operator_name
@@ -92,63 +90,6 @@ class TestKernelEmission:
                        TemplateType.ROW)
         _, _, csr_safe = generate_kernel_source(cplan)
         assert not csr_safe
-
-
-class TestNumbaVariant:
-    def test_pure_cell_plan_emits_loop_variant(self, rng):
-        xd = rng.random((40, 8))
-        yd = rng.random((40, 8))
-        x, y = api.matrix(xd, "X"), api.matrix(yd, "Y")
-        cplan = _cplan([(api.abs_(x * y) + 1.0).sum()])
-        source = generate_numba_source(cplan)
-        assert source is not None
-        assert "def genkernel_numba" in source
-        # The emitted variant is valid plain Python: executing it
-        # un-jitted must reproduce the vectorized result, which is what
-        # keeps the Numba tier testable without Numba installed.
-        namespace = {}
-        exec(compile(source, "<numba variant>", "exec"), namespace)
-        sides = [d for i, d in enumerate([xd, yd])
-                 if i != cplan.main_index]
-        got = namespace["genkernel_numba"](
-            [xd, yd][cplan.main_index], *sides
-        )
-        np.testing.assert_allclose(got, float(np.sum(np.abs(xd * yd) + 1.0)),
-                                   rtol=1e-9)
-
-    def test_row_plan_has_no_loop_variant(self, rng):
-        x = api.matrix(rng.random((50, 8)), "X")
-        v = api.matrix(rng.random((8, 1)), "v")
-        cplan = _cplan([x.T @ (x @ v)], TemplateType.ROW)
-        assert generate_numba_source(cplan) is None
-
-    def test_numba_request_degrades_gracefully(self, rng):
-        """numba_kernels=True must never fail, with or without Numba.
-
-        Without Numba the compile records a fallback and the NumPy
-        kernel stays active; with Numba the jitted entry attaches.
-        """
-        x = api.matrix(rng.random((30, 10)), "X")
-        y = api.matrix(rng.random((30, 10)), "Y")
-        cplan = _cplan([(x * y).sum()])
-        stats = RuntimeStats()
-        kernel = compile_kernel(
-            cplan, CodegenConfig(numba_kernels=True), stats=stats
-        )
-        assert isinstance(kernel, CompiledKernel)
-        try:
-            import numba  # noqa: F401
-            have_numba = True
-        except ImportError:
-            have_numba = False
-        if have_numba:
-            assert kernel.tier == "numba"
-            assert kernel.numba_entry is not None
-        else:
-            assert kernel.tier == "numpy"
-            assert kernel.numba_failed
-            assert stats.n_numba_fallbacks == 1
-        assert callable(kernel.entry)
 
 
 class TestKernelCompilation:

@@ -157,11 +157,9 @@ def _strategy_configs() -> dict[str, CodegenConfig]:
     ``local_mem_budget=0`` would push every tiny operator through the
     cluster path, which the distributed tests already cover.
 
-    The kernel-tier axis rides the same harness: ``interpreted`` pins
-    the tile-loop skeletons (the differential oracle), ``serial`` runs
-    the compiled vectorized kernels (default threshold 0), and
-    ``tiered`` starts interpreted and promotes mid-sequence at hotness
-    2 — every strategy must agree with the base interpreter.
+    Every strategy must agree with the base interpreter, whose unfused
+    ``runtime/ops.py`` kernels share no code with the generated
+    operators.
 
     The ``verified`` leg is the static-analysis differential check:
     every random DAG also compiles and runs under ``verify_level=full``
@@ -171,10 +169,7 @@ def _strategy_configs() -> dict[str, CodegenConfig]:
     analysis passes.
     """
     return {
-        "interpreted": CodegenConfig(intra_op_threads=1,
-                                     vectorized_kernels=False),
         "serial": CodegenConfig(intra_op_threads=1),
-        "tiered": CodegenConfig(intra_op_threads=1, kernel_hot_threshold=2),
         "intra-op-2": CodegenConfig(intra_op_threads=2, intra_op_min_cells=1),
         "intra-op-4": CodegenConfig(intra_op_threads=4, intra_op_min_cells=1),
         "spark": CodegenConfig(cluster=ClusterConfig(),

@@ -44,7 +44,6 @@ class TestProfileReport:
             if name.startswith("spoof:") or name.startswith("fused:")
         }
         assert spoof_rows, "gen mode produced no fused-operator rows"
-        assert any(entry["tiers"] for entry in spoof_rows.values())
         assert any(
             "dense" in entry["formats"] for entry in spoof_rows.values()
         )

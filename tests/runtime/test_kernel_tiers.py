@@ -1,44 +1,46 @@
-"""Tiered vectorized-kernel backend: differential grid and promotion.
+"""Generated-operator drivers: differential grid against the base engine.
 
-Differential grid (template × out-type × main storage × backend)
-asserting that the compiled vectorized kernels reproduce the
-interpreted tile-loop skeletons — exactly for order-preserving kernels,
-within ``kernel_compare_rtol`` where a whole-array aggregation
-reassociates — plus unit tests for the hotness promotion policy, kernel
-sharing through the plan cache and serving specializations, the
-source-hash compile cache, and graceful Numba degradation.
+Template x out-type x main-storage grid asserting that the generated
+operators reproduce ``Engine(mode="base")`` — unfused ``runtime/ops.py``
+kernels, which share no code with the generated bodies or their
+drivers — plus the Row driver's chunked densification of CSR mains,
+failure propagation out of generated code on every backend, kernel
+sharing through the plan cache and serving specializations, and the
+source-hash compile cache.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import api
+from repro.codegen import optimizer as optimizer_mod
 from repro.codegen.plan_cache import compile_source
 from repro.compiler.execution import Engine
-from repro.config import CodegenConfig
+from repro.config import ClusterConfig, CodegenConfig
+from repro.errors import RuntimeExecError
+from repro.runtime import npexec
 from repro.runtime.compressed import compress
 from repro.runtime.matrix import MatrixBlock
 from repro.runtime.stats import RuntimeStats
 
 ROWS, COLS = 96, 24
 
-try:
-    import numba  # noqa: F401
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-BACKENDS = ["interpreted", "vectorized"] + (["numba"] if HAVE_NUMBA else [])
+#: Tolerance where a whole-block kernel reassociates an aggregation
+#: (whole-array einsum/sum vs the base engine's per-operator sums).
+RTOL = 1e-9
 
 
-def _engine(backend: str, **kwargs) -> Engine:
-    config = CodegenConfig(intra_op_threads=1, **kwargs)
-    if backend == "interpreted":
-        config.vectorized_kernels = False
-    elif backend == "numba":
-        config.numba_kernels = True
-    return Engine(mode="gen", config=config)
+def _engine(mode: str = "gen", **kwargs) -> Engine:
+    return Engine(mode=mode, config=CodegenConfig(intra_op_threads=1,
+                                                  **kwargs))
+
+
+def _storages(*names):
+    # The "-vectorized" suffix dates from a second (tile-loop) operator
+    # backend; it stays so the test ids do.
+    return [pytest.param(name, id=f"{name}-vectorized") for name in names]
 
 
 def _as_arrays(values):
@@ -60,7 +62,7 @@ def _main_block(storage: str) -> object:
 
 
 # ----------------------------------------------------------------------
-# Differential grid: template × out-type × storage × backend
+# Differential grid: template × out-type × storage, oracle = base engine
 # ----------------------------------------------------------------------
 _CELL_RECIPES = {
     "no_agg": lambda x, y: [x * y * 2.0],
@@ -87,10 +89,9 @@ _OUTER_RECIPES = {
 }
 
 
-@pytest.mark.parametrize("backend", BACKENDS[1:])
-@pytest.mark.parametrize("storage", ["dense", "sparse", "compressed"])
+@pytest.mark.parametrize("storage", _storages("dense", "sparse", "compressed"))
 @pytest.mark.parametrize("out_type", sorted(_CELL_RECIPES))
-def test_cell_grid_compiled_matches_interpreted(out_type, storage, backend):
+def test_cell_grid_compiled_matches_interpreted(out_type, storage):
     main = _main_block(storage)
     side = np.random.default_rng(5).uniform(0.5, 1.5, (ROWS, COLS))
 
@@ -99,23 +100,17 @@ def test_cell_grid_compiled_matches_interpreted(out_type, storage, backend):
         y = api.matrix(side, "Y")
         return _CELL_RECIPES[out_type](x, y)
 
-    oracle = _as_arrays(api.eval_all(build(), engine=_engine("interpreted")))
-    engine = _engine(backend)
+    oracle = _as_arrays(api.eval_all(build(), engine=_engine("base")))
+    engine = _engine()
     compiled = _as_arrays(api.eval_all(build(), engine=engine))
-    rtol = engine.config.kernel_compare_rtol
     for expected, actual in zip(oracle, compiled):
-        np.testing.assert_allclose(actual, expected, rtol=rtol, atol=1e-12)
-    # Every storage runs compiled now: dictionary-compatible compressed
-    # plans get the compressed-CELL kernel variant, other compressed
-    # plans decompress inside the kernel driver.
-    summary = engine.stats.kernel_summary()
-    assert summary["n_compiled_runs"] >= 1
+        np.testing.assert_allclose(actual, expected, rtol=RTOL, atol=1e-12)
+    assert engine.stats.n_compiled_runs >= 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS[1:])
-@pytest.mark.parametrize("storage", ["dense", "sparse", "compressed"])
+@pytest.mark.parametrize("storage", _storages("dense", "sparse", "compressed"))
 @pytest.mark.parametrize("out_type", sorted(_ROW_RECIPES))
-def test_row_grid_compiled_matches_interpreted(out_type, storage, backend):
+def test_row_grid_compiled_matches_interpreted(out_type, storage):
     main = _main_block(storage)
     vec = np.random.default_rng(6).uniform(0.1, 1.0, (COLS, 1))
 
@@ -124,18 +119,15 @@ def test_row_grid_compiled_matches_interpreted(out_type, storage, backend):
         v = api.matrix(vec, "v")
         return _ROW_RECIPES[out_type](x, v)
 
-    oracle = _as_arrays(api.eval_all(build(), engine=_engine("interpreted")))
-    engine = _engine(backend)
-    compiled = _as_arrays(api.eval_all(build(), engine=engine))
-    rtol = engine.config.kernel_compare_rtol
+    oracle = _as_arrays(api.eval_all(build(), engine=_engine("base")))
+    compiled = _as_arrays(api.eval_all(build(), engine=_engine()))
     for expected, actual in zip(oracle, compiled):
-        np.testing.assert_allclose(actual, expected, rtol=rtol, atol=1e-12)
+        np.testing.assert_allclose(actual, expected, rtol=RTOL, atol=1e-12)
 
 
-@pytest.mark.parametrize("backend", BACKENDS[1:])
-@pytest.mark.parametrize("storage", ["sparse", "dense"])
+@pytest.mark.parametrize("storage", _storages("sparse", "dense"))
 @pytest.mark.parametrize("out_type", sorted(_OUTER_RECIPES))
-def test_outer_grid_compiled_matches_interpreted(out_type, storage, backend):
+def test_outer_grid_compiled_matches_interpreted(out_type, storage):
     rng = np.random.default_rng(9)
     if storage == "sparse":
         driver = MatrixBlock.rand(120, 100, sparsity=0.08, seed=31)
@@ -149,9 +141,8 @@ def test_outer_grid_compiled_matches_interpreted(out_type, storage, backend):
         um, vm = api.matrix(u, "U"), api.matrix(v, "V")
         return _OUTER_RECIPES[out_type](s, um, vm)
 
-    oracle = _as_arrays(api.eval_all(build(), engine=_engine("interpreted")))
-    engine = _engine(backend)
-    compiled = _as_arrays(api.eval_all(build(), engine=engine))
+    oracle = _as_arrays(api.eval_all(build(), engine=_engine("base")))
+    compiled = _as_arrays(api.eval_all(build(), engine=_engine()))
     for expected, actual in zip(oracle, compiled):
         np.testing.assert_allclose(actual, expected, rtol=1e-8, atol=1e-11)
 
@@ -160,7 +151,7 @@ def test_outer_grid_compiled_matches_interpreted(out_type, storage, backend):
 def test_compressed_cell_kernel_runs_dictionary_direct(recipe):
     """Parity for the compressed-CELL kernel variant: an eligible
     (sparse-safe, side-free, sum-aggregated) plan over a compressed
-    main must run compiled over the dictionaries — no decompression."""
+    main must run over the dictionaries — no decompression."""
     main = _main_block("compressed")
 
     def build():
@@ -169,14 +160,12 @@ def test_compressed_cell_kernel_runs_dictionary_direct(recipe):
             return [((x * x) * 2.0).sum()]
         return [(x * x).sum(), ((x * x) * (x * 3.0)).sum()]
 
-    oracle = _as_arrays(api.eval_all(build(), engine=_engine("interpreted")))
-    engine = _engine("vectorized")
+    oracle = _as_arrays(api.eval_all(build(), engine=_engine("base")))
+    engine = _engine()
     compiled = _as_arrays(api.eval_all(build(), engine=engine))
-    rtol = engine.config.kernel_compare_rtol
     for expected, actual in zip(oracle, compiled):
-        np.testing.assert_allclose(actual, expected, rtol=rtol, atol=1e-12)
-    summary = engine.stats.kernel_summary()
-    assert summary["n_compiled_runs"] >= 1
+        np.testing.assert_allclose(actual, expected, rtol=RTOL, atol=1e-12)
+    assert engine.stats.n_compiled_runs >= 1
     compressed = engine.stats.compressed_summary()
     assert compressed["n_compressed_ops"] >= 1
     assert compressed["n_decompressions"] == 0
@@ -211,22 +200,21 @@ def test_elementwise_kernels_bit_identical():
         x, y = api.matrix(xd, "X"), api.matrix(yd, "Y")
         return [api.abs_(x * y) + x, (x * y).row_sums()]
 
-    oracle = _as_arrays(api.eval_all(build(), engine=_engine("interpreted")))
-    compiled = _as_arrays(api.eval_all(build(), engine=_engine("vectorized")))
+    oracle = _as_arrays(api.eval_all(build(), engine=_engine("base")))
+    compiled = _as_arrays(api.eval_all(build(), engine=_engine()))
     for expected, actual in zip(oracle, compiled):
         assert np.array_equal(actual, expected)
 
 
 def test_kernels_compose_with_intra_op_parallelism():
-    """All partitions of one execution run the same (compiled) tier."""
+    """Partition-wise execution agrees with one-partition execution."""
     data = np.random.default_rng(41).uniform(0.1, 1.0, (256, 32))
 
     def build():
         x = api.matrix(data, "X")
         return [(x * x).sum(), api.sigmoid(x) * 2.0]
 
-    serial = _as_arrays(api.eval_all(
-        build(), engine=_engine("vectorized")))
+    serial = _as_arrays(api.eval_all(build(), engine=_engine()))
     engine = Engine(mode="gen", config=CodegenConfig(
         intra_op_threads=4, intra_op_min_cells=1))
     parallel = _as_arrays(api.eval_all(build(), engine=engine))
@@ -238,56 +226,95 @@ def test_kernels_compose_with_intra_op_parallelism():
 
 
 # ----------------------------------------------------------------------
-# Promotion policy
+# Row over a CSR main whose body reads the main's cells
 # ----------------------------------------------------------------------
-class TestPromotion:
-    def _eval_once(self, engine):
-        rng = np.random.default_rng(3)
-        x = api.matrix(rng.uniform(0.1, 1.0, (64, 16)), "X")
-        y = api.matrix(rng.uniform(0.1, 1.0, (64, 16)), "Y")
-        return float(api.eval((x * y).sum(), engine=engine))
+_EXECUTION_CONFIGS = {
+    "serial": dict(intra_op_threads=1),
+    "intra-op-2": dict(intra_op_threads=2, intra_op_min_cells=1),
+    "spark": dict(cluster=ClusterConfig(n_workers=2), local_mem_budget=1e4),
+    "spark-mp": dict(cluster=ClusterConfig(n_workers=2),
+                     local_mem_budget=1e4,
+                     distributed_backend="multiprocess", mp_workers=2),
+}
 
-    def test_threshold_zero_compiles_on_first_execution(self):
-        engine = _engine("vectorized", kernel_hot_threshold=0)
-        self._eval_once(engine)
-        summary = engine.stats.kernel_summary()
-        assert summary["n_kernel_compiles"] == 1
-        assert summary["n_compiled_runs"] == 1
-        assert summary["n_interpreted_runs"] == 0
-        # Compiling at first execution is not a promotion: the
-        # operator never ran interpreted.
-        assert summary["n_kernel_promotions"] == 0
+_SPARSE_ROW_RECIPES = {
+    "no_agg": lambda x, v: [x * api.sigmoid(x @ v)],
+    "row_agg": lambda x, v: [(x * api.sigmoid(x @ v)).row_sums()],
+    "col_agg": lambda x, v: [(x * api.sigmoid(x @ v)).col_sums()],
+    "col_agg_t": lambda x, v: [x.T @ (api.sigmoid(x @ v) * x.row_sums())],
+    "full_agg": lambda x, v: [(x * api.sigmoid(x @ v)).sum()],
+}
 
-    def test_hot_threshold_promotes_after_warmup(self):
-        engine = _engine("vectorized", kernel_hot_threshold=5)
-        results = [self._eval_once(engine) for _ in range(3)]
-        # Hotness = executions + plan-cache hits: run 1 scores 1,
-        # run 2 scores 3 (hit + execution), run 3 crosses 5 and runs
-        # compiled.  All three runs agree regardless of tier.
-        assert len(set(np.round(results, 9))) == 1
-        summary = engine.stats.kernel_summary()
-        assert summary["n_interpreted_runs"] == 2
-        assert summary["n_compiled_runs"] == 1
-        assert summary["n_kernel_compiles"] == 1
-        assert summary["n_kernel_promotions"] == 1
 
-    def test_disabled_kernels_stay_interpreted(self):
-        engine = _engine("interpreted")
-        self._eval_once(engine)
-        summary = engine.stats.kernel_summary()
-        assert summary["n_kernel_compiles"] == 0
-        assert summary["n_compiled_runs"] == 0
-        assert summary["n_interpreted_runs"] == 1
+@pytest.mark.parametrize("execution", ["serial", "intra-op-2", "spark"])
+@pytest.mark.parametrize("out_type", sorted(_SPARSE_ROW_RECIPES))
+def test_sparse_row_densifies_in_chunks(out_type, execution, monkeypatch):
+    """The element-wise use of the main rules out running on the CSR:
+    the Row driver densifies row chunks and combines their results."""
+    rows, cols, chunk_rows = 200, 24, 17
+    # 200 rows, 100 per intra-op partition, 50 per spark partition: every
+    # driver call sees at least three chunks, the last one ragged.
+    monkeypatch.setattr(npexec, "_CHUNK_CELLS", chunk_rows * cols)
+    main = MatrixBlock.rand(rows, cols, sparsity=0.15, seed=23,
+                            low=0.2, high=1.5)
+    vec = np.random.default_rng(6).uniform(0.1, 1.0, (cols, 1))
 
-    def test_kernel_shared_across_executions(self):
-        """Plan-cache-shared operators compile their kernel once."""
-        engine = _engine("vectorized")
-        for _ in range(4):
-            self._eval_once(engine)
-        summary = engine.stats.kernel_summary()
-        assert summary["n_kernel_compiles"] == 1
-        assert summary["n_compiled_runs"] == 4
-        assert summary["compiled_run_fraction"] == 1.0
+    def build():
+        return _SPARSE_ROW_RECIPES[out_type](api.matrix(main, "X"),
+                                             api.matrix(vec, "v"))
+
+    oracle = _as_arrays(api.eval_all(build(), engine=_engine("base")))
+    engine = Engine(mode="gen",
+                    config=CodegenConfig(**_EXECUTION_CONFIGS[execution]))
+    actual = _as_arrays(api.eval_all(build(), engine=engine))
+    for expected, got in zip(oracle, actual):
+        np.testing.assert_allclose(got, expected, rtol=RTOL, atol=1e-12)
+    (operator,) = engine.plan_cache._cache.values()
+    assert operator.cplan.out_type.value == out_type
+    assert not operator.kernel.csr_main_safe
+    if execution != "spark":  # its partitions run without a stats object
+        assert engine.stats.n_format_conversions >= 1
+
+
+# ----------------------------------------------------------------------
+# Generated code that raises
+# ----------------------------------------------------------------------
+def _poison_literals(monkeypatch):
+    """Make every generated body raise at run time, in whichever
+    process runs it: literals become strings, which generate, hash and
+    compile fine and fail inside the first primitive that touches one."""
+    construct = optimizer_mod.construct_cplan
+
+    def poisoned(plan, config):
+        built = construct(plan, config)
+        if built is not None:
+            stack = list(built[0].roots)
+            while stack:
+                node = stack.pop()
+                if node.op == "lit":
+                    node.value = "boom"
+                stack.extend(node.inputs)
+        return built
+
+    monkeypatch.setattr(optimizer_mod, "construct_cplan", poisoned)
+
+
+@pytest.mark.parametrize("execution", ["serial", "intra-op-2", "spark-mp"])
+def test_raising_kernel_fails_the_run(execution, monkeypatch):
+    """A generated function that raises is a compiler bug: the run
+    fails with the operator's name instead of falling back."""
+    _poison_literals(monkeypatch)
+    shm = Path("/dev/shm")
+    segments_before = set(shm.iterdir())
+    data = np.random.default_rng(3).uniform(0.1, 1.0, (3000, 20))
+    engine = Engine(mode="gen",
+                    config=CodegenConfig(**_EXECUTION_CONFIGS[execution]))
+    with pytest.raises(RuntimeExecError) as info:
+        api.eval((api.matrix(data, "X") * 2.0 + 1.0).sum(), engine=engine)
+    (operator,) = engine.plan_cache._cache.values()
+    assert f"generated operator {operator.name} " in str(info.value)
+    engine.close()
+    assert set(shm.iterdir()) == segments_before
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +327,6 @@ class TestKernelSharing:
         The semantic hash ignores absolute sizes, so both shape
         specializations of the prepared program resolve to the same
         GeneratedOperator — and therefore the same compiled kernel.
-        Warm binds additionally feed operator hotness.
         """
         engine = Engine(mode="gen", config=CodegenConfig(intra_op_threads=1))
         prepared = engine.prepare(
@@ -313,10 +339,9 @@ class TestKernelSharing:
                 "Y": rng.uniform(0.1, 1.0, (rows, 8)),
             }
             prepared.run(inputs)
-        summary = engine.stats.kernel_summary()
-        assert summary["n_compiled_runs"] == 5
+        assert engine.stats.n_compiled_runs == 5
         # One kernel compile serves both shape specializations.
-        assert summary["n_kernel_compiles"] == 1
+        assert engine.stats.n_kernel_compiles == 1
 
     def test_source_cache_returns_same_namespace(self):
         source = "def genexec(a, b, s):\n    return a\n"
@@ -337,30 +362,3 @@ class TestKernelSharing:
         assert a is not b
         assert a["genexec"](0, [], []) == 1
         assert b["genexec"](0, [], []) == 2
-
-
-# ----------------------------------------------------------------------
-# Numba degradation
-# ----------------------------------------------------------------------
-class TestNumbaDegradation:
-    def test_numba_request_still_correct_without_numba(self):
-        rng = np.random.default_rng(19)
-        xd = rng.uniform(0.1, 1.0, (80, 20))
-        yd = rng.uniform(0.1, 1.0, (80, 20))
-
-        def build():
-            x, y = api.matrix(xd, "X"), api.matrix(yd, "Y")
-            return [(x * y).sum(), x * y * 3.0]
-
-        oracle = _as_arrays(api.eval_all(
-            build(), engine=_engine("interpreted")))
-        engine = _engine("numba")  # numba_kernels=True regardless
-        got = _as_arrays(api.eval_all(build(), engine=engine))
-        for expected, actual in zip(oracle, got):
-            np.testing.assert_allclose(actual, expected, rtol=1e-9,
-                                       atol=1e-12)
-        summary = engine.stats.kernel_summary()
-        assert summary["n_compiled_runs"] >= 1
-        if not HAVE_NUMBA:
-            # Degraded to the NumPy kernels, with the fallback counted.
-            assert summary["n_numba_fallbacks"] >= 1

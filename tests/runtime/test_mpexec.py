@@ -279,10 +279,7 @@ class TestLocalityAndStats:
         # calls execute_operator on the backend path), so any run
         # counter proves worker stats merged back into the parent.
         assert engine.stats.n_mp_tasks > 0
-        assert (
-            engine.stats.n_compiled_runs
-            + engine.stats.n_interpreted_runs
-        ) > 0
+        assert engine.stats.n_compiled_runs > 0
 
     def test_worker_spans_merge_into_trace(self, rng, tmp_path):
         engine = Engine(
@@ -334,8 +331,9 @@ class TestSpawnGuards:
         assert len(booted) == 2
 
     def test_worker_rejects_nondeterministic_source(self, rng):
-        """The worker-side regeneration assert: a shipped source that
-        the cplan cannot reproduce byte-for-byte must be refused."""
+        """The worker-side regeneration assert: shipped sources that
+        the cplan cannot reproduce byte-for-byte must be refused —
+        the ``genexec`` module and the whole-block kernel alike."""
         from repro.codegen import pygen
         from repro.runtime.stats import RuntimeStats
 
@@ -350,16 +348,22 @@ class TestSpawnGuards:
         ]
         assert operators
         op = operators[0]
-        tampered = {op.name: (op.source + "\n# tampered", op.cplan,
-                              engine.config.inline_primitives)}
-        with pytest.raises(RuntimeExecError, match="diverged"):
-            mpexec._materialize_operator(tampered, op.name,
-                                         RuntimeStats())
-        good = {op.name: (op.source, op.cplan,
-                          engine.config.inline_primitives)}
-        rebuilt = mpexec._materialize_operator(good, op.name,
-                                               RuntimeStats())
-        assert rebuilt.source == op.source
+        assert len(op.sources) > 1
+        for i in range(len(op.sources)):
+            sources = tuple(
+                source + "\n# tampered" if k == i else source
+                for k, source in enumerate(op.sources)
+            )
+            with pytest.raises(RuntimeExecError, match="diverged"):
+                mpexec._materialize_operator(
+                    {op.name: (sources, op.cplan)}, op.name,
+                    engine.config, RuntimeStats()
+                )
+        rebuilt = mpexec._materialize_operator(
+            {op.name: (op.sources, op.cplan)}, op.name, engine.config,
+            RuntimeStats()
+        )
+        assert rebuilt.sources == op.sources
 
     def test_pool_under_scheduler_respects_thread_budget(
         self, rng, monkeypatch
@@ -453,29 +457,30 @@ class TestWorkerHelpers:
         assert cache.get((2, ("v", 0), 0)) is block
 
     def test_apply_spec_dispatch(self, rng):
+        from repro.runtime import ops as rops
         from repro.runtime.stats import RuntimeStats
 
         stats = RuntimeStats()
         a = MatrixBlock(rng.random((6, 4)) - 0.5)
         b = MatrixBlock(rng.random((6, 4)))
-        got = mpexec._apply_spec(("unary", "abs"), [a], stats)
+        got = rops.apply_spec(("unary", "abs"), [a], stats)
         np.testing.assert_array_equal(
             got.to_dense(), np.abs(a.to_dense())
         )
-        got = mpexec._apply_spec(("binary", "+"), [a, b], stats)
+        got = rops.apply_spec(("binary", "+"), [a, b], stats)
         np.testing.assert_array_equal(
             got.to_dense(), a.to_dense() + b.to_dense()
         )
-        got = mpexec._apply_spec(("agg_unary", "sum", "row"), [a], stats)
+        got = rops.apply_spec(("agg_unary", "sum", "row"), [a], stats)
         np.testing.assert_array_equal(
             got.to_dense(), a.to_dense().sum(axis=1, keepdims=True)
         )
-        got = mpexec._apply_spec(
+        got = rops.apply_spec(
             ("matmult",), [a, MatrixBlock(rng.random((4, 2)))], stats
         )
         assert got.shape == (6, 2)
         with pytest.raises(RuntimeExecError, match="unknown"):
-            mpexec._apply_spec(("frobnicate",), [a], stats)
+            rops.apply_spec(("frobnicate",), [a], stats)
 
     def test_export_stats_keeps_nonzero_counters_only(self):
         from repro.runtime.stats import RuntimeStats
@@ -486,7 +491,7 @@ class TestWorkerHelpers:
         counters, metrics = mpexec._export_stats(stats)
         assert counters["n_compiled_runs"] == 3
         assert counters["sim_seconds"] == 0.25
-        assert "n_interpreted_runs" not in counters  # zero: dropped
+        assert "n_kernel_compiles" not in counters  # zero: dropped
         assert metrics is None
 
     def test_run_task_hop_cache_and_miss(self, rng):

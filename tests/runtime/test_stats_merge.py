@@ -158,9 +158,9 @@ class TestReset:
 class TestSummariesAfterMerge:
     def test_kernel_summary_reflects_merged_counters(self):
         source, target = RuntimeStats(), RuntimeStats()
-        source.n_interpreted_runs = 3
+        source.n_kernel_compiles = 3
         source.n_compiled_runs = 1
         target.merge(source)
         summary = target.kernel_summary()
-        assert summary["n_interpreted_runs"] == 3
-        assert summary["compiled_run_fraction"] == pytest.approx(0.25)
+        assert summary["n_kernel_compiles"] == 3
+        assert summary["n_compiled_runs"] == 1
