@@ -17,8 +17,9 @@ contract the templates are supposed to honor, *before* compilation:
   differential harness depends on it).
 * **Whole-value discipline**: generated functions are straight-line
   calls over whole arrays and contain no Python-level loops;
-  CSR-main-safe Row kernels must not densify their sparse main input
-  (no ``.toarray()``/``.todense()``, no ``np.asarray(a, ...)``).
+  Row kernels that take their main input or a side input as CSR must
+  not densify it (no ``.toarray()``/``.todense()``, no
+  ``np.asarray(a, ...)`` / ``np.asarray(b[k], ...)``).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ NONDETERMINISTIC = frozenset({
     "secrets", "seed", "shuffle", "time", "urandom", "uuid",
 })
 
-#: Densifying accesses forbidden in CSR-main-safe Row kernels.
+#: Densifying accesses forbidden in Row kernels that take CSR inputs.
 DENSIFYING_ATTRS = frozenset({"toarray", "todense"})
 DENSIFYING_CALLS = frozenset({
     "array", "asarray", "ascontiguousarray", "asfortranarray",
@@ -100,9 +101,28 @@ def _collect_bound_names(tree: ast.Module) -> set:
     return bound
 
 
-def lint_source(name: str, source: str,
-                csr_main_safe: bool = False) -> list[LintFinding]:
-    """Lint one generated source; returns all findings (empty = clean)."""
+def _csr_operand(node: ast.AST, csr_main_safe: bool, csr_sides) -> str:
+    """The source text of ``node`` if it names an input the kernel
+    takes as CSR — ``a``, or ``b[k]`` for a CSR side ``k`` — else ''."""
+    if isinstance(node, ast.Name):
+        return "a" if csr_main_safe and node.id == "a" else ""
+    if (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Name) and node.value.id == "b"
+        and isinstance(node.slice, ast.Constant)
+        and node.slice.value in csr_sides
+    ):
+        return f"b[{node.slice.value}]"
+    return ""
+
+
+def lint_source(name: str, source: str, csr_main_safe: bool = False,
+                csr_sides: tuple = ()) -> list[LintFinding]:
+    """Lint one generated source; returns all findings (empty = clean).
+
+    ``csr_main_safe`` / ``csr_sides`` name the inputs the kernel takes
+    as CSR (``a``, positions of ``b``): those it must not densify.
+    """
     from repro.codegen.pygen import GENERATED_IMPORT_MODULES
 
     findings: list[LintFinding] = []
@@ -119,6 +139,7 @@ def lint_source(name: str, source: str,
 
     bound = _collect_bound_names(tree)
     allowed_names = bound | ALLOWED_BUILTINS
+    takes_csr = csr_main_safe or bool(csr_sides)
 
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -146,35 +167,34 @@ def lint_source(name: str, source: str,
             if node.attr in NONDETERMINISTIC:
                 flag("nondeterminism",
                      f"nondeterministic attribute '.{node.attr}'", node)
-            elif csr_main_safe and node.attr in DENSIFYING_ATTRS:
+            elif takes_csr and node.attr in DENSIFYING_ATTRS:
                 flag("densification",
-                     f"'.{node.attr}()' densifies the CSR main input",
-                     node)
+                     f"'.{node.attr}()' densifies a CSR input", node)
         elif isinstance(node, _LOOP_NODES):
             flag("python-loop", "Python-level loop in generated code", node)
-        elif isinstance(node, ast.Call) and csr_main_safe:
+        elif isinstance(node, ast.Call) and takes_csr:
             func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in DENSIFYING_CALLS
-                and node.args
-                and isinstance(node.args[0], ast.Name)
-                and node.args[0].id == "a"
-            ):
+            operand = (
+                _csr_operand(node.args[0], csr_main_safe, csr_sides)
+                if isinstance(func, ast.Attribute)
+                and func.attr in DENSIFYING_CALLS and node.args else ""
+            )
+            if operand:
                 flag("densification",
-                     f"'np.{func.attr}(a, ...)' densifies the CSR main "
+                     f"'np.{func.attr}({operand}, ...)' densifies a CSR "
                      "input", node)
     return findings
 
 
 def check_source(name: str, source: str, csr_main_safe: bool = False,
-                 stats=None) -> None:
+                 csr_sides: tuple = (), stats=None) -> None:
     """Lint and raise :class:`KernelLintError` on any finding.
 
     Records one ``n_lint_rejects`` per rejected source when ``stats``
     is provided.
     """
-    findings = lint_source(name, source, csr_main_safe=csr_main_safe)
+    findings = lint_source(name, source, csr_main_safe=csr_main_safe,
+                           csr_sides=csr_sides)
     if not findings:
         return
     if stats is not None:

@@ -74,7 +74,10 @@ class _Builder:
         self.access_votes: dict[int, set[Access]] = {}
 
     def data(self, hop: Hop, access: Access) -> CNode:
-        if isinstance(hop, LiteralOp):
+        # Literals are never covered, so they arrive here as scalar
+        # inputs: one is its value in the body, unless it is bound at
+        # run time — then it is an input like any other, read ``s[k]``.
+        if isinstance(hop, LiteralOp) and hop.bound < 0:
             return CNode("lit", value=hop.value)
         if hop.id not in self.index_of:
             self.index_of[hop.id] = len(self.input_hops)
@@ -117,10 +120,6 @@ def _cell_build(builder: _Builder, hop: Hop, row_count: int) -> CNode:
     while stack:
         node = stack[-1]
         if node.id in builder.cache:
-            stack.pop()
-            continue
-        if isinstance(node, LiteralOp):
-            builder.cache[node.id] = CNode("lit", value=node.value)
             stack.pop()
             continue
         if node.id not in builder.covered_ids:
@@ -285,10 +284,6 @@ def _construct_row(plan: OperatorPlan, config):
         while stack:
             hop = stack[-1]
             if hop.id in builder.cache:
-                stack.pop()
-                continue
-            if isinstance(hop, LiteralOp):
-                builder.cache[hop.id] = CNode("lit", value=hop.value)
                 stack.pop()
                 continue
             if hop.id not in builder.covered_ids:
@@ -458,9 +453,7 @@ def _construct_outer(plan: OperatorPlan, config):
             if hop.id in builder.cache:
                 stack.pop()
                 continue
-            if isinstance(hop, LiteralOp):
-                node = CNode("lit", value=hop.value)
-            elif hop is outer_mm:
+            if hop is outer_mm:
                 node = CNode("uv")
             elif hop.id not in builder.covered_ids:
                 if hop.is_scalar:

@@ -10,9 +10,10 @@ whole runtime values in a single call —
   contract into a single ``np.einsum`` pass (no materialized
   intermediates, the paper's fused single-pass claim),
 * **Row** kernels run over the whole row block with side inputs
-  prepared once; when every use of the main input is a matrix multiply
-  the kernel is *CSR-main-safe* and executes directly on the sparse
-  main without densifying,
+  prepared once; an input the body only ever multiplies — the main
+  when every use of it is a matrix multiply (*CSR-main-safe*), a
+  row-aligned side when every use is the left operand of one — is
+  passed as CSR and never densified (:func:`csr_safe_inputs`),
 * compressed-eligible Cell plans additionally get ``genkernel_comp``,
   which runs the body over a column's distinct dictionary values and
   combines with their counts (Figure 9).
@@ -51,6 +52,8 @@ class CompiledKernel:
     source: str
     entry: object  # genkernel callable
     csr_main_safe: bool = False
+    # Positions in ``b`` of the row-aligned sides a Row body takes as CSR.
+    csr_sides: tuple = ()
     # Compressed-CELL variant (compressed-eligible cell plans only).
     comp_source: str = ""
     comp_entry: object = None
@@ -74,7 +77,7 @@ def generate_kernel_source(cplan: CPlan) -> tuple[str, str, bool]:
     """
     name = kernel_name(cplan)
     body_lines, result_vars = _Emitter(cplan).emit_roots()
-    csr_safe = cplan.ttype is TemplateType.ROW and _csr_main_safe(cplan)
+    csr_safe, csr_sides = _csr_bindings(cplan)
 
     if cplan.ttype is TemplateType.ROW:
         final = _finalize_row(cplan, result_vars)
@@ -90,6 +93,7 @@ def generate_kernel_source(cplan: CPlan) -> tuple[str, str, bool]:
         "from repro.runtime import vector as vp",
         "",
         f"CSR_MAIN_SAFE = {csr_safe}",
+        f"CSR_SIDES = {csr_sides}",
         "",
         "def genkernel(a, b, s):",
     ]
@@ -213,36 +217,57 @@ def _einsum_expr(cplan: CPlan, root: CNode, agg: str) -> str | None:
     return f"np.einsum('{subscript}', {', '.join(operands)})"
 
 
-def _csr_main_safe(cplan: CPlan) -> bool:
-    """True when the Row body can consume a CSR main input directly.
+def _csr_bindings(cplan: CPlan) -> tuple[bool, tuple]:
+    """``(csr_main_safe, csr_sides)`` of a kernel: whether ``a`` may be
+    CSR, and which positions of ``b`` may."""
+    if cplan.ttype is not TemplateType.ROW:
+        return False, ()
+    safe = csr_safe_inputs(cplan)
+    sides = [idx for idx, spec in enumerate(cplan.inputs)
+             if idx != cplan.main_index and spec.access is not Access.SCALAR]
+    return (cplan.main_index in safe,
+            tuple(slot for slot, idx in enumerate(sides) if idx in safe))
 
-    Every reference to the main input must feed a matrix multiply
-    (``mm``/``touter``) — scipy sparse @ dense yields dense, so the
-    rest of the body runs on dense intermediates — and the main must
-    not itself be an output root.
+
+def csr_safe_inputs(cplan: CPlan) -> frozenset:
+    """Inputs of a Row body that can stay CSR through the kernel.
+
+    An input qualifies when the body only ever multiplies it — scipy
+    sparse @ dense yields dense, so the rest of the body runs on dense
+    intermediates: the main input, when every reference to it feeds a
+    matrix multiply (``mm``/``touter``); a row-aligned side input, when
+    every reference is the left operand of an ``mm``.  An input the
+    body never reads, or returns as is, does not qualify.  Returns
+    indices into ``cplan.inputs``.
     """
-    main_ids: set[int] = set()
+    main = cplan.main_index
+    safe = {
+        idx for idx, spec in enumerate(cplan.inputs)
+        if idx == main or spec.access is Access.SIDE_ROW
+    }
+    referenced: set[int] = set()
     seen: set[int] = set()
     stack = list(cplan.roots)
-    nodes: list[CNode] = []
+    for root in cplan.roots:
+        if root.op == "data":
+            safe.discard(root.input_index)
     while stack:
         node = stack.pop()
         if node.id in seen:
             continue
         seen.add(node.id)
-        nodes.append(node)
-        if node.op == "data" and node.input_index == cplan.main_index:
-            main_ids.add(node.id)
+        for position, child in enumerate(node.inputs):
+            if child.op == "data":
+                idx = child.input_index
+                referenced.add(idx)
+                if idx == main:
+                    multiplied = node.op in ("mm", "touter")
+                else:
+                    multiplied = node.op == "mm" and position == 0
+                if not multiplied:
+                    safe.discard(idx)
         stack.extend(node.inputs)
-    if not main_ids:
-        return False
-    if any(root.id in main_ids for root in cplan.roots):
-        return False
-    for node in nodes:
-        for child in node.inputs:
-            if child.id in main_ids and node.op not in ("mm", "touter"):
-                return False
-    return True
+    return frozenset(safe & referenced)
 
 
 # ----------------------------------------------------------------------
@@ -303,9 +328,11 @@ def compile_kernel(cplan: CPlan, config, stats=None) -> CompiledKernel:
     from repro.codegen.plan_cache import compile_source
 
     verify = config.verify_level != "off"
-    name, source, csr_safe = generate_kernel_source(cplan)
+    name, source, _ = generate_kernel_source(cplan)
+    csr_safe, csr_sides = _csr_bindings(cplan)
     if verify:
-        check_source(name, source, csr_main_safe=csr_safe, stats=stats)
+        check_source(name, source, csr_main_safe=csr_safe,
+                     csr_sides=csr_sides, stats=stats)
     entry = compile_source(name, source, "exec", stats=stats)["genkernel"]
     comp_source, comp_entry = "", None
     if compressed_cell_eligible(cplan):
@@ -317,5 +344,5 @@ def compile_kernel(cplan: CPlan, config, stats=None) -> CompiledKernel:
     if stats is not None:
         with stats.lock:
             stats.n_kernel_compiles += 1
-    return CompiledKernel(name, source, entry, csr_safe, comp_source,
-                          comp_entry)
+    return CompiledKernel(name, source, entry, csr_safe, csr_sides,
+                          comp_source, comp_entry)

@@ -21,13 +21,18 @@
    the program serially or over a thread pool by dependency readiness,
    eagerly freeing dead intermediates.
 
-An engine owns a plan cache and runtime statistics; every ``execute``
-call plays the role of one statement-block compilation (including
-dynamic recompilation, since DAGs are rebuilt per iteration while
-generated operators are reused through the plan cache).  Engines are
-thread-safe: compilations serialize on the context's compile lock while
-runtime execution overlaps, which is what the serving subsystem
-(:mod:`repro.serve`) builds on.
+An engine owns a plan cache, a program cache and runtime statistics.
+Every ``execute`` call plays the role of one statement-block
+compilation, and iterative scripts rebuild the same few DAGs over new
+data, so the engine compiles once per DAG *shape*
+(:mod:`repro.compiler.symbolic`): the first call with a shape compiles
+a copy of the DAG over symbolic leaves and keeps the lowered program;
+every later call binds its blocks and run-time scalars into that
+program's constant slots and runs it — no rewrites, no codegen, no
+lowering.  Generated operators are still shared across shapes through
+the plan cache.  Engines are thread-safe: compilations serialize on the
+context's compile lock while runtime execution overlaps, which is what
+the serving subsystem (:mod:`repro.serve`) builds on.
 
 :func:`shared_engine` hands out one long-lived engine per mode, so
 interpreter entry points (``run_script``, ``api.eval``) that are called
@@ -37,6 +42,7 @@ full compile pipeline on every call.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 from repro.compiler.pipeline import (
@@ -46,9 +52,16 @@ from repro.compiler.pipeline import (
     compile_program,
 )
 from repro.compiler.recompile import Recompiler
+from repro.compiler.speccache import SpecializationCache
+from repro.compiler.symbolic import (
+    DagShape,
+    SymbolicBlock,
+    dag_signature,
+    symbolic_roots,
+)
 from repro.config import CodegenConfig, DEFAULT_CONFIG
 from repro.errors import RuntimeExecError
-from repro.hops.hop import Hop
+from repro.hops.hop import Hop, LiteralOp
 from repro.runtime.distributed import SparkExecutor
 from repro.runtime.executor import ProgramExecutor
 
@@ -73,8 +86,53 @@ def shared_engine(mode: str = "gen") -> "Engine":
         return engine
 
 
+class CachedProgram:
+    """A program compiled for one DAG shape, and where a run's values go.
+
+    ``leaf_slots`` / ``scalar_slots`` pair a constant slot with the leaf
+    or bound-scalar ordinal (:class:`~repro.compiler.symbolic.DagShape`)
+    whose value a run puts there.  Nothing here references a caller's
+    data: the program's own constants are symbolic blocks.
+    """
+
+    __slots__ = ("program", "leaf_slots", "scalar_slots")
+
+    def __init__(self, program, symbols: list):
+        self.program = program
+        ordinal_of = {id(symbol): n for n, symbol in enumerate(symbols)
+                      if symbol is not None}
+        self.leaf_slots = [
+            (slot, ordinal_of[id(value)])
+            for slot, value in program.constants
+            if isinstance(value, SymbolicBlock)
+        ]
+        self.scalar_slots = [
+            (slot, hop.bound)
+            for slot, hop in program.slot_hops.items()
+            if isinstance(hop, LiteralOp) and hop.bound >= 0
+        ]
+
+    def bindings(self, shape: DagShape) -> dict:
+        """The executor's ``bindings`` overlay for one run."""
+        bound = {slot: shape.leaves[n] for slot, n in self.leaf_slots}
+        for slot, n in self.scalar_slots:
+            bound[slot] = shape.scalars[n]
+        return bound
+
+
 class Engine:
-    """Executes HOP DAGs under one of the experimental configurations."""
+    """Executes HOP DAGs under one of the experimental configurations.
+
+    ``execute`` is the warm path: it looks the DAG's structural
+    signature up in the engine's program cache and compiles only on a
+    miss (see the module docstring).  The cache key also carries the
+    three config fields a compile reads that a caller may change on a
+    live engine — ``verify_level``, ``cluster`` and
+    ``local_mem_budget`` — so changing one never runs a stale program;
+    ``plan_cache_enabled=False`` turns the program cache off together
+    with the plan cache.  ``compile`` stays the plain pipeline: the
+    caller's DAG as it is, every literal by value.
+    """
 
     def __init__(self, mode: str = "gen", config: CodegenConfig | None = None):
         if mode not in _MODES:
@@ -89,6 +147,7 @@ class Engine:
 
             lockset.enable(stats=self.stats)
         self._pipeline = build_pipeline(mode)
+        self._programs = SpecializationCache()
         self._spark = (
             SparkExecutor(self.config.cluster, self.config, self.stats)
             if self.config.cluster is not None
@@ -115,15 +174,41 @@ class Engine:
 
     # ------------------------------------------------------------------
     def compile(self, roots: list[Hop]):
-        """Run the compiler pipeline and lower to a runtime Program."""
+        """Run the compiler pipeline and lower to a runtime Program.
+
+        The plain pipeline, uncached: ``roots`` are optimized in place
+        (the DAG is spliced) and every literal compiles by value.
+        """
         return compile_program(roots, self.context, self._pipeline)
 
     def execute(self, roots: list[Hop]) -> list:
-        """Compile and execute a multi-root DAG; returns root values."""
+        """Execute a multi-root DAG; returns root values.
+
+        Compiles at most once per DAG shape, from a copy: the caller's
+        DAG is left as built.  A DAG without a structural signature (it
+        already contains fused operators) compiles the ordinary way,
+        every time.
+        """
         with self.tracer.span("evaluate", cat="request",
                               n_roots=len(roots)):
-            program = self.compile(roots)
-            return self.executor.run(program)
+            config = self.config
+            shape = (
+                dag_signature(roots) if config.plan_cache_enabled else None
+            )
+            if shape is None:
+                return self.executor.run(self.compile(roots))
+            key = (
+                shape.key, config.verify_level, config.local_mem_budget,
+                config.cluster and dataclasses.astuple(config.cluster),
+            )
+            cached = self._programs.get_or_build(
+                key, lambda: self._compile_shape(shape), self.stats
+            )
+            return self.executor.run(cached.program, cached.bindings(shape))
+
+    def _compile_shape(self, shape: DagShape) -> CachedProgram:
+        roots, symbols = symbolic_roots(shape)
+        return CachedProgram(self.compile(roots), symbols)
 
     # ------------------------------------------------------------------
     # Observability (repro.obs).

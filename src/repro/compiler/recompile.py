@@ -101,7 +101,7 @@ def observed_block(value: MatrixBlock, config, stats=None):
     return value
 
 
-def _clone_structural(hop: Hop, kids: list[Hop]) -> Hop:
+def clone_structural(hop: Hop, kids: list[Hop]) -> Hop:
     """One fresh hop of the same operator over cloned inputs.
 
     Constructors re-run ``refresh_sizes``, so nnz estimates re-derive
@@ -200,7 +200,7 @@ def clone_with_observations(roots: list[Hop], boundary: dict[int, int],
                 stack.extend(reversed(missing))
                 continue
             kids = [memo[i.id] for i in node.inputs]
-            memo[node.id] = _clone_structural(node, kids)
+            memo[node.id] = clone_structural(node, kids)
             stack.pop()
         return memo[root.id]
 

@@ -13,6 +13,11 @@ import os
 from dataclasses import dataclass, field
 
 
+#: What ``intra_op_threads=0`` means on this host, resolved once: the
+#: runtime asks per operator call, and ``os.cpu_count()`` is a syscall.
+_AUTO_INTRA_OP_THREADS = min(8, os.cpu_count() or 1)
+
+
 @dataclass
 class ClusterConfig:
     """Configuration of the simulated distributed (Spark-like) backend.
@@ -204,7 +209,7 @@ class CodegenConfig:
         """Resolved partition count for intra-operator execution."""
         if self.intra_op_threads > 0:
             return self.intra_op_threads
-        return min(8, os.cpu_count() or 1)
+        return _AUTO_INTRA_OP_THREADS
 
     def copy(self) -> "CodegenConfig":
         """Return a shallow copy (cluster config shared)."""

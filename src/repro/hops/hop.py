@@ -190,12 +190,21 @@ class DataOp(Hop):
 
 
 class LiteralOp(Hop):
-    """A scalar literal."""
+    """A scalar literal.
+
+    ``bound >= 0`` marks a *run-time-bound* scalar (number ``bound`` of
+    its DAG): the compiler treats it as a scalar input whose value it
+    does not know — rewrites never fold it, fused operators read it as
+    ``s[k]``, lowering gives it a constant slot the caller rebinds per
+    run — so one compiled program serves every value.  ``value`` is
+    then only the value the program was first compiled with.
+    """
 
     kind = OpKind.LITERAL
 
-    def __init__(self, value: float):
+    def __init__(self, value: float, bound: int = -1):
         self.value = float(value)
+        self.bound = bound
         super().__init__(())
 
     def refresh_sizes(self) -> None:
@@ -203,6 +212,8 @@ class LiteralOp(Hop):
         self.nnz = -1
 
     def opcode(self) -> str:
+        if self.bound >= 0:
+            return f"lit(s{self.bound})"
         return f"lit({self.value:g})"
 
 

@@ -49,7 +49,10 @@ def _simplify(roots: list[Hop]) -> list[Hop]:
 
 
 def _literal_value(hop: Hop):
-    return hop.value if isinstance(hop, LiteralOp) else None
+    """The value rewrites may fold; a run-time-bound scalar has none."""
+    if isinstance(hop, LiteralOp) and hop.bound < 0:
+        return hop.value
+    return None
 
 
 def _simplify_hop(hop: Hop) -> Hop:
@@ -120,18 +123,24 @@ def _simplify_binary(hop: BinaryOp) -> Hop:
 # ----------------------------------------------------------------------
 # Common subexpression elimination
 # ----------------------------------------------------------------------
-def _cse_key(hop: Hop, mapping: dict[int, int]):
-    """A structural key; equal keys imply semantically equal hops."""
-    input_keys = tuple(mapping[i.id] for i in hop.inputs)
-    if isinstance(hop, DataOp):
-        return ("data", id(hop.data))
-    if isinstance(hop, LiteralOp):
-        return ("lit", hop.value)
+_COMMUTATIVE = frozenset({"+", "*", "min", "max", "==", "!=", "&", "|"})
+
+
+def structure_key(hop: Hop, input_keys: tuple):
+    """What ``hop`` computes, over inputs already reduced to keys.
+
+    The one structural description of an operator: CSE merges hops with
+    equal keys, and the engine's program cache
+    (:func:`repro.compiler.symbolic.dag_signature`) reuses a compiled
+    program for DAGs whose keys agree node by node.  Leaves are the
+    callers' business (CSE keys data by identity, the program cache by
+    shape); ``None`` means the hop has no structural description (a
+    spliced fused operator).
+    """
     if isinstance(hop, BinaryOp):
-        ordered = input_keys
-        if hop.op in {"+", "*", "min", "max", "==", "!=", "&", "|"}:
-            ordered = tuple(sorted(input_keys))
-        return ("b", hop.op, ordered)
+        if hop.op in _COMMUTATIVE:
+            input_keys = tuple(sorted(input_keys))
+        return ("b", hop.op, input_keys)
     if isinstance(hop, UnaryOp):
         return ("u", hop.op, input_keys)
     if isinstance(hop, TernaryOp):
@@ -144,8 +153,26 @@ def _cse_key(hop: Hop, mapping: dict[int, int]):
         return ("r", hop.op, input_keys)
     if hop.kind is OpKind.INDEX:
         return ("rix", hop.rl, hop.ru, hop.cl, hop.cu, input_keys)
-    # Nary / spoof and anything else: never merged.
-    return ("unique", hop.id)
+    if hop.kind is OpKind.NARY:
+        return ("nary", hop.op, input_keys)
+    return None
+
+
+def _cse_key(hop: Hop, mapping: dict[int, int]):
+    """A structural key; equal keys imply semantically equal hops."""
+    if isinstance(hop, DataOp):
+        return ("data", id(hop.data))
+    if isinstance(hop, LiteralOp):
+        # A run-time-bound scalar never merges with a literal of the
+        # same compile-time value: the next run may bind another one.
+        if hop.bound >= 0:
+            return ("bound", hop.bound)
+        return ("lit", hop.value)
+    if hop.kind is not OpKind.NARY:
+        key = structure_key(hop, tuple(mapping[i.id] for i in hop.inputs))
+        if key is not None:
+            return key
+    return ("unique", hop.id)  # n-ary and fused operators never merge
 
 
 def eliminate_cse(roots: list[Hop]) -> list[Hop]:

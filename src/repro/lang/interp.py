@@ -324,7 +324,7 @@ class TracingInterpreter(Interpreter):
             target = self.compile_expr(expr.args[0])
             if isinstance(target, api.Mat):
                 from repro.hops.hop import collect_dag
-                from repro.serve.symbolic import SymbolicBlock
+                from repro.compiler.symbolic import SymbolicBlock
 
                 for hop in collect_dag([target.hop]):
                     if isinstance(hop, DataOp) and isinstance(

@@ -15,6 +15,7 @@ CSR and compressed inputs and calls the operator's generated functions
   is, CSR as is when the body is CSR-main-safe (the main feeds matrix
   multiplies only), otherwise densified in row chunks whose results
   combine like intra-operator partitions; compressed mains decompress.
+  A row-aligned CSR side the body only left-multiplies stays CSR too.
 * **Outer** — ``genexec`` runs once per batch of cells: CSR drivers
   batch row ranges by non-zero count and fold the U/V/W products into
   chunk-CSR matmuls, dense drivers batch row blocks; compressed
@@ -218,12 +219,13 @@ def _execute_row(operator, inputs, stats=None):
     if isinstance(main, CompressedMatrix):
         main = main.decompress()
     handles = [(spec, SideInput(value)) for spec, value in sides]
+    csr_sides = kernel.csr_sides
 
     def run(a, r0: int, r1: int):
         side_tiles = [
             handle.dense() if spec.access is Access.SIDE_FULL
-            else handle.row_tile(r0, r1)
-            for spec, handle in handles
+            else handle.row_tile(r0, r1, keep_csr=slot in csr_sides)
+            for slot, (spec, handle) in enumerate(handles)
         ]
         return _row_result(cplan, kernel.entry(a, side_tiles, scalars))
 

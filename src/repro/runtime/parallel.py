@@ -10,9 +10,12 @@ is the single token pool they all draw from:
 
 * a layer *acquires* tokens before going parallel and *releases* them
   when the parallel section ends,
-* the budget never over-grants (beyond an explicit ``minimum`` a layer
-  needs for liveness), so inner layers degrade to serial execution when
-  outer layers already claim the machine,
+* the budget never over-grants — ``active <= total`` is an invariant,
+  checked under the lock — so inner layers degrade to serial execution
+  when outer layers already claim the machine; a layer that must make
+  progress regardless (``minimum``) and finds the pool exhausted is not
+  given a token it does not have: it is counted as running on the
+  thread it already holds, and never blocks,
 * grants only bound *scheduling concurrency* — partition counts and
   combine topologies are fixed by configuration, so results are
   deterministic regardless of how many tokens a run was granted.
@@ -45,6 +48,9 @@ class ThreadBudget:
         # created at import, long before any checker is enabled.
         self._lock = lockset.make_lock("ThreadBudget._lock")
         self._active = 0
+        # Grants made on ``minimum`` with the pool exhausted: their
+        # holders run on threads they already have, outside the pool.
+        self._on_own_thread = 0
         #: Peak simultaneously granted tokens (observability for the
         #: oversubscription guard tests and ``parallel_summary``).
         self.peak = 0
@@ -57,28 +63,42 @@ class ThreadBudget:
                 limit: int | None = None) -> int:
         """Grant up to ``requested`` tokens, never exceeding the budget.
 
-        ``minimum`` tokens are granted even when the pool is exhausted
-        (a layer that must make progress on its own thread); ``limit``
-        caps the effective total for callers with a stricter per-config
-        budget.  Always pair with :meth:`release` of the granted count.
+        Never blocks.  A caller that must make progress passes
+        ``minimum``: it is told at least that many even when the pool
+        cannot cover them, and the uncovered part is counted as work on
+        the thread the caller already holds, not as pool tokens — so
+        ``active <= total`` holds at every instant.  ``limit`` caps the
+        effective total for callers with a stricter per-config budget.
+        Always pair with :meth:`release` of the granted count.
         """
         total = self.total if limit is None or limit <= 0 else min(
             self.total, limit
         )
         with self._lock:
             lockset.note_access("ThreadBudget", self, "active")
-            available = max(0, total - self._active)
-            granted = max(minimum, min(requested, available))
-            self._active += granted
+            drawn = min(requested, max(0, total - self._active))
+            granted = max(minimum, drawn)
+            self._active += drawn
+            self._on_own_thread += granted - drawn
+            if self._active > self.total:
+                raise RuntimeError(
+                    f"thread budget over-granted: {self._active} active "
+                    f"of {self.total}"
+                )
             self.peak = max(self.peak, self._active)
             return granted
 
     def release(self, granted: int) -> None:
+        """Return a grant.  Own-thread grants are settled first, so the
+        pool frees a token only once no exhausted-pool caller is still
+        running uncounted."""
         if granted <= 0:
             return
         with self._lock:
             lockset.note_access("ThreadBudget", self, "active")
-            self._active -= granted
+            own = min(granted, self._on_own_thread)
+            self._on_own_thread -= own
+            self._active -= granted - own
 
 
 _BUDGET = ThreadBudget()

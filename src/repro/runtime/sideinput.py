@@ -27,17 +27,21 @@ class SideInput:
             self._dense_cache = self.block.to_dense()
         return self._dense_cache
 
-    def row_tile(self, r0: int, r1: int) -> np.ndarray:
+    def row_tile(self, r0: int, r1: int, keep_csr: bool = False):
         """Rows [r0, r1) as a dense tile (SIDE_ROW access).
 
         Row and column vectors return broadcast-compatible views: a
         (1, m) row vector is shared across all tiles, a column vector
-        yields a (bs, 1) slice.
+        yields a (bs, 1) slice.  With ``keep_csr`` a CSR side stays CSR
+        (for bodies that only multiply it).
         """
         if self.rows == 1:
             return self.dense()
         if self.block.is_sparse:
-            return np.asarray(self.block.to_csr()[r0:r1].todense())
+            csr = self.block.to_csr()
+            if (r0, r1) != (0, self.rows):
+                csr = csr[r0:r1]
+            return csr if keep_csr else np.asarray(csr.todense())
         return self.block.to_dense()[r0:r1]
 
     def gather(self, row_idx: np.ndarray, col_idx: np.ndarray) -> np.ndarray:

@@ -384,12 +384,13 @@ class RuntimeStats:
         """
         with self.lock:
             note = lockset.active() is not None
-            for spec in fields(other):
-                key = spec.name
+            for key in _FIELD_NAMES:
                 value = getattr(other, key)
+                if not value:
+                    # Untouched (zero counter, empty histogram): a run
+                    # touches a handful of the fields, so most end here.
+                    continue
                 if isinstance(value, dict):
-                    if not value:
-                        continue
                     mine = getattr(self, key)
                     for name, count in value.items():
                         mine[name] = mine.get(name, 0) + count
@@ -398,11 +399,14 @@ class RuntimeStats:
                 elif key in self._GAUGES:
                     # Peak/gauge values combine via max, not addition.
                     setattr(self, key, max(getattr(self, key), value))
-                elif value:
-                    setattr(self, key, getattr(self, key) + value)
                 else:
-                    continue
+                    setattr(self, key, getattr(self, key) + value)
                 if note:
                     lockset.note_access("RuntimeStats", self, key)
             if other._metrics is not None:
                 self.metrics.merge(other._metrics)
+
+
+#: The declared counters, enumerated once (``dataclasses.fields`` builds
+#: a new tuple per call and :meth:`RuntimeStats.merge` runs per request).
+_FIELD_NAMES = tuple(spec.name for spec in fields(RuntimeStats))

@@ -22,14 +22,10 @@ Quick start::
         print(ticket.result()["scores"])
 """
 
+from repro.compiler.symbolic import SymbolicBlock, sparsity_class
 from repro.serve.prepared import BatchBound, BoundRequest, PreparedProgram
 from repro.serve.scheduler import ServeTicket, SessionScheduler
-from repro.serve.symbolic import (
-    SymbolicBlock,
-    input_signature,
-    normalize_inputs,
-    sparsity_class,
-)
+from repro.serve.symbolic import input_signature, normalize_inputs
 
 __all__ = [
     "BatchBound",

@@ -8,14 +8,21 @@ literal value per scalar input).  The serving lifecycle:
 
 * **prepare** — parse/validate once; nothing is compiled yet,
 * **bind** — normalize a request's inputs, look up the specialization
-  for their signature; a *hit* reuses the cached program (no rewrites,
-  no codegen, no lowering), a *miss* traces the builder/script against
-  symbolic input slots and runs the full compile pipeline — the
+  for their signature; a *hit* reuses the cached program (no trace, no
+  rewrites, no codegen, no lowering), a *miss* traces the builder/script
+  against symbolic input slots and runs the full compile pipeline — the
   dynamic-recompilation path of Section 2.1, keyed by shape instead of
   failing on mismatch,
 * **execute** — run the immutable shared program with the request's
   blocks injected through the executor's ``bindings`` overlay, so
   concurrent requests each get an isolated symbol-table epoch.
+
+The cache is a :class:`~repro.compiler.speccache.SpecializationCache`,
+the class behind ``Engine.execute``'s program cache too (single-flight
+compile, LRU bound).  The two keep different keys on purpose: the
+engine signs the DAG it is handed, while a prepared program must not
+even trace its builder on a hit, so it signs the *inputs* — and bakes
+scalar inputs into the key, because builders branch on them in Python.
 
 Generated fused operators inside different specializations still share
 the engine's plan cache (semantic CPlan hash), so a shape-specialized
@@ -23,8 +30,6 @@ recompile typically reuses every compiled operator class.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,8 +40,9 @@ from repro.hops import memory
 from repro.hops.hop import DataOp
 from repro.runtime.compressed import CompressedMatrix
 from repro.runtime.matrix import MatrixBlock
+from repro.compiler.speccache import SpecializationCache
+from repro.compiler.symbolic import SymbolicBlock
 from repro.serve.symbolic import (
-    SymbolicBlock,
     input_signature,
     normalize_inputs,
     request_bytes,
@@ -51,8 +57,7 @@ class Specialization:
     """One compiled shape-specialization of a prepared program."""
 
     __slots__ = ("signature", "program", "input_slots", "layout",
-                 "program_bytes", "batch_roles", "batch_rows", "n_uses",
-                 "last_use")
+                 "program_bytes", "batch_roles", "batch_rows")
 
     def __init__(self, signature, program, input_slots, layout,
                  program_bytes, batch_roles, batch_rows):
@@ -63,8 +68,6 @@ class Specialization:
         self.program_bytes = program_bytes  # intermediate-footprint estimate
         self.batch_roles = batch_roles  # per-root SPLIT/REPLICATE/None
         self.batch_rows = batch_rows  # batch-dim rows this spec compiled for
-        self.n_uses = 0
-        self.last_use = 0  # LRU tick for specialization eviction
 
 
 class BoundRequest:
@@ -105,16 +108,9 @@ class PreparedProgram:
         self.engine = engine
         self.name = name
         self.batch_inputs = tuple(batch_inputs)
-        self.max_specializations = max(1, max_specializations)
         self._builder = builder  # dict[str, Mat|float] -> Mat|list|dict
         self._script = None
-        self._lock = threading.Lock()
-        self._specializations: dict[tuple, Specialization] = {}
-        # signature -> Event for an in-flight compile: a concurrent
-        # miss waits instead of recompiling, and warm hits for *other*
-        # signatures never queue behind a compile.
-        self._building: dict[tuple, threading.Event] = {}
-        self._use_tick = 0
+        self._cache = SpecializationCache(max_specializations)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -133,8 +129,7 @@ class PreparedProgram:
 
     @property
     def n_specializations(self) -> int:
-        with self._lock:
-            return len(self._specializations)
+        return len(self._cache)
 
     def signature_of(self, inputs: dict) -> tuple:
         return input_signature(normalize_inputs(inputs))
@@ -154,73 +149,26 @@ class PreparedProgram:
                                      program=self.name):
             normalized = normalize_inputs(inputs)
             signature = input_signature(normalized)
-            spec = self._specialize(signature, normalized)
+            spec = self._cache.get_or_build(
+                signature, lambda: self._specialize(signature, normalized),
+                self.engine.stats,
+            )
         bindings = {}
         for input_name, slot in spec.input_slots.items():
             bindings[slot] = normalized[input_name]
         return BoundRequest(spec, bindings, normalized)
 
     def _specialize(self, signature, normalized: dict) -> Specialization:
-        """Look up (or compile exactly once) the shape specialization.
-
-        The compile runs outside the per-program lock, so warm hits on
-        other signatures proceed while a new shape recompiles; a
-        concurrent miss on the *same* signature waits on the first
-        thread's in-flight compilation (the plan-cache discipline).
-        """
-        stats = self.engine.stats
-        while True:
-            with self._lock:
-                spec = self._specializations.get(signature)
-                if spec is not None:
-                    self._use_tick += 1
-                    spec.n_uses += 1
-                    spec.last_use = self._use_tick
-                    with stats.lock:
-                        stats.n_specialization_hits += 1
-                    return spec
-                event = self._building.get(signature)
-                if event is None:
-                    self._building[signature] = threading.Event()
-                    is_recompile = bool(self._specializations)
-                    break  # this thread owns the compilation
-            event.wait()
-
-        try:
-            with self.engine.tracer.span("specialize-compile", cat="serve",
-                                         program=self.name):
-                spec = self._compile(signature, normalized)
-        except BaseException:
-            with self._lock:
-                failed = self._building.pop(signature, None)
-            if failed is not None:
-                failed.set()
-            raise
-        with self._lock:
-            self._specializations[signature] = spec
-            self._use_tick += 1
-            spec.n_uses += 1
-            spec.last_use = self._use_tick
-            self._evict_cold_specializations()
-            finished = self._building.pop(signature, None)
-        if finished is not None:
-            finished.set()
-        with stats.lock:
-            stats.n_specialization_misses += 1
-            if is_recompile:
+        """A cache miss: trace and compile this signature's program."""
+        is_recompile = len(self._cache) > 0
+        with self.engine.tracer.span("specialize-compile", cat="serve",
+                                     program=self.name):
+            spec = self._compile(signature, normalized)
+        if is_recompile:
+            stats = self.engine.stats
+            with stats.lock:
                 stats.n_shape_recompiles += 1
         return spec
-
-    def _evict_cold_specializations(self) -> None:
-        """Drop least-recently-used specializations over the cap (the
-        caller holds ``self._lock``); bounds a long-running server's
-        memory under endlessly varying request shapes."""
-        while len(self._specializations) > self.max_specializations:
-            coldest = min(
-                self._specializations.items(),
-                key=lambda item: item[1].last_use,
-            )
-            del self._specializations[coldest[0]]
 
     def execute_bound(self, bound: BoundRequest):
         """Run a bound request on the engine's shared executor."""

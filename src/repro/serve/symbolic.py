@@ -1,102 +1,30 @@
-"""Symbolic input slots and shape signatures for prepared programs.
+"""Request inputs and shape signatures for prepared programs.
 
-A :class:`SymbolicBlock` stands in for a ``MatrixBlock`` at compile
-time: it carries exactly the metadata the compiler front half consumes
-(shape, nnz estimate, storage class) without holding any cell data, so
-a ``DataOp`` leaf built over it flows through rewrites, codegen, and
-lowering unchanged.  The lowered ``Program`` then contains the symbolic
-block in its constant slots, and the serving layer substitutes each
-request's real block through the executor's ``bindings`` overlay —
-the program itself is never mutated.
+A prepared program is traced against
+:class:`~repro.compiler.symbolic.SymbolicBlock` placeholders (the
+compile-time stand-in the engine's own program cache uses), so its
+lowered ``Program`` holds symbolic blocks in its constant slots and each
+request's real blocks go in through the executor's ``bindings`` overlay.
 
 :func:`input_signature` is the specialization key: exact dimensions,
-the dense/sparse storage class, and a coarse :func:`sparsity_class` per
-matrix input, and the literal value per scalar input (scalars are baked
-into the compiled plan exactly as SystemML literals are, so a new
-scalar value is a new specialization).  The sparsity class keeps a
-prepared program serving both dense and ultra-sparse requests from
-pricing them with one shared plan: each class compiles its own
-specialization with representative nnz estimates.
+the dense/sparse storage class, and the coarse
+:func:`~repro.compiler.symbolic.sparsity_class` per matrix input, and
+the value per scalar input.  Unlike ``Engine.execute``, which binds
+non-integer literals at run time, a prepared program *bakes* its scalar
+inputs: a builder is plain Python and may branch on them, so a new
+scalar value must be a new specialization.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.compiler.symbolic import sparsity_class
 from repro.errors import ServingError
 from repro.runtime.compressed import CompressedMatrix
-from repro.runtime.matrix import SPARSE_THRESHOLD, MatrixBlock
+from repro.runtime.matrix import MatrixBlock
 
 _SCALAR_TYPES = (int, float, np.floating, np.integer)
-
-
-def sparsity_class(value, threshold: float = SPARSE_THRESHOLD) -> str:
-    """Coarse sparsity bucket of a request input (specialization key).
-
-    ``hyper`` (< 1% dense), ``sparse`` (below the shared CSR
-    threshold), or ``dense``.  Coarse on purpose: requests whose
-    densities share a bucket get one plan compiled with representative
-    nnz estimates, instead of one specialization per exact nnz (which
-    would never hit) or one mispriced plan for everything (which pays
-    dense costs on sparse traffic or vice versa).
-    """
-    cells = value.rows * value.cols
-    if cells == 0:
-        return "dense"
-    density = value.nnz / cells
-    if density < 0.01:
-        return "hyper"
-    if density < threshold:
-        return "sparse"
-    return "dense"
-
-
-class SymbolicBlock:
-    """Compile-time stand-in for one named matrix input."""
-
-    __slots__ = ("name", "rows", "cols", "_nnz", "_sparse", "__weakref__")
-
-    def __init__(self, name: str, rows: int, cols: int,
-                 nnz: int | None = None, sparse: bool = False):
-        self.name = name
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self._nnz = int(nnz) if nnz is not None else self.rows * self.cols
-        self._sparse = bool(sparse)
-
-    # -- the MatrixBlock metadata surface the compiler reads -----------
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
-    @property
-    def nnz(self) -> int:
-        return self._nnz
-
-    @property
-    def is_sparse(self) -> bool:
-        return self._sparse
-
-    @property
-    def sparsity(self) -> float:
-        cells = self.rows * self.cols
-        return self._nnz / cells if cells else 0.0
-
-    @property
-    def size_bytes(self) -> float:
-        if self._sparse:
-            return self._nnz * 12.0 + (self.rows + 1) * 4.0
-        return self.rows * self.cols * 8.0
-
-    def __repr__(self) -> str:
-        storage = "sparse" if self._sparse else "dense"
-        return f"SymbolicBlock({self.name}, {self.rows}x{self.cols}, {storage})"
-
-    @classmethod
-    def like(cls, name: str, block: MatrixBlock) -> "SymbolicBlock":
-        """A symbolic slot with the metadata of a concrete block."""
-        return cls(name, block.rows, block.cols, nnz=block.nnz,
-                   sparse=block.is_sparse)
 
 
 def normalize_inputs(inputs: dict) -> dict:

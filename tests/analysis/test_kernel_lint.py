@@ -89,6 +89,21 @@ class TestViolations:
             lint_source("bad", src, csr_main_safe=True)
         ) == {"densification"}
 
+    def test_densification_of_a_csr_side_input(self):
+        """A Row kernel that takes ``b[1]`` as CSR may multiply it and
+        nothing else; ``b[0]`` (a dense side) is nobody's business."""
+        src = CLEAN.replace("np.abs(a)", "np.asarray(b[1]) @ b[0]")
+        assert _codes(lint_source("bad", src, csr_sides=(1,))) == {
+            "densification"
+        }
+        src = CLEAN.replace("np.abs(a)", "b[1].todense() @ b[0]")
+        assert _codes(lint_source("bad", src, csr_sides=(1,))) == {
+            "densification"
+        }
+        clean = CLEAN.replace("np.abs(a)", "b[1] @ np.asarray(b[0])")
+        assert lint_source("ok", clean, csr_sides=(1,)) == []
+        assert lint_source("ok", src) == []  # no CSR input claimed
+
     def test_syntax_error(self):
         assert _codes(lint_source("bad", "def genexec(:\n")) == {"syntax"}
 

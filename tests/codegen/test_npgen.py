@@ -7,6 +7,7 @@ from repro import api
 from repro.codegen.construct import construct_cplan
 from repro.codegen.npgen import (
     compile_kernel,
+    csr_safe_inputs,
     generate_kernel_source,
     kernel_name,
 )
@@ -90,6 +91,31 @@ class TestKernelEmission:
                        TemplateType.ROW)
         _, _, csr_safe = generate_kernel_source(cplan)
         assert not csr_safe
+
+
+    def test_row_side_left_multiplied_only_stays_csr(self, rng):
+        """ALS-CG's gradient: ``A @ F - X @ F`` reads the side ``X``
+        only as the left operand of a matrix multiply."""
+        a = api.matrix(rng.random((50, 8)), "A")
+        x = api.matrix(rng.random((50, 8)), "X")
+        f = api.matrix(rng.random((8, 3)), "F")
+        cplan = _cplan([a @ f - x @ f], TemplateType.ROW)
+        sides = [idx for idx in csr_safe_inputs(cplan)
+                 if idx != cplan.main_index]
+        assert len(sides) == 1 and cplan.main_index in csr_safe_inputs(cplan)
+        _, source, _ = generate_kernel_source(cplan)
+        assert "CSR_SIDES = (1,)" in source
+        kernel = compile_kernel(cplan, CodegenConfig(verify_level="full"))
+        assert kernel.csr_sides == (1,)
+
+    def test_row_side_read_cellwise_is_densified(self, rng):
+        a = api.matrix(rng.random((50, 8)), "A")
+        x = api.matrix(rng.random((50, 8)), "X")
+        f = api.matrix(rng.random((8, 3)), "F")
+        cplan = _cplan([(a @ f - x @ f) * x.row_sums()], TemplateType.ROW)
+        assert csr_safe_inputs(cplan) <= {cplan.main_index}
+        _, source, _ = generate_kernel_source(cplan)
+        assert "CSR_SIDES = ()" in source
 
 
 class TestKernelCompilation:

@@ -78,4 +78,7 @@ def test_concurrent_eval_all_matches_serial(mode):
     assert engine.stats.n_instructions_executed == \
         per_run_instructions * total_runs
     assert engine.stats.n_classes_compiled == baseline_classes
-    assert engine.stats.n_programs_compiled == total_runs
+    # The reference run compiled the DAG's shape; every concurrent run
+    # after it is a program-cache hit.
+    assert engine.stats.n_programs_compiled == 1
+    assert engine.stats.n_specialization_hits == total_runs - 1

@@ -53,7 +53,12 @@ class TestExecTypeSelectionRunsOnce:
         api.eval(_expr(rng), engine=engine)
         assert engine.stats.n_exec_type_selections == 1
         assert engine.stats.n_programs_compiled == 1
+        # The same DAG shape again runs the cached program: no compile,
+        # so no selection either.
         api.eval(_expr(rng), engine=engine)
+        assert engine.stats.n_exec_type_selections == 1
+        assert engine.stats.n_programs_compiled == 1
+        api.eval(_expr(rng).T, engine=engine)
         assert engine.stats.n_exec_type_selections == 2
         assert engine.stats.n_programs_compiled == 2
 

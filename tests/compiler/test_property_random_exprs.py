@@ -9,7 +9,10 @@ The differential harness additionally runs every random expression
 under the three *execution strategies* of the fusing engine — serial
 skeletons, intra-operator parallel (2 and 4 partition threads), and the
 simulated Spark backend — and asserts allclose equivalence, keeping the
-strategies provably interchangeable.
+strategies provably interchangeable.  Each strategy evaluates every
+expression twice on one engine: the first pass compiles the DAG's shape,
+the second runs the cached program (a program-cache hit), and both must
+match the base interpreter.
 """
 
 import numpy as np
@@ -198,14 +201,19 @@ def test_execution_strategies_agree_on_random_dags(dag):
     by_strategy = {}
     for name, config in _strategy_configs().items():
         engine = Engine(mode="gen", config=config)
-        results = [as_array(v) for v in api.eval_all(build(), engine=engine)]
+        for cache_pass in ("miss", "hit"):
+            results = [
+                as_array(v) for v in api.eval_all(build(), engine=engine)
+            ]
+            assert len(results) == len(reference)
+            for idx, (expected, actual) in enumerate(zip(reference, results)):
+                np.testing.assert_allclose(
+                    actual, expected, rtol=1e-7, atol=1e-9,
+                    err_msg=f"strategy={name} pass={cache_pass} output={idx}",
+                )
         by_strategy[name] = results
-        assert len(results) == len(reference)
-        for idx, (expected, actual) in enumerate(zip(reference, results)):
-            np.testing.assert_allclose(
-                actual, expected, rtol=1e-7, atol=1e-9,
-                err_msg=f"strategy={name} output={idx}",
-            )
+        assert engine.stats.n_specialization_misses == 1
+        assert engine.stats.n_specialization_hits == 1
         if config.verify_level != "off":
             # Healthy programs must verify clean: a finding here is a
             # verifier false positive (or a genuine compiler bug).
@@ -275,17 +283,20 @@ def test_compressed_inputs_match_decompressed_oracle(dag):
         )
     ]
     for mode in ["base", "fused", "gen"]:
-        results = [
-            _to_array(v)
-            for v in api.eval_all(
-                _build(compressed, col_vec, row_vec, op_script, finishers,
-                       seed),
-                engine=Engine(mode=mode),
-            )
-        ]
-        assert len(results) == len(reference)
-        for idx, (expected, actual) in enumerate(zip(reference, results)):
-            np.testing.assert_allclose(
-                actual, expected, rtol=1e-7, atol=1e-9,
-                err_msg=f"mode={mode} output={idx}",
-            )
+        engine = Engine(mode=mode)
+        for cache_pass in ("miss", "hit"):
+            results = [
+                _to_array(v)
+                for v in api.eval_all(
+                    _build(compressed, col_vec, row_vec, op_script,
+                           finishers, seed),
+                    engine=engine,
+                )
+            ]
+            assert len(results) == len(reference)
+            for idx, (expected, actual) in enumerate(zip(reference, results)):
+                np.testing.assert_allclose(
+                    actual, expected, rtol=1e-7, atol=1e-9,
+                    err_msg=f"mode={mode} pass={cache_pass} output={idx}",
+                )
+        assert engine.stats.n_specialization_hits == 1

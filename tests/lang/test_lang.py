@@ -208,4 +208,8 @@ class TestInterpreter:
         }
         """
         run_script(script, inputs={"X": rng.random((10, 10))}, engine=engine)
-        assert engine.stats.n_dags_optimized >= 4
+        # Four statement blocks reached the engine; they share one DAG
+        # shape, so the optimizer ran for the first only.
+        stats = engine.stats
+        assert stats.n_specialization_hits + stats.n_specialization_misses >= 4
+        assert 1 <= stats.n_dags_optimized <= stats.n_specialization_misses

@@ -164,12 +164,11 @@ class TestDistributedExecution:
         engine = Engine(mode="base", config=_cluster_config())
         x = api.matrix(data, "X")
         expr = (x * 2.0).sum()
-        engine.execute([expr.hop])
+        program = engine.compile([expr.hop])
         # The cell op over X exceeds the budget.
         assert any(
-            h.exec_type is ExecType.SPARK
-            for h in [expr.hop] + expr.hop.inputs
-            if h.is_matrix or h.inputs
+            instr.hop.exec_type is ExecType.SPARK
+            for instr in program.instructions
         )
 
 

@@ -390,6 +390,23 @@ class TestThreadBudget:
         assert budget.acquire(4, minimum=1) == 1
         budget.release(held)
 
+    @pytest.mark.parametrize("pool_holder_first", [True, False])
+    def test_minimum_on_exhausted_pool_is_not_a_pool_token(
+        self, pool_holder_first
+    ):
+        """``active <= total`` at every step, whoever releases first."""
+        budget = ThreadBudget(total=2)
+        held = budget.acquire(2)
+        forced = [budget.acquire(1, minimum=1) for _ in range(3)]
+        assert forced == [1, 1, 1]  # told to go ahead, never blocked
+        assert budget.active == 2 and budget.peak == 2
+        order = [held] + forced if pool_holder_first else forced + [held]
+        for grant in order:
+            budget.release(grant)
+            assert 0 <= budget.active <= budget.total
+        assert budget.active == 0
+        assert budget.acquire(2) == 2  # nothing leaked
+
     def test_limit_caps_effective_total(self):
         budget = ThreadBudget(total=8)
         assert budget.acquire(8, limit=2) == 2
@@ -446,7 +463,12 @@ class TestOversubscriptionGuard:
             ]
             results = [t.result(timeout=30) for t in tickets]
         assert len(results) == 6
-        assert budget.peak <= 4
+        # ``acquire`` raises if it would ever hold more than ``total``,
+        # so this is an invariant of every grant made above, not a
+        # sample: two serving workers with ``minimum=1`` on an exhausted
+        # pool used to push it to 5.
+        assert budget.peak <= budget.total == 4
+        assert budget.active == 0
         assert engine.stats.n_requests_served == 6
 
     def test_single_thread_takes_exact_serial_path(self, monkeypatch):

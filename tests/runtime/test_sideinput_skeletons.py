@@ -20,6 +20,19 @@ class TestSideInput:
         side = SideInput(block)
         np.testing.assert_allclose(side.row_tile(3, 9), block.to_dense()[3:9])
 
+    def test_row_tile_keeps_csr_on_request(self):
+        import scipy.sparse as sp
+
+        block = MatrixBlock.rand(20, 6, sparsity=0.2, seed=1)
+        side = SideInput(block)
+        tile = side.row_tile(3, 9, keep_csr=True)
+        assert sp.issparse(tile) and tile.shape == (6, 6)
+        np.testing.assert_allclose(tile.toarray(), block.to_dense()[3:9])
+        assert side.row_tile(0, 20, keep_csr=True) is block.to_csr()
+        # A dense side has nothing to keep.
+        dense = SideInput(MatrixBlock(block.to_dense()))
+        assert isinstance(dense.row_tile(3, 9, keep_csr=True), np.ndarray)
+
     def test_row_vector_shared_across_tiles(self, rng):
         block = MatrixBlock(rng.random((1, 6)))
         side = SideInput(block)
@@ -101,6 +114,45 @@ class TestSkeletonEdgeCases:
         base = api.eval_all(build(), engine=make_engine("base"))[0]
         gen = api.eval_all(build(), engine=make_engine("gen"))[0]
         np.testing.assert_allclose(gen.to_dense(), base.to_dense(), rtol=1e-9)
+
+    @pytest.mark.parametrize("config", [
+        {"intra_op_threads": 1},
+        {"intra_op_threads": 4, "intra_op_min_cells": 1},
+    ], ids=["serial", "intra-op-4"])
+    def test_row_operator_multiplies_a_csr_side_without_densifying(
+        self, rng, monkeypatch, config
+    ):
+        """ALS-CG's gradient shape: the side ``X`` of ``A @ F - X @ F``
+        is only ever the left operand of a multiply, so the Row driver
+        hands the kernel the CSR rows (it used to build an 80 MB dense
+        copy per call on the benchmark's input)."""
+        import scipy.sparse as sp
+
+        ad = rng.random((300, 40))
+        xs = MatrixBlock(sp.random(300, 40, density=0.05, format="csr",
+                                   random_state=1))
+        fd = rng.random((40, 6))
+
+        def build():
+            a, x, f = (api.matrix(ad, "A"), api.matrix(xs, "X"),
+                       api.matrix(fd, "F"))
+            return [a @ f - x @ f]
+
+        base = api.eval_all(build(), engine=make_engine("base"))[0]
+        engine = make_engine("gen", **config)
+
+        def no_densify(self):
+            raise AssertionError("a CSR block was densified")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sp.csr_matrix, "todense", no_densify)
+            patch.setattr(sp.csr_matrix, "toarray", no_densify)
+            gen = api.eval_all(build(), engine=engine)[0]
+        np.testing.assert_allclose(gen.to_dense(), base.to_dense(),
+                                   rtol=1e-12)
+        (operator,) = engine.plan_cache._cache.values()
+        assert operator.kernel.csr_sides == (1,)
+        assert engine.stats.n_format_conversions == 0
 
     def test_empty_sparse_rows(self):
         """Rows without non-zeros must not break the sparse paths."""
