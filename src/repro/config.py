@@ -165,12 +165,11 @@ class CodegenConfig:
     compiler: str = "exec"
     plan_cache_enabled: bool = True
 
-    # Distributed backend implementation behind SparkExecutor:
-    # 'simulated' partitions and reduces in-process (cost model only);
-    # 'multiprocess' ships partition tasks to a pool of spawned worker
-    # processes (repro.runtime.mpexec) with shared-memory dense block
-    # transport — same placement, partitioning, and tree-reduce
-    # topology, so results are bit-identical to the simulated backend.
+    # Who runs SparkExecutor's partition tasks: 'simulated' runs them
+    # in the calling thread (cost model only); 'multiprocess' ships
+    # them to a pool of spawned worker processes (repro.runtime.mpexec)
+    # with shared-memory dense block transport.  Same driver, same task
+    # function, so results and counters are identical.
     distributed_backend: str = "simulated"
     # Worker processes for the multiprocess backend (0 = min(4, cpus)).
     # Concurrent dispatch is additionally bounded by the process-wide

@@ -136,6 +136,12 @@ class _Metric:
             self._note()
             return [dict(key) for key in self._cells]
 
+    def _export_cells(self) -> dict:
+        """A copy of the cells, safe to pickle or to merge elsewhere."""
+        with self._lock:
+            self._note()
+            return dict(self._cells)
+
 
 class Counter(_Metric):
     """Monotonic labeled counter (merge = addition)."""
@@ -158,9 +164,7 @@ class Counter(_Metric):
             self._note()
             return sum(self._cells.values())
 
-    def _merge(self, other: "Counter") -> None:
-        with other._lock:
-            cells = dict(other._cells)
+    def _merge_cells(self, cells: dict) -> None:
         with self._lock:
             self._note()
             for key, value in cells.items():
@@ -189,9 +193,7 @@ class Gauge(_Metric):
             self._note()
             return self._cells.get(_label_key(labels), 0.0)
 
-    def _merge(self, other: "Gauge") -> None:
-        with other._lock:
-            cells = dict(other._cells)
+    def _merge_cells(self, cells: dict) -> None:
         with self._lock:
             self._note()
             for key, value in cells.items():
@@ -247,11 +249,15 @@ class Histogram(_Metric):
     def count(self, **label_filter) -> int:
         return self.aggregate(**label_filter).count
 
-    def _merge(self, other: "Histogram") -> None:
-        for labels, cell in other.cells():
-            key = _label_key(labels)
-            with self._lock:
-                self._note()
+    def _export_cells(self) -> dict:
+        with self._lock:
+            self._note()
+            return {key: cell.copy() for key, cell in self._cells.items()}
+
+    def _merge_cells(self, cells: dict) -> None:
+        with self._lock:
+            self._note()
+            for key, cell in cells.items():
                 mine = self._cells.get(key)
                 if mine is None:
                     mine = self._cells[key] = HistogramCell()
@@ -293,27 +299,37 @@ class MetricsRegistry:
     def histogram(self, name: str) -> Histogram:
         return self._get("histogram", name)  # type: ignore[return-value]
 
+    def export(self) -> list:
+        """Every metric as a picklable ``(kind, name, cells)`` triple:
+        what a worker process sends its driver, and what
+        :meth:`merge_exported` takes."""
+        return [(kind, name, metric._export_cells())
+                for (kind, name), metric in self._items()]
+
+    def merge_exported(self, exported: list) -> None:
+        """Accumulate the :meth:`export` of another registry."""
+        for kind, name, cells in exported:
+            self._get(kind, name)._merge_cells(cells)  # type: ignore[attr-defined]
+
     def merge(self, other: "MetricsRegistry") -> None:
         """Accumulate another registry (run-local -> shared)."""
-        with other._lock:
-            lockset.note_access("MetricsRegistry", other, "metrics")
-            theirs = dict(other._metrics)
-        for (kind, name), metric in theirs.items():
-            self._get(kind, name)._merge(metric)  # type: ignore[attr-defined]
+        self.merge_exported(other.export())
 
     def clear(self) -> None:
         with self._lock:
             lockset.note_access("MetricsRegistry", self, "metrics")
             self._metrics.clear()
 
-    def snapshot(self) -> dict:
-        """All metrics as plain dicts (JSON-friendly observability)."""
+    def _items(self) -> list:
         with self._lock:
             lockset.note_access("MetricsRegistry", self, "metrics")
-            items = list(self._metrics.items())
+            return list(self._metrics.items())
+
+    def snapshot(self) -> dict:
+        """All metrics as plain dicts (JSON-friendly observability)."""
         return {
             f"{kind}:{name}": metric.snapshot()  # type: ignore[attr-defined]
-            for (kind, name), metric in items
+            for (kind, name), metric in self._items()
         }
 
 

@@ -163,6 +163,10 @@ class NullTracer:
     def instant(self, name, cat="event", level=PHASES, **args) -> None:
         pass
 
+    def record_foreign(self, name, cat, args, wall_start, duration,
+                       tid) -> None:
+        pass
+
     def events(self) -> list:
         return []
 
@@ -220,6 +224,22 @@ class Tracer:
         span.start = time.perf_counter() - self._origin
         span.tid = threading.get_ident()
         span.depth = len(stack) if stack else 0
+        self._append(span)
+
+    def record_foreign(self, name, cat, args, wall_start, duration,
+                       tid) -> None:
+        """Append a finished span another process measured.
+
+        ``wall_start`` is that process's ``time.time()`` at span start;
+        it is mapped onto this tracer's ``perf_counter`` origin (best
+        effort: both clocks are the same host's).  ``tid`` names the
+        lane the span is drawn in.
+        """
+        span = Span(self, name, cat, dict(args))
+        origin_wall = time.time() - (time.perf_counter() - self._origin)
+        span.start = wall_start - origin_wall
+        span.duration = duration
+        span.tid = tid
         self._append(span)
 
     # ------------------------------------------------------------------

@@ -1,20 +1,31 @@
-"""Simulated distributed (Spark-like) backend.
+"""The distributed (Spark-like) executor: one driver, two task backends.
 
-This substitutes the paper's Spark cluster: matrices are partitioned
-into row-block partitions executed locally, while an analytical network
-and I/O model charges *simulated seconds* for distributed reads,
-shuffles, broadcasts, and driver collects.  The cost structure is what
-Table 6 measures: fuse-all dragging driver-side vector operations into
+This substitutes the paper's Spark cluster.  :class:`SparkExecutor` is
+the driver: it places each SPARK-typed operator (map / reduce / local),
+row-partitions the main input into a :class:`BlockedMatrix`, classifies
+every other input into a *partition plan* (``main`` / ``zip`` /
+``slice`` / ``whole``), charges an analytical network and I/O model
+*simulated seconds* for reads, shuffles, broadcasts and collects, and
+tree-reduces aggregation partials.  The cost structure is what Table 6
+measures: fuse-all dragging driver-side vector operations into
 distributed operators pays per-worker broadcast costs for every extra
 side input, while cost-based plans avoid them.
+
+What runs one partition is :func:`run_partition_task`, nothing else.
+The driver hands ``(spec | operator, main blocks, plans)`` to its
+backend — never ``None`` — which resolves the plans per partition with
+:func:`partition_values` and runs that function on each:
+:class:`InProcessBackend` (``distributed_backend="simulated"``) in the
+calling thread, :class:`~repro.runtime.mpexec.ProcessPoolBackend`
+(``"multiprocess"``) in spawned worker processes.  Results, counters
+and simulated seconds are equal across backends by construction.
 
 Distributed intermediates are first-class runtime values: a SPARK-typed
 instruction returns a :class:`BlockedMatrix` that the next SPARK-typed
 instruction consumes *partition-wise* without materializing it on the
 driver.  Materialization happens only at the explicit ``collect``
 boundaries the compiler inserts at exec-type transitions (and program
-roots).  Aggregation outputs are combined by a tree-reduce over the
-per-partition partials.
+roots).
 
 The RDD-cache model is keyed by *lineage* — stable symbol-table-slot
 keys for intermediates and identity-guarded keys for program inputs —
@@ -39,7 +50,15 @@ from repro.hops.hop import Hop, SpoofOp
 from repro.hops.types import AggDir, OpKind
 from repro.runtime import ops as rops
 from repro.runtime.matrix import MatrixBlock
-from repro.runtime.skeletons import partition_bounds, tree_reduce
+from repro.runtime.skeletons import (
+    decompress_side_inputs,
+    execute_operator,
+    is_row_partitioned_output,
+    partition_bounds,
+    reduce_spoof_partials,
+    sliceable_spoof_inputs,
+    tree_reduce,
+)
 from repro.runtime.stats import RuntimeStats
 
 
@@ -52,10 +71,12 @@ class BlockedMatrix:
     """
 
     def __init__(self, blocks: list[MatrixBlock], rows: int, cols: int,
-                 bounds: list[tuple[int, int]] | None = None):
+                 bounds: list[tuple[int, int]] | None = None, mp_key=None):
         self.blocks = blocks
         self.rows = rows
         self.cols = cols
+        #: Lineage key of the value: names its blocks in worker caches.
+        self.mp_key = mp_key
         if bounds is None:
             bounds = []
             r0 = 0
@@ -123,6 +144,64 @@ def _combine_partials(a, b, agg: str):
     return float(func(a, b))
 
 
+def run_partition_task(kind: str, payload, values: list, config, stats):
+    """Run one partition's task: a basic-hop kernel spec (``"hop"``) or a
+    generated operator (``"spoof"``) over that partition's values.
+
+    Every backend calls this and nothing else to execute a partition,
+    so what a task computes and which counters it bumps cannot differ
+    between the calling thread and a worker process.
+    """
+    if kind == "hop":
+        return rops.apply_spec(payload, values, stats)
+    return execute_operator(payload, values, config, stats,
+                            allow_parallel=False)
+
+
+def partition_values(plans: list, main_blocked: BlockedMatrix):
+    """Yield, per partition, the value each plan entry resolves to: the
+    partition's block of the ``main`` or a co-partitioned ``zip`` input,
+    its row range of a ``slice`` input, a ``whole`` input as is."""
+    for p, (r0, r1) in enumerate(main_blocked.bounds):
+        yield [
+            main_blocked.blocks[p] if mode == "main"
+            else value.blocks[p] if mode == "zip"
+            else rops.rix(value, r0, r1, 0, value.cols) if mode == "slice"
+            else value
+            for mode, value in plans
+        ]
+
+
+class InProcessBackend:
+    """Runs partition tasks one after another in the calling thread and
+    records into the driver's stats.  No processes, so nothing to ship,
+    cache, lose or retry: ``prune`` and ``register_guard`` are no-ops."""
+
+    def __init__(self, config: CodegenConfig, stats: RuntimeStats):
+        self.config = config
+        self.stats = stats
+
+    def _run(self, kind: str, payload, main_blocked, plans) -> list:
+        return [
+            run_partition_task(kind, payload, values, self.config, self.stats)
+            for values in partition_values(plans, main_blocked)
+        ]
+
+    def run_map(self, spec: tuple, main_blocked, plans: list,
+                main_key=None, output_key=None) -> list:
+        return self._run("hop", spec, main_blocked, plans)
+
+    def run_spoof(self, operator, main_blocked, plans: list,
+                  main_key=None, output_key=None) -> list:
+        return self._run("spoof", operator, main_blocked, plans)
+
+    def prune(self, live_epoch) -> None:
+        pass
+
+    def register_guard(self, key, source) -> None:
+        pass
+
+
 #: Map-side placement decisions for one basic hop.
 _MAP, _REDUCE, _LOCAL = "map", "reduce", "local"
 
@@ -135,16 +214,14 @@ class SparkExecutor:
         self.cluster = cluster
         self.config = config
         self.stats = stats
-        # Real-parallelism backend (config.distributed_backend):
-        # "multiprocess" routes the per-partition loops below through a
-        # pool of spawned worker processes; placement, partitioning,
-        # slicing, cost charging, and tree-reduces stay here, so both
-        # backends produce bit-identical results.
-        self.backend = None
+        # Who runs the partition tasks (config.distributed_backend);
+        # placement, plans, cost charging and tree-reduces stay here.
         if config.distributed_backend == "multiprocess":
             from repro.runtime.mpexec import ProcessPoolBackend
 
             self.backend = ProcessPoolBackend(config, stats)
+        else:
+            self.backend = InProcessBackend(config, stats)
         # RDD-cache model: distributed datasets stay in aggregate
         # executor memory after the first read/write, so re-reads cost
         # memory bandwidth, not distributed-IO bandwidth.  Entries are
@@ -227,8 +304,7 @@ class SparkExecutor:
             if dead:
                 del self._cache[key]
                 self._cached_bytes -= size
-        if self.backend is not None:
-            self.backend.prune(live_epoch)
+        self.backend.prune(live_epoch)
 
     # ------------------------------------------------------------------
     # Cost charging
@@ -295,11 +371,8 @@ class SparkExecutor:
         self.charge_read(value.size_bytes, key=key, value=value)
         self.stats.n_partitioned += 1
         blocked = BlockedMatrix.partition(value, self.n_partitions)
-        if key is not None:
-            # Lineage key for the multiprocess backend's locality map.
-            blocked.mp_key = key
-            if self.backend is not None:
-                self.backend.register_guard(key, value)
+        blocked.mp_key = key
+        self.backend.register_guard(key, value)
         return blocked
 
     # ------------------------------------------------------------------
@@ -355,22 +428,14 @@ class SparkExecutor:
             return self._execute_reduce(hop, main_blocked, plans,
                                         keys[main_idx])
 
-        spec = rops.hop_spec(hop)
-        if self.backend is not None:
-            parts = self.backend.run_map(
-                spec, main_blocked, plans, keys[main_idx], output_key
-            )
-        else:
-            parts = [
-                rops.apply_spec(spec, values)
-                for values in _materialize_plans(plans, main_blocked)
-            ]
-        result = BlockedMatrix(
-            parts, main_blocked.rows, parts[0].cols, main_blocked.bounds
+        parts = self.backend.run_map(
+            rops.hop_spec(hop), main_blocked, plans, keys[main_idx],
+            output_key
         )
-        if self.backend is not None and output_key is not None:
-            result.mp_key = output_key
-        return result
+        return BlockedMatrix(
+            parts, main_blocked.rows, parts[0].cols, main_blocked.bounds,
+            mp_key=output_key
+        )
 
     # -- placement -----------------------------------------------------
     def _placement(self, hop: Hop, values: list, main_idx: int) -> str:
@@ -397,18 +462,11 @@ class SparkExecutor:
         return _LOCAL
 
     # -- side inputs ---------------------------------------------------
-    def _prepare_partition_inputs(self, hop: Hop, values: list,
-                                  main_idx: int,
-                                  main_blocked: BlockedMatrix) -> list[list]:
-        """Per-partition input lists; charges side-input traffic once."""
-        plans = self._partition_plans(hop, values, main_idx, main_blocked)
-        return _materialize_plans(plans, main_blocked)
-
     def _partition_plans(self, hop: Hop, values: list, main_idx: int,
                          main_blocked: BlockedMatrix) -> list:
         """Classify each input (main / zip / slice / whole broadcast)
-        and charge side-input traffic once; both backends materialize
-        per-partition inputs from the same plans."""
+        and charge side-input traffic once; backends resolve the plans
+        per partition with :func:`partition_values`."""
         cellwise = hop.kind in (OpKind.UNARY, OpKind.BINARY, OpKind.TERNARY)
         plans: list = []  # ('main',) | ('zip', bm) | ('slice', mb) | ('whole', v)
         for idx, value in enumerate(values):
@@ -454,7 +512,8 @@ class SparkExecutor:
                 else:
                     self.charge_broadcast(value.size_bytes)
             local_values.append(value)
-        result = rops.apply_spec(rops.hop_spec(hop), local_values)
+        result = run_partition_task("hop", rops.hop_spec(hop), local_values,
+                                    self.config, self.stats)
         if isinstance(result, MatrixBlock):
             self.charge_write(result.size_bytes, key=output_key, value=result)
         return result
@@ -467,15 +526,7 @@ class SparkExecutor:
         base_op = "sum" if agg == "mean" else agg
         spec = (kernel, base_op, direction)
         combine_op = "sum" if base_op in ("sum", "sumsq") else base_op
-        if self.backend is not None:
-            partials = self.backend.run_map(
-                spec, main_blocked, plans, main_key, None
-            )
-        else:
-            partials = [
-                rops.apply_spec(spec, values)
-                for values in _materialize_plans(plans, main_blocked)
-            ]
+        partials = self.backend.run_map(spec, main_blocked, plans, main_key)
         result, levels = tree_reduce(
             partials, lambda a, b: _combine_partials(a, b, combine_op)
         )
@@ -500,14 +551,6 @@ class SparkExecutor:
         (or stays) row-partitioned, all side inputs are broadcast once
         per operator (the Table 6 broadcast overhead), and aggregation
         outputs combine via a tree-reduce over per-partition partials."""
-        from repro.runtime.skeletons import (
-            decompress_side_inputs,
-            execute_operator,
-            is_row_partitioned_output,
-            reduce_spoof_partials,
-            sliceable_spoof_inputs,
-        )
-
         self.stats.n_distributed_ops += 1
         keys = list(input_keys) if input_keys else [None] * len(input_values)
         cplan = hop.operator.cplan
@@ -522,8 +565,8 @@ class SparkExecutor:
                     values[idx] = self.collect_value(value)
                 elif _value_bytes(value) > 0:
                     self.charge_broadcast(_value_bytes(value))
-            return execute_operator(hop.operator, values, self.config,
-                                    self.stats, allow_parallel=False)
+            return run_partition_task("spoof", hop.operator, values,
+                                      self.config, self.stats)
 
         main_blocked = self._as_blocked(main_val, keys[main_index])
         for idx, value in enumerate(values):
@@ -544,66 +587,30 @@ class SparkExecutor:
             cplan, values, main_blocked.rows, row_aligned_only=True
         )
         sliceable = sliceable_spoof_inputs(cplan, values, main_blocked.rows)
+        plans = [
+            ("main", None) if idx == main_index
+            else ("slice" if idx in sliceable else "whole", value)
+            for idx, value in enumerate(values)
+        ]
         self.stats.record_spoof(cplan.ttype.value)
         row_partitioned = is_row_partitioned_output(cplan.out_type)
-        if self.backend is not None:
-            partials = self.backend.run_spoof(
-                hop.operator, values, sliceable, main_index, main_blocked,
-                keys[main_index],
-                output_key if row_partitioned else None
-            )
-        else:
-            partials = []
-            for p, (r0, r1) in enumerate(main_blocked.bounds):
-                part_values = []
-                for idx, value in enumerate(values):
-                    if idx == main_index:
-                        part_values.append(main_blocked.blocks[p])
-                    elif idx in sliceable:
-                        part_values.append(
-                            rops.rix(value, r0, r1, 0, value.cols)
-                        )
-                    else:
-                        part_values.append(value)
-                partials.append(
-                    execute_operator(hop.operator, part_values, self.config,
-                                     allow_parallel=False)
-                )
+        partials = self.backend.run_spoof(
+            hop.operator, main_blocked, plans, keys[main_index],
+            output_key if row_partitioned else None
+        )
 
         if row_partitioned:
             blocks = [
                 p if isinstance(p, MatrixBlock) else MatrixBlock(p)
                 for p in partials
             ]
-            result = BlockedMatrix(
-                blocks, main_blocked.rows, blocks[0].cols, main_blocked.bounds
+            return BlockedMatrix(
+                blocks, main_blocked.rows, blocks[0].cols,
+                main_blocked.bounds, mp_key=output_key
             )
-            if self.backend is not None and output_key is not None:
-                result.mp_key = output_key
-            return result
         result, levels = reduce_spoof_partials(cplan, partials, tree_reduce)
         self.charge_tree_reduce(_value_bytes(partials[0]), levels)
         return result
-
-
-def _materialize_plans(plans: list, main_blocked: BlockedMatrix) -> list[list]:
-    """Expand partition plans into per-partition input value lists (the
-    simulated in-process path; the multiprocess backend consumes the
-    plans directly and ships blocks/slices/broadcasts instead)."""
-    part_inputs: list[list] = []
-    for p, (r0, r1) in enumerate(main_blocked.bounds):
-        part_values = []
-        for mode, value in plans:
-            if mode == "main":
-                part_values.append(main_blocked.blocks[p])
-            elif mode == "zip":
-                part_values.append(value.blocks[p])
-            elif mode == "slice":
-                part_values.append(rops.rix(value, r0, r1, 0, value.cols))
-            else:
-                part_values.append(value)
-        part_inputs.append(part_values)
-    return part_inputs
 
 
 def _rows_of(value) -> int:

@@ -1,34 +1,32 @@
-"""Real multiprocess backend for the distributed path.
+"""Multiprocess backend of the distributed executor: pool and scheduling.
 
-The simulated :class:`~repro.runtime.distributed.SparkExecutor`
-partitions and reduces in-process, so every "distributed" plan still
-serializes behind one GIL.  This module supplies the alternative
-selected by ``CodegenConfig.distributed_backend = "multiprocess"``: a
-:class:`ProcessPoolBackend` that ships the same per-partition tasks to
-a pool of *spawned* worker processes.
+:class:`~repro.runtime.distributed.SparkExecutor` hands every
+partition-wise operator to its backend.  The default backend runs the
+partition tasks in the calling thread, so every "distributed" plan
+serializes behind one GIL; ``CodegenConfig.distributed_backend =
+"multiprocess"`` selects :class:`ProcessPoolBackend`, which ships the
+same tasks to a pool of *spawned* worker processes.  The backend is
+three modules:
 
-Design invariants (what makes the two backends bit-identical):
+* :mod:`repro.runtime.mptransport` — how a value crosses the process
+  boundary (shared memory or pickle) and the worker-side block cache;
+* :mod:`repro.runtime.mpworker` — the worker loop: decode a task's
+  inputs, rebuild generated operators, run the task, reply;
+* this module — the process-global :class:`ProcessPool` and the
+  backend: turn the driver's partition plans into task protos, assign
+  them to workers by locality, dispatch, collect, retry.  Their public
+  and tested names are re-exported here.
 
-* Placement, partitioning (``partition_bounds``), side-input slicing
-  (driver-side ``rops.rix``), and the fixed tree-reduce topology all
-  stay on the driver; workers only run the per-partition kernel the
-  simulated loop would have run (the same ``rops.apply_spec`` /
-  ``execute_operator`` calls), with ``allow_parallel=False``.
-* Workers rebuild generated operators from the shipped
-  ``(name, sources, cplan)`` with the function the driver's plan cache
-  uses (``plan_cache.build_operator``) and *assert* that the rebuilt
-  sources equal the shipped ones byte-for-byte (the deterministic
-  ``TMP_<hash10>`` naming makes this checkable), so the worker executes
-  the same code the driver compiled.
+What makes the two backends bit-identical: placement, partitioning
+(``partition_bounds``), side-input slicing
+(``distributed.partition_values``) and the fixed tree-reduce topology
+all stay on the driver, and a worker runs each task through the one
+function the in-process backend calls
+(``distributed.run_partition_task``).
 
-Transport: dense blocks move zero-copy through
-``multiprocessing.shared_memory`` (driver creates + copies once,
-workers attach a read-only ndarray view, the driver unlinks after the
-operator completes — on Linux existing mappings stay valid); CSR
-blocks, ``CompressedMatrix`` values, and scalars take the pickle
-fallback.  Side inputs are encoded once per operator and broadcast to
-every participating worker; the driver's existing broadcast-pressure
-accounting has already charged them before this module is reached.
+Side inputs are encoded once per operator and broadcast to every
+participating worker; the driver's broadcast-pressure accounting has
+already charged them before this module is reached.
 
 Failure model: a worker that dies or produces no result for
 ``mp_task_timeout`` seconds is replaced (``n_worker_respawns``) and
@@ -48,27 +46,36 @@ from __future__ import annotations
 
 import atexit
 import itertools
+import os
+import sys
 import threading
 import time
 import weakref
-from collections import OrderedDict, deque
-from dataclasses import fields as dataclass_fields
+from collections import deque
 from dataclasses import replace as dataclass_replace
 from multiprocessing import connection as mp_connection
 from multiprocessing import get_context
-from multiprocessing import shared_memory as mp_shm
-
-import numpy as np
 
 from repro.errors import RuntimeExecError
-from repro.runtime.matrix import MatrixBlock
+from repro.obs import trace as obs_trace
+from repro.runtime import parallel as parallel_mod
+from repro.runtime.distributed import partition_values
+from repro.runtime.mptransport import (  # noqa: F401  (re-exported)
+    _BlockCache,
+    decode_value,
+    encode_value,
+)
+from repro.runtime.mpworker import (  # noqa: F401  (re-exported)
+    _export_stats,
+    _materialize_operator,
+    _run_task,
+    _worker_main,
+)
+from repro.runtime.stats import RuntimeStats
 
 #: Satellite guard: fork would duplicate held locks (stats RLock, plan
 #: cache, thread budget) into children — spawn starts workers clean.
 _SPAWN = get_context("spawn")
-
-#: Dense blocks below this ship via pickle: segment setup dominates.
-_SHM_MIN_BYTES = 1 << 14
 
 #: In-flight tasks per worker: keeps pipes shallow (no send/send
 #: deadlock) while hiding one task of dispatch latency.
@@ -85,341 +92,6 @@ _TASK_IDS = itertools.count(1)
 def start_method() -> str:
     """Start method used for worker processes (always ``spawn``)."""
     return _SPAWN.get_start_method()
-
-
-# ----------------------------------------------------------------------
-# Transport: encode on the driver, decode in the worker
-# ----------------------------------------------------------------------
-def _approx_bytes(value) -> float:
-    size = getattr(value, "size_bytes", None)
-    return float(size) if size is not None else 8.0
-
-
-def encode_value(value, segments: list | None = None,
-                 force_shm: bool = False):
-    """Encode one runtime value for shipment to a worker.
-
-    Dense :class:`MatrixBlock` payloads at or above ``_SHM_MIN_BYTES``
-    (or with ``force_shm``) move through a shared-memory segment; the
-    created segment is appended to ``segments`` so the driver can
-    unlink it once the operator completes.  Everything else — CSR
-    blocks, ``CompressedMatrix``, scalars — is shipped by value over
-    the pipe (the pickle fallback).  Returns
-    ``(descriptor, shm_bytes, pickle_bytes)``.
-    """
-    if isinstance(value, MatrixBlock) and not value.is_sparse:
-        arr = value.to_dense()
-        if force_shm or arr.nbytes >= _SHM_MIN_BYTES:
-            seg = mp_shm.SharedMemory(create=True, size=max(1, arr.nbytes))
-            view = np.ndarray(arr.shape, dtype=np.float64, buffer=seg.buf)
-            view[:] = arr
-            if segments is not None:
-                segments.append(seg)
-            return ("shm", seg.name, arr.shape), float(arr.nbytes), 0.0
-    return ("raw", value), 0.0, _approx_bytes(value)
-
-
-def _attach_shm(name: str) -> mp_shm.SharedMemory:
-    """Attach to a driver-created segment without registering it with
-    the resource tracker (the driver owns unlinking; a second
-    registration collapses in the tracker's name set, so the paired
-    driver/worker unregisters would double-remove and spam KeyErrors)."""
-    try:
-        return mp_shm.SharedMemory(name=name, create=False, track=False)
-    except TypeError:  # Python < 3.13: no track= parameter
-        from multiprocessing import resource_tracker
-
-        orig_register = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            return mp_shm.SharedMemory(name=name, create=False)
-        finally:
-            resource_tracker.register = orig_register
-
-
-def decode_value(desc):
-    """Decode one shipped value; returns ``(value, segment | None)``.
-
-    Shared-memory blocks come back as a read-only zero-copy view; the
-    returned segment object must stay referenced for as long as the
-    value is alive (cache entries hold the pair together).
-    """
-    if desc[0] == "shm":
-        _, name, shape = desc
-        seg = _attach_shm(name)
-        arr = np.ndarray(shape, dtype=np.float64, buffer=seg.buf)
-        arr.setflags(write=False)
-        return MatrixBlock(arr), seg
-    return desc[1], None
-
-
-# ----------------------------------------------------------------------
-# Worker process
-# ----------------------------------------------------------------------
-class _BlockCache:
-    """Per-worker LRU block cache (locality), bounded in bytes."""
-
-    def __init__(self, cap_bytes: float):
-        self.cap = cap_bytes
-        self.entries: OrderedDict = OrderedDict()  # wkey -> (value, seg, nbytes)
-        self.bytes = 0.0
-
-    def get(self, wkey):
-        entry = self.entries.get(wkey)
-        if entry is None:
-            return None
-        self.entries.move_to_end(wkey)
-        return entry[0]
-
-    def put(self, wkey, value, seg) -> list:
-        """Insert or replace; returns the keys evicted to make room.
-
-        The driver ships a block under a key this cache already holds
-        only after it forgot the location.  For a ``("data", id)`` key
-        that means the source died and another object now lives at its
-        address, so the shipped block supersedes the cached one.
-        """
-        if wkey in self.entries:
-            self._drop(wkey)
-        nbytes = _approx_bytes(value)
-        evicted = []
-        while self.entries and self.bytes + nbytes > self.cap:
-            old_key = next(iter(self.entries))
-            self._drop(old_key)
-            evicted.append(old_key)
-        self.entries[wkey] = (value, seg, nbytes)
-        self.bytes += nbytes
-        return evicted
-
-    def _drop(self, wkey) -> None:
-        _, seg, nbytes = self.entries.pop(wkey)
-        self.bytes -= nbytes
-        if seg is not None:
-            try:
-                seg.close()
-            except BufferError:
-                pass  # a live view still pins the mapping
-
-    def prune(self, backend_id: int, live_epoch) -> None:
-        for wkey in list(self.entries):
-            bid, key, _p = wkey
-            if bid != backend_id or not (isinstance(key, tuple) and key):
-                continue
-            if key[0] == "v" and (live_epoch is None or key[1] < live_epoch):
-                self._drop(wkey)
-
-
-def _materialize_operator(operators: dict, name: str, config, stats):
-    """Rebuild a generated operator from its shipped payload.
-
-    Asserts the fork-safety contract: building the operator from the
-    shipped cplan must reproduce every source the driver compiled
-    byte-for-byte (deterministic ``TMP_<hash10>`` naming), so the
-    source-hash compile cache and the driver/worker execution paths can
-    never diverge.
-    """
-    entry = operators[name]
-    if not isinstance(entry, tuple):
-        return entry
-    sources, cplan = entry
-    from repro.codegen.plan_cache import build_operator
-
-    operator = build_operator(cplan, config, stats)
-    if operator.name != name or operator.sources != sources:
-        raise RuntimeExecError(
-            f"worker regeneration of operator {name} diverged from the "
-            "driver's source — generated code is not deterministic"
-        )
-    operators[name] = operator
-    return operator
-
-
-def _export_stats(stats):
-    """Nonzero counter fields (plus metric cells) as plain picklables."""
-    counters = {}
-    for spec in dataclass_fields(stats):
-        value = getattr(stats, spec.name)
-        if isinstance(value, dict):
-            if value:
-                counters[spec.name] = dict(value)
-        elif isinstance(value, (int, float)) and value:
-            counters[spec.name] = value
-    metrics = None
-    if stats._metrics is not None:
-        registry = stats._metrics
-        metrics = []
-        with registry._lock:
-            for (kind, name), metric in registry._metrics.items():
-                metrics.append((kind, name, dict(metric._cells)))
-    return counters, metrics
-
-
-def _run_task(task: dict, caches: dict, operators: dict,
-              broadcasts: dict):
-    """Execute one task; returns (result, stats, evicted, holds).
-
-    ``holds`` are the shared-memory segments of *inline* (uncached)
-    inputs — the caller closes them after the reply is sent so worker
-    file descriptors don't accumulate across tasks.
-    """
-    from repro.runtime.compressed import CompressedMatrix
-    from repro.runtime.stats import RuntimeStats
-
-    inject = task.get("inject")
-    if inject == "die":
-        import os
-
-        os._exit(13)
-    elif inject == "hang":
-        time.sleep(600.0)
-
-    stats = RuntimeStats()
-    cache = caches.get("blocks")
-    if cache is None or cache.cap != task["cache_bytes"]:
-        cache = caches["blocks"] = _BlockCache(task["cache_bytes"])
-    values = []
-    holds = []  # segments of inline values: alive for the task only
-    evicted: list = []
-    for desc in task["inputs"]:
-        tag = desc[0]
-        if tag == "value":
-            value, seg = decode_value(desc[1])
-            holds.append(seg)
-            values.append(value)
-        elif tag == "block":
-            _, wkey, payload = desc
-            if payload is None:
-                value = cache.get(wkey)
-                if value is None:
-                    return wkey, None, evicted, holds
-            else:
-                value, seg = decode_value(payload)
-                evicted.extend(cache.put(wkey, value, seg))
-            values.append(value)
-        else:  # ("bcast", bkey, i)
-            values.append(broadcasts[desc[1]][desc[2]][0])
-
-    kind = task["kind"]
-    if kind == "echo":
-        result = values
-    elif kind == "hop":
-        from repro.runtime import ops as rops
-
-        result = rops.apply_spec(task["spec"], values, stats)
-    else:  # "spoof"
-        from repro.runtime.skeletons import execute_operator
-
-        config = task["config"]
-        operator = _materialize_operator(operators, task["op_name"], config,
-                                         stats)
-        result = execute_operator(operator, values, config, stats,
-                                  allow_parallel=False)
-
-    cache_as = task.get("cache_as")
-    if cache_as is not None:
-        cached = result
-        if not isinstance(cached, (MatrixBlock, CompressedMatrix)):
-            if isinstance(cached, np.ndarray):
-                # Mirror the driver's BlockedMatrix wrapping so a later
-                # cache hit sees exactly what the driver would ship.
-                cached = MatrixBlock(cached)
-            else:
-                cached = None
-        if cached is not None:
-            evicted.extend(cache.put(cache_as, cached, None))
-    return result, stats, evicted, holds
-
-
-def _worker_main(conn, worker_id: int) -> None:
-    """Worker process main loop: decode, execute, reply — strictly in
-    message order (the driver relies on FIFO pipes for setup-before-
-    task ordering)."""
-    import os
-
-    os.environ.setdefault("OMP_NUM_THREADS", "1")
-    caches: dict = {}
-    operators: dict = {}
-    broadcasts: dict = {}
-    try:
-        conn.send(("ready",))  # imports done: see ProcessPool._await_boot
-    except (OSError, ValueError):
-        return
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break
-        tag = msg[0]
-        if tag == "stop":
-            break
-        if tag == "operator":
-            _, name, sources, cplan = msg
-            if name not in operators:
-                operators[name] = (sources, cplan)
-            continue
-        if tag == "bcast":
-            _, bkey, descs = msg
-            broadcasts[bkey] = [decode_value(d) for d in descs]
-            continue
-        if tag == "free":
-            for bkey in msg[1]:
-                broadcasts.pop(bkey, None)
-            continue
-        if tag == "prune":
-            _, backend_id, live_epoch = msg
-            cache = caches.get("blocks")
-            if cache is not None:
-                cache.prune(backend_id, live_epoch)
-            continue
-        if tag != "task":
-            continue
-        task = msg[1]
-        task_id = task["id"]
-        holds: list = []
-        try:
-            wall_start = time.time()
-            t0 = time.perf_counter()
-            result, stats, notes, holds = _run_task(task, caches,
-                                                    operators, broadcasts)
-            duration = time.perf_counter() - t0
-            if stats is None:  # cache miss: ask the driver to re-ship
-                conn.send(("miss", task_id, result))
-                continue
-            counters, metrics = _export_stats(stats)
-            spans = None
-            if task.get("trace"):
-                spans = [("mp:task", "mp",
-                          {"kind": task["kind"],
-                           "label": task.get("label", ""),
-                           "partition": task.get("partition", -1),
-                           "worker": worker_id},
-                          wall_start, duration)]
-            conn.send(("ok", task_id, result, counters, metrics, spans,
-                       notes))
-        except SystemExit:
-            raise
-        except BaseException:
-            import traceback
-
-            try:
-                conn.send(("err", task_id, traceback.format_exc()))
-            except (OSError, ValueError):
-                break
-        finally:
-            # Inline shared-memory inputs are dead once the reply is
-            # out; close them so fds don't accumulate.  BufferError
-            # means a view escaped into the cache — leave it mapped.
-            result = stats = None
-            for seg in holds:
-                if seg is not None:
-                    try:
-                        seg.close()
-                    except BufferError:
-                        pass
-    try:
-        conn.close()
-    except OSError:
-        pass
 
 
 # ----------------------------------------------------------------------
@@ -447,9 +119,6 @@ class ProcessPool:
         self.lock = threading.Lock()
 
     def _spawn(self, wid: int) -> _Worker:
-        import os
-        import sys
-
         parent_conn, child_conn = _SPAWN.Pipe(duplex=True)
         proc = _SPAWN.Process(target=_worker_main, args=(child_conn, wid),
                               name=f"repro-mp-{wid}", daemon=True)
@@ -605,8 +274,6 @@ class ProcessPoolBackend:
 
     # -- public knobs --------------------------------------------------
     def resolve_workers(self) -> int:
-        import os
-
         if self.config.mp_workers > 0:
             return self.config.mp_workers
         return min(4, os.cpu_count() or 1)
@@ -620,79 +287,48 @@ class ProcessPoolBackend:
 
     # -- SparkExecutor entry points ------------------------------------
     def run_map(self, spec: tuple, main_blocked, plans: list,
-                main_key, output_key) -> list:
+                main_key=None, output_key=None) -> list:
         """Per-partition basic-hop execution (map and reduce partials)."""
-        from repro.runtime import ops as rops
+        proto = {"kind": "hop", "spec": spec, "label": spec[0]}
+        return self._run_plans(proto, main_blocked, plans, main_key,
+                               output_key)
 
-        sides: list = []
-        compiled = []
-        for mode, value in plans:
-            if mode == "whole":
-                compiled.append(("bcast", len(sides)))
-                sides.append(value)
-            else:
-                compiled.append((mode, value))
-        protos = []
-        for p, (r0, r1) in enumerate(main_blocked.bounds):
-            inputs = []
-            for mode, value in compiled:
-                if mode == "main":
-                    inputs.append(("block", main_key, p,
-                                   main_blocked.blocks[p]))
-                elif mode == "zip":
-                    inputs.append(("block", getattr(value, "mp_key", None),
-                                   p, value.blocks[p]))
-                elif mode == "slice":
-                    inputs.append(("value",
-                                   rops.rix(value, r0, r1, 0, value.cols)))
-                else:
-                    inputs.append((mode, value))  # ("bcast", i)
-            protos.append({
-                "kind": "hop", "spec": spec, "inputs": inputs,
-                "cache_as": (output_key, p) if output_key is not None
-                else None,
-                "label": spec[0], "partition": p,
-            })
-        return self._execute(protos, sides, None)
-
-    def run_spoof(self, operator, values: list, sliceable: set,
-                  main_index: int, main_blocked, main_key,
-                  output_key) -> list:
+    def run_spoof(self, operator, main_blocked, plans: list,
+                  main_key=None, output_key=None) -> list:
         """Per-partition generated-operator execution."""
-        from repro.runtime import ops as rops
+        proto = {"kind": "spoof", "op_name": operator.name,
+                 "label": operator.name}
+        return self._run_plans(
+            proto, main_blocked, plans, main_key, output_key,
+            ("operator", operator.name, operator.sources, operator.cplan)
+        )
 
-        sides: list = []
-        compiled = []
-        for idx, value in enumerate(values):
-            if idx == main_index:
-                compiled.append(("main", None))
-            elif idx in sliceable:
-                compiled.append(("slice", value))
-            else:
-                compiled.append(("bcast", len(sides)))
-                sides.append(value)
+    def _run_plans(self, proto: dict, main_blocked, plans: list, main_key,
+                   output_key, operator_payload=None) -> list:
+        """Run one task (``proto`` plus its inputs) per partition.
+        ``main`` / ``zip`` blocks ship under their lineage key
+        (locality), ``slice`` rows inline, and a ``whole`` input once per
+        worker, named by its position among the operator's broadcasts."""
+        sides = [value for mode, value in plans if mode == "whole"]
         protos = []
-        for p, (r0, r1) in enumerate(main_blocked.bounds):
+        for p, values in enumerate(partition_values(plans, main_blocked)):
             inputs = []
-            for mode, value in compiled:
+            n_bcast = 0
+            for (mode, source), value in zip(plans, values):
                 if mode == "main":
-                    inputs.append(("block", main_key, p,
-                                   main_blocked.blocks[p]))
+                    inputs.append(("block", main_key, p, value))
+                elif mode == "zip":
+                    inputs.append(("block", source.mp_key, p, value))
                 elif mode == "slice":
-                    inputs.append(("value",
-                                   rops.rix(value, r0, r1, 0, value.cols)))
+                    inputs.append(("value", value))
                 else:
-                    inputs.append((mode, value))
-            protos.append({
-                "kind": "spoof", "op_name": operator.name,
-                "inputs": inputs,
-                "cache_as": (output_key, p) if output_key is not None
-                else None,
-                "label": operator.name, "partition": p,
-            })
-        payload = ("operator", operator.name, operator.sources,
-                   operator.cplan)
-        return self._execute(protos, sides, payload)
+                    inputs.append(("bcast", n_bcast))
+                    n_bcast += 1
+            protos.append(dict(
+                proto, inputs=inputs, partition=p,
+                cache_as=(output_key, p) if output_key is not None else None,
+            ))
+        return self._execute(protos, sides, operator_payload)
 
     def roundtrip(self, values: list, force_shm: bool = False) -> list:
         """Ship ``values`` to one worker and back through the real
@@ -780,17 +416,19 @@ class ProcessPoolBackend:
             del self._locations[loc_key]
         self._guards.pop(key, None)
 
-    def _drop_worker_locations(self, wid: int) -> None:
-        for loc_key in list(self._locations):
-            wids = self._locations[loc_key]
+    def _forget_location(self, key, p: int, wid: int) -> None:
+        wids = self._locations.get((key, p))
+        if wids is not None:
             wids.discard(wid)
             if not wids:
-                del self._locations[loc_key]
+                del self._locations[(key, p)]
+
+    def _drop_worker_locations(self, wid: int) -> None:
+        for key, p in list(self._locations):
+            self._forget_location(key, p, wid)
 
     def _execute(self, protos: list, sides: list, operator_payload,
                  force_shm: bool = False) -> list:
-        from repro.runtime import parallel as parallel_mod
-
         if not protos:
             return []
         config = self.config
@@ -810,25 +448,18 @@ class ProcessPoolBackend:
 
             # Encode side inputs once; every worker attaches the same
             # shared-memory segments (one-time broadcast per operator).
-            side_descs = []
-            for value in sides:
-                desc, shm_b, pkl_b = encode_value(value, segments,
-                                                  force_shm)
-                stats.mp_shm_bytes += shm_b
-                stats.mp_pickle_bytes += pkl_b
-                side_descs.append(desc)
+            side_descs = [self._encode(value, segments, force_shm)
+                          for value in sides]
 
             worker_config = self._worker_config()
-            trace = getattr(stats.tracer, "_events", None) is not None
+            trace = stats.tracer.enabled(obs_trace.PHASES)
 
             # Locality-aware assignment: a partition whose main block
             # already sits in a worker's cache goes to that worker.
             queues: dict[int, deque] = {wid: deque() for wid in active}
             rr = itertools.cycle(sorted(active))
-            entries = []
             for index, proto in enumerate(protos):
                 entry = {"index": index, "proto": proto, "attempts": 0}
-                entries.append(entry)
                 wid = self._preferred_worker(proto, active)
                 queues[wid if wid is not None else next(rr)].append(entry)
 
@@ -863,6 +494,14 @@ class ProcessPoolBackend:
                     seg.unlink()
                 except (FileNotFoundError, OSError):
                     pass
+
+    def _encode(self, value, segments: list, force_shm: bool):
+        """Encode one value for shipment and count its bytes."""
+        desc, shm_bytes, pickle_bytes = encode_value(value, segments,
+                                                     force_shm)
+        self.stats.mp_shm_bytes += shm_bytes
+        self.stats.mp_pickle_bytes += pickle_bytes
+        return desc
 
     def _preferred_worker(self, proto: dict, active: dict):
         for desc in proto["inputs"]:
@@ -902,62 +541,39 @@ class ProcessPoolBackend:
             state["setup_sent"].add(wid)
 
         proto = entry["proto"]
+        shipping = (state["segments"], state["force_shm"])
         inputs = []
         for desc in proto["inputs"]:
             tag = desc[0]
             if tag == "value":
-                enc, shm_b, pkl_b = encode_value(desc[1],
-                                                 state["segments"],
-                                                 state["force_shm"])
-                stats.mp_shm_bytes += shm_b
-                stats.mp_pickle_bytes += pkl_b
-                inputs.append(("value", enc))
+                inputs.append(("value", self._encode(desc[1], *shipping)))
             elif tag == "block":
                 _, key, p, value = desc
-                if key is None:
-                    enc, shm_b, pkl_b = encode_value(value,
-                                                     state["segments"],
-                                                     state["force_shm"])
-                    stats.mp_shm_bytes += shm_b
-                    stats.mp_pickle_bytes += pkl_b
-                    inputs.append(("value", enc))
-                    continue
                 wkey = (self.backend_id, key, p)
-                if self._location_hit(key, p, wid):
+                if key is None:  # no lineage: nothing to cache it under
+                    inputs.append(("value", self._encode(value, *shipping)))
+                elif self._location_hit(key, p, wid):
                     stats.n_mp_locality_hits += 1
                     inputs.append(("block", wkey, None))
                 else:
-                    enc, shm_b, pkl_b = encode_value(value,
-                                                     state["segments"],
-                                                     state["force_shm"])
-                    stats.mp_shm_bytes += shm_b
-                    stats.mp_pickle_bytes += pkl_b
                     stats.n_mp_block_ships += 1
                     self._note_location(key, p, wid)
-                    inputs.append(("block", wkey, enc))
+                    inputs.append(
+                        ("block", wkey, self._encode(value, *shipping))
+                    )
             else:  # ("bcast", i)
                 inputs.append(("bcast", state["bid"], desc[1]))
 
         task_id = next(_TASK_IDS)
         entry["task_id"] = task_id
-        cache_as = proto.get("cache_as")
+        cache_as = proto["cache_as"]
         if cache_as is not None:
             cache_as = (self.backend_id, cache_as[0], cache_as[1])
-        task = {
-            "id": task_id,
-            "kind": proto["kind"],
-            "inputs": inputs,
-            "cache_as": cache_as,
-            "cache_bytes": self.config.mp_worker_cache_bytes,
-            "config": state["worker_config"],
-            "trace": state["trace"],
-            "label": proto.get("label", ""),
-            "partition": proto.get("partition", -1),
-        }
-        if proto["kind"] == "hop":
-            task["spec"] = proto["spec"]
-        elif proto["kind"] == "spoof":
-            task["op_name"] = proto["op_name"]
+        task = dict(
+            proto, id=task_id, inputs=inputs, cache_as=cache_as,
+            cache_bytes=self.config.mp_worker_cache_bytes,
+            config=state["worker_config"], trace=state["trace"],
+        )
         if self._inject:
             # Armed fault injection: each armed fault fells exactly one
             # task *dispatch* (so retries can be made to fail too, which
@@ -1053,15 +669,12 @@ class ProcessPoolBackend:
         for wkey in notes:
             # Worker-side LRU evictions: forget stale locality entries.
             if wkey[0] == self.backend_id:
-                loc = self._locations.get((wkey[1], wkey[2]))
-                if loc is not None:
-                    loc.discard(wid)
-                    if not loc:
-                        del self._locations[(wkey[1], wkey[2])]
+                self._forget_location(wkey[1], wkey[2], wid)
         if counters:
             self._merge_worker_stats(counters, metrics)
-        if spans:
-            self._inject_spans(spans, wid)
+        for span in spans or ():
+            # Worker lanes sit above any real thread id in the trace.
+            self.stats.tracer.record_foreign(*span, tid=1_000_000 + wid)
         self._send_next(wid, state)
         return 1
 
@@ -1070,11 +683,7 @@ class ProcessPoolBackend:
         locality entry and re-dispatch with the full payload."""
         _, task_id, wkey = msg
         pending = state["pending"].pop(task_id, None)
-        loc = self._locations.get((wkey[1], wkey[2]))
-        if loc is not None:
-            loc.discard(wid)
-            if not loc:
-                del self._locations[(wkey[1], wkey[2])]
+        self._forget_location(wkey[1], wkey[2], wid)
         if pending is None:
             return
         _, entry = pending
@@ -1143,38 +752,10 @@ class ProcessPoolBackend:
 
     # -- stats / span merge-back ---------------------------------------
     def _merge_worker_stats(self, counters: dict, metrics) -> None:
-        from repro.runtime.stats import RuntimeStats
-
         fresh = RuntimeStats()
         for name, value in counters.items():
             if hasattr(fresh, name):
                 setattr(fresh, name, value)
         self.stats.merge(fresh)
         if metrics:
-            from repro.obs.metrics import MetricsRegistry
-
-            registry = self.stats.metrics
-            for kind, name, cells in metrics:
-                cls = MetricsRegistry._CLASSES.get(kind)
-                if cls is None:
-                    continue
-                shadow = cls(name, threading.Lock())
-                shadow._cells = cells
-                registry._get(kind, name)._merge(shadow)
-
-    def _inject_spans(self, spans, wid: int) -> None:
-        tracer = self.stats.tracer
-        if getattr(tracer, "_events", None) is None:
-            return
-        from repro.obs.trace import Span
-
-        # Map worker wall-clock timestamps onto the driver tracer's
-        # perf_counter origin (best effort: clocks are the same host's).
-        origin_wall = time.time() - (time.perf_counter() - tracer._origin)
-        for name, cat, args, wall_start, duration in spans:
-            span = Span(tracer, name, cat, dict(args))
-            span.start = wall_start - origin_wall
-            span.duration = duration
-            span.tid = 1_000_000 + wid
-            span.depth = 0
-            tracer._append(span)
+            self.stats.metrics.merge_exported(metrics)

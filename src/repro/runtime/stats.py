@@ -166,6 +166,10 @@ class RuntimeStats:
                     self._metrics = MetricsRegistry()
         return self._metrics
 
+    def export_metrics(self) -> list | None:
+        """The registry's picklable export, ``None`` if never touched."""
+        return None if self._metrics is None else self._metrics.export()
+
     def scheduling_summary(self) -> dict:
         """Executor scheduling counters (bench harness JSON output)."""
         return {

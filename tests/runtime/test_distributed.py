@@ -1,4 +1,5 @@
-"""Simulated distributed backend: correctness and cost accounting."""
+"""The distributed executor: correctness, cost accounting, and the
+in-process and multiprocess task backends agreeing on both."""
 
 import numpy as np
 import pytest
@@ -338,27 +339,48 @@ class TestLineageCache:
 
 SPARK_ALGO_MODES = ["base", "gen", "gen-fa"]
 
+#: Counters a partition task bumps: one task function serves both
+#: backends, so the same program must report them equal.
+TASK_COUNTERS = ("n_compiled_runs", "spoof_executions", "n_compressed_ops",
+                 "n_decompressions")
+
+
+def _spark_engine(mode="gen", backend="simulated"):
+    return Engine(
+        mode=mode,
+        config=CodegenConfig(
+            cluster=ClusterConfig(n_workers=4, executor_mem=10e6),
+            local_mem_budget=2e4,
+            distributed_backend=backend,
+            mp_workers=2,
+        ),
+    )
+
+
+def _task_counters(engine) -> dict:
+    return {name: getattr(engine.stats, name) for name in TASK_COUNTERS}
+
 
 class TestDistributedAlgorithms:
     """Spark-mode execution is numerically equivalent to local for all
     six algorithms of the paper's evaluation — under both the simulated
-    and the real multiprocess distributed backend."""
-
-    @staticmethod
-    def _spark_engine(mode="gen", backend="simulated"):
-        return Engine(
-            mode=mode,
-            config=CodegenConfig(
-                cluster=ClusterConfig(n_workers=4, executor_mem=10e6),
-                local_mem_budget=2e4,
-                distributed_backend=backend,
-                mp_workers=2,
-            ),
-        )
+    and the real multiprocess distributed backend, which must also
+    report the same task counters."""
 
     @pytest.fixture(scope="class", params=["simulated", "multiprocess"])
     def backend(self, request):
         return request.param
+
+    @pytest.fixture(scope="class")
+    def first_leg(self):
+        """Task counters per test of whichever backend ran it first
+        (the class runs one backend's tests, then the other's)."""
+        return {}
+
+    @staticmethod
+    def _same_counters(first_leg, test, engine):
+        counters = _task_counters(engine)
+        assert first_leg.setdefault(test, counters) == counters
 
     @pytest.fixture(scope="class")
     def data(self):
@@ -367,89 +389,164 @@ class TestDistributedAlgorithms:
         return generators.classification_data(400, 12, n_classes=2, seed=1)
 
     @pytest.mark.parametrize("mode", SPARK_ALGO_MODES)
-    def test_l2svm(self, data, mode, backend):
+    def test_l2svm(self, data, mode, backend, first_leg):
         from repro.algorithms import l2svm
 
         x, y = data
         ref = l2svm(x, y, engine=Engine(mode="base"), max_iter=3)
-        got = l2svm(x, y, engine=self._spark_engine(mode, backend),
-                    max_iter=3)
+        engine = _spark_engine(mode, backend)
+        got = l2svm(x, y, engine=engine, max_iter=3)
         np.testing.assert_allclose(
             got.model["w"].to_dense(), ref.model["w"].to_dense(),
             rtol=1e-6, atol=1e-9,
         )
+        self._same_counters(first_leg, ("l2svm", mode), engine)
 
-    def test_mlogreg(self, data, backend):
+    def test_mlogreg(self, data, backend, first_leg):
         from repro.algorithms import mlogreg
 
         x, y = data
         labels = (y.to_dense() + 3) / 2
         ref = mlogreg(x, labels, 2, engine=Engine(mode="base"),
                       max_iter=2, max_inner=3)
-        got = mlogreg(x, labels, 2,
-                      engine=self._spark_engine(backend=backend),
-                      max_iter=2, max_inner=3)
+        engine = _spark_engine(backend=backend)
+        got = mlogreg(x, labels, 2, engine=engine, max_iter=2, max_inner=3)
         np.testing.assert_allclose(
             got.model["beta"].to_dense(), ref.model["beta"].to_dense(),
             rtol=1e-6, atol=1e-9,
         )
+        self._same_counters(first_leg, "mlogreg", engine)
 
-    def test_glm(self, data, backend):
+    def test_glm(self, data, backend, first_leg):
         from repro.algorithms import glm_binomial_probit
 
         x, y = data
         yb = (y.to_dense() + 1) / 2
         ref = glm_binomial_probit(x, yb, engine=Engine(mode="base"),
                                   max_iter=2, max_inner=3)
-        got = glm_binomial_probit(x, yb,
-                                  engine=self._spark_engine(backend=backend),
+        engine = _spark_engine(backend=backend)
+        got = glm_binomial_probit(x, yb, engine=engine,
                                   max_iter=2, max_inner=3)
         np.testing.assert_allclose(
             got.model["beta"].to_dense(), ref.model["beta"].to_dense(),
             rtol=1e-6, atol=1e-9,
         )
+        self._same_counters(first_leg, "glm", engine)
 
-    def test_kmeans(self, data, backend):
+    def test_kmeans(self, data, backend, first_leg):
         from repro.algorithms import kmeans
 
         x, _ = data
         ref = kmeans(x, n_centroids=4, engine=Engine(mode="base"),
                      max_iter=3, seed=5)
-        got = kmeans(x, n_centroids=4,
-                     engine=self._spark_engine(backend=backend),
-                     max_iter=3, seed=5)
+        engine = _spark_engine(backend=backend)
+        got = kmeans(x, n_centroids=4, engine=engine, max_iter=3, seed=5)
         np.testing.assert_allclose(
             got.model["centroids"].to_dense(),
             ref.model["centroids"].to_dense(),
             rtol=1e-6, atol=1e-9,
         )
+        self._same_counters(first_leg, "kmeans", engine)
 
-    def test_als_cg(self, backend):
+    def test_als_cg(self, backend, first_leg):
         from repro.algorithms import als_cg
 
         x = MatrixBlock.rand(300, 40, sparsity=0.1, seed=9,
                              low=0.2, high=1.0)
         ref = als_cg(x, rank=4, engine=Engine(mode="base"), max_iter=2)
-        got = als_cg(x, rank=4, engine=self._spark_engine(backend=backend),
-                     max_iter=2)
+        engine = _spark_engine(backend=backend)
+        got = als_cg(x, rank=4, engine=engine, max_iter=2)
         for factor in ("U", "V"):
             np.testing.assert_allclose(
                 got.model[factor].to_dense(), ref.model[factor].to_dense(),
                 rtol=1e-6, atol=1e-9,
             )
+        self._same_counters(first_leg, "als_cg", engine)
 
-    def test_autoencoder(self, backend):
+    def test_autoencoder(self, backend, first_leg):
         from repro.algorithms import autoencoder
         from repro.data import generators
 
         x = generators.mnist_like(rows=600, seed=3)
         ref = autoencoder(x, h1=16, h2=2, engine=Engine(mode="base"),
                           batch_size=256, n_epochs=1)
-        got = autoencoder(x, h1=16, h2=2,
-                          engine=self._spark_engine(backend=backend),
+        engine = _spark_engine(backend=backend)
+        got = autoencoder(x, h1=16, h2=2, engine=engine,
                           batch_size=256, n_epochs=1)
         np.testing.assert_allclose(
             got.model["W1"].to_dense(), ref.model["W1"].to_dense(),
             rtol=1e-6, atol=1e-9,
         )
         np.testing.assert_allclose(ref.losses, got.losses, rtol=1e-6)
+        self._same_counters(first_leg, "autoencoder", engine)
+
+
+class TestBackendSeam:
+    """The plan shapes both backends resolve through one path: a fused
+    operator with a sliced *and* a broadcast side input, a zip of two
+    co-partitioned blocked inputs, reduces, and a compressed broadcast
+    (every task decompresses it, which the counters must show).  Values
+    must be ``array_equal`` and the driver's accounting and the task
+    counters equal, whichever backend ran the partitions."""
+
+    @staticmethod
+    def _run(build, mode, backend):
+        engine = _spark_engine(mode, backend)
+        shapes = set()
+        target = engine._spark.backend
+        for name in ("run_map", "run_spoof"):
+            def spy(payload, main_blocked, plans, *rest,
+                    _inner=getattr(target, name)):
+                shapes.add(frozenset(mode for mode, _ in plans))
+                return _inner(payload, main_blocked, plans, *rest)
+
+            setattr(target, name, spy)
+        return api.eval_all(build(), engine=engine), shapes, engine
+
+    @pytest.mark.parametrize(
+        "mode, build, shape",
+        [
+            ("gen",
+             lambda x, col, row, cla: [((x * col) + row).sum(),
+                                       ((x * col) + row).row_sums()],
+             {"main", "slice", "whole"}),
+            ("base",
+             lambda x, col, row, cla: [(x * 2.0) * (x + 1.0)],
+             {"main", "zip"}),
+            ("base",
+             lambda x, col, row, cla: [x.col_sums(), x.mean()],
+             {"main"}),
+            ("base",
+             lambda x, col, row, cla: [(x @ cla).row_sums()],
+             {"main", "whole"}),
+        ],
+        ids=["spoof-slice-and-broadcast", "zip", "reduce",
+             "compressed-broadcast"],
+    )
+    def test_backends_agree(self, rng, mode, build, shape):
+        from repro.runtime.compressed import compress
+
+        data = rng.random((3000, 20))
+        col, row = rng.random((3000, 1)), rng.random((1, 20))
+        cla = compress(
+            MatrixBlock(rng.integers(0, 3, (20, 20)).astype(float))
+        )
+
+        def bound():
+            return build(api.matrix(data, "X"), api.matrix(col, "c"),
+                         api.matrix(row, "r"), api.matrix(cla, "C"))
+
+        sim, sim_shapes, sim_engine = self._run(bound, mode, "simulated")
+        mp, mp_shapes, mp_engine = self._run(bound, mode, "multiprocess")
+        assert frozenset(shape) in sim_shapes and sim_shapes == mp_shapes
+        for got, want in zip(mp, sim):
+            if isinstance(want, MatrixBlock):
+                np.testing.assert_array_equal(got.to_dense(),
+                                              want.to_dense())
+            else:
+                assert got == want
+        for name in ("n_tree_reduces", "n_collects", "sim_seconds"):
+            assert (getattr(mp_engine.stats, name)
+                    == getattr(sim_engine.stats, name)), name
+        assert _task_counters(mp_engine) == _task_counters(sim_engine)
+        assert mp_engine.stats.n_mp_tasks > 0
