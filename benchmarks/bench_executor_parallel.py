@@ -59,27 +59,26 @@ def _build_branches():
     return exprs
 
 
-def _engine(executor_mode: str) -> Engine:
-    # Pin the pool to >= 2 workers so the parallel row exercises the
-    # dependency scheduler even on single-core hosts (where the
-    # executor's auto-sizing would otherwise fall back to serial).
-    threads = max(2, os.cpu_count() or 1) if executor_mode == "parallel" else 0
-    config = CodegenConfig(executor_mode=executor_mode,
-                           executor_threads=threads)
-    return Engine(mode="base", config=config)
+def _engine(schedule: str) -> Engine:
+    # One executor thread is the serial interpreter.  Pin the pool to
+    # >= 2 workers so the parallel row exercises the dependency
+    # scheduler even on single-core hosts (where the executor's
+    # auto-sizing would otherwise fall back to serial).
+    threads = max(2, os.cpu_count() or 1) if schedule == "parallel" else 1
+    return Engine(mode="base", config=CodegenConfig(executor_threads=threads))
 
 
 def run(repeats: int = 3) -> list[BenchResult]:
     result = BenchResult(label=f"{N_BRANCHES}x independent chains")
-    for executor_mode in ("serial", "parallel"):
-        engine = _engine(executor_mode)
+    for schedule in ("serial", "parallel"):
+        engine = _engine(schedule)
 
         def evaluate():
             return api.eval_all(_build_branches(), engine=engine)
 
         evaluate()  # warmup
-        result.seconds[executor_mode] = time_best(evaluate, repeats)
-        result.stats[executor_mode] = engine.stats.scheduling_summary()
+        result.seconds[schedule] = time_best(evaluate, repeats)
+        result.stats[schedule] = engine.stats.scheduling_summary()
     return [result]
 
 

@@ -92,7 +92,7 @@ def _engine(threads: int) -> Engine:
     # inter-instruction scheduler nothing to overlap anyway, and this
     # pins the measurement on the intra-op partition workers.
     config = CodegenConfig(
-        executor_mode="serial",
+        executor_threads=1,
         intra_op_threads=threads,
         intra_op_min_cells=1,
     )

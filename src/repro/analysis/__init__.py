@@ -1,7 +1,9 @@
 """Static analysis subsystem: IR verifier, kernel lint, lockset detector.
 
-Three passes, wired behind ``CodegenConfig.verify_level`` (``off`` /
-``boundaries`` / ``full``) and ``CodegenConfig.lockset_debug``:
+Three passes: the first two are wired behind
+``CodegenConfig.verify_level`` (``off`` / ``boundaries`` / ``full``),
+the third is switched on for a ``with`` block by
+:func:`repro.analysis.lockset.lockset_debug`:
 
 * :mod:`repro.analysis.verify` — structural + semantic validation of
   HOP DAGs and lowered :class:`~repro.compiler.program.Program` values

@@ -54,7 +54,7 @@ def construct_cplan(plan: OperatorPlan, config):
         if plan.ttype is TemplateType.ROW:
             return _construct_row(plan, config)
         if plan.ttype is TemplateType.OUTER:
-            return _construct_outer(plan, config)
+            return _construct_outer(plan)
     except CodegenError:
         return None
     return None
@@ -412,16 +412,14 @@ def _cell_like(hop: Hop, children: list[CNode]) -> CNode:
 # ----------------------------------------------------------------------
 # Outer template
 # ----------------------------------------------------------------------
-def _construct_outer(plan: OperatorPlan, config):
+def _construct_outer(plan: OperatorPlan):
     from repro.codegen.tpl_outer import is_outer_product_like
 
     root = plan.root
     covered_ids = {h.id for h in plan.covered}
     outer_mm = None
     for hop in plan.covered:
-        if isinstance(hop, AggBinaryOp) and is_outer_product_like(
-            hop, config.outer_max_rank
-        ):
+        if isinstance(hop, AggBinaryOp) and is_outer_product_like(hop):
             outer_mm = hop
             break
     if outer_mm is None:

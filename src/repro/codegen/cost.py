@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.codegen.memo import MemoEntry, MemoTable
 from repro.codegen.template import TemplateType
+from repro.codegen.tpl_outer import OUTER_MAX_RANK
 from repro.codegen.partitions import PlanPartition
 from repro.config import CodegenConfig
 from repro.hops import memory
@@ -432,7 +433,7 @@ class CostEstimator:
         if cv.ttype in (TemplateType.CELL, TemplateType.MAGG):
             if self._is_sparse_safe(cv):
                 main = self._main_input(cv)
-                if main is not None and main.is_sparse_est(self.config.sparse_threshold):
+                if main is not None and main.is_sparse_est():
                     return max(main.sparsity, 1e-9)
         return 1.0
 
@@ -446,7 +447,7 @@ class CostEstimator:
         outer_dims = None
         for hop in cv.covered:
             if isinstance(hop, AggBinaryOp) and hop.inputs[0].cols < hop.rows:
-                if hop.id in cv.visited and hop.inputs[0].cols <= self.config.outer_max_rank:
+                if hop.id in cv.visited and hop.inputs[0].cols <= OUTER_MAX_RANK:
                     outer_dims = hop.dims
                     break
         if outer_dims is None:

@@ -28,6 +28,9 @@ from repro.codegen.partitions import (
 from repro.config import CodegenConfig
 from repro.hops.hop import Hop
 
+#: Safety cap on the plans enumerated per partition (or cut-set side).
+_MAX_ENUM_PLANS = 1 << 22
+
 
 @dataclass
 class EnumResult:
@@ -113,7 +116,7 @@ def mpskip_enum(estimator: CostEstimator, part: PlanPartition,
     best_cost = math.inf
     n_evaluated = 0
     n_skipped = 0.0
-    total = min(1 << n, config.max_enum_plans)
+    total = min(1 << n, _MAX_ENUM_PLANS)
 
     j = 1
     while j <= total:
@@ -124,7 +127,7 @@ def mpskip_enum(estimator: CostEstimator, part: PlanPartition,
         # boundary solve both sides independently and skip the subspace.
         if local_q == cut_boundary:
             sub_q, sub_cost, sub_eval = _solve_subproblems(
-                estimator, part, config, cut, q
+                estimator, part, cut, q
             )
             n_evaluated += sub_eval
             if sub_cost < best_cost:
@@ -161,19 +164,19 @@ def mpskip_enum(estimator: CostEstimator, part: PlanPartition,
     return EnumResult(assignment, best_cost, n_evaluated, n_skipped)
 
 
-def _solve_subproblems(estimator, part, config, cut: CutSet, q: int):
+def _solve_subproblems(estimator, part, cut: CutSet, q: int):
     """Solve the independent sub-problems created by a cut set."""
     n_evaluated = 0
     for side in (cut.side1, cut.side2):
         if not side:
             continue
-        q, side_eval = _enumerate_subset(estimator, part, config, side, q)
+        q, side_eval = _enumerate_subset(estimator, part, side, q)
         n_evaluated += side_eval
     cost = estimator.cost_partition(part, q)
     return q, cost, n_evaluated + 1
 
 
-def _enumerate_subset(estimator, part, config, side: list[int], base_q: int):
+def _enumerate_subset(estimator, part, side: list[int], base_q: int):
     """Exhaustively enumerate a sub-problem's points with partial costing.
 
     Sub-problems are independent given the materialized cut set, so
@@ -186,7 +189,7 @@ def _enumerate_subset(estimator, part, config, side: list[int], base_q: int):
     base_q &= ~sum(bits)
     best_q = base_q
     best_cost = math.inf
-    total = min(1 << n, config.max_enum_plans)
+    total = min(1 << n, _MAX_ENUM_PLANS)
     for local_q in range(total):
         q = base_q | _point_mask(local_q, bits)
         cost = estimator.cost_partition(part, q, bound=best_cost)

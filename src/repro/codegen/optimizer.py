@@ -25,6 +25,13 @@ from repro.errors import CodegenError
 from repro.hops.hop import Hop, SpoofOp, SpoofOutOp, collect_dag
 from repro.runtime.stats import RuntimeStats
 
+#: Partitions at least this large with zero interesting points skip the
+#: per-node cost descent (one O(|members|) cover per node, so quadratic
+#: in partition size) and take the maximal-fusion cover directly.  Far
+#: above any DAG the experiments produce; only pathological programs
+#: (e.g. thousands of chained cellwise ops) hit it.
+_LARGE_PARTITION_MEMBERS = 512
+
 
 class CodegenOptimizer:
     """Optimizes one HOP DAG at a time and rewrites it in place."""
@@ -62,7 +69,7 @@ class CodegenOptimizer:
                 chosen.update(fuse_no_redundancy(estimator, part))
             elif (
                 not part.points
-                and len(part.members) >= self.config.large_partition_members
+                and len(part.members) >= _LARGE_PARTITION_MEMBERS
             ):
                 # Degenerate giant partition (e.g. a multi-thousand-op
                 # cellwise chain) with nothing to enumerate: the cost

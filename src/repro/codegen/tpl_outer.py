@@ -14,18 +14,23 @@ from repro.hops.hop import AggBinaryOp, AggUnaryOp, BinaryOp, Hop, ReorgOp
 from repro.hops.types import AggDir, AggOp
 
 
+#: The Outer template's common dimension (rank) must be small: the
+#: fused operator computes one U_i . V_j dot product per non-zero.
+OUTER_MAX_RANK = 256
+
+
 def _is_transpose(hop: Hop) -> bool:
     return isinstance(hop, ReorgOp) and hop.op == "t"
 
 
-def is_outer_product_like(hop: Hop, max_rank: int) -> bool:
+def is_outer_product_like(hop: Hop) -> bool:
     """(m x k) @ (k x n) with small k and large m, n."""
     if not isinstance(hop, AggBinaryOp):
         return False
     left, right = hop.inputs
     rank = left.cols
     return (
-        1 <= rank <= max_rank
+        1 <= rank <= OUTER_MAX_RANK
         and hop.rows > rank
         and hop.cols > rank
         and left.is_matrix
@@ -39,7 +44,7 @@ class OuterTemplate(Template):
     ttype = TemplateType.OUTER
 
     def open(self, hop: Hop) -> bool:
-        return is_outer_product_like(hop, self.config.outer_max_rank)
+        return is_outer_product_like(hop)
 
     def fuse(self, hop: Hop, hop_in: Hop) -> bool:
         if _is_transpose(hop_in):
@@ -56,10 +61,10 @@ class OuterTemplate(Template):
             left, right = hop.inputs
             if left is hop_in:
                 # O %*% V (right mm): requires a narrow second factor.
-                return right.cols <= self.config.outer_max_rank
+                return right.cols <= OUTER_MAX_RANK
             if right is hop_in:
                 # t(Z) %*% O (left mm through an explicit transpose).
-                return _is_transpose(left) and left.inputs[0].cols <= self.config.outer_max_rank
+                return _is_transpose(left) and left.inputs[0].cols <= OUTER_MAX_RANK
         if _is_transpose(hop):
             return True  # bridge; validated at the consuming matmult
         return False

@@ -15,6 +15,12 @@ from repro.hops.types import AggDir, AggOp
 
 ROW_AGGS = {AggOp.SUM, AggOp.SUM_SQ, AggOp.MIN, AggOp.MAX, AggOp.MEAN}
 
+#: Block size of blocked (distributed) matrices, a SystemML system
+#: property: the Row template requires ncol(X) <= blocksize for the
+#: second factor of its matrix multiplies so distributed operations
+#: see one column block.
+_BLOCKSIZE = 1024
+
 
 def _is_transpose(hop: Hop) -> bool:
     return isinstance(hop, ReorgOp) and hop.op == "t"
@@ -49,7 +55,7 @@ class RowTemplate(Template):
             # X %*% v (matrix-vector) or X %*% V with a narrow V.
             if not left.is_matrix or left.cols < 2 or left.is_vector:
                 return False
-            return right.cols <= self.config.blocksize
+            return right.cols <= _BLOCKSIZE
         if isinstance(hop, AggUnaryOp):
             hop_in = hop.inputs[0]
             return (
@@ -91,7 +97,7 @@ class RowTemplate(Template):
             left, right = hop.inputs
             if left is hop_in:
                 # intermediate %*% W with a narrow, materialized W.
-                return right.cols <= self.config.blocksize
+                return right.cols <= _BLOCKSIZE
             if right is hop_in:
                 # t(Z) %*% intermediate: Z rows must align.
                 return _is_transpose(left) and left.inputs[0].rows == hop_in.rows

@@ -140,12 +140,6 @@ class Engine:
         self.mode = mode
         self.config = config or DEFAULT_CONFIG.copy()
         self.context = CompilationContext(mode, self.config)
-        if self.config.lockset_debug:
-            # Process-wide debug instrumentation: reports land in this
-            # engine's stats (repro.analysis.lockset; idempotent).
-            from repro.analysis import lockset
-
-            lockset.enable(stats=self.stats)
         self._pipeline = build_pipeline(mode)
         self._programs = SpecializationCache()
         self._spark = (

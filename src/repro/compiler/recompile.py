@@ -27,8 +27,8 @@ implements that splice for lowered
 
 The executor (:mod:`repro.runtime.executor`) owns the trigger policy:
 it compares estimates against observed nnz at each segment boundary and
-calls into this module when the divergence ratio crosses
-``CodegenConfig.recompile_divergence_ratio``.
+calls into this module when the divergence ratio crosses its
+threshold.
 """
 
 from __future__ import annotations
@@ -56,8 +56,18 @@ from repro.runtime.matrix import MatrixBlock, recommend_format
 
 _SCALAR_TYPES = (int, float, np.floating, np.integer)
 
+#: Compressed (CLA) execution at recompile boundaries.  The distinct
+#: values per column are estimated from a leading-row sample of this
+#: many rows, and a block converts when its estimated compressed size
+#: undercuts dense/CSR by at least the ratio.  Blocks below the cell
+#: floor never compress: the conversion cost would dominate any
+#: dictionary-direct win.
+_COMPRESSION_MIN_RATIO = 2.0
+_COMPRESSION_MIN_CELLS = 1 << 14
+_COMPRESSION_SAMPLE_ROWS = 2048
 
-def observed_block(value: MatrixBlock, config, stats=None):
+
+def observed_block(value: MatrixBlock, stats=None):
     """An observed block in the format the shared policy recommends.
 
     Returns a fresh wrapper when a conversion is needed so the caller's
@@ -67,23 +77,15 @@ def observed_block(value: MatrixBlock, config, stats=None):
     skip the estimate entirely (conversion would cost more than it
     saves).
     """
-    cells = value.rows * value.cols
-    target = recommend_format(
-        value.rows, value.cols, value.nnz, config.sparse_threshold
-    )
-    if (
-        target == "dense"
-        and getattr(config, "compressed_execution", False)
-        and cells >= config.compression_min_cells
-    ):
+    target = recommend_format(value.rows, value.cols, value.nnz)
+    if target == "dense" and value.rows * value.cols >= _COMPRESSION_MIN_CELLS:
         # Only dense-recommended blocks pay the distinct-value sample:
         # CSR already exploits sparsity, so the scan would rarely flip
         # the recommendation there but would tax every recompile.
-        distinct = estimate_distinct(value, config.compression_sample_rows)
+        distinct = estimate_distinct(value, _COMPRESSION_SAMPLE_ROWS)
         target = recommend_format(
-            value.rows, value.cols, value.nnz, config.sparse_threshold,
-            distinct=distinct,
-            compress_ratio=getattr(config, "compression_min_ratio", 2.0),
+            value.rows, value.cols, value.nnz, distinct=distinct,
+            compress_ratio=_COMPRESSION_MIN_RATIO,
         )
     if target == "compressed":
         if stats is not None:
@@ -148,7 +150,7 @@ def _defuse(hop: Hop) -> Hop:
 
 
 def clone_with_observations(roots: list[Hop], boundary: dict[int, int],
-                            values: list, config, stats=None) -> list[Hop]:
+                            values: list, stats=None) -> list[Hop]:
     """Clone the sub-DAG under ``roots``, cutting at observed values.
 
     ``boundary`` maps hop id -> symbol-table slot for every hop whose
@@ -165,7 +167,7 @@ def clone_with_observations(roots: list[Hop], boundary: dict[int, int],
         if isinstance(value, _SCALAR_TYPES):
             return LiteralOp(float(value))
         if isinstance(value, MatrixBlock):
-            value = observed_block(value, config, stats)
+            value = observed_block(value, stats)
         return DataOp(value, name=hop.name)
 
     def clone(root: Hop) -> Hop:
@@ -244,9 +246,8 @@ class Recompiler:
         root_hops = [producer_hop[program.root_slots[pos]] for pos in positions]
         with self.context.tracer.span("recompile-clone", cat="recompile",
                                       boundary=len(boundary)):
-            cloned = clone_with_observations(
-                root_hops, boundary, values, self.context.config, stats
-            )
+            cloned = clone_with_observations(root_hops, boundary, values,
+                                             stats)
         if self.context.config.verify_level == "full":
             # Verify the spliced sub-DAG before re-entering the
             # pipeline: a bad clone (broken de-fusion, stale boundary

@@ -44,7 +44,7 @@ from repro.runtime.compressed import CompressedMatrix
 from repro.runtime.matrix import SPARSE_THRESHOLD, MatrixBlock
 
 
-def sparsity_class(value, threshold: float = SPARSE_THRESHOLD) -> str:
+def sparsity_class(value) -> str:
     """Coarse sparsity bucket of an input block (specialization key).
 
     ``hyper`` (< 1% dense), ``sparse`` (below the shared CSR
@@ -60,7 +60,7 @@ def sparsity_class(value, threshold: float = SPARSE_THRESHOLD) -> str:
     density = value.nnz / cells
     if density < 0.01:
         return "hyper"
-    if density < threshold:
+    if density < SPARSE_THRESHOLD:
         return "sparse"
     return "dense"
 

@@ -24,7 +24,7 @@ from repro.hops.types import (
     OpKind,
     SPARSE_SAFE_UNARY,
 )
-from repro.runtime.matrix import MatrixBlock
+from repro.runtime.matrix import SPARSE_THRESHOLD, MatrixBlock
 
 _ID_COUNTER = itertools.count(1)
 
@@ -154,9 +154,10 @@ class Hop:
         """A compact operator label, e.g. ``b(*)`` or ``ua(R+)``."""
         return self.kind.value
 
-    def is_sparse_est(self, threshold: float = 0.4) -> bool:
+    def is_sparse_est(self) -> bool:
         """Would this output be stored sparse under the estimate?"""
-        return self.is_matrix and self.nnz >= 0 and self.sparsity < threshold
+        return (self.is_matrix and self.nnz >= 0
+                and self.sparsity < SPARSE_THRESHOLD)
 
     def __repr__(self) -> str:
         shape = "scalar" if self.is_scalar else f"{self.rows}x{self.cols}"

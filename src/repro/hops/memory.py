@@ -14,7 +14,7 @@ from repro.runtime.compressed import CompressedMatrix
 from repro.runtime.matrix import recommend_format
 
 
-def output_bytes(hop: Hop, threshold: float = 0.4) -> float:
+def output_bytes(hop: Hop) -> float:
     """Estimated in-memory size of the hop's output.
 
     The sparse (CSR) estimate charges 8B values plus 4B column indices
@@ -28,7 +28,7 @@ def output_bytes(hop: Hop, threshold: float = 0.4) -> float:
         return 8.0
     if isinstance(hop, DataOp) and isinstance(hop.data, CompressedMatrix):
         return hop.data.size_bytes
-    if recommend_format(hop.rows, hop.cols, hop.nnz, threshold) == "sparse":
+    if recommend_format(hop.rows, hop.cols, hop.nnz) == "sparse":
         return hop.nnz * 12.0 + (hop.rows + 1) * 4.0
     return hop.cells * 8.0
 

@@ -45,7 +45,8 @@ FULL = 3
 LEVELS = {"off": OFF, "phases": PHASES, "instructions": INSTRUCTIONS,
           "full": FULL}
 
-#: Ring-buffer default: bounds tracer memory on long-running servers.
+#: Spans land in a ring buffer of this many entries: bounds tracer
+#: memory on long-running servers.
 DEFAULT_BUFFER_EVENTS = 65536
 
 
@@ -310,18 +311,13 @@ def _json_value(value):
 def tracer_for(config):
     """The tracer an engine should use under ``config``.
 
-    ``trace_level="off"`` (and configs without the knob) share the
-    module-level :data:`NULL_TRACER` singleton, so disabled tracing
-    costs one attribute read plus constant-return calls.
+    ``trace_level="off"`` shares the module-level :data:`NULL_TRACER`
+    singleton, so disabled tracing costs one attribute read plus
+    constant-return calls.
     """
-    level = getattr(config, "trace_level", "off")
-    if _resolve_level(level) == OFF:
+    if _resolve_level(config.trace_level) == OFF:
         return NULL_TRACER
-    return Tracer(
-        level=level,
-        max_events=getattr(config, "trace_buffer_events",
-                           DEFAULT_BUFFER_EVENTS),
-    )
+    return Tracer(level=config.trace_level)
 
 
 __all__ = [

@@ -49,6 +49,7 @@ from repro.errors import RuntimeExecError
 from repro.hops.hop import Hop, SpoofOp
 from repro.hops.types import AggDir, OpKind
 from repro.runtime import ops as rops
+from repro.runtime.compressed import CompressedMatrix
 from repro.runtime.matrix import MatrixBlock
 from repro.runtime.skeletons import (
     decompress_side_inputs,
@@ -473,6 +474,12 @@ class SparkExecutor:
             if idx == main_idx:
                 plans.append(("main", None))
                 continue
+            if (cellwise and isinstance(value, CompressedMatrix)
+                    and value.rows == main_blocked.rows > 1):
+                # Compressed blocks cannot be row-sliced: expand a
+                # row-aligned one once here, then slice it like a block.
+                self.stats.n_decompressions += 1
+                value = value.decompress()
             if not isinstance(value, (MatrixBlock, BlockedMatrix)):
                 plans.append(("whole", value))
                 continue

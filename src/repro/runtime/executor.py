@@ -10,6 +10,10 @@ Two scheduling modes over the same instruction semantics:
   ``eval_all``) run concurrently.  NumPy kernels release the GIL, so
   this overlaps real compute on multicore hosts.
 
+A run goes parallel only with at least two executor threads, two heavy
+instructions that can run side by side, and two tokens granted by the
+process-wide thread budget; otherwise it runs serially.
+
 Both modes maintain per-slot reference counts and eagerly free
 intermediates once their last consumer ran (roots and constants are
 pinned), cutting peak memory for long programs.  Scheduling counters
@@ -22,7 +26,7 @@ choices rest on unknown sparsity estimates carry recompilation markers
 materialized intermediates into a :class:`~repro.runtime.meta
 .RuntimeMetadata` sidecar, and at each marked instruction compares the
 estimates against the observations; when they diverge beyond
-``config.recompile_divergence_ratio`` the program remainder is
+``_RECOMPILE_DIVERGENCE_RATIO`` the program remainder is
 recompiled (:mod:`repro.compiler.recompile`) with the observed values
 spliced in as exact leaves, and execution continues inside the fresh
 program.  Marked programs always take the serial path so every segment
@@ -43,14 +47,13 @@ time (a dedicated lock serializes them).
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.analysis import lockset
-from repro.config import CodegenConfig
+from repro.config import AUTO_THREADS, CodegenConfig
 from repro.errors import RuntimeExecError
 from repro.hops.types import ExecType
 from repro.obs import trace as obs_trace
@@ -59,6 +62,18 @@ from repro.runtime.matrix import MatrixBlock
 from repro.runtime.meta import RuntimeMetadata
 from repro.runtime.parallel import shared_budget
 from repro.runtime.stats import RuntimeStats
+
+#: Programs whose instructions all touch fewer cells than this run
+#: serially: thread-pool dispatch overhead dominates tiny operators.
+_PARALLEL_MIN_CELLS = 1 << 16
+
+#: Estimate / observation nnz ratio (either way) at a segment boundary
+#: that triggers recompiling the program remainder.
+_RECOMPILE_DIVERGENCE_RATIO = 4.0
+
+#: Upper bound on recompilations per executor run (settles runaway
+#: oscillation; one recompile usually makes every estimate exact).
+_MAX_RECOMPILES_PER_RUN = 5
 
 
 def _record_output(stats: RuntimeStats, result) -> None:
@@ -173,6 +188,8 @@ class ProgramExecutor:
         # Adaptive recompilation hook (compiler/recompile.Recompiler);
         # None for hand-built programs executed without an engine.
         self.recompiler = recompiler
+        self.n_threads = (config.executor_threads
+                          if config.executor_threads > 0 else AUTO_THREADS)
         self._pool: ThreadPoolExecutor | None = None
         # Tracked locks: the lockset race detector verifies the epoch
         # counter and the Spark backend's shared state against them.
@@ -187,12 +204,6 @@ class ProgramExecutor:
         self._epoch = 0
 
     # ------------------------------------------------------------------
-    @property
-    def n_threads(self) -> int:
-        if self.config.executor_threads > 0:
-            return self.config.executor_threads
-        return min(8, os.cpu_count() or 1)
-
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=False)
@@ -241,32 +252,10 @@ class ProgramExecutor:
                     # — release their share of the modeled memory.
                     self.spark.prune_cache(epoch)
                     self._run_serial(program, values, self.stats, epoch)
-            elif self._should_parallelize(program):
-                # Draw worker tokens from the process-wide budget: when
-                # the serving scheduler or other in-flight runs already
-                # claim the machine, this run degrades (fewer in-flight
-                # instructions, or fully serial) instead of
-                # oversubscribing.
-                budget = shared_budget()
-                granted = budget.acquire(
-                    self.n_threads, limit=self.config.thread_budget or None
-                )
-                run_stats = RuntimeStats()
-                run_stats.tracer = tracer
-                try:
-                    if granted >= 2:
-                        self._run_parallel(program, values, run_stats,
-                                           granted)
-                    else:
-                        run_stats.n_budget_degraded_runs += 1
-                        self._run_serial(program, values, run_stats, epoch)
-                finally:
-                    budget.release(granted)
-                self.stats.merge(run_stats)
             else:
                 run_stats = RuntimeStats()
                 run_stats.tracer = tracer
-                self._run_serial(program, values, run_stats, epoch)
+                self._run_local(program, values, run_stats, epoch)
                 self.stats.merge(run_stats)
         self.stats.metrics.histogram("executor_run_seconds").observe(
             time.perf_counter() - started
@@ -316,19 +305,45 @@ class ProgramExecutor:
             # Marked programs run serially so every recompilation
             # segment boundary is honored in instruction order.
             return False
-        if self.config.executor_mode != "parallel":
-            return False
         if self.n_threads < 2:
             return False
         heavy = sum(
             1 for instr in program.instructions
-            if instr.weight >= self.config.parallel_min_cells
+            if instr.weight >= _PARALLEL_MIN_CELLS
         )
         if heavy < 2:
             return False
         # A purely sequential chain of heavy ops gains nothing from the
         # pool and pays per-instruction dispatch overhead.
         return program.max_width() >= 2
+
+    def _run_local(self, program, values: list, stats: RuntimeStats,
+                   epoch: int, recompiles_done: int = 0,
+                   continuation: bool = False) -> None:
+        """Run a program without the Spark backend: on the pool when it
+        qualifies and the budget grants two tokens, serially otherwise.
+
+        Worker tokens come from the process-wide budget: when the
+        serving scheduler or other in-flight runs already claim the
+        machine, this run degrades (fewer in-flight instructions, or
+        fully serial) instead of oversubscribing.
+        """
+        if not self._should_parallelize(program):
+            self._run_serial(program, values, stats, epoch, recompiles_done,
+                             continuation)
+            return
+        budget = shared_budget()
+        granted = budget.acquire(self.n_threads)
+        try:
+            if granted >= 2:
+                self._run_parallel(program, values, stats, granted,
+                                   continuation)
+            else:
+                stats.n_budget_degraded_runs += 1
+                self._run_serial(program, values, stats, epoch,
+                                 recompiles_done, continuation)
+        finally:
+            budget.release(granted)
 
     # ------------------------------------------------------------------
     def _free_dead_inputs(self, instr, values, counts, pinned) -> int:
@@ -361,7 +376,7 @@ class ProgramExecutor:
             if (
                 adaptive
                 and instr.meta_checks
-                and recompiles_done < self.config.max_recompiles_per_run
+                and recompiles_done < _MAX_RECOMPILES_PER_RUN
                 and self._diverged(instr, values, meta, stats)
             ):
                 with tracer.span("recompile-splice", cat="recompile",
@@ -431,7 +446,7 @@ class ProgramExecutor:
                 (observed + 1.0) / (est_nnz + 1.0),
             )
             stats.record_divergence(ratio)
-            if ratio >= self.config.recompile_divergence_ratio:
+            if ratio >= _RECOMPILE_DIVERGENCE_RATIO:
                 stats.n_estimate_misses += 1
             if tracer.level >= obs_trace.PHASES:
                 tracer.instant(
@@ -440,7 +455,7 @@ class ProgramExecutor:
                     ratio=ratio,
                 )
             worst = max(worst, ratio)
-        return worst >= self.config.recompile_divergence_ratio
+        return worst >= _RECOMPILE_DIVERGENCE_RATIO
 
     def _recompile_and_finish(self, program, start_index: int, values: list,
                               stats: RuntimeStats, epoch: int,
@@ -460,30 +475,8 @@ class ProgramExecutor:
         sub_values: list = [None] * new_program.n_slots
         for slot, value in new_program.constants:
             sub_values[slot] = value
-        if self._should_parallelize(new_program):
-            budget = shared_budget()
-            granted = budget.acquire(
-                self.n_threads, limit=self.config.thread_budget or None
-            )
-            try:
-                if granted >= 2:
-                    self._run_parallel(
-                        new_program, sub_values, stats, granted,
-                        continuation=True,
-                    )
-                else:
-                    stats.n_budget_degraded_runs += 1
-                    self._run_serial(
-                        new_program, sub_values, stats, epoch,
-                        recompiles_done + 1, continuation=True,
-                    )
-            finally:
-                budget.release(granted)
-        else:
-            self._run_serial(
-                new_program, sub_values, stats, epoch, recompiles_done + 1,
-                continuation=True,
-            )
+        self._run_local(new_program, sub_values, stats, epoch,
+                        recompiles_done + 1, continuation=True)
         for position, old_slot in enumerate(old_root_slots):
             values[old_slot] = sub_values[new_program.root_slots[position]]
 

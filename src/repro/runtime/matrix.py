@@ -3,8 +3,7 @@
 A ``MatrixBlock`` holds either a dense ``numpy.ndarray`` (row-major,
 float64) or a ``scipy.sparse.csr_matrix``.  The representation is chosen
 by sparsity, mirroring SystemML's dense/sparse hybrid blocks: blocks
-whose density falls below ``CodegenConfig.sparse_threshold`` are stored
-in CSR.  Compressed blocks live in :mod:`repro.runtime.compressed` and
+whose density falls below :data:`SPARSE_THRESHOLD` are stored in CSR.  Compressed blocks live in :mod:`repro.runtime.compressed` and
 are deliberately a separate type, as in the paper.
 
 :func:`recommend_format` is the single storage-format policy shared by
@@ -23,6 +22,10 @@ import scipy.sparse as sp
 
 from repro.errors import ShapeError
 
+#: SystemML's sparse-format rule, a system property rather than a tuning
+#: knob: a block is stored sparse when nnz / cells falls below it.  The
+#: compiler's size estimates, the kernels' output storage and the
+#: adaptive layer's format switches all read this one value.
 SPARSE_THRESHOLD = 0.4
 
 ArrayLike = Union[np.ndarray, sp.spmatrix, "MatrixBlock", list]
@@ -46,14 +49,13 @@ def estimate_compressed_bytes(rows: int, cols: int, nnz: int,
 
 
 def recommend_format(rows: int, cols: int, nnz: int,
-                     threshold: float = SPARSE_THRESHOLD,
                      distinct: float = -1.0,
                      compress_ratio: float = 2.0) -> str:
     """The storage format policy: ``'sparse'`` (CSR), ``'dense'``, or
     ``'compressed'`` (CLA column groups).
 
     A matrix is stored sparse when its density ``nnz / cells`` falls
-    below ``threshold`` (SystemML's 0.4 rule).  Unknown nnz (``< 0``)
+    below :data:`SPARSE_THRESHOLD`.  Unknown nnz (``< 0``)
     recommends dense — the conservative default the compiler assumes
     until runtime observation corrects it.  Empty shapes are dense.
 
@@ -67,7 +69,7 @@ def recommend_format(rows: int, cols: int, nnz: int,
     cells = rows * cols
     if cells == 0 or nnz < 0:
         return "dense"
-    base = "sparse" if nnz / cells < threshold else "dense"
+    base = "sparse" if nnz / cells < SPARSE_THRESHOLD else "dense"
     if distinct < 0:
         return base
     base_bytes = (
@@ -242,14 +244,14 @@ class MatrixBlock:
             return self._sparse
         return sp.csr_matrix(self._dense)
 
-    def examine_representation(self, threshold: float = SPARSE_THRESHOLD) -> "MatrixBlock":
+    def examine_representation(self) -> "MatrixBlock":
         """Switch to the representation :func:`recommend_format` suggests.
 
         Returns ``self`` (mutated) for chaining, like SystemML's
         ``examSparsity``.  Values are unchanged, so the cached nnz
         survives the representation switch.
         """
-        target = recommend_format(self.rows, self.cols, self.nnz, threshold)
+        target = recommend_format(self.rows, self.cols, self.nnz)
         if self.is_sparse and target == "dense":
             self._dense = np.asarray(self._sparse.todense())
             self._sparse = None

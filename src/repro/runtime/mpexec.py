@@ -29,7 +29,7 @@ participating worker; the driver's broadcast-pressure accounting has
 already charged them before this module is reached.
 
 Failure model: a worker that dies or produces no result for
-``mp_task_timeout`` seconds is replaced (``n_worker_respawns``) and
+``_TASK_TIMEOUT_S`` seconds is replaced (``n_worker_respawns``) and
 its tasks are re-dispatched (``n_task_retries``).  Because every task
 spec is retained keyed by the lineage key of the block it produces,
 a lost block is recomputed from its lineage (``n_lineage_recomputes``)
@@ -83,6 +83,19 @@ _MAX_INFLIGHT = 2
 
 #: How long the pool waits for a spawned worker's "ready" message.
 _BOOT_TIMEOUT_S = 60.0
+
+#: Straggler/failure handling: a worker that produces no result for
+#: this many seconds while holding tasks is declared lost, its process
+#: is respawned, and its tasks are re-dispatched (lost cached blocks
+#: are recomputed from lineage keys).
+_TASK_TIMEOUT_S = 60.0
+
+#: Re-dispatch attempts per task before the run fails.
+_MAX_RETRIES = 2
+
+#: Per-worker block cache (locality) byte budget; least recently used
+#: blocks are evicted and re-shipped on next use.
+_WORKER_CACHE_BYTES = 256e6
 
 #: Globally monotonic task ids so results from an aborted operator can
 #: never be matched against a later one.
@@ -168,7 +181,7 @@ class ProcessPool:
         A spawned interpreter takes about a second to import NumPy, SciPy
         and this package.  Dispatching into that boot would hold the
         operator's shared-memory segments mapped for its whole length
-        and count it against the first task's ``mp_task_timeout``.  A
+        and count it against the first task's ``_TASK_TIMEOUT_S``.  A
         worker that dies or stalls while booting is left to the
         operator's own failure handling; mid-operator respawns are not
         waited for (their "ready" is dropped like any stale message).
@@ -360,10 +373,7 @@ class ProcessPoolBackend:
     # -- internals -----------------------------------------------------
     def _worker_config(self):
         return dataclass_replace(
-            self.config,
-            distributed_backend="simulated",
-            lockset_debug=False,
-            trace_level="off",
+            self.config, distributed_backend="simulated", trace_level="off",
         )
 
     def register_guard(self, key, source) -> None:
@@ -431,12 +441,10 @@ class ProcessPoolBackend:
                  force_shm: bool = False) -> list:
         if not protos:
             return []
-        config = self.config
         stats = self.stats
         budget = parallel_mod.shared_budget()
         n_workers = self.resolve_workers()
-        granted = budget.acquire(min(n_workers, len(protos)), minimum=1,
-                                 limit=config.thread_budget or None)
+        granted = budget.acquire(min(n_workers, len(protos)), minimum=1)
         segments: list = []
         bid = (self.backend_id, next(self._bids))
         state: dict | None = None
@@ -571,7 +579,7 @@ class ProcessPoolBackend:
             cache_as = (self.backend_id, cache_as[0], cache_as[1])
         task = dict(
             proto, id=task_id, inputs=inputs, cache_as=cache_as,
-            cache_bytes=self.config.mp_worker_cache_bytes,
+            cache_bytes=_WORKER_CACHE_BYTES,
             config=state["worker_config"], trace=state["trace"],
         )
         if self._inject:
@@ -584,7 +592,6 @@ class ProcessPoolBackend:
 
     def _pump(self, state: dict, results: list) -> int:
         """Wait for one round of events; returns completed-task count."""
-        config = self.config
         active, inflight = state["active"], state["inflight"]
         conn_map, sentinel_map = {}, {}
         deadline = None
@@ -593,7 +600,7 @@ class ProcessPoolBackend:
                 continue
             conn_map[worker.conn] = wid
             sentinel_map[worker.proc.sentinel] = wid
-            worker_deadline = worker.last_activity + config.mp_task_timeout
+            worker_deadline = worker.last_activity + _TASK_TIMEOUT_S
             deadline = (worker_deadline if deadline is None
                         else min(deadline, worker_deadline))
         if not conn_map:
@@ -611,7 +618,7 @@ class ProcessPoolBackend:
             for wid in list(active):
                 worker = active[wid]
                 if inflight[wid] and (
-                    now - worker.last_activity > config.mp_task_timeout
+                    now - worker.last_activity > _TASK_TIMEOUT_S
                 ):
                     self._fail_worker(wid, "task timeout", state)
             return 0
@@ -707,7 +714,7 @@ class ProcessPoolBackend:
         for entry in lost:
             state["pending"].pop(entry.get("task_id"), None)
             entry["attempts"] += 1
-            if entry["attempts"] > self.config.mp_max_retries:
+            if entry["attempts"] > _MAX_RETRIES:
                 raise RuntimeExecError(
                     f"multiprocess task {entry['proto'].get('label')} "
                     f"failed after {entry['attempts']} attempts "

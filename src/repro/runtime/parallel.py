@@ -20,11 +20,9 @@ is the single token pool they all draw from:
   combine topologies are fixed by configuration, so results are
   deterministic regardless of how many tokens a run was granted.
 
-The default total is ``max(8, cpu_count)``: generous enough that a
-single layer keeps its configured width on small hosts, while nested
-layers still contend and degrade instead of multiplying.  Engines can
-tighten it per-config via ``CodegenConfig.thread_budget`` (passed as
-``limit`` to :meth:`ThreadBudget.acquire`).
+The total is ``max(8, cpu_count)``: generous enough that a single layer
+keeps its configured width on small hosts, while nested layers still
+contend and degrade instead of multiplying.
 """
 
 from __future__ import annotations
@@ -59,24 +57,19 @@ class ThreadBudget:
     def active(self) -> int:
         return self._active
 
-    def acquire(self, requested: int, minimum: int = 0,
-                limit: int | None = None) -> int:
+    def acquire(self, requested: int, minimum: int = 0) -> int:
         """Grant up to ``requested`` tokens, never exceeding the budget.
 
         Never blocks.  A caller that must make progress passes
         ``minimum``: it is told at least that many even when the pool
         cannot cover them, and the uncovered part is counted as work on
         the thread the caller already holds, not as pool tokens — so
-        ``active <= total`` holds at every instant.  ``limit`` caps the
-        effective total for callers with a stricter per-config budget.
-        Always pair with :meth:`release` of the granted count.
+        ``active <= total`` holds at every instant.  Always pair with
+        :meth:`release` of the granted count.
         """
-        total = self.total if limit is None or limit <= 0 else min(
-            self.total, limit
-        )
         with self._lock:
             lockset.note_access("ThreadBudget", self, "active")
-            drawn = min(requested, max(0, total - self._active))
+            drawn = min(requested, max(0, self.total - self._active))
             granted = max(minimum, drawn)
             self._active += drawn
             self._on_own_thread += granted - drawn
@@ -128,7 +121,7 @@ def _shared_pool() -> ThreadPoolExecutor:
         return _POOL
 
 
-def run_tasks(tasks: list, limit: int | None = None) -> tuple[list, int]:
+def run_tasks(tasks: list) -> tuple[list, int]:
     """Run thunks, in parallel when the budget allows.
 
     Returns ``(results, workers)`` with results in task order.
@@ -141,7 +134,7 @@ def run_tasks(tasks: list, limit: int | None = None) -> tuple[list, int]:
     if n <= 1:
         return [task() for task in tasks], 1
     budget = shared_budget()
-    granted = budget.acquire(n, minimum=0, limit=limit)
+    granted = budget.acquire(n)
     try:
         if granted <= 1:
             return [task() for task in tasks], 1

@@ -177,7 +177,7 @@ def execute_operator(operator, inputs: list, config, stats=None,
         if allow_parallel and config.effective_intra_op_threads() > 1:
             plan = _plan_intra_op(cplan, inputs, config)
             if plan is not None:
-                return _execute_intra_op(operator, plan, config, stats)
+                return _execute_intra_op(operator, plan, stats)
         return npexec.execute_kernel(operator, inputs, stats)
 
 
@@ -211,10 +211,7 @@ def _consult_observed_sparsity(cplan: CPlan, inputs: list, config,
     main = inputs[cplan.main_index]
     if not isinstance(main, MatrixBlock) or main.is_sparse:
         return inputs
-    fmt = recommend_format(
-        main.rows, main.cols, main.nnz, config.sparse_threshold
-    )
-    if fmt != "sparse":
+    if recommend_format(main.rows, main.cols, main.nnz) != "sparse":
         return inputs
     if stats is not None:
         stats.n_format_conversions += 1
@@ -319,16 +316,14 @@ def _row_slice(block: MatrixBlock, r0: int, r1: int) -> MatrixBlock:
     return MatrixBlock(block.to_dense()[r0:r1])
 
 
-def _execute_intra_op(operator, part_inputs: list, config, stats):
+def _execute_intra_op(operator, part_inputs: list, stats):
     cplan = operator.cplan
     tasks = [
         (lambda values: lambda: npexec.execute_kernel(
             operator, values, stats))(pv)
         for pv in part_inputs
     ]
-    partials, workers = run_tasks(
-        tasks, limit=config.thread_budget or None
-    )
+    partials, workers = run_tasks(tasks)
     if is_row_partitioned_output(cplan.out_type):
         result = _concat_row_partials(partials)
         levels = 0

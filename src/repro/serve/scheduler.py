@@ -198,10 +198,7 @@ class SessionScheduler:
             # degrades instead of oversubscribing (minimum=1 keeps the
             # worker live even when the budget is exhausted).
             budget = shared_budget()
-            token = budget.acquire(
-                1, minimum=1,
-                limit=self.engine.config.thread_budget or None,
-            )
+            token = budget.acquire(1, minimum=1)
             try:
                 with self.engine.tracer.span("serve-batch", cat="serve",
                                              batch_size=len(batch)):

@@ -135,11 +135,7 @@ class TestEraserStateMachine:
 class TestRuntimeCleanliness:
     def test_concurrent_engine_load_runs_clean(self):
         """Serving-style overlap: shared engine, plan cache, stats."""
-        engine = Engine(
-            mode="gen", config=CodegenConfig(lockset_debug=True)
-        )
-        checker = lockset.active()
-        assert checker is not None
+        engine = Engine(mode="gen")
         rng = np.random.default_rng(5)
         data = rng.random((30, 10))
         vec = rng.random((10, 1))
@@ -151,7 +147,8 @@ class TestRuntimeCleanliness:
                 expr = (x.T @ (x @ v)).sum() + api.exp(x * 0.5).sum()
                 engine.execute([expr.hop])
 
-        _run_threads(4, job)
+        with lockset.lockset_debug(stats=engine.stats) as checker:
+            _run_threads(4, job)
         assert checker.summary()["reports"] == []
         assert engine.stats.n_lockset_reports == 0
         assert checker.summary()["n_fields_tracked"] > 0
@@ -161,18 +158,15 @@ class TestRuntimeCleanliness:
         """Concurrent serving: scheduler workers over one shared engine."""
         from repro.serve import SessionScheduler
 
-        engine = Engine(
-            mode="gen", config=CodegenConfig(lockset_debug=True)
-        )
-        checker = lockset.active()
-        assert checker is not None
+        engine = Engine(mode="gen")
         scorer = engine.prepare_script(
             "input X, w\nmargin = X %*% w\n",
             name="score", batch_inputs=("X",),
         )
         rng = np.random.default_rng(9)
         weights = rng.random((40, 1))
-        with SessionScheduler(engine, n_workers=4, max_batch=4) as server:
+        with lockset.lockset_debug(stats=engine.stats) as checker, \
+                SessionScheduler(engine, n_workers=4, max_batch=4) as server:
             tickets = [
                 server.submit(
                     scorer, {"X": rng.random((32, 40)), "w": weights}
@@ -235,12 +229,8 @@ class TestObservability:
         """lockset_debug + trace_level=instructions: the tracer/metrics
         instrumentation itself must not introduce race reports."""
         engine = Engine(
-            mode="gen",
-            config=CodegenConfig(lockset_debug=True,
-                                 trace_level="instructions"),
+            mode="gen", config=CodegenConfig(trace_level="instructions"),
         )
-        checker = lockset.active()
-        assert checker is not None
         rng = np.random.default_rng(7)
         data = rng.random((24, 8))
 
@@ -250,7 +240,8 @@ class TestObservability:
                 expr = (x * x).sum() + api.sqrt(api.abs_(x)).sum()
                 engine.execute([expr.hop])
 
-        _run_threads(4, job)
+        with lockset.lockset_debug(stats=engine.stats) as checker:
+            _run_threads(4, job)
         assert checker.summary()["reports"] == []
         assert engine.stats.n_lockset_reports == 0
         assert len(engine.tracer.events()) > 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.codegen import tpl_outer, tpl_row
 from repro.codegen.template import CloseType, TemplateType, is_cellwise
 from repro.codegen.tpl_cell import CellTemplate
 from repro.codegen.tpl_magg import MultiAggTemplate, is_full_agg
@@ -81,8 +82,8 @@ class TestRowTemplate:
         w = _mat(20, 3, seed=1)
         assert tpl.open(AggBinaryOp(ReorgOp(x), w))
 
-    def test_rejects_wide_second_factor(self):
-        config = CodegenConfig(blocksize=4)
+    def test_rejects_wide_second_factor(self, config, monkeypatch):
+        monkeypatch.setattr(tpl_row, "_BLOCKSIZE", 4)
         tpl = RowTemplate(config)
         mm = AggBinaryOp(_mat(20, 8), _mat(8, 6, seed=1))
         assert not tpl.open(mm)
@@ -151,16 +152,16 @@ class TestMultiAggTemplate:
 
 
 class TestOuterTemplate:
-    def test_outer_product_like_detection(self, config):
+    def test_outer_product_like_detection(self):
         small_rank = AggBinaryOp(_mat(100, 4), ReorgOp(_mat(80, 4, seed=1)))
-        assert is_outer_product_like(small_rank, config.outer_max_rank)
+        assert is_outer_product_like(small_rank)
         mv = AggBinaryOp(_mat(100, 50), _mat(50, 1, seed=2))
-        assert not is_outer_product_like(mv, config.outer_max_rank)
+        assert not is_outer_product_like(mv)
         narrow_out = AggBinaryOp(_mat(100, 50), _mat(50, 3, seed=3))
-        assert not is_outer_product_like(narrow_out, config.outer_max_rank)
+        assert not is_outer_product_like(narrow_out)
 
-    def test_rank_bound(self):
-        config = CodegenConfig(outer_max_rank=8)
+    def test_rank_bound(self, config, monkeypatch):
+        monkeypatch.setattr(tpl_outer, "OUTER_MAX_RANK", 8)
         tpl = OuterTemplate(config)
         big_rank = AggBinaryOp(_mat(100, 16), ReorgOp(_mat(80, 16, seed=1)))
         assert not tpl.open(big_rank)

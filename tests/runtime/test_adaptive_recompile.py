@@ -15,6 +15,7 @@ import pytest
 from repro import api
 from repro.compiler.execution import Engine
 from repro.config import CodegenConfig
+from repro.runtime import executor as executor_mod
 from repro.runtime.matrix import MatrixBlock
 
 RNG = np.random.default_rng(11)
@@ -130,19 +131,21 @@ class TestRecompilation:
 
     def test_recompile_counts_as_one_run(self):
         block = _sparse_as_dense_block(150, 100, 0.01)
-        engine = _engine("base", adaptive=True, executor_mode="serial")
+        engine = _engine("base", adaptive=True, executor_threads=1)
         api.eval(_chain(block), engine=engine)
         assert engine.stats.n_recompiles == 1
         # The recompiled remainder continues the same logical run.
         assert engine.stats.n_serial_runs == 1
 
-    def test_recompiled_remainder_regains_parallel_scheduler(self):
+    def test_recompiled_remainder_regains_parallel_scheduler(
+        self, monkeypatch
+    ):
         """An unmarked recompiled program may use the thread pool."""
+        monkeypatch.setattr(executor_mod, "_PARALLEL_MIN_CELLS", 0)
         block = _sparse_as_dense_block(120, 90, 0.01)
         X = api.matrix(block, name="X", nnz_unknown=True)
         roots = [X * 2.0, api.abs_(X) * X, X * 0.5 * X]  # wide remainder
-        engine = _engine("base", adaptive=True,
-                         executor_threads=4, parallel_min_cells=0)
+        engine = _engine("base", adaptive=True, executor_threads=4)
         results = api.eval_all(roots, engine=engine)
         stats = engine.stats
         assert stats.n_recompiles == 1
@@ -179,20 +182,21 @@ class TestTriggerPolicy:
         assert stats.n_recompiles == 0  # ...but estimates held
         assert np.array_equal(result.to_dense(), _chain_reference(dense))
 
-    def test_divergence_ratio_is_configurable(self):
+    def test_divergence_ratio_is_configurable(self, monkeypatch):
         block = _sparse_as_dense_block(100, 80, 0.2)  # 5x off, not 100x
-        loose = _engine("base", adaptive=True,
-                        recompile_divergence_ratio=50.0)
+        monkeypatch.setattr(executor_mod, "_RECOMPILE_DIVERGENCE_RATIO", 50.0)
+        loose = _engine("base", adaptive=True)
         api.eval(_chain(block), engine=loose)
         assert loose.stats.n_recompiles == 0
-        tight = _engine("base", adaptive=True,
-                        recompile_divergence_ratio=3.0)
+        monkeypatch.setattr(executor_mod, "_RECOMPILE_DIVERGENCE_RATIO", 3.0)
+        tight = _engine("base", adaptive=True)
         api.eval(_chain(block), engine=tight)
         assert tight.stats.n_recompiles > 0
 
-    def test_max_recompiles_bounds_the_loop(self):
+    def test_max_recompiles_bounds_the_loop(self, monkeypatch):
+        monkeypatch.setattr(executor_mod, "_MAX_RECOMPILES_PER_RUN", 0)
         block = _sparse_as_dense_block(100, 80, 0.01)
-        engine = _engine("base", adaptive=True, max_recompiles_per_run=0)
+        engine = _engine("base", adaptive=True)
         result = api.eval(_chain(block), engine=engine)
         assert engine.stats.n_recompiles == 0
         assert np.array_equal(result.to_dense(), _chain_reference(block))

@@ -15,7 +15,6 @@ import pytest
 from repro import api
 from repro.compiler.execution import Engine
 from repro.compiler.recompile import observed_block
-from repro.config import CodegenConfig
 from repro.hops.hop import DataOp
 from repro.hops import memory
 from repro.runtime import ops as rops
@@ -88,13 +87,10 @@ class TestEstimates:
 
 
 class TestObservedBlock:
-    def _config(self, **kwargs):
-        return CodegenConfig(**kwargs)
-
     def test_dense_low_distinct_block_compresses(self):
         block = _categorical_block(rows=200, cols=100, levels=2, seed=2)
         stats = RuntimeStats()
-        out = observed_block(block, self._config(), stats)
+        out = observed_block(block, stats)
         assert isinstance(out, CompressedMatrix)
         assert stats.n_compressions == 1
         assert stats.n_format_conversions == 1
@@ -104,19 +100,14 @@ class TestObservedBlock:
 
     def test_small_block_skips_compression(self):
         block = _categorical_block(rows=20, cols=10, levels=2, seed=3)
-        out = observed_block(block, self._config())
-        assert isinstance(out, MatrixBlock)
-
-    def test_disabled_flag_skips_compression(self):
-        block = _categorical_block(rows=200, cols=100, levels=2, seed=4)
-        out = observed_block(block, self._config(compressed_execution=False))
+        out = observed_block(block)
         assert isinstance(out, MatrixBlock)
 
     def test_sparse_recommendation_still_converts_to_csr(self):
         arr = np.zeros((300, 80))
         arr[::9, ::7] = 1.0
         stats = RuntimeStats()
-        out = observed_block(MatrixBlock(arr), self._config(), stats)
+        out = observed_block(MatrixBlock(arr), stats)
         assert isinstance(out, MatrixBlock) and out.is_sparse
         assert stats.n_compressions == 0
 

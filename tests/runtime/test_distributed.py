@@ -550,3 +550,23 @@ class TestBackendSeam:
                     == getattr(sim_engine.stats, name)), name
         assert _task_counters(mp_engine) == _task_counters(sim_engine)
         assert mp_engine.stats.n_mp_tasks > 0
+
+    @pytest.mark.parametrize("backend", ["simulated", "multiprocess"])
+    def test_row_aligned_compressed_side_is_sliced(self, rng, backend):
+        """A compressed side input with the main input's row count cannot
+        be row-sliced as is: it is decompressed once and sliced."""
+        from repro.runtime.compressed import compress
+
+        data = rng.random((4000, 20))
+        side = compress(
+            MatrixBlock(rng.integers(0, 3, (4000, 20)).astype(float))
+        )
+
+        def build():
+            return [api.matrix(data, "X") * api.matrix(side, "C")]
+
+        (got,), shapes, engine = self._run(build, "base", backend)
+        (want,) = api.eval_all(build(), engine=Engine(mode="base"))
+        assert frozenset({"main", "slice"}) in shapes
+        np.testing.assert_array_equal(got.to_dense(), want.to_dense())
+        assert engine.stats.n_decompressions == 1

@@ -6,23 +6,25 @@ import pytest
 from repro import api
 from repro.compiler.execution import Engine
 from repro.config import CodegenConfig
+from repro.runtime import executor as executor_mod
 from repro.runtime.executor import ProgramExecutor
 from repro.runtime.matrix import MatrixBlock
 from tests.conftest import ALL_MODES
 
 
+@pytest.fixture
+def tiny_ops_parallel(monkeypatch):
+    """Let the thread pool take the tiny operators of these tests."""
+    monkeypatch.setattr(executor_mod, "_PARALLEL_MIN_CELLS", 0)
+
+
 def _parallel_engine(mode="base", threads=4, **kwargs):
-    config = CodegenConfig(
-        executor_mode="parallel",
-        executor_threads=threads,
-        parallel_min_cells=0,
-        **kwargs,
-    )
+    config = CodegenConfig(executor_threads=threads, **kwargs)
     return Engine(mode=mode, config=config)
 
 
 def _serial_engine(mode="base", **kwargs):
-    return Engine(mode=mode, config=CodegenConfig(executor_mode="serial", **kwargs))
+    return Engine(mode=mode, config=CodegenConfig(executor_threads=1, **kwargs))
 
 
 def _branches(rng, n=3, size=30):
@@ -30,6 +32,7 @@ def _branches(rng, n=3, size=30):
     return [(api.exp(m * 0.5) + m * 2.0).sum() for m in mats]
 
 
+@pytest.mark.usefixtures("tiny_ops_parallel")
 class TestParallelSerialParity:
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_identical_results_all_modes(self, mode, rng):
@@ -58,6 +61,7 @@ class TestParallelSerialParity:
         assert engine.stats.n_parallel_runs == 3
 
 
+@pytest.mark.usefixtures("tiny_ops_parallel")
 class TestSchedulingStats:
     def test_parallel_stats_recorded(self, rng):
         engine = _parallel_engine()
@@ -132,24 +136,23 @@ class TestSchedulingStats:
 
 class TestHeuristicFallback:
     def test_tiny_programs_run_serially(self, rng):
-        # Default parallel_min_cells keeps thread dispatch away from
-        # tiny operators even in parallel mode.
-        config = CodegenConfig(executor_mode="parallel", executor_threads=4)
+        # The parallel cell floor keeps thread dispatch away from tiny
+        # operators even with several executor threads.
+        config = CodegenConfig(executor_threads=4)
         engine = Engine(mode="base", config=config)
         x = api.matrix(rng.random((4, 4)), "X")
         api.eval((x * 2.0).sum(), engine=engine)
         assert engine.stats.n_serial_runs == 1
         assert engine.stats.n_parallel_runs == 0
 
-    def test_single_thread_forces_serial(self, rng):
-        config = CodegenConfig(
-            executor_mode="parallel", executor_threads=1, parallel_min_cells=0
-        )
+    def test_single_thread_forces_serial(self, rng, tiny_ops_parallel):
+        config = CodegenConfig(executor_threads=1)
         engine = Engine(mode="base", config=config)
         api.eval_all(_branches(rng), engine=engine)
         assert engine.stats.n_parallel_runs == 0
 
 
+@pytest.mark.usefixtures("tiny_ops_parallel")
 class TestEagerFreeing:
     def test_intermediates_freed_early(self, rng):
         engine = _serial_engine()
@@ -181,6 +184,7 @@ class TestEagerFreeing:
         assert results[1] == pytest.approx(results[0].to_dense().sum())
 
 
+@pytest.mark.usefixtures("tiny_ops_parallel")
 class TestErrorPropagation:
     def test_parallel_executor_propagates_kernel_errors(self, rng):
         engine = _parallel_engine()

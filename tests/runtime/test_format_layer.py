@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.compiler.symbolic import sparsity_class
 from repro.hops import memory
 from repro.hops.hop import DataOp
+from repro.runtime import matrix as matrix_mod
 from repro.runtime import ops
 from repro.runtime.matrix import (
     SPARSE_THRESHOLD,
@@ -38,11 +40,29 @@ class TestRecommendFormat:
         ones = MatrixBlock(sp.csr_matrix(np.ones((8, 8))))
         assert not ones.examine_representation().is_sparse
 
-    def test_custom_threshold(self):
+    def test_custom_threshold(self, monkeypatch):
         block = _sparse_block(density=0.3)
-        assert recommend_format(
-            block.rows, block.cols, block.nnz, threshold=0.1
-        ) == "dense"
+        monkeypatch.setattr(matrix_mod, "SPARSE_THRESHOLD", 0.1)
+        assert recommend_format(block.rows, block.cols, block.nnz) == "dense"
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_every_layer_agrees_at_the_threshold(self, delta):
+        """Compiler estimates, kernel output storage and specialization
+        keys all read SPARSE_THRESHOLD: just below it is sparse, at and
+        just above it dense, for every one of them."""
+        rows, cols = 50, 40
+        nnz = round(SPARSE_THRESHOLD * rows * cols) + delta
+        arr = np.zeros(rows * cols)
+        arr[:nnz] = 1.0
+        block = MatrixBlock(arr.reshape(rows, cols))
+        hop = DataOp(block, name="X")
+        sparse = delta < 0
+        csr_bytes = nnz * 12.0 + (rows + 1) * 4.0
+        assert (recommend_format(rows, cols, nnz) == "sparse") == sparse
+        assert hop.is_sparse_est() == sparse
+        assert (memory.output_bytes(hop) == csr_bytes) == sparse
+        assert block.examine_representation().is_sparse == sparse
+        assert (sparsity_class(block) == "sparse") == sparse
 
     def test_nnz_is_cached(self):
         block = _sparse_block()

@@ -16,6 +16,7 @@ from repro.codegen.template import TemplateType
 from repro.compiler.execution import Engine
 from repro.config import CodegenConfig
 from repro.errors import RuntimeExecError
+from repro.runtime import executor as executor_mod
 from repro.runtime import parallel as parallel_mod
 from repro.runtime import skeletons
 from repro.runtime.compressed import compress
@@ -407,10 +408,6 @@ class TestThreadBudget:
         assert budget.active == 0
         assert budget.acquire(2) == 2  # nothing leaked
 
-    def test_limit_caps_effective_total(self):
-        budget = ThreadBudget(total=8)
-        assert budget.acquire(8, limit=2) == 2
-
     def test_run_tasks_preserves_order_and_errors(self, monkeypatch):
         monkeypatch.setattr(parallel_mod, "_BUDGET", ThreadBudget(total=8))
         results, workers = parallel_mod.run_tasks(
@@ -434,12 +431,11 @@ class TestOversubscriptionGuard:
 
         budget = ThreadBudget(total=4)
         monkeypatch.setattr(parallel_mod, "_BUDGET", budget)
+        monkeypatch.setattr(executor_mod, "_PARALLEL_MIN_CELLS", 0)
         engine = Engine(
             mode="gen",
             config=CodegenConfig(
-                executor_mode="parallel",
                 executor_threads=2,
-                parallel_min_cells=0,
                 intra_op_threads=4,
                 intra_op_min_cells=1,
             ),

@@ -208,10 +208,11 @@ class TestFaultInjection:
         assert summary["n_task_retries"] >= 1
         assert summary["n_lineage_recomputes"] >= 1
 
-    def test_straggler_timeout_recovers(self, rng):
+    def test_straggler_timeout_recovers(self, rng, monkeypatch):
         data = rng.random((3000, 20))
         ref = self._workload(Engine(mode="base"), data)
-        engine = _mp_engine(mp_task_timeout=1.5)
+        monkeypatch.setattr(mpexec, "_TASK_TIMEOUT_S", 1.5)
+        engine = _mp_engine()
         _backend(engine).inject_failure("hang")
         got = self._workload(engine, data)
         np.testing.assert_array_equal(got.to_dense(), ref.to_dense())
@@ -219,9 +220,10 @@ class TestFaultInjection:
         assert summary["n_worker_respawns"] >= 1
         assert summary["n_task_retries"] >= 1
 
-    def test_repeated_death_exhausts_retries(self, rng):
+    def test_repeated_death_exhausts_retries(self, rng, monkeypatch):
         data = rng.random((3000, 20))
-        engine = _mp_engine(mp_max_retries=1)
+        monkeypatch.setattr(mpexec, "_MAX_RETRIES", 1)
+        engine = _mp_engine()
         # Arm more faults than there are dispatches: first attempts AND
         # their retries die, so the retry budget must run out instead of
         # looping forever.
@@ -374,7 +376,7 @@ class TestSpawnGuards:
 
         budget = ThreadBudget(total=4)
         monkeypatch.setattr(parallel_mod, "_BUDGET", budget)
-        engine = _mp_engine(thread_budget=4)
+        engine = _mp_engine()
         weights = rng.random((20, 1))
 
         def builder(inputs):
