@@ -89,7 +89,7 @@ def main() -> None:
     hostile = (
         "import os\n"
         "import numpy as np\n"
-        "def genkernel(a, b, s):\n"
+        "def genbody(a, b, s):\n"
         "    open('/tmp/x', 'w')\n"
         "    acc = 0.0\n"
         "    for i in range(3):\n"

@@ -9,7 +9,7 @@ the third is switched on for a ``with`` block by
   HOP DAGs and lowered :class:`~repro.compiler.program.Program` values
   at pipeline stage boundaries,
 * :mod:`repro.analysis.kernel_lint` — an AST pass over every generated
-  ``genexec``/``genkernel`` source before it is ``exec()``-ed,
+  operator's one source, ``genbody``, before it is compiled,
 * :mod:`repro.analysis.lockset` — Eraser-style lockset race detection
   over the shared mutable runtime structures.
 

@@ -1,10 +1,10 @@
-"""AST lint over generated kernel sources before they are ``exec()``-ed.
+"""AST lint over generated sources before they are compiled.
 
-The code generators emit Python source at runtime (``genexec`` bodies
-from :mod:`repro.codegen.pygen`, ``genkernel`` bodies from
-:mod:`repro.codegen.npgen`) and compile it through the plan cache's
-``exec`` path.  This pass checks each emitted source against the
-contract the templates are supposed to honor, *before* compilation:
+Every fused operator has one generated source, its ``genbody``
+(:mod:`repro.codegen.pygen`), which :func:`repro.codegen.npgen
+.compile_kernel` lints here before the plan cache compiles it.  This
+pass checks the source against the contract the templates are supposed
+to honor:
 
 * **Imports**: only the allowed generated-code surface
   (``repro.codegen.pygen.GENERATED_IMPORT_MODULES`` — numpy, scipy,
@@ -17,7 +17,7 @@ contract the templates are supposed to honor, *before* compilation:
   differential harness depends on it).
 * **Whole-value discipline**: generated functions are straight-line
   calls over whole arrays and contain no Python-level loops;
-  Row kernels that take their main input or a side input as CSR must
+  Row bodies that take their main input or a side input as CSR must
   not densify it (no ``.toarray()``/``.todense()``, no
   ``np.asarray(a, ...)`` / ``np.asarray(b[k], ...)``).
 """

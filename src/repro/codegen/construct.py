@@ -2,15 +2,14 @@
 
 Maps the covered HOP sub-DAG of a selected fusion plan to a CPlan body
 of CNodes, determines the template binding (main input, row-aligned and
-full side inputs, scalars), the output variant, and sparse-safety (via
-numeric probing: a plan is sparse-safe iff its body evaluates to zero
-whenever the main input value is zero).
+full side inputs, scalars), the output variant, and sparse-safety (by
+partial evaluation: a plan is sparse-safe iff its body is exactly zero
+whenever the main input value is zero, whatever the other inputs hold).
 """
 
 from __future__ import annotations
 
 import math
-import random
 
 from repro.codegen.cost import OperatorPlan
 from repro.codegen.cplan import Access, CNode, CPlan, InputSpec, OutType
@@ -181,7 +180,7 @@ def _construct_cell(plan: OperatorPlan, config):
         raise CodegenError("cell plan without matrix input")
     specs, main_index = builder.finalize_inputs(main_hop, Access.SIDE_ROW)
 
-    sparse_safe = _probe_sparse_safe([body], specs, main_index) and (
+    sparse_safe = _sparse_safe([body], specs, main_index) and (
         agg_op in (None, AggOp.SUM, AggOp.SUM_SQ)
     )
     if agg_op is not None:
@@ -251,7 +250,7 @@ def construct_multi_agg(plans: list[OperatorPlan], config):
     if main_hop is None:
         raise CodegenError("multi-agg plan without matrix input")
     specs, main_index = builder.finalize_inputs(main_hop, Access.SIDE_ROW)
-    sparse_safe = _probe_sparse_safe(roots, specs, main_index) and all(
+    sparse_safe = _sparse_safe(roots, specs, main_index) and all(
         a == "sum" for a in agg_ops
     )
     cplan = CPlan(
@@ -512,7 +511,7 @@ def _construct_outer(plan: OperatorPlan):
             i for i, h in enumerate(builder.input_hops) if h.id == side_w_hop.id
         )
 
-    if not _probe_outer_safe(body, specs, main_index):
+    if not _sparse_safe([body], specs, main_index):
         raise CodegenError("outer plan is not sparse-safe over the driver")
 
     cplan = CPlan(
@@ -546,17 +545,20 @@ def _pick_outer_driver(input_hops, outer_dims, u_hop, v_hop):
 
 
 # ----------------------------------------------------------------------
-# Sparse-safety probing
+# Sparse safety
 # ----------------------------------------------------------------------
-def eval_cnode(node: CNode, env: dict) -> float:
-    """Scalar interpretation of a CNode body (probing and tests).
+def eval_cnode(node: CNode, env: dict) -> float | None:
+    """Scalar interpretation of a CNode body (sparse safety and tests).
 
     ``env`` maps 'in<k>' to input values and 'uv' to the outer-product
     value; row-agg/matmult nodes are treated as their scalar analogue.
-    Evaluation is iterative and memoized per call (bodies can be
-    thousands of nodes deep).
+    A None value is unknown and propagates, except where the known
+    inputs decide a node (``0 * y``, ``0 & y``, ``0 / y``, matrix
+    products, ``x + 0 * y``, a known ``ifelse`` condition).  Evaluation
+    is iterative and memoized per call (bodies can be thousands of nodes
+    deep).
     """
-    memo: dict[int, float] = {}
+    memo: dict[int, float | None] = {}
     stack = [node]
     while stack:
         cur = stack[-1]
@@ -581,7 +583,9 @@ def eval_cnode(node: CNode, env: dict) -> float:
             continue
         vals = [memo[c.id] for c in cur.inputs]
         kind, _, op = cur.op.partition(":")
-        if kind == "u":
+        if None in vals:
+            value = _partial_value(kind, op, vals)
+        elif kind == "u":
             value = _scalar_unary(op, vals[0])
         elif kind == "b":
             value = _scalar_binary(op, vals[0], vals[1])
@@ -599,10 +603,27 @@ def eval_cnode(node: CNode, env: dict) -> float:
         elif kind == "rix":
             value = vals[0]
         else:
-            raise CodegenError(f"cannot probe CNode op {cur.op}")
+            raise CodegenError(f"cannot evaluate CNode op {cur.op}")
         memo[cur.id] = value
         stack.pop()
     return memo[node.id]
+
+
+def _partial_value(kind: str, op: str, vals: list) -> float | None:
+    """A node's value when some inputs are unknown (None): known only
+    where the known inputs decide it."""
+    if kind in ("rowagg", "colagg", "fullagg", "rix"):
+        return vals[0]
+    if kind == "t":
+        if op == "ifelse":
+            cond, x, y = vals
+            if cond is not None:
+                return x if cond != 0 else y
+            return x if x == y else None
+        return vals[0] if 0.0 in vals[1:] else None  # x +- 0 * y
+    zero_dominates = (kind in ("mm", "touter") or op in ("*", "&")
+                      or (op == "/" and vals[0] == 0.0))
+    return 0.0 if zero_dominates and 0.0 in vals else None
 
 
 def _scalar_unary(op: str, x: float) -> float:
@@ -649,35 +670,19 @@ def _scalar_binary(op: str, a: float, b: float) -> float:
     return float(table[op]())
 
 
-def _probe_sparse_safe(roots: list[CNode], specs: list[InputSpec],
-                       main_index: int) -> bool:
-    """Numerically probe f(main=0, sides=random) == 0.
-
-    Side values must cover both signs and magnitudes around the
-    comparison boundaries (min/max/relational operators flip behaviour
-    with the sign of their operands).
+def _sparse_safe(roots: list[CNode], specs: list[InputSpec],
+                 main_index: int) -> bool:
+    """Whether every root is exactly 0 wherever the main input is 0,
+    whatever the other inputs hold: the body evaluated with the main at
+    0 and every other input unknown (a proof, where sampled side values
+    would only test a few).
     """
     if main_index < 0:
         return False
-    rng = random.Random(42)
-    probes = [-1.7, -0.4, 0.6, 1.9]
-    for trial in range(8):
-        env = {
-            f"in{i}": probes[(trial + i) % len(probes)] * rng.uniform(0.5, 1.5)
-            for i in range(len(specs))
-        }
-        env[f"in{main_index}"] = 0.0
-        env["uv"] = probes[trial % len(probes)] * rng.uniform(0.5, 1.5)
-        for root in roots:
-            try:
-                value = eval_cnode(root, env)
-            except (ValueError, OverflowError):
-                return False
-            if not (abs(value) < 1e-12):
-                return False
-    return True
-
-
-def _probe_outer_safe(body: CNode, specs: list[InputSpec], main_index: int) -> bool:
-    """The fused weight must vanish at zero cells of the driver."""
-    return _probe_sparse_safe([body], specs, main_index)
+    env = {f"in{i}": None for i in range(len(specs))}
+    env[f"in{main_index}"] = 0.0
+    env["uv"] = None
+    try:
+        return all(eval_cnode(root, env) == 0.0 for root in roots)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        return False

@@ -145,6 +145,10 @@ class CPlan:
     w_index: int = -1
     v_transposed: bool = False
 
+    def agg_op(self, k: int = 0) -> str:
+        """The aggregation of root ``k``: ``sum`` when none is named."""
+        return self.agg_ops[k] if k < len(self.agg_ops) else "sum"
+
     def semantic_hash(self) -> str:
         """Hash identifying equivalent CPlans (plan-cache key).
 
@@ -173,11 +177,11 @@ class CPlan:
 def compressed_cell_eligible(cplan: CPlan) -> bool:
     """Dictionary-only execution guard (Figure 9 conditions).
 
-    The single source of truth for the cell driver, the group-wise
-    intra-op partitioner, and npgen's ``genkernel_comp`` emission:
-    sparse-safe, no side inputs, sum-aggregated FULL/MULTI_AGG cell
-    plans execute over distinct dictionary values only.  A static plan
-    property — independent of the bound runtime inputs.
+    The single source of truth for the cell driver and the group-wise
+    intra-op partitioner: sparse-safe, no side inputs, sum-aggregated
+    FULL/MULTI_AGG cell plans run ``genbody`` over distinct dictionary
+    values only.  A static plan property — independent of the bound
+    runtime inputs.
     """
     n_sides = sum(
         1 for idx, spec in enumerate(cplan.inputs)

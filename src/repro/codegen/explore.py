@@ -151,8 +151,8 @@ def _outer_chain_safe(root: Hop, covered: list[Hop],
     driver: element-wise multiply/divide, sparse-safe unary functions,
     sum aggregations, transposes, and the final matmult.  Operations
     *below* the multiply (the dense UV^T chain, e.g. log(UV^T + eps))
-    are unconstrained.  Numeric probing at construction remains the
-    final authority.
+    are unconstrained.  The sparse-safety check at construction remains
+    the final authority.
     """
     from repro.hops.hop import AggBinaryOp, AggUnaryOp, BinaryOp, ReorgOp, UnaryOp
     from repro.hops.types import AggOp, SPARSE_SAFE_UNARY

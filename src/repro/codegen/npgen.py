@@ -1,179 +1,54 @@
-"""Code generation: whole-block kernels (codegen step 4).
+"""Code generation: compile ``genbody`` with the CPlan analyses its driver reads.
 
-:mod:`repro.codegen.pygen` emits ``genexec``, the fused body over
-aligned value batches.  This module wraps the same template expansion
-into one ``genkernel`` per Cell, MAgg or Row operator that consumes
-whole runtime values in a single call —
+:mod:`repro.codegen.pygen` emits an operator's one source, ``genbody``.
+:func:`compile_kernel` lints and compiles it into the
+:class:`~repro.codegen.pygen.GeneratedOperator` the drivers in
+:mod:`repro.runtime.npexec` run, together with what those drivers take
+from the CPlan rather than from generated text:
 
-* **Cell/MAgg** kernels run over the full dense value array with the
-  output aggregation folded into the body; sum-of-products bodies
-  contract into a single ``np.einsum`` pass (no materialized
-  intermediates, the paper's fused single-pass claim),
-* **Row** kernels run over the whole row block with side inputs
-  prepared once; an input the body only ever multiplies — the main
-  when every use of it is a matrix multiply (*CSR-main-safe*), a
-  row-aligned side when every use is the left operand of one — is
-  passed as CSR and never densified (:func:`csr_safe_inputs`),
-* compressed-eligible Cell plans additionally get ``genkernel_comp``,
-  which runs the body over a column's distinct dictionary values and
-  combines with their counts (Figure 9).
-
-Outer operators have no ``genkernel``: their driver in
-:mod:`repro.runtime.npexec` calls ``genexec`` once per batch of cells.
+* **einsum operands** (:func:`einsum_operands`) — a sum-aggregated
+  Cell/MAgg root that is a product of same-shape inputs contracts in a
+  single ``np.einsum`` pass over those inputs, with no materialized
+  intermediates (the paper's fused single-pass claim);
+* **CSR bindings** (:func:`csr_safe_inputs`) — a Row input the body
+  only ever multiplies (the main when every use of it is a matrix
+  multiply, *CSR-main-safe*; a row-aligned side when every use is the
+  left operand of one) is passed as CSR and never densified.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.analysis.kernel_lint import check_source
-from repro.codegen.cplan import (
-    Access,
-    CNode,
-    CPlan,
-    OutType,
-    compressed_cell_eligible,
-)
-from repro.codegen.pygen import _Emitter, operator_name
+from repro.codegen.cplan import Access, CNode, CPlan, OutType
+from repro.codegen.pygen import GeneratedOperator, generate_source
 from repro.codegen.template import TemplateType
-from repro.errors import CodegenError
-
-_REDUCERS = {"sum": "np.sum", "min": "np.min", "max": "np.max"}
-
-#: Cell-template output variants (the MAgg template shares them).
-_CELL_TEMPLATES = (TemplateType.CELL, TemplateType.MAGG)
 
 
-@dataclass(frozen=True)
-class CompiledKernel:
-    """The compiled whole-block functions of a generated operator."""
+def generate_kernel_source(cplan: CPlan) -> tuple[str, str, bool, tuple]:
+    """The operator's one source plus its CSR bindings.
 
-    name: str
-    source: str
-    entry: object  # genkernel callable
-    csr_main_safe: bool = False
-    # Positions in ``b`` of the row-aligned sides a Row body takes as CSR.
-    csr_sides: tuple = ()
-    # Compressed-CELL variant (compressed-eligible cell plans only).
-    comp_source: str = ""
-    comp_entry: object = None
-
-
-def kernel_name(cplan: CPlan) -> str:
-    """Deterministic kernel name (operator name + kernel suffix)."""
-    return operator_name(cplan) + "_k"
-
-
-# ----------------------------------------------------------------------
-# Whole-array NumPy kernel emission
-# ----------------------------------------------------------------------
-def generate_kernel_source(cplan: CPlan) -> tuple[str, str, bool]:
-    """Emit the vectorized kernel for a CPlan.
-
-    Returns ``(name, source, csr_main_safe)``.  ``genkernel(a, b, s)``
-    has the signature of ``genexec`` but ``a``/``b`` are whole runtime
-    values and the output aggregation is folded into the kernel, so one
-    call produces the finished raw result.
+    Returns ``(name, source, csr_main_safe, csr_sides)``: whether
+    ``genbody`` may receive ``a`` as CSR, and which positions of ``b``
+    it may receive as CSR — the inputs the lint forbids it to densify.
     """
-    name = kernel_name(cplan)
-    body_lines, result_vars = _Emitter(cplan).emit_roots()
-    csr_safe, csr_sides = _csr_bindings(cplan)
-
-    if cplan.ttype is TemplateType.ROW:
-        final = _finalize_row(cplan, result_vars)
-    elif cplan.ttype in _CELL_TEMPLATES:
-        body_lines, final = _finalize_cell(cplan, body_lines, result_vars)
-    else:
-        raise CodegenError(f"no whole-block kernel for {cplan.ttype}")
-
-    lines = [
-        f"# generated vectorized kernel {name}: {cplan.ttype.value} "
-        f"({cplan.out_type.value})",
-        "import numpy as np",
-        "from repro.runtime import vector as vp",
-        "",
-        f"CSR_MAIN_SAFE = {csr_safe}",
-        f"CSR_SIDES = {csr_sides}",
-        "",
-        "def genkernel(a, b, s):",
-    ]
-    lines.extend("    " + line for line in body_lines)
-    lines.extend("    " + line for line in final)
-    return name, "\n".join(lines) + "\n", csr_safe
+    name, source = generate_source(cplan)
+    return (name, source, *_csr_bindings(cplan))
 
 
-def _finalize_row(cplan: CPlan, result_vars: list[str]) -> list[str]:
-    res = result_vars[0]
-    out = cplan.out_type
-    if out in (OutType.NO_AGG, OutType.ROW_AGG):
-        width = "1" if out is OutType.ROW_AGG else f"np.shape({res})[-1]"
-        return [
-            f"return np.ascontiguousarray("
-            f"np.broadcast_to({res}, (a.shape[0], {width})))"
-        ]
-    if out in (OutType.COL_AGG, OutType.COL_AGG_T):
-        return [
-            f"_r = np.asarray({res})",
-            "return _r.reshape(1, -1) if _r.ndim == 1 else _r",
-        ]
-    if out is OutType.FULL_AGG:
-        return [f"return float({res})"]
-    raise CodegenError(f"bad row out type {out}")
+def einsum_operands(cplan: CPlan) -> tuple:
+    """Per root of a FULL/MULTI_AGG Cell or MAgg plan: the positions in
+    ``(a, *b)`` of the factors one ``np.einsum`` contracts, or None when
+    the root reduces its body value.  Empty for every other plan."""
+    if (cplan.ttype not in (TemplateType.CELL, TemplateType.MAGG)
+            or cplan.out_type not in (OutType.FULL_AGG, OutType.MULTI_AGG)):
+        return ()
+    return tuple(
+        _einsum_operands(cplan, root, cplan.agg_op(k))
+        for k, root in enumerate(cplan.roots)
+    )
 
 
-def _finalize_cell(cplan: CPlan, body_lines: list[str],
-                   result_vars: list[str]) -> tuple[list[str], list[str]]:
-    """Fold the cell/multi-agg output aggregation into the kernel.
-
-    Sum-aggregated roots that are pure products of full-shape inputs
-    drop their emitted body and contract through a single
-    ``np.einsum`` pass instead (no materialized intermediates).
-    """
-    out = cplan.out_type
-    agg = cplan.agg_ops[0] if cplan.agg_ops else "sum"
-    red = _REDUCERS.get(agg, "np.sum")
-    res = result_vars[0]
-    if out is OutType.NO_AGG:
-        final = [
-            f"return np.ascontiguousarray(np.broadcast_to("
-            f"{res}, (a.shape[0], np.shape({res})[-1])))"
-        ]
-        return body_lines, final
-    if out is OutType.ROW_AGG:
-        final = [
-            f"return {red}(np.broadcast_to({res}, a.shape), "
-            "axis=1, keepdims=True)"
-        ]
-        return body_lines, final
-    if out is OutType.COL_AGG:
-        final = [
-            f"return {red}(np.broadcast_to({res}, a.shape), "
-            "axis=0).reshape(1, -1)"
-        ]
-        return body_lines, final
-    if out is OutType.FULL_AGG:
-        einsum = _einsum_expr(cplan, cplan.roots[0], agg)
-        if einsum is not None:
-            return [], [f"return float({einsum})"]
-        return body_lines, [f"return float({red}({res}))"]
-    if out is OutType.MULTI_AGG:
-        # Per-root aggregations; einsum-eligible roots contract in one
-        # pass, the rest reduce their emitted body value.
-        final = []
-        parts = []
-        for k, root in enumerate(cplan.roots):
-            agg_k = cplan.agg_ops[k] if k < len(cplan.agg_ops) else "sum"
-            red_k = _REDUCERS.get(agg_k, "np.sum")
-            einsum = _einsum_expr(cplan, root, agg_k)
-            expr = einsum if einsum is not None else f"{red_k}({result_vars[k]})"
-            final.append(f"_p{k} = float({expr})")
-            parts.append(f"[_p{k}]")
-        final.append(f"return np.array([{', '.join(parts)}])")
-        return body_lines, final
-    raise CodegenError(f"bad cell out type {out}")
-
-
-def _einsum_expr(cplan: CPlan, root: CNode, agg: str) -> str | None:
+def _einsum_operands(cplan: CPlan, root: CNode, agg: str) -> tuple | None:
     """Single-pass einsum contraction for sum(product-of-inputs) roots.
 
     Eligible when the aggregation is a sum and the root is a (possibly
@@ -203,34 +78,30 @@ def _einsum_expr(cplan: CPlan, root: CNode, agg: str) -> str | None:
     classes = {cplan.inputs[f.input_index].shape_class() for f in factors}
     if len(classes) != 1:
         return None
-    operands = []
-    for factor in factors:
-        if factor.input_index == cplan.main_index:
-            operands.append("a")
-        else:
-            side = [
-                idx for idx, spec in enumerate(cplan.inputs)
-                if idx != cplan.main_index and spec.access is not Access.SCALAR
-            ]
-            operands.append(f"b[{side.index(factor.input_index)}]")
-    subscript = ",".join(["ij"] * len(operands)) + "->"
-    return f"np.einsum('{subscript}', {', '.join(operands)})"
+    position = {idx: k + 1 for k, idx in enumerate(_side_indices(cplan))}
+    position[cplan.main_index] = 0
+    return tuple(position[f.input_index] for f in factors)
+
+
+def _side_indices(cplan: CPlan) -> list[int]:
+    """Indices into ``cplan.inputs`` of the sides, in ``b`` order."""
+    return [idx for idx, spec in enumerate(cplan.inputs)
+            if idx != cplan.main_index and spec.access is not Access.SCALAR]
 
 
 def _csr_bindings(cplan: CPlan) -> tuple[bool, tuple]:
-    """``(csr_main_safe, csr_sides)`` of a kernel: whether ``a`` may be
-    CSR, and which positions of ``b`` may."""
+    """``(csr_main_safe, csr_sides)``: whether ``a`` may be CSR, and
+    which positions of ``b`` may."""
     if cplan.ttype is not TemplateType.ROW:
         return False, ()
     safe = csr_safe_inputs(cplan)
-    sides = [idx for idx, spec in enumerate(cplan.inputs)
-             if idx != cplan.main_index and spec.access is not Access.SCALAR]
     return (cplan.main_index in safe,
-            tuple(slot for slot, idx in enumerate(sides) if idx in safe))
+            tuple(slot for slot, idx in enumerate(_side_indices(cplan))
+                  if idx in safe))
 
 
 def csr_safe_inputs(cplan: CPlan) -> frozenset:
-    """Inputs of a Row body that can stay CSR through the kernel.
+    """Inputs of a Row body that can stay CSR through ``genbody``.
 
     An input qualifies when the body only ever multiplies it — scipy
     sparse @ dense yields dense, so the rest of the body runs on dense
@@ -270,79 +141,22 @@ def csr_safe_inputs(cplan: CPlan) -> frozenset:
     return frozenset(safe & referenced)
 
 
-# ----------------------------------------------------------------------
-# Compressed-CELL variant (dictionary-direct)
-# ----------------------------------------------------------------------
-def generate_compressed_cell_source(cplan: CPlan) -> tuple[str, str]:
-    """Emit the compressed-CELL kernel variant for an eligible plan.
+def compile_kernel(cplan: CPlan, config, stats=None) -> GeneratedOperator:
+    """Emit, lint and compile a fused operator's ``genbody``.
 
-    ``genkernel_comp(a, c, b, s)`` evaluates the vectorized cell body
-    over one column member's distinct dictionary values ``a`` (1-D) and
-    combines each root with the value counts ``c`` — the Figure 9
-    dictionary-direct execution.  The driver in
-    :mod:`repro.runtime.npexec` sums the per-column contributions.
-    Callers must check :func:`~repro.codegen.cplan
-    .compressed_cell_eligible` first (sparse-safe, side-input-free,
-    sum-aggregated cell plans only).
+    Compiles under ``config.compiler`` through the process-wide source
+    cache, so equivalent operators across engines never recompile
+    byte-identical code.
     """
-    if not compressed_cell_eligible(cplan):
-        raise CodegenError(
-            f"plan not compressed-cell eligible: {cplan.ttype}"
-        )
-    name = kernel_name(cplan) + "_comp"
-    body_lines, result_vars = _Emitter(cplan).emit_roots()
-    final = []
-    parts = []
-    for k, res in enumerate(result_vars):
-        final.append(
-            f"_p{k} = float(np.dot(np.broadcast_to({res}, a.shape), c))"
-        )
-        parts.append(f"_p{k}")
-    if cplan.out_type is OutType.MULTI_AGG:
-        final.append(f"return np.array([{', '.join(parts)}])")
-    else:
-        final.append("return _p0")
-    lines = [
-        f"# generated compressed-cell kernel {name}: {cplan.ttype.value} "
-        f"({cplan.out_type.value})",
-        "import numpy as np",
-        "from repro.runtime import vector as vp",
-        "",
-        "def genkernel_comp(a, c, b, s):",
-    ]
-    lines.extend("    " + line for line in body_lines)
-    lines.extend("    " + line for line in final)
-    return name, "\n".join(lines) + "\n"
+    from repro.codegen.plan_cache import compile_operator
 
-
-# ----------------------------------------------------------------------
-# Kernel compilation
-# ----------------------------------------------------------------------
-def compile_kernel(cplan: CPlan, config, stats=None) -> CompiledKernel:
-    """Emit and compile the whole-block kernel(s) for a CPlan.
-
-    Byte-identical kernel source is shared through the process-wide
-    source cache, so equivalent operators across engines never
-    re-``exec`` identical code.
-    """
-    from repro.codegen.plan_cache import compile_source
-
-    verify = config.verify_level != "off"
-    name, source, _ = generate_kernel_source(cplan)
-    csr_safe, csr_sides = _csr_bindings(cplan)
-    if verify:
-        check_source(name, source, csr_main_safe=csr_safe,
+    name, source, csr_main_safe, csr_sides = generate_kernel_source(cplan)
+    if config.verify_level != "off":
+        check_source(name, source, csr_main_safe=csr_main_safe,
                      csr_sides=csr_sides, stats=stats)
-    entry = compile_source(name, source, "exec", stats=stats)["genkernel"]
-    comp_source, comp_entry = "", None
-    if compressed_cell_eligible(cplan):
-        comp_name, comp_source = generate_compressed_cell_source(cplan)
-        if verify:
-            check_source(comp_name, comp_source, stats=stats)
-        comp_entry = compile_source(comp_name, comp_source, "exec",
-                                    stats=stats)["genkernel_comp"]
+    genbody = compile_operator(name, source, config.compiler, stats=stats)
     if stats is not None:
         with stats.lock:
             stats.n_kernel_compiles += 1
-    return CompiledKernel(name, source, entry, csr_safe, csr_sides,
-                          comp_source, comp_entry)
+    return GeneratedOperator(name, cplan, source, genbody, csr_main_safe,
+                             csr_sides, einsum_operands(cplan))

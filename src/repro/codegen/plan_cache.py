@@ -3,8 +3,9 @@
 Generated operators are maintained in a plan cache keyed by the CPlan's
 semantic hash, avoiding redundant code generation and compilation for
 equivalent operators — across DAGs and during dynamic recompilation
-(Section 2.1).  Two compilation backends mirror the paper's janino vs
-javac comparison (Figure 11):
+(Section 2.1).  Each operator compiles exactly one source, its
+``genbody``, under ``CodegenConfig.compiler``; the two backends mirror
+the paper's janino vs javac comparison (Figure 11):
 
 * ``exec``: in-memory ``compile()`` + ``exec()`` (the fast janino path),
 * ``file``: write the source to disk, byte-compile it, and import it as
@@ -30,16 +31,13 @@ import threading
 import time
 
 from repro.analysis import lockset
-from repro.analysis.kernel_lint import check_source
 from repro.codegen.cplan import CPlan
 from repro.codegen.npgen import compile_kernel
 from repro.codegen.pygen import (
     GENERATED_IMPORT_MODULES,
     GeneratedOperator,
-    generate_source,
     operator_name,
 )
-from repro.codegen.template import TemplateType
 from repro.errors import CodegenError
 from repro.obs import trace as obs_trace
 
@@ -141,35 +139,21 @@ class PlanCache:
 
 
 def build_operator(cplan: CPlan, config, stats=None) -> GeneratedOperator:
-    """Generate and compile everything a fused operator executes.
+    """Generate and compile a fused operator's ``genbody``.
 
     The one place generated code comes from: the plan cache calls it on
     a miss and the worker processes of the multiprocess backend call it
-    on the shipped CPlan, so both sides hold the same sources.  Each
-    template gets the functions its driver in
-    :mod:`repro.runtime.npexec` calls — ``genexec`` for the non-zero
-    batches of Cell/MAgg and every Outer batch, the whole-block
-    ``genkernel`` (plus ``genkernel_comp`` when eligible) for
-    Cell/MAgg and Row.
+    on the shipped CPlan, so both sides hold the same source.
     """
     tracer = stats.tracer if stats is not None else obs_trace.NULL_TRACER
-    ttype = cplan.ttype
-    name, source, genexec, kernel = operator_name(cplan), "", None, None
     start = time.perf_counter()
-    with tracer.span("operator-compile", cat="compile", op=name,
-                     template=ttype.value):
-        if ttype is not TemplateType.ROW:
-            _, source = generate_source(cplan)
-            if config.verify_level != "off":
-                check_source(name, source, stats=stats)
-            genexec = compile_operator(name, source, config.compiler,
-                                       stats=stats)
-        if ttype is not TemplateType.OUTER:
-            kernel = compile_kernel(cplan, config, stats)
+    with tracer.span("operator-compile", cat="compile",
+                     op=operator_name(cplan), template=cplan.ttype.value):
+        operator = compile_kernel(cplan, config, stats)
     if stats is not None:
         with stats.lock:
             stats.codegen_seconds += time.perf_counter() - start
-    return GeneratedOperator(name, cplan, source, genexec, kernel)
+    return operator
 
 
 def compile_source(name: str, source: str, backend: str = "exec",
@@ -178,8 +162,7 @@ def compile_source(name: str, source: str, backend: str = "exec",
 
     Byte-identical source compiles exactly once per process; later
     requests (recompiles, serving specializations, other engines) reuse
-    the namespace and record a ``n_source_cache_hits``.  Used for both
-    ``genexec`` modules and whole-block kernel modules.
+    the namespace and record a ``n_source_cache_hits``.
     """
     key = _source_cache_key(name, source, backend)
     with _SOURCE_CACHE_LOCK:
@@ -203,8 +186,8 @@ def compile_source(name: str, source: str, backend: str = "exec",
 
 def compile_operator(name: str, source: str, backend: str = "exec",
                      stats=None):
-    """Compile generated source and return the genexec callable."""
-    return compile_source(name, source, backend, stats=stats)["genexec"]
+    """Compile generated source and return its ``genbody``."""
+    return compile_source(name, source, backend, stats=stats)["genbody"]
 
 
 def _restricted_import(name, globals=None, locals=None, fromlist=(),

@@ -2,13 +2,14 @@
 
 Mirrors the paper's recursive template expansion: each CPlan body
 expands depth-first into straight-line calls of the shared
-vector-primitive library ``vp``.  This module emits ``genexec``, the
-body over aligned value batches that the drivers in
-:mod:`repro.runtime.npexec` call for the non-zero batches of a
-sparse-safe Cell operator and for every Outer batch;
-:mod:`repro.codegen.npgen` wraps the same expansion into the
-whole-block ``genkernel`` functions.  The hand-written drivers own the
-data access, exactly as in the paper's runtime integration (Figure 4).
+vector-primitive library ``vp``.  This is the only module that builds
+source text, and it emits one function per fused operator,
+``genbody``, which returns the operator's root values.  Everything
+around the body belongs to the hand-written template drivers in
+:mod:`repro.runtime.npexec` — data access over dense, CSR and
+compressed inputs, the output aggregation and the einsum contraction —
+exactly as the paper's skeletons own the loops around the generated
+code (Figure 4).
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from repro.codegen.template import TemplateType
 from repro.errors import CodegenError
 from repro.runtime.vector import BINARY_PRIMITIVES, UNARY_PRIMITIVES
 
-#: Import surface of generated sources.  Both emitters produce only
-#: ``import numpy as np`` / ``from repro.runtime import vector as
-#: vp`` (scipy is reserved for sparse kernel bodies); the kernel lint
+#: Import surface of generated sources.  ``genbody`` imports only
+#: ``import numpy as np`` / ``from repro.runtime import vector as vp``
+#: (scipy is reserved for sparse bodies); the kernel lint
 #: (:mod:`repro.analysis.kernel_lint`) and the restricted ``exec``
 #: namespace (:mod:`repro.codegen.plan_cache`) enforce exactly this
 #: contract — extend it here, in one place, if a template grows a new
@@ -43,52 +44,44 @@ def operator_name(cplan: CPlan) -> str:
 
 @dataclass(frozen=True)
 class GeneratedOperator:
-    """A compiled fused operator: metadata plus its generated functions.
+    """A compiled fused operator: its one source and ``genbody``, plus
+    the CPlan analyses of :mod:`repro.codegen.npgen` its driver reads.
 
-    Built once by :func:`repro.codegen.plan_cache.build_operator` and
-    never mutated, so the instance the semantic-hash plan cache shares
-    across programs, serving specializations, adaptive recompiles and
-    threads needs no lock.  A template carries only the functions its
-    driver calls: ``genexec`` is ``None`` for Row, ``kernel`` (a
-    :class:`~repro.codegen.npgen.CompiledKernel`) is ``None`` for Outer.
+    Built once by :func:`repro.codegen.npgen.compile_kernel` and never
+    mutated, so the instance the semantic-hash plan cache shares across
+    programs, serving specializations, adaptive recompiles and threads
+    needs no lock.
     """
 
     name: str
     cplan: CPlan
     source: str
-    genexec: object  # callable | None
-    kernel: object = None
-
-    @property
-    def template(self) -> TemplateType:
-        return self.cplan.ttype
-
-    @property
-    def sources(self) -> tuple[str, ...]:
-        """Every generated source, in build order (the worker processes
-        of the multiprocess backend compare these byte for byte)."""
-        if self.kernel is None:
-            return (self.source,)
-        return (self.source, self.kernel.source, self.kernel.comp_source)
+    genbody: object  # callable
+    # Row: whether ``a`` may be CSR, and the positions in ``b`` of the
+    # row-aligned sides that may.
+    csr_main_safe: bool
+    csr_sides: tuple
+    # FULL/MULTI_AGG Cell and MAgg, per root: the positions in
+    # ``(a, *b)`` of the factors one ``np.einsum`` sums, or None.
+    einsum: tuple
 
 
 def generate_source(cplan: CPlan) -> tuple[str, str]:
-    """Generate the ``genexec`` source of a fused operator.
+    """Generate the ``genbody`` source of a fused operator.
 
-    Returns ``(class_name, source)``.  The genexec signature depends on
-    the template:
-
-    * Cell/MAgg: ``genexec(a, b, s)`` over aligned value batches,
-    * Row: ``genexec(a, b, s)`` over a dense row block,
-    * Outer: ``genexec(a, uv, b, s)`` over a batch of cells and their
-      ``U V^T`` products.
+    Returns ``(name, source)``.  ``genbody(a, b, s)`` takes the main
+    input, the side inputs and the scalars in spec order, and Outer's
+    ``genbody(a, uv, b, s)`` also the ``U V^T`` products of the cells in
+    ``a``.  It returns one value, or a tuple for several roots; the
+    drivers call it on whole blocks, row chunks, non-zero batches and
+    dictionary values alike.
     """
     name = operator_name(cplan)
     emitter = _Emitter(cplan)
     if cplan.ttype is TemplateType.OUTER:
-        header = "def genexec(a, uv, b, s):"
+        header = "def genbody(a, uv, b, s):"
     else:
-        header = "def genexec(a, b, s):"
+        header = "def genbody(a, b, s):"
     lines = [
         f"# generated fused operator {name}: {cplan.ttype.value} "
         f"({cplan.out_type.value})",

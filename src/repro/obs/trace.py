@@ -303,7 +303,7 @@ def _json_value(value):
     if hasattr(value, "item"):  # numpy scalar
         try:
             return value.item()
-        except Exception:
+        except ValueError:  # an array of more than one element
             pass
     return str(value)
 

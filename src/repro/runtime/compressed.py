@@ -8,11 +8,11 @@ optional column co-coding, and two encoding formats:
 * DDC — dense dictionary codes: one code per row,
 * OLE — offset lists per distinct value (for few distinct values).
 
-Fused operators run over compressed inputs by executing
-``genkernel_comp`` only for the *distinct values* of each group and
-combining with value counts — valid for single-input sparse-safe cell
-operations with sum aggregation, exactly the conditions of the paper's
-Figure 9 experiment.
+Fused operators run over compressed inputs by executing their
+``genbody`` only for the *distinct values* of each group and combining
+with value counts — valid for single-input sparse-safe cell operations
+with sum aggregation, exactly the conditions of the paper's Figure 9
+experiment.
 """
 
 from __future__ import annotations

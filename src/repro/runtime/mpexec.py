@@ -313,7 +313,7 @@ class ProcessPoolBackend:
                  "label": operator.name}
         return self._run_plans(
             proto, main_blocked, plans, main_key, output_key,
-            ("operator", operator.name, operator.sources, operator.cplan)
+            ("operator", operator.name, operator.source, operator.cplan)
         )
 
     def _run_plans(self, proto: dict, main_blocked, plans: list, main_key,

@@ -9,10 +9,10 @@ them; :func:`_run_task` resolves the inputs and calls
 the in-process backend calls, then sends back the result, the task's
 counters (:func:`_export_stats`) and the block-cache keys it evicted.
 
-Generated operators arrive as ``(name, sources, cplan)``;
+Generated operators arrive as ``(name, source, cplan)``;
 :func:`_materialize_operator` rebuilds them with the function the
 driver's plan cache uses (``plan_cache.build_operator``) and *asserts*
-that the rebuilt sources equal the shipped ones byte-for-byte (the
+that the rebuilt source equals the shipped one byte-for-byte (the
 deterministic ``TMP_<hash10>`` naming makes this checkable), so the
 worker executes the same code the driver compiled.
 """
@@ -38,7 +38,7 @@ def _materialize_operator(operators: dict, name: str, config, stats):
     """Rebuild a generated operator from its shipped payload.
 
     Asserts the fork-safety contract: building the operator from the
-    shipped cplan must reproduce every source the driver compiled
+    shipped cplan must reproduce the source the driver compiled
     byte-for-byte (deterministic ``TMP_<hash10>`` naming), so the
     source-hash compile cache and the driver/worker execution paths can
     never diverge.
@@ -46,11 +46,11 @@ def _materialize_operator(operators: dict, name: str, config, stats):
     entry = operators[name]
     if not isinstance(entry, tuple):
         return entry
-    sources, cplan = entry
+    source, cplan = entry
     from repro.codegen.plan_cache import build_operator
 
     operator = build_operator(cplan, config, stats)
-    if operator.name != name or operator.sources != sources:
+    if operator.name != name or operator.source != source:
         raise RuntimeExecError(
             f"worker regeneration of operator {name} diverged from the "
             "driver's source — generated code is not deterministic"
@@ -160,9 +160,9 @@ def _worker_main(conn, worker_id: int) -> None:
         if tag == "stop":
             break
         if tag == "operator":
-            _, name, sources, cplan = msg
+            _, name, source, cplan = msg
             if name not in operators:
-                operators[name] = (sources, cplan)
+                operators[name] = (source, cplan)
             continue
         if tag == "bcast":
             _, bkey, descs = msg

@@ -1,22 +1,28 @@
 """Drivers of generated fused operators (runtime integration, Figure 4).
 
-One hand-written driver per template owns the data access over dense,
-CSR and compressed inputs and calls the operator's generated functions
-(:func:`repro.codegen.plan_cache.build_operator`) on whole values:
+Each operator carries one generated function, ``genbody``, which
+returns its root values
+(:func:`repro.codegen.plan_cache.build_operator`).  One hand-written
+driver per template owns everything around it — the data access over
+dense, CSR and compressed inputs and the output epilogue:
 
-* **Cell/MAgg** — a dense main runs ``genkernel`` once on the whole
-  array (aggregation folded in, einsum contraction when eligible); a
-  CSR main of a sparse-safe plan runs ``genexec`` over batched
-  non-zero gathers and assembles outputs with ``bincount``/CSR
-  rebuilds, any other CSR main is densified; a compressed main of a
-  dictionary-compatible plan runs ``genkernel_comp`` over each
-  column's distinct values and counts, any other is decompressed.
-* **Row** — ``genkernel`` runs once on the whole row block: dense as
-  is, CSR as is when the body is CSR-main-safe (the main feeds matrix
+* **Cell/MAgg** — a dense main runs ``genbody`` once on the whole
+  array and reduces with ``np.sum``/``min``/``max`` over the output's
+  axis (or broadcasts ``NO_AGG``); a sum root that is a product of
+  same-shape inputs contracts in one ``np.einsum`` instead, and the body
+  runs only if some root still needs it.  A CSR main of a sparse-safe
+  plan runs ``genbody`` over batched non-zero gathers and assembles
+  outputs with ``bincount``/CSR rebuilds, any other CSR main is
+  densified; a compressed main of a dictionary-compatible plan runs
+  ``genbody`` over each column's distinct values and dots each root
+  with the counts, any other is decompressed.
+* **Row** — ``genbody`` runs once on the whole row block: dense as is,
+  CSR as is when the body is CSR-main-safe (the main feeds matrix
   multiplies only), otherwise densified in row chunks whose results
   combine like intra-operator partitions; compressed mains decompress.
   A row-aligned CSR side the body only left-multiplies stays CSR too.
-* **Outer** — ``genexec`` runs once per batch of cells: CSR drivers
+  The result is shaped to the output type.
+* **Outer** — ``genbody`` runs once per batch of cells: CSR drivers
   batch row ranges by non-zero count and fold the U/V/W products into
   chunk-CSR matmuls, dense drivers batch row blocks; compressed
   drivers decompress.
@@ -42,6 +48,8 @@ from repro.runtime.matrix import MatrixBlock
 from repro.runtime.sideinput import SideInput
 
 _CELL_TEMPLATES = (TemplateType.CELL, TemplateType.MAGG)
+
+_REDUCERS = {"sum": np.sum, "min": np.min, "max": np.max}
 
 #: Cell budget of one batch: non-zeros per Cell batch, (non-zeros x
 #: rank) gather cells per Outer batch, densified cells per Row chunk —
@@ -104,46 +112,88 @@ def _csr_row_chunks(indptr, rows: int, budget_nnz: int):
 # Cell / MultiAgg driver
 # ----------------------------------------------------------------------
 def _execute_cell(operator, inputs):
-    cplan, kernel = operator.cplan, operator.kernel
+    cplan = operator.cplan
     main, sides, scalars = _split_inputs(cplan, inputs)
     if isinstance(main, CompressedMatrix):
         if compressed_cell_eligible(cplan):
-            return _cell_compressed(cplan, kernel, main, scalars)
+            return _cell_compressed(operator, main, scalars)
         # No dictionary-direct form: run on the dense values.
         main = main.decompress()
     if main.is_sparse and cplan.sparse_safe:
         return _cell_sparse(operator, main, sides, scalars)
-    return _cell_dense(cplan, kernel, main, sides, scalars)
+    return _cell_dense(operator, main, sides, scalars)
 
 
-def _cell_compressed(cplan, kernel, main: CompressedMatrix, scalars):
+def _root_values(cplan, value) -> tuple:
+    """``genbody``'s result as one value per root."""
+    return value if len(cplan.roots) > 1 else (value,)
+
+
+def _cell_compressed(operator, main: CompressedMatrix, scalars):
     """Dictionary-direct execution (Figure 9).
 
-    Runs ``genkernel_comp`` over each column member's distinct values
-    with its counts; per-column contributions sum into the per-root
-    accumulators.
+    Runs ``genbody`` over each column member's distinct values and dots
+    each root with their counts; per-column contributions sum into the
+    per-root accumulators.
     """
+    cplan = operator.cplan
     accs = np.zeros(max(1, len(cplan.roots)))
     for values, counts in main.iter_distinct():
-        accs += np.atleast_1d(kernel.comp_entry(values, counts, [], scalars))
+        roots = _root_values(cplan, operator.genbody(values, [], scalars))
+        for k, value in enumerate(roots):
+            accs[k] += float(np.dot(np.broadcast_to(value, values.shape),
+                                    counts))
     if cplan.out_type is OutType.FULL_AGG:
         return float(accs[0])
     return MatrixBlock(accs.reshape(-1, 1))
 
 
-def _cell_dense(cplan, kernel, main: MatrixBlock, sides, scalars):
-    rows, _ = main.shape
-    side_tiles = [SideInput(v).row_tile(0, rows) for (_, v) in sides]
-    raw = kernel.entry(main.to_dense(), side_tiles, scalars)
-
+def _cell_dense(operator, main: MatrixBlock, sides, scalars):
+    cplan = operator.cplan
+    a = main.to_dense()
+    b = [SideInput(v).row_tile(0, a.shape[0]) for (_, v) in sides]
     out = cplan.out_type
-    if out is OutType.NO_AGG:
-        return MatrixBlock(raw).examine_representation()
     if out is OutType.FULL_AGG:
-        return float(raw)
-    if out in (OutType.ROW_AGG, OutType.COL_AGG, OutType.MULTI_AGG):
-        return MatrixBlock(np.asarray(raw))
+        return _cell_aggregates(operator, a, b, scalars)[0]
+    if out is OutType.MULTI_AGG:
+        parts = _cell_aggregates(operator, a, b, scalars)
+        return MatrixBlock(np.array([[p] for p in parts]))
+    value = operator.genbody(a, b, scalars)
+    if out is OutType.NO_AGG:
+        raw = np.broadcast_to(value, (a.shape[0], np.shape(value)[-1]))
+        return MatrixBlock(np.ascontiguousarray(raw)).examine_representation()
+    reduce = _REDUCERS.get(cplan.agg_op(), np.sum)
+    if out is OutType.ROW_AGG:
+        return MatrixBlock(reduce(np.broadcast_to(value, a.shape), axis=1,
+                                  keepdims=True))
+    if out is OutType.COL_AGG:
+        return MatrixBlock(reduce(np.broadcast_to(value, a.shape),
+                                  axis=0).reshape(1, -1))
     raise RuntimeExecError(f"bad cell out type {out}")
+
+
+def _cell_aggregates(operator, a, b: list, scalars) -> list[float]:
+    """Each root's full aggregate over a dense block.
+
+    Roots with einsum operands contract in one pass over the inputs;
+    the others reduce their body value, so ``genbody`` runs at most
+    once, and only when some root needs it.
+    """
+    cplan = operator.cplan
+    args = (a, *b)
+    values = None
+    parts = []
+    for k, operands in enumerate(operator.einsum):
+        if operands is not None:
+            subscripts = ",".join(["ij"] * len(operands)) + "->"
+            parts.append(float(np.einsum(subscripts,
+                                         *(args[i] for i in operands))))
+            continue
+        if values is None:
+            values = _root_values(cplan, operator.genbody(a, b, scalars))
+        reduce = _REDUCERS.get(cplan.agg_op(k), np.sum)
+        parts.append(float(reduce(values[k])))
+    return parts
 
 
 def _cell_sparse(operator, main: MatrixBlock, sides, scalars):
@@ -174,7 +224,7 @@ def _cell_sparse(operator, main: MatrixBlock, sides, scalars):
         col_idx = indices[lo:hi]
         row_idx = np.repeat(np.arange(r0, r1), np.diff(indptr[r0:r1 + 1]))
         side_vals = [s.gather(row_idx, col_idx) for s in side_inputs]
-        value = operator.genexec(values, side_vals, scalars)
+        value = operator.genbody(values, side_vals, scalars)
         if out is OutType.NO_AGG:
             out_data[lo:hi] = value
         elif out is OutType.ROW_AGG:
@@ -214,26 +264,26 @@ def _cell_sparse(operator, main: MatrixBlock, sides, scalars):
 # Row driver
 # ----------------------------------------------------------------------
 def _execute_row(operator, inputs, stats=None):
-    cplan, kernel = operator.cplan, operator.kernel
+    cplan = operator.cplan
     main, sides, scalars = _split_inputs(cplan, inputs)
     if isinstance(main, CompressedMatrix):
         main = main.decompress()
     handles = [(spec, SideInput(value)) for spec, value in sides]
-    csr_sides = kernel.csr_sides
 
     def run(a, r0: int, r1: int):
         side_tiles = [
             handle.dense() if spec.access is Access.SIDE_FULL
-            else handle.row_tile(r0, r1, keep_csr=slot in csr_sides)
+            else handle.row_tile(r0, r1,
+                                 keep_csr=slot in operator.csr_sides)
             for slot, (spec, handle) in enumerate(handles)
         ]
-        return _row_result(cplan, kernel.entry(a, side_tiles, scalars))
+        return _row_result(cplan, a, operator.genbody(a, side_tiles, scalars))
 
     rows, cols = main.shape
     if not main.is_sparse:
         return run(main.to_dense(), 0, rows)
     csr = main.to_csr()
-    if kernel.csr_main_safe:
+    if operator.csr_main_safe:
         # The main feeds matrix multiplies only: no densifying.
         return run(csr, 0, rows)
     # The body reads cells of the main: densify row chunks within the
@@ -258,14 +308,20 @@ def _execute_row(operator, inputs, stats=None):
     return reduce_spoof_partials(cplan, partials, tree_reduce)[0]
 
 
-def _row_result(cplan, raw):
+def _row_result(cplan, a, value):
+    """Shape the body's value over the row block ``a`` into the output."""
     out = cplan.out_type
     if out in (OutType.NO_AGG, OutType.ROW_AGG):
+        width = 1 if out is OutType.ROW_AGG else np.shape(value)[-1]
+        raw = np.ascontiguousarray(np.broadcast_to(value, (a.shape[0], width)))
         return MatrixBlock(raw).examine_representation()
     if out is OutType.FULL_AGG:
-        return float(raw)
+        return float(value)
     if out in (OutType.COL_AGG, OutType.COL_AGG_T):
-        return MatrixBlock(np.asarray(raw)).examine_representation()
+        raw = np.asarray(value)
+        if raw.ndim == 1:
+            raw = raw.reshape(1, -1)
+        return MatrixBlock(raw).examine_representation()
     raise RuntimeExecError(f"bad row out type {out}")
 
 
@@ -309,7 +365,7 @@ def _execute_outer(operator, inputs):
     rank = max(1, u_arr.shape[1])
     budget = max(1024, _CHUNK_CELLS // rank)
     out_type = cplan.out_type
-    genexec = operator.genexec
+    genbody = operator.genbody
 
     if out_type is OutType.OUTER_FULL_AGG:
         acc = 0.0
@@ -336,7 +392,7 @@ def _execute_outer(operator, inputs):
             xv = data[lo:hi]
             uv = np.einsum("ij,ij->i", u_arr[row_idx], v_arr[col_idx])
             side_vals = [s.gather(row_idx, col_idx) for s in side_handles]
-            w_vals = np.broadcast_to(genexec(xv, uv, side_vals, scalars),
+            w_vals = np.broadcast_to(genbody(xv, uv, side_vals, scalars),
                                      xv.shape)
             if out_type is OutType.OUTER_FULL_AGG:
                 acc += float(np.sum(w_vals))
@@ -374,7 +430,7 @@ def _execute_outer(operator, inputs):
             xv = arr[r0:r1]
             uv = u_arr[r0:r1] @ v_t
             side_vals = [s.row_tile(r0, r1) for s in side_handles]
-            w_vals = np.broadcast_to(genexec(xv, uv, side_vals, scalars),
+            w_vals = np.broadcast_to(genbody(xv, uv, side_vals, scalars),
                                      xv.shape)
             if out_type is OutType.OUTER_FULL_AGG:
                 acc += float(np.sum(w_vals))

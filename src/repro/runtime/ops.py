@@ -27,10 +27,10 @@ from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.special
 
 from repro.errors import RuntimeExecError, ShapeError
 from repro.hops.types import OpKind
+from repro.runtime import vector
 from repro.runtime.compressed import CompressedMatrix, transform_dictionaries
 from repro.runtime.matrix import MatrixBlock
 
@@ -59,12 +59,12 @@ _UNARY_FUNCS = {
     "floor": np.floor,
     "ceil": np.ceil,
     "neg": np.negative,
-    "not": lambda x: (x == 0).astype(np.float64),
-    "sigmoid": lambda x: 1.0 / (1.0 + np.exp(-x)),
-    "sprop": lambda x: x * (1.0 - x),  # sample proportion x*(1-x)
-    "pow2": lambda x: x * x,
-    "erf": scipy.special.erf,
-    "normpdf": lambda x: np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi),
+    "not": vector.vect_not,
+    "sigmoid": vector.vect_sigmoid,
+    "sprop": vector.vect_sprop,  # sample proportion x*(1-x)
+    "pow2": vector.vect_pow2,
+    "erf": vector.vect_erf,
+    "normpdf": vector.vect_normpdf,
 }
 
 _BINARY_FUNCS = {

@@ -98,13 +98,13 @@ def reduce_spoof_partials(cplan: CPlan, partials: list, tree_reduce):
     """
     out = cplan.out_type
     if out in (OutType.FULL_AGG, OutType.OUTER_FULL_AGG):
-        agg = cplan.agg_ops[0] if cplan.agg_ops else "sum"
+        agg = cplan.agg_op()
         return tree_reduce(
             [float(p) for p in partials],
             lambda a, b: float(_combine(np.float64(a), b, agg)),
         )
     if out in (OutType.COL_AGG, OutType.COL_AGG_T, OutType.OUTER_LEFT):
-        agg = cplan.agg_ops[0] if cplan.agg_ops else "sum"
+        agg = cplan.agg_op()
 
         def combine_blocks(a, b):
             return MatrixBlock(_combine(a.to_dense(), b.to_dense(), agg))
@@ -116,8 +116,7 @@ def reduce_spoof_partials(cplan: CPlan, partials: list, tree_reduce):
             a_arr, b_arr = a.to_dense(), b.to_dense()
             merged = np.empty_like(a_arr)
             for k in range(a_arr.shape[0]):
-                agg = cplan.agg_ops[k] if k < len(cplan.agg_ops) else "sum"
-                merged[k] = _combine(a_arr[k], b_arr[k], agg)
+                merged[k] = _combine(a_arr[k], b_arr[k], cplan.agg_op(k))
             return MatrixBlock(merged)
 
         return tree_reduce(partials, combine_multi)

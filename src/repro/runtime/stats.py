@@ -108,7 +108,7 @@ class RuntimeStats:
     intra_op_max_threads: int = 0  # gauge: peak workers granted per operator
 
     # Generated fused operators.
-    n_kernel_compiles: int = 0  # whole-block kernels emitted and compiled
+    n_kernel_compiles: int = 0  # operator bodies emitted, linted and compiled
     n_compiled_runs: int = 0  # generated-operator executions
     n_source_cache_hits: int = 0  # exec() compiles skipped via the source-hash cache
 

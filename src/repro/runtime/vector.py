@@ -220,7 +220,8 @@ def vect_not(a):
 
 
 def vect_sigmoid(a):
-    return 1.0 / (1.0 + np.exp(-a))
+    # expit saturates to exact 0.0 / 1.0 without overflowing exp(-a).
+    return scipy.special.expit(a)
 
 
 def vect_sprop(a):

@@ -15,7 +15,7 @@ CLEAN = """\
 import numpy as np
 from repro.runtime import vector as vp
 
-def genexec(a, b, s):
+def genbody(a, b, s):
     t0 = np.abs(a)
     t1 = t0 * s[0]
     return float(t1.sum())
@@ -105,7 +105,7 @@ class TestViolations:
         assert lint_source("ok", src) == []  # no CSR input claimed
 
     def test_syntax_error(self):
-        assert _codes(lint_source("bad", "def genexec(:\n")) == {"syntax"}
+        assert _codes(lint_source("bad", "def genbody(:\n")) == {"syntax"}
 
     def test_check_source_raises_and_counts(self):
         stats = RuntimeStats()

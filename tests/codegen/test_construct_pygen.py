@@ -6,7 +6,7 @@ import pytest
 from repro import api
 from repro.codegen.cost import CostEstimator
 from repro.codegen.cplan import Access, CNode, CPlan, InputSpec, OutType
-from repro.codegen.construct import construct_cplan, eval_cnode
+from repro.codegen.construct import _sparse_safe, construct_cplan, eval_cnode
 from repro.codegen.explore import explore
 from repro.codegen.partitions import build_partitions
 from repro.codegen.plan_cache import PlanCache, compile_operator
@@ -97,13 +97,43 @@ class TestCNodeProbing:
         assert eval_cnode(body, {"in0": 2.0}) == 6.0
 
     def test_probe_detects_unsafe_plan(self):
-        from repro.codegen.construct import _probe_sparse_safe
-
         specs = [InputSpec(1, 5, 5, Access.MAIN), InputSpec(2, 5, 5, Access.SIDE_ROW)]
         safe = CNode("b:*", [CNode("data", input_index=0), CNode("data", input_index=1)])
         unsafe = CNode("b:+", [CNode("data", input_index=0), CNode("data", input_index=1)])
-        assert _probe_sparse_safe([safe], specs, 0)
-        assert not _probe_sparse_safe([unsafe], specs, 0)
+        assert _sparse_safe([safe], specs, 0)
+        assert not _sparse_safe([unsafe], specs, 0)
+
+    def test_sparse_safety_is_proven_not_sampled(self):
+        """``max(y * z, x)`` at ``x = 0`` is non-zero whenever ``y`` and
+        ``z`` share a sign, and ``max((0.25 - y) * y, x)`` only for ``y``
+        in (0, 0.25): sampled side values miss both."""
+        specs = [InputSpec(1, 5, 5, Access.MAIN),
+                 InputSpec(2, 5, 5, Access.SIDE_ROW),
+                 InputSpec(3, 5, 5, Access.SIDE_ROW),
+                 InputSpec(4, 0, 0, Access.SCALAR)]
+        product = CNode("b:*", [CNode("data", input_index=1),
+                                CNode("data", input_index=3)])
+        body = CNode("b:max", [product, CNode("data", input_index=0)])
+        assert not _sparse_safe([body], specs, 0)
+        y = CNode("data", input_index=1)
+        narrow = CNode("b:*", [CNode("b:-", [CNode("lit", value=0.25), y]), y])
+        body = CNode("b:max", [narrow, CNode("data", input_index=0)])
+        assert not _sparse_safe([body], specs, 0)
+
+    def test_sparse_safety_keeps_what_the_known_zero_decides(self):
+        x, y = CNode("data", input_index=0), CNode("data", input_index=1)
+        specs = [InputSpec(1, 5, 5, Access.MAIN),
+                 InputSpec(2, 5, 5, Access.SIDE_ROW)]
+        safe_bodies = [
+            CNode("b:>", [x, CNode("lit", value=0.5)]),
+            CNode("b:/", [CNode("u:abs", [x]), y]),
+            CNode("t:ifelse", [CNode("b:!=", [x, CNode("lit", value=0.0)]),
+                               y, x]),
+            CNode("mm", [y, CNode("b:*", [x, CNode("u:exp", [y])])]),
+        ]
+        for body in safe_bodies:
+            assert _sparse_safe([body], specs, 0), body.signature({})
+        assert not _sparse_safe([CNode("b:>=", [x, y])], specs, 0)
 
 
 class TestPygen:
@@ -119,7 +149,7 @@ class TestPygen:
         y = api.matrix(rng.random((30, 10)), "Y")
         _, source, _ = self._compile([(x * y).sum()])
         assert "vp.vect_mult" in source
-        assert "def genexec" in source
+        assert "def genbody" in source
 
     def test_generated_cell_executes(self, rng):
         xd, yd = rng.random((30, 10)), rng.random((30, 10))
@@ -202,14 +232,37 @@ class TestPlanCache:
     def test_file_backend_produces_working_operator(self):
         source = (
             "import numpy as np\n"
-            "def genexec(a, b, s):\n"
+            "def genbody(a, b, s):\n"
             "    return a * 2.0\n"
         )
         func = compile_operator("TMPX", source, backend="file")
         np.testing.assert_array_equal(func(np.ones((2, 2)), [], []), 2.0 * np.ones((2, 2)))
 
+    def test_file_backend_compiles_every_template(self, rng):
+        """``compiler="file"`` reaches every operator: the ``genbody`` of
+        a Cell, a Row and an Outer operator each come from a real file,
+        not from the exec backend's ``<generated …>`` code objects."""
+        import os
+
+        from repro.compiler.execution import Engine
+
+        engine = Engine(mode="gen", config=CodegenConfig(compiler="file"))
+        x = api.matrix(rng.random((60, 8)), "X")
+        v = api.matrix(rng.random((8, 1)), "v")
+        s = api.matrix(MatrixBlock.rand(60, 50, sparsity=0.05, seed=3), "S")
+        u = api.matrix(rng.random((60, 4)), "U")
+        w = api.matrix(rng.random((50, 4)), "W")
+        for expr in [(x * x + 1.0).row_sums(), x.T @ (x @ v), s * (u @ w.T)]:
+            api.eval(expr, engine=engine)
+        operators = list(engine.plan_cache._cache.values())
+        assert {op.cplan.ttype for op in operators} == {
+            TemplateType.CELL, TemplateType.ROW, TemplateType.OUTER
+        }
+        for op in operators:
+            assert os.path.isfile(op.genbody.__code__.co_filename)
+
     def test_unknown_backend_rejected(self):
         from repro.errors import CodegenError
 
         with pytest.raises(CodegenError):
-            compile_operator("T", "def genexec(a,b,s):\n    return a\n", backend="llvm")
+            compile_operator("T", "def genbody(a,b,s):\n    return a\n", backend="llvm")

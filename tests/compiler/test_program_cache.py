@@ -107,8 +107,8 @@ def test_bound_scalar_is_read_at_run_time_not_baked():
         assert value == pytest.approx(float(x.to_dense().sum() * step))
     assert engine.stats.n_classes_compiled == 1
     (operator,) = engine.plan_cache._cache.values()
-    assert "s[0]" in operator.kernel.source
-    assert "0.3" not in operator.kernel.source
+    assert "s[0]" in operator.source
+    assert "0.3" not in operator.source
 
 
 # ----------------------------------------------------------------------

@@ -179,3 +179,18 @@ class TestRecompileSpliceNesting:
             assert nested_compiles, (
                 "recompile-splice did not wrap a nested compile span"
             )
+
+
+class TestSpanArgs:
+    def test_array_arg_exports_as_its_str(self):
+        """A numpy scalar exports as its value; an array of several
+        elements, whose ``.item()`` raises, as its ``str``."""
+        from repro.obs.trace import Tracer
+
+        tracer = Tracer(level="full")
+        pair = np.array([1.0, 2.0])
+        with tracer.span("probe", pair=pair, count=np.int64(3)):
+            pass
+        (event,) = [e for e in tracer.chrome_trace()["traceEvents"]
+                    if e["name"] == "probe"]
+        assert event["args"] == {"pair": str(pair), "count": 3}

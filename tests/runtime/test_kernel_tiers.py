@@ -27,7 +27,7 @@ from repro.runtime.stats import RuntimeStats
 
 ROWS, COLS = 96, 24
 
-#: Tolerance where a whole-block kernel reassociates an aggregation
+#: Tolerance where a driver reassociates an aggregation
 #: (whole-array einsum/sum vs the base engine's per-operator sums).
 RTOL = 1e-9
 
@@ -149,7 +149,7 @@ def test_outer_grid_compiled_matches_interpreted(out_type, storage):
 
 @pytest.mark.parametrize("recipe", ["full_agg", "multi_agg"])
 def test_compressed_cell_kernel_runs_dictionary_direct(recipe):
-    """Parity for the compressed-CELL kernel variant: an eligible
+    """Parity for the compressed Cell path: an eligible
     (sparse-safe, side-free, sum-aggregated) plan over a compressed
     main must run over the dictionaries — no decompression."""
     main = _main_block("compressed")
@@ -172,7 +172,9 @@ def test_compressed_cell_kernel_runs_dictionary_direct(recipe):
 
 
 def test_compressed_cell_kernel_source_emitted():
-    """Eligible plans carry a loop-free `genkernel_comp` variant."""
+    """Eligible plans run their one loop-free ``genbody`` over each
+    column's distinct values; the driver dots the result with the
+    counts."""
     from repro.codegen.npgen import compile_kernel
     from repro.codegen.cplan import compressed_cell_eligible
     from repro.codegen.construct import construct_cplan
@@ -182,12 +184,43 @@ def test_compressed_cell_kernel_source_emitted():
     plan, plan_config = _select_plan([(x * x).sum()])
     cplan = construct_cplan(plan, plan_config)[0]
     assert compressed_cell_eligible(cplan)
-    kernel = compile_kernel(cplan, CodegenConfig())
-    assert kernel.comp_entry is not None
-    assert "genkernel_comp" in kernel.comp_source
-    values = np.array([0.0, 1.0, 3.0])
-    counts = np.array([5.0, 2.0, 1.0])
-    assert kernel.comp_entry(values, counts, [], []) == 11.0
+    operator = compile_kernel(cplan, CodegenConfig())
+    assert operator.source.count("def ") == 1
+    assert "def genbody(a, b, s):" in operator.source
+    # Distinct values 0, 1, 3 with counts 5, 2, 1: 5*0 + 2*1 + 1*9.
+    column = np.array([[0.0] * 5 + [1.0] * 2 + [3.0]]).T
+    assert npexec.execute_kernel(operator, [compress(MatrixBlock(column))]) == 11.0
+
+
+def test_einsum_roots_call_the_body_at_most_once():
+    """A dense MULTI_AGG operator contracts its einsum roots without the
+    body and calls ``genbody`` once for the rest, or not at all."""
+    import dataclasses
+
+    rng = np.random.default_rng(19)
+    xd, yd = rng.random((40, 6)), rng.random((40, 6))
+
+    def run(exprs):
+        engine = _engine()
+        expected = api.eval_all(exprs, engine=engine)
+        (operator,) = engine.plan_cache._cache.values()
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return operator.genbody(*args)
+
+        counted = dataclasses.replace(operator, genbody=counting)
+        block = npexec.execute_kernel(counted, [MatrixBlock(xd),
+                                                MatrixBlock(yd)])
+        assert block.to_dense().ravel().tolist() == expected
+        return operator.einsum, len(calls)
+
+    x, y = api.matrix(xd, "X"), api.matrix(yd, "Y")
+    einsum, calls = run([(x * y).sum(), (x * x).sum()])
+    assert None not in einsum and calls == 0
+    einsum, calls = run([(x * y).sum(), api.exp(x).sum()])
+    assert einsum[1] is None and calls == 1
 
 
 def test_elementwise_kernels_bit_identical():
@@ -271,7 +304,7 @@ def test_sparse_row_densifies_in_chunks(out_type, execution, monkeypatch):
         np.testing.assert_allclose(got, expected, rtol=RTOL, atol=1e-12)
     (operator,) = engine.plan_cache._cache.values()
     assert operator.cplan.out_type.value == out_type
-    assert not operator.kernel.csr_main_safe
+    assert not operator.csr_main_safe
     if execution != "spark":  # its partitions run without a stats object
         assert engine.stats.n_format_conversions >= 1
 
@@ -344,21 +377,21 @@ class TestKernelSharing:
         assert engine.stats.n_kernel_compiles == 1
 
     def test_source_cache_returns_same_namespace(self):
-        source = "def genexec(a, b, s):\n    return a\n"
+        source = "def genbody(a, b, s):\n    return a\n"
         stats = RuntimeStats()
         ns1 = compile_source("TMP_SRC_TEST", source, "exec", stats=stats)
         before = stats.n_source_cache_hits
         ns2 = compile_source("TMP_SRC_TEST", source, "exec", stats=stats)
         assert ns1 is ns2
         assert stats.n_source_cache_hits == before + 1
-        assert ns1["genexec"]("x", [], []) == "x"
+        assert ns1["genbody"]("x", [], []) == "x"
 
     def test_source_cache_distinguishes_backends_and_source(self):
         stats = RuntimeStats()
-        a = compile_source("TMP_SRC_A", "def genexec(a, b, s):\n    return 1\n",
+        a = compile_source("TMP_SRC_A", "def genbody(a, b, s):\n    return 1\n",
                            "exec", stats=stats)
-        b = compile_source("TMP_SRC_A", "def genexec(a, b, s):\n    return 2\n",
+        b = compile_source("TMP_SRC_A", "def genbody(a, b, s):\n    return 2\n",
                            "exec", stats=stats)
         assert a is not b
-        assert a["genexec"](0, [], []) == 1
-        assert b["genexec"](0, [], []) == 2
+        assert a["genbody"](0, [], []) == 1
+        assert b["genbody"](0, [], []) == 2

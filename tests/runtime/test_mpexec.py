@@ -333,10 +333,8 @@ class TestSpawnGuards:
         assert len(booted) == 2
 
     def test_worker_rejects_nondeterministic_source(self, rng):
-        """The worker-side regeneration assert: shipped sources that
-        the cplan cannot reproduce byte-for-byte must be refused —
-        the ``genexec`` module and the whole-block kernel alike."""
-        from repro.codegen import pygen
+        """The worker-side regeneration assert: a shipped source the
+        cplan cannot reproduce byte-for-byte must be refused."""
         from repro.runtime.stats import RuntimeStats
 
         engine = _mp_engine()
@@ -344,28 +342,18 @@ class TestSpawnGuards:
         api.eval(
             ((api.matrix(data, "X") * 2.0) + 1.0).sum(), engine=engine
         )
-        operators = [
-            op for op in engine.plan_cache._cache.values()
-            if isinstance(op, pygen.GeneratedOperator)
-        ]
-        assert operators
-        op = operators[0]
-        assert len(op.sources) > 1
-        for i in range(len(op.sources)):
-            sources = tuple(
-                source + "\n# tampered" if k == i else source
-                for k, source in enumerate(op.sources)
+        (op,) = engine.plan_cache._cache.values()
+        tampered = op.source + "\n# tampered"
+        with pytest.raises(RuntimeExecError, match="diverged"):
+            mpexec._materialize_operator(
+                {op.name: (tampered, op.cplan)}, op.name,
+                engine.config, RuntimeStats()
             )
-            with pytest.raises(RuntimeExecError, match="diverged"):
-                mpexec._materialize_operator(
-                    {op.name: (sources, op.cplan)}, op.name,
-                    engine.config, RuntimeStats()
-                )
         rebuilt = mpexec._materialize_operator(
-            {op.name: (op.sources, op.cplan)}, op.name, engine.config,
+            {op.name: (op.source, op.cplan)}, op.name, engine.config,
             RuntimeStats()
         )
-        assert rebuilt.sources == op.sources
+        assert rebuilt.source == op.source
 
     def test_pool_under_scheduler_respects_thread_budget(
         self, rng, monkeypatch

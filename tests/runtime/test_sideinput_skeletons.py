@@ -151,7 +151,7 @@ class TestSkeletonEdgeCases:
         np.testing.assert_allclose(gen.to_dense(), base.to_dense(),
                                    rtol=1e-12)
         (operator,) = engine.plan_cache._cache.values()
-        assert operator.kernel.csr_sides == (1,)
+        assert operator.csr_sides == (1,)
         assert engine.stats.n_format_conversions == 0
 
     def test_empty_sparse_rows(self):

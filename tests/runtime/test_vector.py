@@ -1,5 +1,7 @@
 """Tests of the vector-primitive library used by generated operators."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +94,19 @@ class TestElementwise:
     def test_unary_matches_numpy(self, func, ref):
         a = RNG.random((3, 4)) + 0.1
         np.testing.assert_allclose(func(a), ref(a))
+
+    def test_sigmoid_saturates_without_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = vp.vect_sigmoid(np.array([-1000.0, 0.0, 1000.0]))
+        np.testing.assert_array_equal(result, [0.0, 0.5, 1.0])
+
+    def test_base_engine_runs_the_same_primitives(self):
+        from repro.runtime import ops
+
+        for name in ("not", "sigmoid", "sprop", "pow2", "erf", "normpdf"):
+            primitive = getattr(vp, vp.UNARY_PRIMITIVES[name])
+            assert ops._UNARY_FUNCS[name] is primitive
 
     def test_comparisons_indicator(self):
         a, b = RNG.random((3, 4)), RNG.random((3, 4))
