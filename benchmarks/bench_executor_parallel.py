@@ -37,6 +37,10 @@ from repro.config import CodegenConfig
 N_BRANCHES = 4
 SIZE = 700
 _CACHE: dict = {}
+#: ``RuntimeStats`` scheduling counters reported per schedule.
+_STAT_FIELDS = ("n_instructions_executed", "n_parallel_tasks",
+                "executor_max_concurrency", "n_freed_early",
+                "n_serial_runs", "n_parallel_runs")
 
 
 def _inputs():
@@ -78,7 +82,9 @@ def run(repeats: int = 3) -> list[BenchResult]:
 
         evaluate()  # warmup
         result.seconds[schedule] = time_best(evaluate, repeats)
-        result.stats[schedule] = engine.stats.scheduling_summary()
+        result.stats[schedule] = {
+            name: getattr(engine.stats, name) for name in _STAT_FIELDS
+        }
     return [result]
 
 

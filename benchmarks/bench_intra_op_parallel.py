@@ -46,6 +46,11 @@ COLS = 20
 OUTER_DIM = (500, 400) if QUICK else (8_000, 6_000)
 RANK = 8
 _CACHE: dict = {}
+#: ``RuntimeStats`` intra-operator counters reported per thread count.
+_STAT_FIELDS = ("n_intra_op_parallel", "n_intra_op_partitions",
+                "intra_op_combine_levels", "intra_op_max_threads",
+                "n_budget_degraded_runs", "n_parallel_runs",
+                "n_serial_runs", "executor_max_concurrency")
 
 
 def _data():
@@ -111,7 +116,9 @@ def run(repeats: int = 3) -> list[BenchResult]:
 
             evaluate()  # warmup: compile + plan-cache fill
             result.seconds[f"{threads}t"] = time_best(evaluate, repeats)
-            result.stats[f"{threads}t"] = engine.stats.parallel_summary()
+            result.stats[f"{threads}t"] = {
+                name: getattr(engine.stats, name) for name in _STAT_FIELDS
+            }
         results.append(result)
     return results
 

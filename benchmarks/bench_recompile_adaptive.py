@@ -46,6 +46,10 @@ ROWS, COLS = (1_000, 800) if QUICK else (6_000, 4_000)
 DENSITY = 0.005  # 0.5% non-zeros: well under the acceptance's 1% bar
 MODES = ["base", "gen"]
 _CACHE: dict = {}
+#: ``RuntimeStats`` adaptive-recompilation counters reported per engine.
+_STAT_FIELDS = ("n_marked_instructions", "n_meta_checks",
+                "n_estimate_misses", "n_recompiles", "n_format_conversions",
+                "recompile_divergence_hist")
 
 
 def _data() -> MatrixBlock:
@@ -84,7 +88,9 @@ def run(repeats: int = 3):
 
             outputs[label] = evaluate()[0]  # warmup: compile (+ codegen)
             result.seconds[label] = time_best(evaluate, repeats)
-            result.stats[label] = engine.stats.adaptive_summary()
+            result.stats[label] = {
+                name: getattr(engine.stats, name) for name in _STAT_FIELDS
+            }
             if adaptive:
                 assert engine.stats.n_recompiles > 0, (
                     "adaptive run never recompiled"

@@ -212,7 +212,6 @@ def test_real_parallelism_speedup(benchmark):
         mp_warm, mp_vals, mp_wall, mp_stats = timed("multiprocess")
         assert mp_warm == sim_warm and mp_vals == sim_vals
         speedup = sim_wall / mp_wall
-        summary = mp_stats.distributed_backend_summary()
         benchmark.extra_info.update(
             {
                 "rows": _PAR_ROWS,
@@ -221,8 +220,8 @@ def test_real_parallelism_speedup(benchmark):
                 "sim_wall_s": round(sim_wall, 3),
                 "mp_wall_s": round(mp_wall, 3),
                 "speedup": round(speedup, 2),
-                "mp_shm_mb": summary["mp_shm_mb"],
-                "mp_locality_hits": summary["n_mp_locality_hits"],
+                "mp_shm_mb": mp_stats.mp_shm_bytes / 1e6,
+                "mp_locality_hits": mp_stats.n_mp_locality_hits,
             }
         )
         if (os.cpu_count() or 1) < 2 * _PAR_WORKERS:

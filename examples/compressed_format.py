@@ -53,14 +53,13 @@ def main():
     engine = Engine(mode="gen")
     direct_time, direct = best_of(
         lambda: api.eval(build(comp), engine=engine))
-    summary = engine.stats.compressed_summary()
     indirect_time, indirect = best_of(
         lambda: api.eval(build(comp.decompress()), engine=Engine(mode="gen")))
     oracle = api.eval(build(block), engine=Engine(mode="base"))
 
     print(f"dictionary-direct:       {direct_time * 1e3:8.1f} ms  "
-          f"(n_compressed_ops={summary['n_compressed_ops']}, "
-          f"n_decompressions={summary['n_decompressions']})")
+          f"(n_compressed_ops={engine.stats.n_compressed_ops}, "
+          f"n_decompressions={engine.stats.n_decompressions})")
     print(f"decompress-then-execute: {indirect_time * 1e3:8.1f} ms")
     print(f"speedup: {indirect_time / direct_time:.1f}x")
     print(f"bit-parity vs dense oracle: "

@@ -55,7 +55,12 @@ def main():
           f"({frozen_time / adaptive_time:.2f}x)")
     print(f"bit-identical        : "
           f"{np.array_equal(frozen.to_dense(), adapted.to_dense())}")
-    print(f"\nadaptive counters    : {adaptive_engine.stats.adaptive_summary()}")
+    stats = adaptive_engine.stats
+    print(f"\nadaptive counters    : marked={stats.n_marked_instructions} "
+          f"checks={stats.n_meta_checks} misses={stats.n_estimate_misses} "
+          f"recompiles={stats.n_recompiles} "
+          f"conversions={stats.n_format_conversions}")
+    print(f"divergence histogram : {stats.recompile_divergence_hist}")
 
 
 if __name__ == "__main__":

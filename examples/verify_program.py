@@ -66,7 +66,11 @@ def main() -> None:
     # static use-after-free, dependency edges, recompile markers).
     print("\n== lowered program ==")
     print(format_report(verify_program(program, stage="post-lowering")))
-    print("\nanalysis counters:", engine.stats.analysis_summary())
+    stats = engine.stats
+    print(f"\nanalysis counters: verified={stats.n_verified_programs} "
+          f"findings={stats.n_verifier_findings} "
+          f"lint_rejects={stats.n_lint_rejects} "
+          f"lockset_reports={stats.n_lockset_reports}")
 
     # 4a. Mutant: overstate a refcount — the executor would leak the
     # slot; the diagnostic names the producing instruction.

@@ -18,7 +18,7 @@ from repro.compiler.execution import Engine
 from repro.config import CodegenConfig
 
 #: Environment variable: when set, benchmark scripts using the harness
-#: write their results (timings plus executor scheduling stats) to this
+#: write their results (timings plus the counters they report) to this
 #: JSON file via :func:`maybe_export_json`.
 BENCH_JSON_ENV = "REPRO_BENCH_JSON"
 
@@ -29,7 +29,8 @@ class BenchResult:
 
     label: str
     seconds: dict[str, float] = field(default_factory=dict)
-    # Per-mode scheduling stats (RuntimeStats.scheduling_summary()).
+    # Per-mode counters the benchmark chose to report (RuntimeStats
+    # fields read by name, or values derived from them).
     stats: dict = field(default_factory=dict)
     # Per-mode trace phase breakdown (phase_summary()), filled when the
     # benchmark runs with tracing enabled.
@@ -86,15 +87,13 @@ def phase_summary(engine) -> dict:
 
 def run_modes(build_exprs, modes: list[str], repeats: int = 3,
               config_factory=None, warmup: bool = True,
-              collect_stats: dict | None = None,
               collect_phases: dict | None = None) -> dict[str, float]:
     """Time ``eval_all(build_exprs())`` under each engine mode.
 
     A fresh engine per mode; one warmup run compiles fused operators so
     measured runs hit the plan cache (the paper reports post-JIT means).
-    When ``collect_stats`` (a dict) is passed, it is filled with each
-    mode's executor scheduling summary after the timed runs; likewise
-    ``collect_phases`` receives each mode's :func:`phase_summary`.
+    When ``collect_phases`` (a dict) is passed, it receives each mode's
+    :func:`phase_summary` after the timed runs.
     """
     results: dict[str, float] = {}
     for mode in modes:
@@ -107,8 +106,6 @@ def run_modes(build_exprs, modes: list[str], repeats: int = 3,
         if warmup:
             evaluate()
         results[mode] = time_best(evaluate, repeats)
-        if collect_stats is not None:
-            collect_stats[mode] = engine.stats.scheduling_summary()
         if collect_phases is not None:
             collect_phases[mode] = phase_summary(engine)
     return results
@@ -125,7 +122,7 @@ def print_table(title: str, modes: list[str], results: list[BenchResult]) -> Non
 
 def export_json(path: str, title: str, results: list[BenchResult],
                 extra: dict | None = None) -> None:
-    """Write results (timings + scheduling stats) as a JSON report."""
+    """Write results (timings + reported counters) as a JSON report."""
     payload = {
         "title": title,
         "results": [r.as_dict() for r in results],

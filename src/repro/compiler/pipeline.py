@@ -157,9 +157,6 @@ def run_passes(roots: list[Hop], passes: list[CompilerPass],
         elapsed = time.perf_counter() - start
         seconds = ctx.stats.pipeline_pass_seconds
         seconds[compiler_pass.name] = seconds.get(compiler_pass.name, 0.0) + elapsed
-        ctx.stats.metrics.histogram("compile_phase_seconds").observe(
-            elapsed, phase=compiler_pass.name
-        )
         if per_pass_verify:
             check_dag(roots, ctx, stage=f"after-{compiler_pass.name}")
     return roots
@@ -203,9 +200,6 @@ def compile_program(roots: list[Hop], ctx: CompilationContext,
         elapsed = time.perf_counter() - start
         seconds = ctx.stats.pipeline_pass_seconds
         seconds["lowering"] = seconds.get("lowering", 0.0) + elapsed
-        ctx.stats.metrics.histogram("compile_phase_seconds").observe(
-            elapsed, phase="lowering"
-        )
         if verify:
             # Covers adaptive recompiles too: spliced remainder programs
             # re-enter this pipeline and re-verify automatically.

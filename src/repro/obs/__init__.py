@@ -1,18 +1,20 @@
-"""Observability: span tracing, per-operator profiling, metrics.
+"""Observability: span tracing, per-operator profiling, histogram cells.
 
-Three cooperating pieces (ISSUE 8 / ROADMAP item 3):
+Three cooperating pieces:
 
 * :mod:`repro.obs.trace` — a hierarchical span tracer with a bounded
   ring buffer, gated by ``CodegenConfig.trace_level`` and exportable as
   Chrome ``trace_event`` JSON (``Engine.export_trace``),
 * :mod:`repro.obs.profile` — aggregates instruction spans into an
   ``explain()``-style per-operator report (``Engine.profile_report``),
-* :mod:`repro.obs.metrics` — labeled counters / gauges / log-bucketed
-  latency histograms backing the percentile fields of
-  ``RuntimeStats.serving_summary()``.
+* :mod:`repro.obs.metrics` — the log-bucketed ``HistogramCell`` that
+  ``RuntimeStats`` keeps its serving latency and queue-wait histograms
+  in, read by ``RuntimeStats.serving_summary()``.
+
+Every counter lives on :class:`repro.runtime.stats.RuntimeStats`.
 """
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import HistogramCell
 from repro.obs.trace import (
     FULL,
     INSTRUCTIONS,
@@ -26,10 +28,7 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
+    "HistogramCell",
     "Span",
     "Tracer",
     "tracer_for",

@@ -48,7 +48,6 @@ time (a dedicated lock serializes them).
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
@@ -239,7 +238,6 @@ class ProgramExecutor:
             epoch = self._epoch
 
         tracer = self.stats.tracer
-        started = time.perf_counter()
         with tracer.span("request", cat="request",
                          n_instructions=program.n_instructions):
             if self.spark is not None:
@@ -257,9 +255,6 @@ class ProgramExecutor:
                 run_stats.tracer = tracer
                 self._run_local(program, values, run_stats, epoch)
                 self.stats.merge(run_stats)
-        self.stats.metrics.histogram("executor_run_seconds").observe(
-            time.perf_counter() - started
-        )
         return [self._as_root_value(values[slot])
                 for slot in program.root_slots]
 

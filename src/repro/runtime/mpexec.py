@@ -661,7 +661,7 @@ class ProcessPoolBackend:
                     )
 
     def _handle_ok(self, wid: int, msg, state: dict, results: list) -> int:
-        _, task_id, payload, counters, metrics, spans, notes = msg
+        _, task_id, payload, counters, spans, notes = msg
         pending = state["pending"].pop(task_id, None)
         if pending is None:
             return 0  # stale result from an aborted operator
@@ -678,7 +678,7 @@ class ProcessPoolBackend:
             if wkey[0] == self.backend_id:
                 self._forget_location(wkey[1], wkey[2], wid)
         if counters:
-            self._merge_worker_stats(counters, metrics)
+            stats.merge(RuntimeStats(**counters))
         for span in spans or ():
             # Worker lanes sit above any real thread id in the trace.
             self.stats.tracer.record_foreign(*span, tid=1_000_000 + wid)
@@ -756,13 +756,3 @@ class ProcessPoolBackend:
                     worker.conn.recv()
             except (EOFError, OSError):
                 continue
-
-    # -- stats / span merge-back ---------------------------------------
-    def _merge_worker_stats(self, counters: dict, metrics) -> None:
-        fresh = RuntimeStats()
-        for name, value in counters.items():
-            if hasattr(fresh, name):
-                setattr(fresh, name, value)
-        self.stats.merge(fresh)
-        if metrics:
-            self.stats.metrics.merge_exported(metrics)

@@ -7,7 +7,8 @@ decoded with :mod:`repro.runtime.mptransport`) and what to run on
 them; :func:`_run_task` resolves the inputs and calls
 :func:`repro.runtime.distributed.run_partition_task`, the same function
 the in-process backend calls, then sends back the result, the task's
-counters (:func:`_export_stats`) and the block-cache keys it evicted.
+nonzero ``RuntimeStats`` fields by name (:func:`_export_stats`) and the
+block-cache keys it evicted.
 
 Generated operators arrive as ``(name, source, cplan)``;
 :func:`_materialize_operator` rebuilds them with the function the
@@ -59,17 +60,15 @@ def _materialize_operator(operators: dict, name: str, config, stats):
     return operator
 
 
-def _export_stats(stats):
-    """Nonzero counter fields (plus metric cells) as plain picklables."""
+def _export_stats(stats) -> dict:
+    """Nonzero ``RuntimeStats`` fields by name: the task's wire-format
+    counters, which ``RuntimeStats(**counters)`` rebuilds."""
     counters = {}
     for spec in dataclass_fields(stats):
         value = getattr(stats, spec.name)
-        if isinstance(value, dict):
-            if value:
-                counters[spec.name] = dict(value)
-        elif isinstance(value, (int, float)) and value:
+        if value:
             counters[spec.name] = value
-    return counters, stats.export_metrics()
+    return counters
 
 
 def _run_task(task: dict, caches: dict, operators: dict,
@@ -192,7 +191,7 @@ def _worker_main(conn, worker_id: int) -> None:
             if stats is None:  # cache miss: ask the driver to re-ship
                 conn.send(("miss", task_id, result))
                 continue
-            counters, metrics = _export_stats(stats)
+            counters = _export_stats(stats)
             spans = None
             if task.get("trace"):
                 spans = [("mp:task", "mp",
@@ -201,8 +200,7 @@ def _worker_main(conn, worker_id: int) -> None:
                            "partition": task.get("partition", -1),
                            "worker": worker_id},
                           wall_start, duration)]
-            conn.send(("ok", task_id, result, counters, metrics, spans,
-                       notes))
+            conn.send(("ok", task_id, result, counters, spans, notes))
         except SystemExit:
             raise
         except BaseException:

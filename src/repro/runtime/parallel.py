@@ -50,7 +50,7 @@ class ThreadBudget:
         # holders run on threads they already have, outside the pool.
         self._on_own_thread = 0
         #: Peak simultaneously granted tokens (observability for the
-        #: oversubscription guard tests and ``parallel_summary``).
+        #: oversubscription guard tests).
         self.peak = 0
 
     @property

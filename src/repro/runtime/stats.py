@@ -1,9 +1,14 @@
-"""Runtime statistics counters.
+"""Runtime statistics: the engine's one metrics store.
 
 Execution engines record the bytes they materialize, the simulated
 network traffic of the distributed backend, and compilation overhead.
 The counters feed Table 3, Figure 11, and Table 6 of the reproduction,
-plus the serving subsystem's per-request telemetry.
+plus the serving subsystem's per-request telemetry.  Every counter and
+histogram is a dataclass field read by name; the serving latency and
+queue-wait histograms are dict fields of
+:class:`~repro.obs.metrics.HistogramCell` keyed by ``(tenant,
+program)``, and :meth:`RuntimeStats.serving_summary` is the one method
+that derives values (percentiles, a per-tenant breakdown) from them.
 
 Thread-safety convention: one ``RuntimeStats`` instance may be shared
 by concurrent executor runs and a serving scheduler.  Every *runtime*
@@ -19,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from repro.analysis import lockset
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import HistogramCell
 from repro.obs.trace import NULL_TRACER
 
 
@@ -29,7 +34,6 @@ class RuntimeStats:
 
     # Materialization traffic (local interpreter).
     bytes_written: float = 0.0
-    bytes_read: float = 0.0
     n_intermediates: int = 0
 
     # Simulated distributed backend.
@@ -132,9 +136,11 @@ class RuntimeStats:
     n_specialization_misses: int = 0  # cold bind: full compile pipeline ran
     n_shape_recompiles: int = 0  # dynamic recompiles after the first bind
     n_admission_waits: int = 0  # requests delayed by the memory budget
-    serve_queue_seconds: float = 0.0  # total time requests sat queued
     serve_exec_seconds: float = 0.0  # total bind+execute time
-    serve_latency_seconds: float = 0.0  # total submit-to-result latency
+    # Submit-to-result latency and queue wait per served request:
+    # HistogramCell values keyed by (tenant, program).
+    serve_latency_hist: dict = field(default_factory=dict)
+    serve_queue_hist: dict = field(default_factory=dict)
 
     # Fused-operator executions by template name.
     spoof_executions: dict = field(default_factory=dict)
@@ -153,178 +159,73 @@ class RuntimeStats:
         # cache, scheduler).  Engines replace the no-op default when
         # trace_level != "off"; run-local stats copy the shared tracer.
         self.tracer = NULL_TRACER
-        # Metrics registry, created lazily: run-local stats objects are
-        # constructed per executor task, and most never touch metrics.
-        self._metrics: MetricsRegistry | None = None
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """The labeled counter/gauge/histogram registry (lazy)."""
-        if self._metrics is None:
-            with self.lock:
-                if self._metrics is None:
-                    self._metrics = MetricsRegistry()
-        return self._metrics
-
-    def export_metrics(self) -> list | None:
-        """The registry's picklable export, ``None`` if never touched."""
-        return None if self._metrics is None else self._metrics.export()
-
-    def scheduling_summary(self) -> dict:
-        """Executor scheduling counters (bench harness JSON output)."""
-        return {
-            "n_instructions_executed": self.n_instructions_executed,
-            "n_parallel_tasks": self.n_parallel_tasks,
-            "executor_max_concurrency": self.executor_max_concurrency,
-            "n_freed_early": self.n_freed_early,
-            "n_serial_runs": self.n_serial_runs,
-            "n_parallel_runs": self.n_parallel_runs,
-        }
-
-    def parallel_summary(self) -> dict:
-        """Intra-operator parallelism counters (bench/doc observability).
-
-        ``mean_partitions`` is per parallel-executed operator;
-        ``intra_op_max_threads`` reports the peak worker grant the
-        shared thread budget allowed (1 = partitions executed on the
-        calling thread because outer layers held the budget).
-        """
-        ops = max(self.n_intra_op_parallel, 1)
-        return {
-            "n_intra_op_parallel": self.n_intra_op_parallel,
-            "n_intra_op_partitions": self.n_intra_op_partitions,
-            "mean_partitions": self.n_intra_op_partitions / ops,
-            "intra_op_combine_levels": self.intra_op_combine_levels,
-            "intra_op_max_threads": self.intra_op_max_threads,
-            "n_budget_degraded_runs": self.n_budget_degraded_runs,
-            "n_parallel_runs": self.n_parallel_runs,
-            "n_serial_runs": self.n_serial_runs,
-            "executor_max_concurrency": self.executor_max_concurrency,
-        }
-
-    def distributed_summary(self) -> dict:
-        """Blocked-dataflow counters (Table 6 bench reporting)."""
-        return {
-            "n_distributed_ops": self.n_distributed_ops,
-            "n_partitioned": self.n_partitioned,
-            "n_blocked_passthrough": self.n_blocked_passthrough,
-            "n_collects": self.n_collects,
-            "n_tree_reduces": self.n_tree_reduces,
-            "n_rdd_cache_hits": self.n_rdd_cache_hits,
-            "n_rdd_cache_evictions": self.n_rdd_cache_evictions,
-            "sim_seconds": self.sim_seconds,
-            "sim_broadcast_mb": self.sim_broadcast_bytes / 1e6,
-            "sim_shuffle_mb": self.sim_shuffle_bytes / 1e6,
-            "sim_collect_mb": self.sim_collect_bytes / 1e6,
-        }
-
-    def distributed_backend_summary(self) -> dict:
-        """Multiprocess-backend counters (transport, locality, faults).
-
-        ``shm_fraction`` reports how much of the shipped block volume
-        moved zero-copy through shared memory rather than the pickle
-        fallback; the retry/recompute counters make the failure model
-        (lost workers recovered via lineage recompute) observable.
-        """
-        shipped = self.mp_shm_bytes + self.mp_pickle_bytes
-        return {
-            "n_mp_tasks": self.n_mp_tasks,
-            "n_mp_broadcasts": self.n_mp_broadcasts,
-            "n_mp_block_ships": self.n_mp_block_ships,
-            "n_mp_locality_hits": self.n_mp_locality_hits,
-            "n_task_retries": self.n_task_retries,
-            "n_lineage_recomputes": self.n_lineage_recomputes,
-            "n_worker_respawns": self.n_worker_respawns,
-            "mp_shm_mb": self.mp_shm_bytes / 1e6,
-            "mp_pickle_mb": self.mp_pickle_bytes / 1e6,
-            "shm_fraction": self.mp_shm_bytes / max(shipped, 1.0),
-            "mp_max_workers": self.mp_max_workers,
-        }
 
     def observe_request(self, program: str, tenant: str,
                         queue_seconds: float, exec_seconds: float,
                         latency_seconds: float) -> None:
-        """Record one served request into the latency histograms.
+        """Record one served request.
 
-        Labeled by (tenant, program) so ``serving_summary()`` can report
-        percentiles per tenant as well as in aggregate.  The metrics
-        registry takes its own lock; callers need not hold stats.lock.
+        Counts it, adds its execution time, and observes its latency
+        and queue wait into the ``(tenant, program)`` histogram cells so
+        :meth:`serving_summary` can report percentiles per tenant as
+        well as in aggregate.
         """
-        labels = {"tenant": tenant, "program": program}
-        metrics = self.metrics
-        metrics.histogram("serve_latency_seconds").observe(
-            latency_seconds, **labels
-        )
-        metrics.histogram("serve_queue_seconds").observe(
-            queue_seconds, **labels
-        )
-        metrics.histogram("serve_exec_seconds").observe(
-            exec_seconds, **labels
-        )
+        key = (tenant, program)
+        with self.lock:
+            lockset.note_access("RuntimeStats", self, "serve_latency_hist")
+            self.n_requests_served += 1
+            self.serve_exec_seconds += exec_seconds
+            for hist, value in ((self.serve_latency_hist, latency_seconds),
+                                (self.serve_queue_hist, queue_seconds)):
+                cell = hist.get(key)
+                if cell is None:
+                    cell = hist[key] = HistogramCell()
+                cell.observe(value)
 
     def serving_summary(self) -> dict:
         """Per-request serving telemetry plus plan-cache health.
 
-        All pre-percentile keys are preserved; the p50/p95/p99 fields
-        (and the per-tenant breakdown) come from the log-bucketed
-        latency histograms the scheduler feeds via
-        :meth:`observe_request`.
+        The p50/p95/p99 fields and the per-tenant breakdown come from
+        the log-bucketed histograms :meth:`observe_request` feeds.
         """
-        latency = self.metrics.histogram("serve_latency_seconds")
-        queue = self.metrics.histogram("serve_queue_seconds")
-        lat_all = latency.aggregate()
-        queue_all = queue.aggregate()
-        per_tenant = {
-            tenant: {"n": cell.count, "latency_p50": cell.percentile(50),
-                     "latency_p99": cell.percentile(99),
-                     "mean_latency_seconds": cell.mean}
-            for tenant, cell in latency.grouped("tenant").items()
-        }
-        served = max(self.n_requests_served, 1)
-        return {
-            "latency_p50": lat_all.percentile(50),
-            "latency_p95": lat_all.percentile(95),
-            "latency_p99": lat_all.percentile(99),
-            "queue_p50": queue_all.percentile(50),
-            "queue_p99": queue_all.percentile(99),
-            "per_tenant": per_tenant,
-            "n_requests_served": self.n_requests_served,
-            "n_requests_batched": self.n_requests_batched,
-            "n_batches_executed": self.n_batches_executed,
-            "n_batch_fallbacks": self.n_batch_fallbacks,
-            "n_specialization_hits": self.n_specialization_hits,
-            "n_specialization_misses": self.n_specialization_misses,
-            "n_shape_recompiles": self.n_shape_recompiles,
-            "n_admission_waits": self.n_admission_waits,
-            "serve_queue_seconds": self.serve_queue_seconds,
-            "serve_exec_seconds": self.serve_exec_seconds,
-            "serve_latency_seconds": self.serve_latency_seconds,
-            "mean_latency_seconds": self.serve_latency_seconds / served,
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_cache_misses": self.plan_cache_lookups - self.plan_cache_hits,
-            "plan_cache_size": self.plan_cache_size,
-        }
-
-    def kernel_summary(self) -> dict:
-        """Generated-operator counters (bench/doc observability).
-
-        All fields are plain additive counters, so run-local instances
-        merge into a shared engine's stats through :meth:`merge` under
-        its lock like every other runtime counter family.
-        """
-        return {
-            "n_kernel_compiles": self.n_kernel_compiles,
-            "n_compiled_runs": self.n_compiled_runs,
-            "n_source_cache_hits": self.n_source_cache_hits,
-        }
-
-    def compressed_summary(self) -> dict:
-        """Compressed-format counters (bench/doc observability)."""
-        return {
-            "n_compressed_ops": self.n_compressed_ops,
-            "n_decompressions": self.n_decompressions,
-            "n_compressions": self.n_compressions,
-        }
+        latency, queue = HistogramCell(), HistogramCell()
+        tenants: dict[str, HistogramCell] = {}
+        with self.lock:
+            for (tenant, _program), cell in self.serve_latency_hist.items():
+                latency.combine(cell)
+                tenants.setdefault(tenant, HistogramCell()).combine(cell)
+            for cell in self.serve_queue_hist.values():
+                queue.combine(cell)
+            return {
+                "latency_p50": latency.percentile(50),
+                "latency_p95": latency.percentile(95),
+                "latency_p99": latency.percentile(99),
+                "queue_p50": queue.percentile(50),
+                "queue_p99": queue.percentile(99),
+                "per_tenant": {
+                    tenant: {"n": cell.count,
+                             "latency_p50": cell.percentile(50),
+                             "latency_p99": cell.percentile(99),
+                             "mean_latency_seconds": cell.mean}
+                    for tenant, cell in tenants.items()
+                },
+                "n_requests_served": self.n_requests_served,
+                "n_requests_batched": self.n_requests_batched,
+                "n_batches_executed": self.n_batches_executed,
+                "n_batch_fallbacks": self.n_batch_fallbacks,
+                "n_specialization_hits": self.n_specialization_hits,
+                "n_specialization_misses": self.n_specialization_misses,
+                "n_shape_recompiles": self.n_shape_recompiles,
+                "n_admission_waits": self.n_admission_waits,
+                "serve_queue_seconds": queue.total,
+                "serve_exec_seconds": self.serve_exec_seconds,
+                "serve_latency_seconds": latency.total,
+                "mean_latency_seconds": latency.mean,
+                "plan_cache_hits": self.plan_cache_hits,
+                "plan_cache_misses": (self.plan_cache_lookups
+                                      - self.plan_cache_hits),
+                "plan_cache_size": self.plan_cache_size,
+            }
 
     def record_divergence(self, ratio: float) -> None:
         """Bucket one observed estimate divergence (power-of-two bins)."""
@@ -335,45 +236,22 @@ class RuntimeStats:
         hist = self.recompile_divergence_hist
         hist[label] = hist.get(label, 0) + 1
 
-    def adaptive_summary(self) -> dict:
-        """Adaptive-recompilation counters (bench/doc observability)."""
-        return {
-            "n_marked_instructions": self.n_marked_instructions,
-            "n_meta_checks": self.n_meta_checks,
-            "n_estimate_misses": self.n_estimate_misses,
-            "n_recompiles": self.n_recompiles,
-            "n_format_conversions": self.n_format_conversions,
-            "recompile_divergence_hist": dict(self.recompile_divergence_hist),
-        }
-
-    def analysis_summary(self) -> dict:
-        """Static-analysis counters (verifier, lint, lockset)."""
-        return {
-            "n_verified_programs": self.n_verified_programs,
-            "n_verifier_findings": self.n_verifier_findings,
-            "n_lint_rejects": self.n_lint_rejects,
-            "n_lockset_reports": self.n_lockset_reports,
-        }
-
     def record_spoof(self, template_name: str) -> None:
         """Count one execution of a generated operator."""
         count = self.spoof_executions.get(template_name, 0)
         self.spoof_executions[template_name] = count + 1
 
     def reset(self) -> None:
-        """Zero all counters in place (lock and tracer are kept).
+        """Zero all counters and empty all histograms in place (lock and
+        tracer are kept).
 
         Enumerates ``dataclasses.fields`` so every declared counter —
-        including ones added after this method was written — resets;
-        non-field attributes (lock, tracer, metrics) are handled
-        explicitly.
+        including ones added after this method was written — resets.
         """
         fresh = RuntimeStats()
         with self.lock:
             for spec in fields(self):
                 setattr(self, spec.name, getattr(fresh, spec.name))
-            if self._metrics is not None:
-                self._metrics.clear()
 
     def merge(self, other: "RuntimeStats") -> None:
         """Accumulate another stats object into this one.
@@ -384,7 +262,8 @@ class RuntimeStats:
         are skipped, so merging a run-local stats object only writes
         the counter families that run touched — concurrent writers of
         disjoint families (runtime vs compile vs serving) cannot lose
-        updates through a merge.
+        updates through a merge.  Histogram cells are combined into
+        cells this object owns, never shared with ``other``.
         """
         with self.lock:
             note = lockset.active() is not None
@@ -397,9 +276,14 @@ class RuntimeStats:
                 if isinstance(value, dict):
                     mine = getattr(self, key)
                     for name, count in value.items():
-                        mine[name] = mine.get(name, 0) + count
-                elif not isinstance(value, (int, float)):
-                    continue  # defensive: non-counter field values
+                        if isinstance(count, HistogramCell):
+                            cell = mine.get(name)
+                            if cell is None:
+                                mine[name] = count.copy()
+                            else:
+                                cell.combine(count)
+                        else:
+                            mine[name] = mine.get(name, 0) + count
                 elif key in self._GAUGES:
                     # Peak/gauge values combine via max, not addition.
                     setattr(self, key, max(getattr(self, key), value))
@@ -407,8 +291,6 @@ class RuntimeStats:
                     setattr(self, key, getattr(self, key) + value)
                 if note:
                     lockset.note_access("RuntimeStats", self, key)
-            if other._metrics is not None:
-                self.metrics.merge(other._metrics)
 
 
 #: The declared counters, enumerated once (``dataclasses.fields`` builds

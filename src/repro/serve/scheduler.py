@@ -18,10 +18,11 @@ Three serving policies live here:
   inputs are identical) execute as one stacked program run and have
   their outputs split per request; programs whose outputs cannot be
   split fall back to per-request runs,
-* **telemetry** — queue wait, execution time, and end-to-end latency
-  per request, plus batch/specialization counters, all flowing into the
-  engine's :class:`~repro.runtime.stats.RuntimeStats`
-  (``serving_summary()``).
+* **telemetry** — each served request is recorded once, under the
+  stats lock, by ``RuntimeStats.observe_request``: its execution time
+  and its latency and queue-wait histogram cells.  With the
+  batch/specialization counters they make up
+  ``RuntimeStats.serving_summary()``.
 """
 
 from __future__ import annotations
@@ -138,8 +139,8 @@ class SessionScheduler:
                tenant: str = "default") -> ServeTicket:
         """Enqueue one request; returns a ticket immediately.
 
-        ``tenant`` labels the request's latency/queue-wait histograms,
-        so ``serving_summary()`` reports per-tenant percentiles.
+        ``tenant`` keys the request's latency/queue-wait histogram
+        cells, so ``serving_summary()`` reports per-tenant percentiles.
         """
         normalized = normalize_inputs(inputs)
         ticket = ServeTicket()
@@ -338,30 +339,23 @@ class SessionScheduler:
         stats = self.engine.stats
         tracer = self.engine.tracer
         exec_seconds = finished_at - dispatched_at
-        total_queue = total_latency = 0.0
-        for request, result in zip(batch, results):
-            queue_seconds = dispatched_at - request.submitted_at
-            latency = finished_at - request.submitted_at
-            total_queue += queue_seconds
-            total_latency += latency
-            request.ticket.telemetry.update(
-                queue_seconds=queue_seconds,
-                exec_seconds=exec_seconds,
-                latency_seconds=latency,
-                batch_size=batch_size,
-            )
-            # Queue wait as an instant (not an interval): the wait
-            # started on the submitter's thread, so an interval span
-            # here would partially overlap this worker's open spans.
-            tracer.instant("serve-queue", cat="serve",
-                           queue_seconds=queue_seconds,
-                           tenant=request.tenant,
-                           program=request.prepared.name)
-            stats.observe_request(request.prepared.name, request.tenant,
-                                  queue_seconds, exec_seconds, latency)
-            request.ticket._resolve(result)
         with stats.lock:
-            stats.n_requests_served += len(batch)
-            stats.serve_queue_seconds += total_queue
-            stats.serve_exec_seconds += exec_seconds * len(batch)
-            stats.serve_latency_seconds += total_latency
+            for request, result in zip(batch, results):
+                queue_seconds = dispatched_at - request.submitted_at
+                latency = finished_at - request.submitted_at
+                request.ticket.telemetry.update(
+                    queue_seconds=queue_seconds,
+                    exec_seconds=exec_seconds,
+                    latency_seconds=latency,
+                    batch_size=batch_size,
+                )
+                # Queue wait as an instant (not an interval): the wait
+                # started on the submitter's thread, so an interval span
+                # here would partially overlap this worker's open spans.
+                tracer.instant("serve-queue", cat="serve",
+                               queue_seconds=queue_seconds,
+                               tenant=request.tenant,
+                               program=request.prepared.name)
+                stats.observe_request(request.prepared.name, request.tenant,
+                                      queue_seconds, exec_seconds, latency)
+                request.ticket._resolve(result)

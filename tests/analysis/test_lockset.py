@@ -208,22 +208,20 @@ class TestObservability:
         assert len(tracer.events()) == 4 * 30 * 3
 
     def test_concurrent_metrics_observe_clean(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
+        stats = RuntimeStats()
         with lockset.lockset_debug() as checker:
             def worker():
                 for index in range(40):
-                    registry.counter("c").inc(tenant="t")
-                    registry.histogram("h").observe(
-                        0.001 * (index + 1), tenant="t"
-                    )
-                    registry.gauge("g").set(index)
+                    seconds = 0.001 * (index + 1)
+                    stats.observe_request("p", "t", seconds, seconds,
+                                          seconds)
 
             _run_threads(4, worker)
         assert checker.reports == []
-        assert registry.counter("c").total() == 160
-        assert registry.histogram("h").aggregate().count == 160
+        assert checker.summary()["n_fields_tracked"] >= 1
+        assert stats.n_requests_served == 160
+        assert stats.serve_latency_hist[("t", "p")].count == 160
+        assert stats.serve_queue_hist[("t", "p")].count == 160
 
     def test_traced_engine_under_load_runs_clean(self):
         """lockset_debug + trace_level=instructions: the tracer/metrics

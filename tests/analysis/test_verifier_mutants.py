@@ -4,8 +4,9 @@ Each mutant corrupts a healthy compile in exactly the way the verifier
 exists to catch — an understated refcount (the eager-freeing executor
 would read a freed slot), an overstated refcount (a leak the executor
 would never free), a deleted collect boundary in a distributed program,
-and dims corrupted mid-DAG — and the test asserts the finding names the
-offending instruction or hop, not just "verification failed".
+dims corrupted mid-DAG, and a matmul whose input dims no longer chain
+(its ``refresh_sizes`` raises) — and the test asserts the finding names
+the offending instruction or hop, not just "verification failed".
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from repro import api
 from repro.analysis.verify import (
+    check_dag,
     check_program,
     format_report,
     verify_dag,
@@ -154,6 +156,23 @@ class TestDimsMutant:
         dims = next(f for f in findings if f.code == "dims-mismatch")
         assert f"hop {mid.hop.id} " in dims.subject
         assert "999" in dims.message
+
+    def test_illegal_matmul_names_the_hop(self, rng):
+        engine = Engine(mode="base")
+        x = api.matrix(rng.random((8, 4)), "X")
+        side = api.matrix(rng.random((4, 3)), "V") * 2.0
+        product = x @ side
+        root = (product + 1.0).sum()
+        assert verify_dag([root.hop]) == []
+
+        # The matmul's input now claims 5 rows against X's 4 columns,
+        # so re-deriving the product's dims raises a ShapeError.
+        side.hop.rows = 5
+        with pytest.raises(VerificationError, match="illegal-op") as info:
+            check_dag([root.hop], engine.context, stage="mutant")
+        assert f"hop {product.hop.id} " in str(info.value)
+        assert "refresh_sizes failed: matmult" in str(info.value)
+        assert engine.stats.n_verifier_findings >= 1
 
 
 class TestPipelineIntegration:

@@ -1,20 +1,15 @@
-"""Metrics registry: counters, gauges, log-bucketed histograms.
+"""Log-bucketed histogram cells and the serving summary built on them.
 
 Covers percentile sanity on the histogram cells (ordering, clamping to
-observed extremes, interpolation), label handling, registry merge, and
-the serving-summary integration (``observe_request`` feeding per-tenant
-percentiles while every pre-existing summary key survives).
+observed extremes, interpolation) and the serving-summary integration
+(``observe_request`` feeding per-tenant percentiles while every
+pre-existing summary key survives).
 """
 
 import numpy as np
 import pytest
 
-from repro.obs.metrics import (
-    HistogramCell,
-    MetricsRegistry,
-    bucket_bounds,
-    bucket_index,
-)
+from repro.obs.metrics import HistogramCell, bucket_bounds, bucket_index
 from repro.runtime.stats import RuntimeStats
 
 
@@ -85,63 +80,6 @@ class TestHistogramCell:
         assert a.buckets == both.buckets
 
 
-class TestRegistry:
-    def test_counter_labels(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("requests")
-        counter.inc(tenant="a")
-        counter.inc(2, tenant="b")
-        counter.inc(tenant="a")
-        assert counter.value(tenant="a") == 2
-        assert counter.value(tenant="b") == 2
-        assert counter.total() == 4
-
-    def test_gauge_set_and_merge_max(self):
-        first, second = MetricsRegistry(), MetricsRegistry()
-        first.gauge("depth").set(3)
-        second.gauge("depth").set(7)
-        first.merge(second)
-        assert first.gauge("depth").value() == 7
-
-    def test_get_or_create_is_idempotent(self):
-        registry = MetricsRegistry()
-        assert registry.histogram("h") is registry.histogram("h")
-        assert registry.counter("c") is registry.counter("c")
-
-    def test_histogram_grouped_and_filtered(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("latency")
-        for value in (0.01, 0.02):
-            hist.observe(value, tenant="a", program="p")
-        hist.observe(0.5, tenant="b", program="p")
-        grouped = hist.grouped("tenant")
-        assert set(grouped) == {"a", "b"}
-        assert grouped["a"].count == 2
-        assert grouped["b"].count == 1
-        assert hist.count(tenant="a") == 2
-        assert hist.aggregate().count == 3
-
-    def test_merge_accumulates_histograms(self):
-        first, second = MetricsRegistry(), MetricsRegistry()
-        first.histogram("h").observe(0.01, k="x")
-        second.histogram("h").observe(0.02, k="x")
-        second.histogram("h").observe(0.03, k="y")
-        second.counter("c").inc(5)
-        first.merge(second)
-        assert first.histogram("h").count(k="x") == 2
-        assert first.histogram("h").count(k="y") == 1
-        assert first.counter("c").total() == 5
-
-    def test_snapshot_is_json_ready(self):
-        import json
-
-        registry = MetricsRegistry()
-        registry.counter("c").inc(tenant="a")
-        registry.gauge("g").set(2.5)
-        registry.histogram("h").observe(0.01)
-        json.dumps(registry.snapshot())  # must not raise
-
-
 class TestServingSummaryIntegration:
     def test_observe_request_feeds_percentiles(self):
         stats = RuntimeStats()
@@ -153,8 +91,11 @@ class TestServingSummaryIntegration:
                 queue_seconds=latency / 4, exec_seconds=latency / 2,
                 latency_seconds=latency,
             )
-            stats.n_requests_served += 1
         summary = stats.serving_summary()
+        assert summary["n_requests_served"] == 40
+        assert summary["mean_latency_seconds"] == pytest.approx(
+            summary["serve_latency_seconds"] / 40
+        )
         assert 0.0 < summary["latency_p50"] <= summary["latency_p95"]
         assert summary["latency_p95"] <= summary["latency_p99"]
         assert summary["queue_p99"] >= summary["queue_p50"] > 0.0

@@ -120,19 +120,6 @@ class TestSchedulingStats:
         assert stats.n_parallel_tasks == 0
         assert stats.executor_max_concurrency == 1
 
-    def test_scheduling_summary_keys(self, rng):
-        engine = _serial_engine()
-        api.eval(_branches(rng, n=1)[0], engine=engine)
-        summary = engine.stats.scheduling_summary()
-        assert {
-            "n_instructions_executed",
-            "n_parallel_tasks",
-            "executor_max_concurrency",
-            "n_freed_early",
-            "n_serial_runs",
-            "n_parallel_runs",
-        } == set(summary)
-
 
 class TestHeuristicFallback:
     def test_tiny_programs_run_serially(self, rng):

@@ -243,23 +243,17 @@ class TestCompressedRowAlignedSides:
 
 
 def test_parallel_summary_keys():
+    """The intra-op counters, read as ``RuntimeStats`` fields; the mean
+    partition count is derived here, where it is used."""
     engine = _parallel_engine()
     data = np.random.default_rng(2).uniform(0.1, 1.0, (ROWS, COLS))
     api.eval((api.matrix(data, "X") * 2.0).sum(), engine=engine)
-    summary = engine.stats.parallel_summary()
-    assert {
-        "n_intra_op_parallel",
-        "n_intra_op_partitions",
-        "mean_partitions",
-        "intra_op_combine_levels",
-        "intra_op_max_threads",
-        "n_budget_degraded_runs",
-        "n_parallel_runs",
-        "n_serial_runs",
-        "executor_max_concurrency",
-    } == set(summary)
-    assert summary["n_intra_op_parallel"] == 1
-    assert summary["mean_partitions"] == 4.0
+    stats = engine.stats
+    assert stats.n_intra_op_parallel == 1
+    mean_partitions = stats.n_intra_op_partitions / stats.n_intra_op_parallel
+    assert mean_partitions == 4.0
+    assert stats.intra_op_combine_levels >= 1
+    assert stats.intra_op_max_threads >= 1
 
 
 # ----------------------------------------------------------------------

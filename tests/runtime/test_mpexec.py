@@ -95,8 +95,7 @@ class TestTransportContract:
         (got,) = _backend(engine).roundtrip([block], force_shm=True)
         assert isinstance(got, MatrixBlock) and not got.is_sparse
         np.testing.assert_array_equal(got.to_dense(), block.to_dense())
-        summary = engine.stats.distributed_backend_summary()
-        assert summary["mp_shm_mb"] > 0.0
+        assert engine.stats.mp_shm_bytes > 0.0
 
     def test_worker_roundtrip_csr(self):
         engine = _mp_engine()
@@ -203,10 +202,10 @@ class TestFaultInjection:
         _backend(engine).inject_failure("die")
         got = self._workload(engine, data)
         np.testing.assert_array_equal(got.to_dense(), ref.to_dense())
-        summary = engine.stats.distributed_backend_summary()
-        assert summary["n_worker_respawns"] >= 1
-        assert summary["n_task_retries"] >= 1
-        assert summary["n_lineage_recomputes"] >= 1
+        stats = engine.stats
+        assert stats.n_worker_respawns >= 1
+        assert stats.n_task_retries >= 1
+        assert stats.n_lineage_recomputes >= 1
 
     def test_straggler_timeout_recovers(self, rng, monkeypatch):
         data = rng.random((3000, 20))
@@ -216,9 +215,8 @@ class TestFaultInjection:
         _backend(engine).inject_failure("hang")
         got = self._workload(engine, data)
         np.testing.assert_array_equal(got.to_dense(), ref.to_dense())
-        summary = engine.stats.distributed_backend_summary()
-        assert summary["n_worker_respawns"] >= 1
-        assert summary["n_task_retries"] >= 1
+        assert engine.stats.n_worker_respawns >= 1
+        assert engine.stats.n_task_retries >= 1
 
     def test_repeated_death_exhausts_retries(self, rng, monkeypatch):
         data = rng.random((3000, 20))
@@ -236,11 +234,11 @@ class TestFaultInjection:
     def test_summary_counters_are_zero_on_clean_runs(self, rng):
         engine = _mp_engine()
         self._workload(engine, rng.random((3000, 20)))
-        summary = engine.stats.distributed_backend_summary()
-        assert summary["n_task_retries"] == 0
-        assert summary["n_lineage_recomputes"] == 0
-        assert summary["n_worker_respawns"] == 0
-        assert summary["n_mp_tasks"] > 0
+        stats = engine.stats
+        assert stats.n_task_retries == 0
+        assert stats.n_lineage_recomputes == 0
+        assert stats.n_worker_respawns == 0
+        assert stats.n_mp_tasks > 0
 
 
 # ----------------------------------------------------------------------
@@ -252,9 +250,9 @@ class TestLocalityAndStats:
         engine = _mp_engine()
         for _ in range(3):
             api.eval((api.matrix(data, "X") * 2.0).sum(), engine=engine)
-        summary = engine.stats.distributed_backend_summary()
-        assert summary["n_mp_locality_hits"] > 0
-        assert summary["n_mp_block_ships"] < summary["n_mp_tasks"]
+        stats = engine.stats
+        assert stats.n_mp_locality_hits > 0
+        assert stats.n_mp_block_ships < stats.n_mp_tasks
 
     def test_side_inputs_broadcast_once_per_operator(self, rng):
         data = rng.random((3000, 20))
@@ -473,16 +471,25 @@ class TestWorkerHelpers:
             rops.apply_spec(("frobnicate",), [a], stats)
 
     def test_export_stats_keeps_nonzero_counters_only(self):
-        from repro.runtime.stats import RuntimeStats
+        """The wire round trip: a task's exported counters, pickled as
+        the worker sends them and rebuilt with ``RuntimeStats(**counters)``,
+        merge into empty stats equal to the source on every field."""
+        import pickle
+        from dataclasses import fields
 
-        stats = RuntimeStats()
-        stats.n_compiled_runs = 3
-        stats.sim_seconds = 0.25
-        counters, metrics = mpexec._export_stats(stats)
-        assert counters["n_compiled_runs"] == 3
-        assert counters["sim_seconds"] == 0.25
+        from repro.runtime.stats import RuntimeStats
+        from tests.runtime.test_stats_merge import _fully_populated
+
+        source = _fully_populated()
+        source.n_kernel_compiles = 0
+        counters = pickle.loads(pickle.dumps(mpexec._export_stats(source)))
         assert "n_kernel_compiles" not in counters  # zero: dropped
-        assert metrics is None
+        target = RuntimeStats()
+        target.merge(RuntimeStats(**counters))
+        for spec in fields(RuntimeStats):
+            assert getattr(target, spec.name) == getattr(
+                source, spec.name
+            ), f"field '{spec.name}' did not survive the wire"
 
     def test_run_task_hop_cache_and_miss(self, rng):
         block = MatrixBlock(rng.random((50, 8)) - 0.5)
@@ -524,7 +531,7 @@ class TestWorkerHelpers:
 
 
 # ----------------------------------------------------------------------
-# Summary surface
+# Backend counters
 # ----------------------------------------------------------------------
 class TestBackendSummary:
     def test_summary_shape(self, rng):
@@ -533,14 +540,9 @@ class TestBackendSummary:
             (api.matrix(rng.random((3000, 20)), "X") * 2.0).sum(),
             engine=engine,
         )
-        summary = engine.stats.distributed_backend_summary()
-        expected = {
-            "n_mp_tasks", "n_mp_broadcasts", "n_mp_block_ships",
-            "n_mp_locality_hits", "n_task_retries",
-            "n_lineage_recomputes", "n_worker_respawns", "mp_shm_mb",
-            "mp_pickle_mb", "shm_fraction", "mp_max_workers",
-        }
-        assert expected <= set(summary)
-        assert summary["n_mp_tasks"] > 0
-        assert summary["mp_max_workers"] >= 1
-        assert 0.0 <= summary["shm_fraction"] <= 1.0
+        stats = engine.stats
+        assert stats.n_mp_tasks > 0
+        assert stats.mp_max_workers >= 1
+        shipped = stats.mp_shm_bytes + stats.mp_pickle_bytes
+        assert shipped > 0.0
+        assert 0.0 <= stats.mp_shm_bytes / shipped <= 1.0

@@ -4,7 +4,8 @@
 added to the dataclass can never be silently dropped.  These tests lock
 that in: a fully-populated stats object (every numeric field nonzero,
 every dict field non-empty) merges into an empty one with nothing lost,
-gauges combine via max, and reset zeroes every declared field.
+gauges combine via max, histogram cells combine without being shared,
+and reset zeroes every declared field.
 """
 
 from dataclasses import MISSING, fields
@@ -116,15 +117,33 @@ class TestMerge:
     def test_merge_carries_metrics(self):
         source, target = RuntimeStats(), RuntimeStats()
         source.observe_request("p", "t", 0.001, 0.002, 0.003)
+        target.observe_request("p", "t", 0.004, 0.005, 0.006)
+        target.observe_request("q", "u", 0.001, 0.001, 0.001)
         target.merge(source)
-        hist = target.metrics.histogram("serve_latency_seconds")
-        assert hist.aggregate().count == 1
+        latency = target.serve_latency_hist
+        assert latency[("t", "p")].count == 2
+        assert latency[("t", "p")].total == pytest.approx(0.009)
+        assert latency[("u", "q")].count == 1
+        assert target.serve_queue_hist[("t", "p")].vmin == 0.001
+        assert target.n_requests_served == 3
 
     def test_merge_without_metrics_stays_lazy(self):
         source, target = RuntimeStats(), RuntimeStats()
         source.n_recompiles = 1
         target.merge(source)
-        assert target._metrics is None  # no registry materialized
+        assert target.serve_latency_hist == {}  # no cell materialized
+        assert target.serve_queue_hist == {}
+
+    def test_merge_never_aliases_a_cell(self):
+        source, target = RuntimeStats(), RuntimeStats()
+        source.observe_request("p", "t", 0.001, 0.002, 0.003)
+        target.merge(source)
+        target.observe_request("p", "t", 0.5, 0.5, 0.5)
+        for hist in (source.serve_latency_hist, source.serve_queue_hist):
+            cell = hist[("t", "p")]
+            assert cell.count == 1
+            assert cell.vmax < 0.5
+        assert target.serve_latency_hist[("t", "p")].count == 2
 
 
 class TestReset:
@@ -139,8 +158,9 @@ class TestReset:
                 fresh, spec.name
             ), f"reset left field '{spec.name}' populated"
         assert stats.tracer is tracer  # identity survives reset
-        latency = stats.metrics.histogram("serve_latency_seconds")
-        assert latency.aggregate().count == 0
+        assert stats.serve_latency_hist == {}
+        assert stats.serve_queue_hist == {}
+        assert stats.serving_summary()["latency_p99"] == 0.0
 
     def test_reset_then_merge_round_trips(self):
         stats = _fully_populated()
@@ -153,14 +173,3 @@ class TestReset:
         stats.merge(donor)
         for name, value in snapshot.items():
             assert getattr(stats, name) == value
-
-
-class TestSummariesAfterMerge:
-    def test_kernel_summary_reflects_merged_counters(self):
-        source, target = RuntimeStats(), RuntimeStats()
-        source.n_kernel_compiles = 3
-        source.n_compiled_runs = 1
-        target.merge(source)
-        summary = target.kernel_summary()
-        assert summary["n_kernel_compiles"] == 3
-        assert summary["n_compiled_runs"] == 1

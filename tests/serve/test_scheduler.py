@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import ServingError
+from repro.errors import ServingError, ShapeError
 from repro.serve import SessionScheduler
 from tests.conftest import make_engine
 
@@ -221,6 +221,57 @@ class TestScheduling:
                     out["scores"].to_dense(), part @ WD, rtol=1e-10
                 )
         assert engine.stats.n_batches_executed >= 1
+
+    def test_failing_member_of_a_mixed_batch(self):
+        """One member of a micro-batch cannot be stacked (its two batch
+        inputs disagree on rows): the batch falls back once, every good
+        request still gets its own correct result, the bad one gets its
+        own error, and later batches of the program still merge."""
+        engine = make_engine("gen")
+        prepared = engine.prepare_script(
+            "input X, Y, w\nscores = (X + Y) %*% w\n", name="pair",
+            batch_inputs=("X", "Y"),
+        )
+        good = [(RNG.random((10, 12)), RNG.random((10, 12)))
+                for _ in range(5)]
+        bad = (RNG.random((10, 12)), RNG.random((7, 12)))
+        with SessionScheduler(engine, n_workers=1, max_batch=4) as server:
+            # Holding the queue's condition while submitting makes the
+            # worker take all four requests as one batch.
+            with server._cv:
+                tickets = [
+                    server.submit(prepared, {"X": x, "Y": y, "w": WD})
+                    for x, y in (good[0], bad, good[1], good[2])
+                ]
+            with pytest.raises(ShapeError, match=r"\(10, 12\) vs \(7, 12\)"):
+                tickets[1].result(30)
+            good_tickets = [tickets[0], tickets[2], tickets[3]]
+            for ticket, (x, y) in zip(good_tickets, good[:3]):
+                np.testing.assert_allclose(
+                    ticket.result(30)["scores"].to_dense(), (x + y) @ WD,
+                    rtol=1e-10,
+                )
+            stats = engine.stats
+            assert stats.n_batch_fallbacks == 1
+            assert stats.n_batches_executed == 0
+            assert stats.n_requests_served == 3
+            assert sum(cell.count
+                       for cell in stats.serve_latency_hist.values()) == 3
+            assert prepared not in server._unbatchable
+
+            with server._cv:
+                again = [
+                    server.submit(prepared, {"X": x, "Y": y, "w": WD})
+                    for x, y in good[3:]
+                ]
+            for ticket, (x, y) in zip(again, good[3:]):
+                np.testing.assert_allclose(
+                    ticket.result(30)["scores"].to_dense(), (x + y) @ WD,
+                    rtol=1e-10,
+                )
+        assert stats.n_batches_executed == 1
+        assert stats.n_batch_fallbacks == 1
+        assert stats.serving_summary()["per_tenant"]["default"]["n"] == 5
 
     def test_errors_propagate_to_the_ticket(self):
         engine = make_engine("gen")
