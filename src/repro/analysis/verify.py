@@ -53,7 +53,7 @@ from repro.compiler.program import (
     _consumes_blocked_values,
     _emits_blocked_value,
 )
-from repro.errors import CompileError, VerificationError
+from repro.errors import CompileError, ShapeError, VerificationError
 from repro.hops.hop import (
     DataOp,
     Hop,
@@ -184,7 +184,7 @@ def _check_dims(hop: Hop, flag) -> None:
                 f"stored dims {snapshot[0]}x{snapshot[1]} but op semantics "
                 f"give {hop.rows}x{hop.cols}",
             )
-    except Exception as exc:  # ShapeError from an illegal rewrite
+    except ShapeError as exc:  # an illegal rewrite
         flag("illegal-op", hop, f"refresh_sizes failed: {exc}")
     finally:
         hop.rows, hop.cols, hop.nnz = snapshot

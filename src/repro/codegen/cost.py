@@ -114,7 +114,6 @@ class CostEstimator:
         self.config = config
         self.hops = hop_by_id
         self.n_covers_built = 0
-        self._threads = config.effective_intra_op_threads()
         # Assignment-independent tables, filled on first use.
         self._flops_cache: dict[int, float] = {}
         self._bytes_cache: dict[int, float] = {}
@@ -405,23 +404,13 @@ class CostEstimator:
         return write_time + max(read_time, compute_time)
 
     def _intra_op_parallelism(self, cv: CostVector) -> float:
-        """Effective speedup of partition-parallel fused execution.
-
-        Mirrors the runtime gate in ``skeletons._plan_intra_op``: only
-        fused templates over a sufficiently large main input partition,
-        and never into more parts than the main input has rows.
-        """
-        if cv.ttype is None:
+        """Effective speedup of partition-parallel fused execution: the
+        part count the runtime gives the main input
+        (``config.intra_op_partitions``)."""
+        main = self._main_input(cv) if cv.ttype is not None else None
+        if main is None:
             return 1.0
-        par = self._threads
-        if par <= 1:
-            return 1.0
-        main = self._main_input(cv)
-        if main is None or main.cells < self.config.intra_op_min_cells:
-            return 1.0
-        if main.rows < 2 * par:
-            return 1.0
-        return float(par)
+        return float(self.config.intra_op_partitions(main.rows, main.cols))
 
     def _sparsity_scale(self, cv: CostVector) -> float:
         """Scale factor of sparsity-exploiting operators (main input)."""

@@ -144,11 +144,15 @@ class CodegenConfig:
         }
     )
 
-    def effective_intra_op_threads(self) -> int:
-        """Resolved partition count for intra-operator execution."""
-        if self.intra_op_threads > 0:
-            return self.intra_op_threads
-        return AUTO_THREADS
+    def intra_op_partitions(self, rows: int, cols: int) -> int:
+        """Parts a fused operator's ``rows x cols`` main input splits
+        into: the resolved ``intra_op_threads`` when the input has at
+        least ``intra_op_min_cells`` cells and two rows per part, else 1.
+        The one gate of the runtime and the cost model."""
+        n = self.intra_op_threads if self.intra_op_threads > 0 else AUTO_THREADS
+        if rows * cols < self.intra_op_min_cells or rows < 2 * n:
+            return 1
+        return n
 
     def copy(self) -> "CodegenConfig":
         """Return a shallow copy (cluster config shared)."""

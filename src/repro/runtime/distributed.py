@@ -11,10 +11,20 @@ measures: fuse-all dragging driver-side vector operations into
 distributed operators pays per-worker broadcast costs for every extra
 side input, while cost-based plans avoid them.
 
+How a fused operator splits and combines is not decided here:
+:meth:`BlockedMatrix.partition` cuts with
+:func:`~repro.runtime.skeletons.row_parts`, :meth:`SparkExecutor.execute_spoof`
+builds its plan list with :func:`~repro.runtime.skeletons.spoof_plans`
+and combines aggregation partials with
+:func:`~repro.runtime.skeletons.combine_partials` — the pieces local
+intra-operator partitions use — so both compute the same bits for the
+same partition count.
+
 What runs one partition is :func:`run_partition_task`, nothing else.
 The driver hands ``(spec | operator, main blocks, plans)`` to its
 backend — never ``None`` — which resolves the plans per partition with
-:func:`partition_values` and runs that function on each:
+:func:`~repro.runtime.skeletons.partition_values` and runs that
+function on each:
 :class:`InProcessBackend` (``distributed_backend="simulated"``) in the
 calling thread, :class:`~repro.runtime.mpexec.ProcessPoolBackend`
 (``"multiprocess"``) in spawned worker processes.  Results, counters
@@ -52,12 +62,15 @@ from repro.runtime import ops as rops
 from repro.runtime.compressed import CompressedMatrix
 from repro.runtime.matrix import MatrixBlock
 from repro.runtime.skeletons import (
-    decompress_side_inputs,
+    combine_pair,
+    combine_partials,
+    concat_rows,
     execute_operator,
     is_row_partitioned_output,
     partition_bounds,
-    reduce_spoof_partials,
-    sliceable_spoof_inputs,
+    partition_values,
+    row_parts,
+    spoof_plans,
     tree_reduce,
 )
 from repro.runtime.stats import RuntimeStats
@@ -90,13 +103,7 @@ class BlockedMatrix:
     def partition(cls, block: MatrixBlock, n_partitions: int) -> "BlockedMatrix":
         rows, cols = block.shape
         bounds = partition_bounds(rows, n_partitions)
-        if block.is_sparse:
-            csr = block.to_csr()
-            parts = [MatrixBlock(csr[r0:r1]) for r0, r1 in bounds]
-        else:
-            arr = block.to_dense()
-            parts = [MatrixBlock(arr[r0:r1]) for r0, r1 in bounds]
-        return cls(parts, rows, cols, bounds)
+        return cls(row_parts(block, bounds), rows, cols, bounds)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -108,18 +115,11 @@ class BlockedMatrix:
 
     def collect(self) -> MatrixBlock:
         """Materialize as one MatrixBlock via a single concatenation."""
-        import scipy.sparse as sp
-
         if not self.blocks:
             return MatrixBlock(np.zeros((self.rows, self.cols)))
         if len(self.blocks) == 1:
             return self.blocks[0]
-        if all(not b.is_sparse for b in self.blocks):
-            return MatrixBlock(
-                np.concatenate([b.to_dense() for b in self.blocks], axis=0)
-            )
-        stacked = sp.vstack([b.to_csr() for b in self.blocks], format="csr")
-        return MatrixBlock(stacked)
+        return concat_rows(self.blocks)
 
     def is_copartitioned(self, other: "BlockedMatrix") -> bool:
         return self.rows == other.rows and self.bounds == other.bounds
@@ -133,16 +133,6 @@ class BlockedMatrix:
             f"BlockedMatrix({self.rows}x{self.cols}, "
             f"{self.n_partitions} partitions)"
         )
-
-
-def _combine_partials(a, b, agg: str):
-    """Combine two aggregation partials (floats or MatrixBlocks)."""
-    func = {"sum": np.add, "min": np.minimum, "max": np.maximum}[agg]
-    if isinstance(a, MatrixBlock) or isinstance(b, MatrixBlock):
-        a_arr = a.to_dense() if isinstance(a, MatrixBlock) else a
-        b_arr = b.to_dense() if isinstance(b, MatrixBlock) else b
-        return MatrixBlock(func(a_arr, b_arr))
-    return float(func(a, b))
 
 
 def run_partition_task(kind: str, payload, values: list, config, stats):
@@ -159,20 +149,6 @@ def run_partition_task(kind: str, payload, values: list, config, stats):
                             allow_parallel=False)
 
 
-def partition_values(plans: list, main_blocked: BlockedMatrix):
-    """Yield, per partition, the value each plan entry resolves to: the
-    partition's block of the ``main`` or a co-partitioned ``zip`` input,
-    its row range of a ``slice`` input, a ``whole`` input as is."""
-    for p, (r0, r1) in enumerate(main_blocked.bounds):
-        yield [
-            main_blocked.blocks[p] if mode == "main"
-            else value.blocks[p] if mode == "zip"
-            else rops.rix(value, r0, r1, 0, value.cols) if mode == "slice"
-            else value
-            for mode, value in plans
-        ]
-
-
 class InProcessBackend:
     """Runs partition tasks one after another in the calling thread and
     records into the driver's stats.  No processes, so nothing to ship,
@@ -185,7 +161,8 @@ class InProcessBackend:
     def _run(self, kind: str, payload, main_blocked, plans) -> list:
         return [
             run_partition_task(kind, payload, values, self.config, self.stats)
-            for values in partition_values(plans, main_blocked)
+            for values in partition_values(plans, main_blocked.blocks,
+                                           main_blocked.bounds)
         ]
 
     def run_map(self, spec: tuple, main_blocked, plans: list,
@@ -535,7 +512,7 @@ class SparkExecutor:
         combine_op = "sum" if base_op in ("sum", "sumsq") else base_op
         partials = self.backend.run_map(spec, main_blocked, plans, main_key)
         result, levels = tree_reduce(
-            partials, lambda a, b: _combine_partials(a, b, combine_op)
+            partials, lambda a, b: combine_pair(a, b, combine_op)
         )
         self.charge_tree_reduce(_value_bytes(partials[0]), levels)
         if agg == "mean":
@@ -587,18 +564,7 @@ class SparkExecutor:
             if size > 0:
                 self.charge_broadcast(size)
 
-        # Row-aligned compressed sides must decompress to be sliceable
-        # (workers receive the compressed broadcast — charged above —
-        # and expand it locally).
-        values = decompress_side_inputs(
-            cplan, values, main_blocked.rows, row_aligned_only=True
-        )
-        sliceable = sliceable_spoof_inputs(cplan, values, main_blocked.rows)
-        plans = [
-            ("main", None) if idx == main_index
-            else ("slice" if idx in sliceable else "whole", value)
-            for idx, value in enumerate(values)
-        ]
+        plans = spoof_plans(cplan, values, main_blocked.rows)
         self.stats.record_spoof(cplan.ttype.value)
         row_partitioned = is_row_partitioned_output(cplan.out_type)
         partials = self.backend.run_spoof(
@@ -615,7 +581,7 @@ class SparkExecutor:
                 blocks, main_blocked.rows, blocks[0].cols,
                 main_blocked.bounds, mp_key=output_key
             )
-        result, levels = reduce_spoof_partials(cplan, partials, tree_reduce)
+        result, levels = combine_partials(cplan, partials)
         self.charge_tree_reduce(_value_bytes(partials[0]), levels)
         return result
 

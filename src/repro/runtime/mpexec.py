@@ -18,9 +18,9 @@ three modules:
   and tested names are re-exported here.
 
 What makes the two backends bit-identical: placement, partitioning
-(``partition_bounds``), side-input slicing
-(``distributed.partition_values``) and the fixed tree-reduce topology
-all stay on the driver, and a worker runs each task through the one
+(``partition_bounds``), side-input slicing (the one per-part resolver,
+``skeletons.partition_values``) and the fixed tree-reduce topology all
+stay on the driver, and a worker runs each task through the one
 function the in-process backend calls
 (``distributed.run_partition_task``).
 
@@ -59,7 +59,6 @@ from multiprocessing import get_context
 from repro.errors import RuntimeExecError
 from repro.obs import trace as obs_trace
 from repro.runtime import parallel as parallel_mod
-from repro.runtime.distributed import partition_values
 from repro.runtime.mptransport import (  # noqa: F401  (re-exported)
     _BlockCache,
     decode_value,
@@ -71,6 +70,7 @@ from repro.runtime.mpworker import (  # noqa: F401  (re-exported)
     _run_task,
     _worker_main,
 )
+from repro.runtime.skeletons import partition_values
 from repro.runtime.stats import RuntimeStats
 
 #: Satellite guard: fork would duplicate held locks (stats RLock, plan
@@ -324,7 +324,8 @@ class ProcessPoolBackend:
         worker, named by its position among the operator's broadcasts."""
         sides = [value for mode, value in plans if mode == "whole"]
         protos = []
-        for p, values in enumerate(partition_values(plans, main_blocked)):
+        for p, values in enumerate(partition_values(
+                plans, main_blocked.blocks, main_blocked.bounds)):
             inputs = []
             n_bcast = 0
             for (mode, source), value in zip(plans, values):

@@ -18,8 +18,11 @@ dense, CSR and compressed inputs and the output epilogue:
   with the counts, any other is decompressed.
 * **Row** — ``genbody`` runs once on the whole row block: dense as is,
   CSR as is when the body is CSR-main-safe (the main feeds matrix
-  multiplies only), otherwise densified in row chunks whose results
-  combine like intra-operator partitions; compressed mains decompress.
+  multiplies only), otherwise densified in row chunks that are cut by
+  :func:`~repro.runtime.skeletons.row_parts` and put back together by
+  :func:`~repro.runtime.skeletons.combine_partials`, the same slicer and
+  combiner as intra-operator and distributed partitions; compressed
+  mains decompress.
   A row-aligned CSR side the body only left-multiplies stays CSR too.
   The result is shaped to the output type.
 * **Outer** — ``genbody`` runs once per batch of cells: CSR drivers
@@ -43,6 +46,7 @@ from repro.codegen.cplan import (
 )
 from repro.codegen.template import TemplateType
 from repro.errors import RuntimeExecError
+from repro.runtime import skeletons
 from repro.runtime.compressed import CompressedMatrix
 from repro.runtime.matrix import MatrixBlock
 from repro.runtime.sideinput import SideInput
@@ -282,30 +286,21 @@ def _execute_row(operator, inputs, stats=None):
     rows, cols = main.shape
     if not main.is_sparse:
         return run(main.to_dense(), 0, rows)
-    csr = main.to_csr()
     if operator.csr_main_safe:
         # The main feeds matrix multiplies only: no densifying.
-        return run(csr, 0, rows)
+        return run(main.to_csr(), 0, rows)
     # The body reads cells of the main: densify row chunks within the
-    # cell budget and combine them the way intra-op partitions combine.
-    from repro.runtime.skeletons import (
-        _concat_row_partials,
-        is_row_partitioned_output,
-        reduce_spoof_partials,
-        tree_reduce,
-    )
-
+    # cell budget; they split and combine like intra-op partitions.
     if stats is not None:
         with stats.lock:
             stats.n_format_conversions += 1
     step = max(1, _CHUNK_CELLS // max(1, cols))
+    bounds = [(r0, min(rows, r0 + step)) for r0 in range(0, rows, step)]
     partials = [
-        run(csr[r0:r0 + step].toarray(), r0, min(rows, r0 + step))
-        for r0 in range(0, rows, step)
+        run(part.to_dense(), r0, r1)
+        for part, (r0, r1) in zip(skeletons.row_parts(main, bounds), bounds)
     ]
-    if is_row_partitioned_output(cplan.out_type):
-        return _concat_row_partials(partials)
-    return reduce_spoof_partials(cplan, partials, tree_reduce)[0]
+    return skeletons.combine_partials(cplan, partials)[0]
 
 
 def _row_result(cplan, a, value):

@@ -62,17 +62,3 @@ class SideInput:
             csr = self.block.to_csr()
             return np.asarray(csr[row_idx, col_idx]).ravel()
         return self.dense()[row_idx, col_idx]
-
-    def gather_row(self, row: int, col_idx: np.ndarray) -> np.ndarray:
-        """Values of one row at the given columns (Outer template)."""
-        if self.rows == 1 and self.cols == 1:
-            return np.full(len(col_idx), self.block.get(0, 0))
-        if self.cols == 1:
-            return np.full(len(col_idx), self.dense()[row, 0])
-        if self.rows == 1:
-            return self.dense()[0, col_idx]
-        if self.block.is_sparse:
-            csr = self.block.to_csr()
-            row_arr = np.asarray(csr[row].todense()).ravel()
-            return row_arr[col_idx]
-        return self.dense()[row, col_idx]

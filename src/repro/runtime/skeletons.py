@@ -1,21 +1,38 @@
-"""Fused-operator execution: partitioning and combining around the drivers.
+"""Fused-operator execution: one split-and-combine path around the drivers.
 
 :func:`execute_operator` is the runtime entry point of every generated
 fused operator.  It normalizes the inputs (observed-sparsity format
 switch, compressed side inputs), decides whether the main input splits
-into partitions, and hands each partition to the template's driver in
+into parts, and hands each part to the template's driver in
 :mod:`repro.runtime.npexec`, which owns the data access over dense,
 CSR and compressed values and calls the generated code.
 
+This module is the one place that cuts a fused operator's main input
+into row parts, resolves its side inputs per part and puts the partials
+back together.  Intra-operator partitions, the Row driver's CSR densify
+chunks and the distributed backend's partitions all go through the same
+three pieces:
+
+* :func:`row_parts` — the row slicer: dense views, CSR row ranges
+  (:meth:`~repro.runtime.distributed.BlockedMatrix.partition` cuts
+  through it too);
+* :func:`spoof_plans` and :func:`partition_values` — the plan list
+  (``main`` / ``slice`` / ``whole`` per input; the distributed executor
+  adds ``zip`` for basic hops) and its per-part resolver, which slices
+  row-aligned sides with :func:`row_parts`;
+* :func:`combine_partials` — row-aligned outputs concatenate,
+  aggregating outputs combine through :func:`reduce_spoof_partials`
+  over the fixed-topology :func:`tree_reduce`, pairing partials with
+  the one binary :func:`combine_pair`.
+
 Large operators execute *intra-operator parallel*: the main input
-splits into a fixed number of row partitions (dense slices, CSR row
-ranges, compressed column-group views) that run on the shared worker
-pool (:mod:`repro.runtime.parallel`) with thread-local partial
-results.  Row-aligned outputs concatenate; aggregating outputs combine
-through :func:`reduce_spoof_partials` over the fixed-topology
-:func:`tree_reduce` — the same combine path the simulated distributed
-backend charges network traffic for — so parallel results are
-deterministic run-to-run.
+splits into a fixed number of parts (row ranges, or compressed
+column-group views for dictionary-only plans) that run on the shared
+worker pool (:mod:`repro.runtime.parallel`) with thread-local partial
+results.  The partition count and the combine topology are fixed by
+configuration and shape, so parallel results are deterministic
+run-to-run, and a distributed run with the same partition count
+computes the same bits.
 """
 
 from __future__ import annotations
@@ -40,6 +57,8 @@ _ROW_PARTITIONED_OUT = frozenset({
     OutType.OUTER_RIGHT,
 })
 
+_AGG_FUNCS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
+
 
 def is_row_partitioned_output(out_type: OutType) -> bool:
     """True when partition-wise execution yields row-aligned blocks."""
@@ -61,15 +80,92 @@ def partition_bounds(rows: int, n_partitions: int) -> list[tuple[int, int]]:
     return [(r0, min(rows, r0 + step)) for r0 in range(0, rows, step)]
 
 
+# ----------------------------------------------------------------------
+# Split: the row slicer, the plan list and the per-part resolver
+# ----------------------------------------------------------------------
+def row_parts(block: MatrixBlock, bounds) -> list[MatrixBlock]:
+    """Rows ``[r0, r1)`` of ``block`` per bound: views of a dense block,
+    row ranges of a CSR block.  The only row slicer of the runtime."""
+    data = block.to_csr() if block.is_sparse else block.to_dense()
+    return [MatrixBlock(data[r0:r1]) for r0, r1 in bounds]
+
+
+def spoof_plans(cplan: CPlan, values: list, main_rows: int) -> list:
+    """The plan list of a fused operator: ``("main", None)`` for the
+    main input, ``("slice", block)`` for a side row-aligned with it, and
+    ``("whole", value)`` for anything every part reads in full.
+
+    Compressed blocks cannot be row-sliced, so a row-aligned compressed
+    side decompresses here — otherwise every part would read rows
+    ``[0, len)`` of the full side through part-local indices.  Other
+    compressed sides stay compressed (the distributed executor charges
+    their broadcast at the compressed size).
+    """
+    plans: list = []
+    for idx, (spec, value) in enumerate(zip(cplan.inputs, values)):
+        if idx == cplan.main_index:
+            plans.append(("main", None))
+            continue
+        if spec.access is Access.SCALAR:
+            plans.append(("whole", value))
+            continue
+        if isinstance(value, CompressedMatrix) and (
+            value.rows == main_rows > 1
+            or idx in (cplan.u_index, cplan.w_index)
+        ):
+            value = value.decompress()
+        sliced = isinstance(value, MatrixBlock) and _row_aligned(
+            cplan, idx, spec, value, main_rows
+        )
+        plans.append(("slice" if sliced else "whole", value))
+    return plans
+
+
+def _row_aligned(cplan: CPlan, idx: int, spec, value: MatrixBlock,
+                 main_rows: int) -> bool:
+    """Whether side input ``idx`` is read row by row with the main."""
+    if cplan.ttype is TemplateType.OUTER:
+        # U is row-aligned by construction; W is row-aligned only for
+        # the left-multiply accumulation; V never is.
+        if idx == cplan.u_index:
+            return True
+        if idx == cplan.w_index:
+            return cplan.out_type is OutType.OUTER_LEFT
+        return idx != cplan.v_index and value.rows == main_rows > 1
+    return spec.access is Access.SIDE_ROW and value.rows == main_rows > 1
+
+
+def partition_values(plans: list, main_parts: list, bounds: list):
+    """Yield, per part, the value each plan entry resolves to: the
+    part's block of the ``main`` or a co-partitioned ``zip`` input, its
+    row range of a ``slice`` input (through :func:`row_parts`), a
+    ``whole`` input as is."""
+    sliced = {
+        idx: row_parts(value, bounds)
+        for idx, (mode, value) in enumerate(plans) if mode == "slice"
+    }
+    for p in range(len(bounds)):
+        yield [
+            main_parts[p] if mode == "main"
+            else value.blocks[p] if mode == "zip"
+            else sliced[idx][p] if mode == "slice"
+            else value
+            for idx, (mode, value) in enumerate(plans)
+        ]
+
+
+# ----------------------------------------------------------------------
+# Combine: concatenation or the fixed-topology tree-reduce
+# ----------------------------------------------------------------------
 def tree_reduce(partials: list, combine) -> tuple[object, int]:
     """Pairwise tree-reduction with a *fixed* topology.
 
     Partial ``i`` always combines with partial ``i+1`` per level, so a
     given partition count yields bit-identical results run-to-run — the
     property the determinism tests pin down.  Returns ``(result,
-    levels)``; both the local intra-op combiner and the simulated
-    distributed backend (which additionally charges network traffic per
-    level) reduce through this one topology.
+    levels)``; the local intra-op combiner and the distributed executor
+    (which additionally charges network traffic per level) both reduce
+    through this one topology.
     """
     parts = list(partials)
     if not parts:
@@ -87,42 +183,72 @@ def tree_reduce(partials: list, combine) -> tuple[object, int]:
     return parts[0], levels
 
 
-def reduce_spoof_partials(cplan: CPlan, partials: list, tree_reduce):
-    """Combine per-partition partials of an aggregating fused operator.
+def combine_pair(a, b, agg: str):
+    """Combine two aggregation partials under ``agg``: two floats into
+    a float, MatrixBlocks into a MatrixBlock.  The one binary combine of
+    fused-operator and basic-hop partials alike."""
+    func = _AGG_FUNCS.get(agg)
+    if func is None:
+        raise RuntimeExecError(f"unknown aggregation '{agg}'")
+    if isinstance(a, MatrixBlock) or isinstance(b, MatrixBlock):
+        return MatrixBlock(func(_dense(a), _dense(b)))
+    return float(func(a, b))
 
-    ``tree_reduce(parts, combine) -> (result, levels)`` is supplied by
-    the caller: the local intra-op path passes :func:`tree_reduce`
-    directly, the distributed backend wraps it to charge the combine
-    topology's network traffic.  Returns the combined value plus the
-    number of reduction levels.
-    """
+
+def _dense(value):
+    return value.to_dense() if isinstance(value, MatrixBlock) else value
+
+
+def reduce_spoof_partials(cplan: CPlan, partials: list):
+    """Combine per-part partials of an aggregating fused operator
+    through :func:`tree_reduce`.  Returns the combined value plus the
+    number of reduction levels."""
     out = cplan.out_type
-    if out in (OutType.FULL_AGG, OutType.OUTER_FULL_AGG):
-        agg = cplan.agg_op()
-        return tree_reduce(
-            [float(p) for p in partials],
-            lambda a, b: float(_combine(np.float64(a), b, agg)),
-        )
-    if out in (OutType.COL_AGG, OutType.COL_AGG_T, OutType.OUTER_LEFT):
-        agg = cplan.agg_op()
-
-        def combine_blocks(a, b):
-            return MatrixBlock(_combine(a.to_dense(), b.to_dense(), agg))
-
-        return tree_reduce(partials, combine_blocks)
     if out is OutType.MULTI_AGG:
         # k x 1 partials; each root row combines under its own agg op.
         def combine_multi(a, b):
-            a_arr, b_arr = a.to_dense(), b.to_dense()
-            merged = np.empty_like(a_arr)
-            for k in range(a_arr.shape[0]):
-                merged[k] = _combine(a_arr[k], b_arr[k], cplan.agg_op(k))
-            return MatrixBlock(merged)
+            rows = zip(a.to_dense()[:, 0], b.to_dense()[:, 0])
+            return MatrixBlock(np.array([
+                [combine_pair(x, y, cplan.agg_op(k))]
+                for k, (x, y) in enumerate(rows)
+            ]))
 
         return tree_reduce(partials, combine_multi)
-    raise RuntimeExecError(f"non-aggregating out type {out}")
+    if out in (OutType.FULL_AGG, OutType.OUTER_FULL_AGG):
+        partials = [float(p) for p in partials]
+    elif out not in (OutType.COL_AGG, OutType.COL_AGG_T, OutType.OUTER_LEFT):
+        raise RuntimeExecError(f"non-aggregating out type {out}")
+    agg = cplan.agg_op()
+    return tree_reduce(partials, lambda a, b: combine_pair(a, b, agg))
 
 
+def concat_rows(blocks: list) -> MatrixBlock:
+    """Stack row blocks into one: dense when every block is dense,
+    CSR otherwise."""
+    import scipy.sparse as sp
+
+    if all(not b.is_sparse for b in blocks):
+        return MatrixBlock(np.concatenate([b.to_dense() for b in blocks],
+                                          axis=0))
+    return MatrixBlock(sp.vstack([b.to_csr() for b in blocks], format="csr"))
+
+
+def combine_partials(cplan: CPlan, partials: list) -> tuple[object, int]:
+    """Put per-part results back together: row-aligned outputs
+    concatenate (zero levels), aggregating outputs combine through
+    :func:`reduce_spoof_partials`.  Returns ``(result, levels)``."""
+    if is_row_partitioned_output(cplan.out_type):
+        blocks = [
+            p if isinstance(p, MatrixBlock) else MatrixBlock(p)
+            for p in partials
+        ]
+        return concat_rows(blocks).examine_representation(), 0
+    return reduce_spoof_partials(cplan, partials)
+
+
+# ----------------------------------------------------------------------
+# Execution
+# ----------------------------------------------------------------------
 def execute_operator(operator, inputs: list, config, stats=None,
                      allow_parallel: bool = True):
     """Execute a generated fused operator on runtime values.
@@ -130,13 +256,12 @@ def execute_operator(operator, inputs: list, config, stats=None,
     ``inputs`` parallels ``operator.cplan.inputs``: MatrixBlock /
     CompressedMatrix for matrix bindings, floats for scalars.
 
-    When the main input is large enough and ``intra_op_threads`` allows,
-    it is split into row partitions (dense slices, CSR row ranges,
-    compressed column-group views) executed on the shared worker pool
-    with thread-local partial results, which combine through the fixed
-    :func:`tree_reduce` topology.  ``allow_parallel=False`` keeps one
-    partition — the distributed backend sets it for its per-partition
-    calls so partitions never nest another fan-out.
+    When ``config.intra_op_partitions`` splits the main input, the
+    parts run on the shared worker pool with thread-local partial
+    results, which :func:`combine_partials` puts back together.
+    ``allow_parallel=False`` keeps one part — the distributed backend
+    sets it for its per-partition calls so partitions never nest
+    another fan-out.
     """
     cplan = operator.cplan
     if stats is not None:
@@ -173,10 +298,10 @@ def execute_operator(operator, inputs: list, config, stats=None,
                         fmt=_main_input_format(cplan, inputs))
     with tracer.span(f"op:{cplan.ttype.value}", cat="operator",
                      level=obs_trace.FULL):
-        if allow_parallel and config.effective_intra_op_threads() > 1:
-            plan = _plan_intra_op(cplan, inputs, config)
-            if plan is not None:
-                return _execute_intra_op(operator, plan, stats)
+        if allow_parallel:
+            parts = _intra_op_parts(cplan, inputs, config)
+            if parts is not None:
+                return _execute_parts(operator, parts, stats)
         return npexec.execute_kernel(operator, inputs, stats)
 
 
@@ -219,198 +344,76 @@ def _consult_observed_sparsity(cplan: CPlan, inputs: list, config,
     return inputs
 
 
-# ----------------------------------------------------------------------
-# Intra-operator parallel execution
-# ----------------------------------------------------------------------
-def _plan_intra_op(cplan: CPlan, inputs: list, config):
-    """Per-partition input lists, or None when serial execution wins.
+def _intra_op_parts(cplan: CPlan, inputs: list, config):
+    """Per-part input lists, or None when the operator runs as one part.
 
-    The partition count is ``config.effective_intra_op_threads()`` —
-    fixed by configuration, never by the tokens the thread budget later
-    grants — so a given (config, input shape) pair always produces the
-    same partitioning and combine topology.
+    The part count is ``config.intra_op_partitions`` of the main
+    input's shape — fixed by configuration, never by the tokens the
+    thread budget later grants — so a given (config, input shape) pair
+    always produces the same parts and combine topology.  Compressed
+    sides were decompressed by :func:`execute_operator`.
     """
-    n_parts = config.effective_intra_op_threads()
     main_index = cplan.main_index
-    if main_index < 0 or main_index >= len(inputs):
+    main = inputs[main_index] if 0 <= main_index < len(inputs) else None
+    if not isinstance(main, (MatrixBlock, CompressedMatrix)):
         return None
-    main = inputs[main_index]
+    n_parts = config.intra_op_partitions(main.rows, main.cols)
+    if n_parts < 2:
+        return None
     if isinstance(main, CompressedMatrix):
-        if main.rows * main.cols < config.intra_op_min_cells:
-            return None
         if compressed_cell_eligible(cplan):
-            return _plan_group_partitions(main, inputs, main_index, n_parts)
-        if main.rows < 2 * n_parts:
-            return None  # gate on metadata before materializing anything
+            # Dictionary-only plans read no side input: each part swaps
+            # in a view over a share of the column groups.
+            views = _column_group_views(main, n_parts)
+            if views is None:
+                return None
+            return [[view if idx == main_index else value
+                     for idx, value in enumerate(inputs)] for view in views]
         # Dictionary-only execution does not apply: decompress once here
-        # (instead of once per partition) and row-partition the result.
-        inputs = list(inputs)
-        inputs[main_index] = main.decompress()
-        main = inputs[main_index]
-    if not isinstance(main, MatrixBlock):
-        return None
-    rows, cols = main.shape
-    if rows * cols < config.intra_op_min_cells or rows < 2 * n_parts:
-        return None
-    bounds = partition_bounds(rows, n_parts)
-    if len(bounds) < 2:
-        return None
-    inputs = decompress_side_inputs(cplan, inputs, rows)
-    if main.is_sparse:
-        csr = main.to_csr()
-        main_parts = [MatrixBlock(csr[r0:r1]) for r0, r1 in bounds]
-    else:
-        arr = main.to_dense()
-        main_parts = [MatrixBlock(arr[r0:r1]) for r0, r1 in bounds]
-    sliceable = sliceable_spoof_inputs(cplan, inputs, rows)
-    part_inputs = []
-    for p, (r0, r1) in enumerate(bounds):
-        values = []
-        for idx, value in enumerate(inputs):
-            if idx == main_index:
-                values.append(main_parts[p])
-            elif idx in sliceable:
-                values.append(_row_slice(value, r0, r1))
-            else:
-                values.append(value)
-        part_inputs.append(values)
-    return part_inputs
+        # (instead of once per part) and row-partition the result.
+        main = main.decompress()
+    bounds = partition_bounds(main.rows, n_parts)
+    plans = spoof_plans(cplan, inputs, main.rows)
+    return list(partition_values(plans, row_parts(main, bounds), bounds))
 
 
-def _plan_group_partitions(main: CompressedMatrix, inputs: list,
-                           main_index: int, n_parts: int):
-    """Split a compressed main input by column groups.
+def _column_group_views(main: CompressedMatrix, n_parts: int):
+    """Split a compressed main input by column groups, or None when it
+    has fewer than two.
 
     Valid only for :func:`~repro.codegen.cplan.compressed_cell_eligible`
-    plans (sum-aggregated sparse-safe cell plans without side inputs):
-    each partition sums its groups' dictionary contributions
+    plans: each part sums its groups' dictionary contributions
     independently, and the per-group sums add up to the full result
     exactly as the serial group loop does.
     """
     groups = main.groups
     if len(groups) < 2:
         return None
-    n_parts = min(n_parts, len(groups))
-    bounds = partition_bounds(len(groups), n_parts)
-    part_inputs = []
-    for g0, g1 in bounds:
+    views = []
+    for g0, g1 in partition_bounds(len(groups), min(n_parts, len(groups))):
         # Each view carries its column-share of the parent's
         # uncompressed bytes, so per-view compression ratios (and any
         # size-based accounting) stay proportional instead of every
         # view claiming the full matrix.
         share = sum(len(g.cols) for g in groups[g0:g1]) / max(main.cols, 1)
-        view = CompressedMatrix(
+        views.append(CompressedMatrix(
             main.rows, main.cols, groups[g0:g1],
             main.uncompressed_bytes * share,
-        )
-        values = list(inputs)
-        values[main_index] = view
-        part_inputs.append(values)
-    return part_inputs
+        ))
+    return views
 
 
-def _row_slice(block: MatrixBlock, r0: int, r1: int) -> MatrixBlock:
-    if block.is_sparse:
-        return MatrixBlock(block.to_csr()[r0:r1])
-    return MatrixBlock(block.to_dense()[r0:r1])
-
-
-def _execute_intra_op(operator, part_inputs: list, stats):
-    cplan = operator.cplan
+def _execute_parts(operator, part_inputs: list, stats):
     tasks = [
         (lambda values: lambda: npexec.execute_kernel(
             operator, values, stats))(pv)
         for pv in part_inputs
     ]
     partials, workers = run_tasks(tasks)
-    if is_row_partitioned_output(cplan.out_type):
-        result = _concat_row_partials(partials)
-        levels = 0
-    else:
-        result, levels = reduce_spoof_partials(cplan, partials, tree_reduce)
+    result, levels = combine_partials(operator.cplan, partials)
     if stats is not None:
         stats.n_intra_op_parallel += 1
         stats.n_intra_op_partitions += len(part_inputs)
         stats.intra_op_combine_levels += levels
         stats.intra_op_max_threads = max(stats.intra_op_max_threads, workers)
     return result
-
-
-def _concat_row_partials(partials: list) -> MatrixBlock:
-    """Stack row-aligned partition outputs back into one block."""
-    import scipy.sparse as sp
-
-    blocks = [
-        p if isinstance(p, MatrixBlock) else MatrixBlock(p) for p in partials
-    ]
-    if all(not b.is_sparse for b in blocks):
-        stacked = np.concatenate([b.to_dense() for b in blocks], axis=0)
-        return MatrixBlock(stacked).examine_representation()
-    stacked = sp.vstack([b.to_csr() for b in blocks], format="csr")
-    return MatrixBlock(stacked).examine_representation()
-
-
-def decompress_side_inputs(cplan: CPlan, values: list, main_rows: int,
-                           row_aligned_only: bool = False) -> list:
-    """Decompress compressed side inputs ahead of partitioning.
-
-    Compressed blocks cannot be row-sliced, so a *row-aligned*
-    compressed side MUST decompress before partition-wise execution —
-    otherwise :func:`sliceable_spoof_inputs` skips it and every
-    partition reads rows ``[0, len)`` of the full side through
-    partition-local indices.  The local partitioner decompresses every
-    compressed side once up front (``row_aligned_only=False``); the
-    distributed path keeps non-aligned sides compressed
-    (``row_aligned_only=True``) since it charges broadcast traffic for
-    the compressed representation.
-    """
-    normalized = list(values)
-    for idx, (spec, value) in enumerate(zip(cplan.inputs, normalized)):
-        if idx == cplan.main_index or spec.access is Access.SCALAR:
-            continue
-        if not isinstance(value, CompressedMatrix):
-            continue
-        row_aligned = (
-            value.rows == main_rows > 1
-            or idx in (cplan.u_index, cplan.w_index)
-        )
-        if row_aligned or not row_aligned_only:
-            normalized[idx] = value.decompress()
-    return normalized
-
-
-def sliceable_spoof_inputs(cplan: CPlan, values: list,
-                           main_rows: int) -> set[int]:
-    """Indices of side inputs that are row-aligned with the main input
-    and therefore sliced to each partition's row range.  Shared by the
-    local intra-op partitioner and the distributed backend."""
-    sliceable: set[int] = set()
-    for idx, (spec, value) in enumerate(zip(cplan.inputs, values)):
-        if idx == cplan.main_index or spec.access is Access.SCALAR:
-            continue
-        if not isinstance(value, MatrixBlock):
-            continue
-        if cplan.ttype is TemplateType.OUTER:
-            # U is row-aligned by construction; W is row-aligned only
-            # for the left-multiply accumulation; V never is.
-            if idx == cplan.u_index:
-                sliceable.add(idx)
-            elif idx == cplan.w_index:
-                if cplan.out_type is OutType.OUTER_LEFT:
-                    sliceable.add(idx)
-            elif idx != cplan.v_index and value.rows == main_rows > 1:
-                sliceable.add(idx)
-        elif (spec.access is Access.SIDE_ROW
-              and value.rows == main_rows > 1):
-            sliceable.add(idx)
-    return sliceable
-
-
-def _combine(acc, value, agg: str):
-    if agg == "sum":
-        return acc + value
-    if agg == "min":
-        return np.minimum(acc, value)
-    if agg == "max":
-        return np.maximum(acc, value)
-    raise RuntimeExecError(f"unknown aggregation '{agg}'")

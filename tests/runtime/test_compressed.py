@@ -272,13 +272,12 @@ class TestPartitionAccounting:
     matrix's uncompressed bytes each, inflating per-view ratios."""
 
     def test_views_share_parent_bytes(self):
-        from repro.runtime.skeletons import _plan_group_partitions
+        from repro.runtime.skeletons import _column_group_views
 
         block = _categorical_block(rows=400, cols=8, levels=5, seed=30)
         comp = compress(block, co_code=False)
-        parts = _plan_group_partitions(comp, [comp], 0, 4)
-        assert parts is not None and len(parts) >= 2
-        views = [values[0] for values in parts]
+        views = _column_group_views(comp, 4)
+        assert views is not None and len(views) >= 2
         assert np.isclose(
             sum(v.size_bytes for v in views), comp.size_bytes
         )

@@ -273,15 +273,13 @@ def _agg_cplan(out_type: OutType, agg_ops: list[str]) -> CPlan:
 class TestReduceSpoofPartials:
     def test_full_agg_min(self):
         cplan = _agg_cplan(OutType.FULL_AGG, ["min"])
-        result, levels = reduce_spoof_partials(
-            cplan, [3.0, -1.5, 2.0, 0.5], tree_reduce
-        )
+        result, levels = reduce_spoof_partials(cplan, [3.0, -1.5, 2.0, 0.5])
         assert result == -1.5
         assert levels == 2
 
     def test_full_agg_max(self):
         cplan = _agg_cplan(OutType.FULL_AGG, ["max"])
-        result, levels = reduce_spoof_partials(cplan, [3.0, 7.0, 2.0], tree_reduce)
+        result, levels = reduce_spoof_partials(cplan, [3.0, 7.0, 2.0])
         assert result == 7.0
         assert levels == 2
 
@@ -293,7 +291,7 @@ class TestReduceSpoofPartials:
                 MatrixBlock(np.array([[0.5, 9.0, -1.0]])),
                 MatrixBlock(np.array([[2.0, 4.0, -3.0]])),
             ]
-            result, levels = reduce_spoof_partials(cplan, parts, tree_reduce)
+            result, levels = reduce_spoof_partials(cplan, parts)
             expected = reducer.reduce([p.to_dense() for p in parts])
             np.testing.assert_array_equal(result.to_dense(), expected)
             assert levels == 2
@@ -306,7 +304,7 @@ class TestReduceSpoofPartials:
             MatrixBlock(np.array([[2.0], [3.0], [4.0]])),
             MatrixBlock(np.array([[3.0], [8.0], [0.0]])),
         ]
-        result, _ = reduce_spoof_partials(cplan, parts, tree_reduce)
+        result, _ = reduce_spoof_partials(cplan, parts)
         np.testing.assert_array_equal(
             result.to_dense(), np.array([[6.0], [3.0], [4.0]])
         )
@@ -317,12 +315,12 @@ class TestReduceSpoofPartials:
             MatrixBlock(np.array([[4.0], [1.0]])),
             MatrixBlock(np.array([[2.0], [2.0]])),
         ]
-        result, _ = reduce_spoof_partials(cplan, parts, tree_reduce)
+        result, _ = reduce_spoof_partials(cplan, parts)
         np.testing.assert_array_equal(result.to_dense(), [[2.0], [3.0]])
 
     def test_single_partial_passthrough(self):
         cplan = _agg_cplan(OutType.FULL_AGG, ["min"])
-        result, levels = reduce_spoof_partials(cplan, [4.25], tree_reduce)
+        result, levels = reduce_spoof_partials(cplan, [4.25])
         assert result == 4.25
         assert levels == 0
 
@@ -330,18 +328,18 @@ class TestReduceSpoofPartials:
         """All-zero partitions (e.g. empty sparse row ranges) contribute
         identity partials under sum aggregation."""
         cplan = _agg_cplan(OutType.FULL_AGG, ["sum"])
-        result, _ = reduce_spoof_partials(cplan, [0.0, 2.5, 0.0, 1.5], tree_reduce)
+        result, _ = reduce_spoof_partials(cplan, [0.0, 2.5, 0.0, 1.5])
         assert result == 4.0
 
     def test_zero_partials_raise(self):
         cplan = _agg_cplan(OutType.FULL_AGG, ["sum"])
         with pytest.raises(RuntimeExecError):
-            reduce_spoof_partials(cplan, [], tree_reduce)
+            reduce_spoof_partials(cplan, [])
 
     def test_non_aggregating_out_type_raises(self):
         cplan = _agg_cplan(OutType.NO_AGG, [])
         with pytest.raises(RuntimeExecError):
-            reduce_spoof_partials(cplan, [1.0], tree_reduce)
+            reduce_spoof_partials(cplan, [1.0])
 
 
 class TestTreeReduce:
@@ -462,12 +460,15 @@ class TestOversubscriptionGuard:
         assert engine.stats.n_requests_served == 6
 
     def test_single_thread_takes_exact_serial_path(self, monkeypatch):
-        """``intra_op_threads=1`` must not even plan partitions."""
+        """``intra_op_threads=1`` must not even plan partitions: no row
+        slicing, no plan list, no column-group split."""
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("_plan_intra_op called with 1 thread")
+            raise AssertionError("partitions planned with 1 thread")
 
-        monkeypatch.setattr(skeletons, "_plan_intra_op", forbidden)
+        for name in ("row_parts", "spoof_plans", "partition_values",
+                     "_column_group_views"):
+            monkeypatch.setattr(skeletons, name, forbidden)
         data = np.random.default_rng(8).uniform(0.1, 1.0, (ROWS, COLS))
         engine = _serial_engine()
         result = api.eval((api.matrix(data, "X") * 2.0).sum(), engine=engine)

@@ -1,0 +1,190 @@
+"""One split-and-combine path for fused operators.
+
+The same generated operator runs two ways over four parts: intra-op
+parallel (``intra_op_threads=4``) and through a ``SparkExecutor`` with
+four partitions (``ClusterConfig(n_workers=2)``) on either task
+backend.  Both cut the main input with ``skeletons.row_parts``, resolve
+side inputs with ``skeletons.partition_values`` and combine with
+``skeletons.combine_partials``, so the results are ``array_equal``.
+Intra-op execution must never reach the distributed executor, its
+``BlockedMatrix.partition`` or ``ops.rix``.
+
+The intra-op gate is one function, ``CodegenConfig.intra_op_partitions``;
+the runtime and the cost model must agree at each of its boundaries.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from repro import api
+from repro.codegen.cost import CostEstimator
+from repro.codegen.cplan import OutType
+from repro.codegen.template import TemplateType
+from repro.compiler.execution import Engine
+from repro.config import ClusterConfig, CodegenConfig
+from repro.hops.hop import DataOp
+from repro.runtime import ops as rops
+from repro.runtime.distributed import BlockedMatrix, SparkExecutor
+from repro.runtime.matrix import MatrixBlock
+from repro.runtime.skeletons import execute_operator, partition_bounds, spoof_plans
+from repro.runtime.stats import RuntimeStats
+
+PARTS = 4  # intra_op_threads, and ClusterConfig(n_workers=2).n_partitions
+
+
+def _handles(rows: int, cols: int) -> dict:
+    """Named inputs: a dense main ``x``, a sparse Outer driver ``s``, a
+    row-aligned column vector ``c`` (sliced per part), a row vector
+    ``r`` and the factors ``u`` / ``v`` / ``w``."""
+    rng = np.random.default_rng(rows * 1000 + cols)
+    return {
+        "x": api.matrix(rng.uniform(0.1, 1.0, (rows, cols)), "X"),
+        "s": api.matrix(MatrixBlock.rand(rows, cols, sparsity=0.3,
+                                         seed=rows, low=0.2, high=1.5), "S"),
+        "c": api.matrix(rng.uniform(0.1, 1.0, (rows, 1)), "c"),
+        "r": api.matrix(rng.uniform(0.1, 1.0, (1, cols)), "r"),
+        "v": api.matrix(rng.uniform(0.1, 1.0, (cols, 1)), "v"),
+        "w": api.matrix(rng.uniform(0.1, 1.0, (cols, 3)), "W"),
+        "u": api.matrix(rng.uniform(0.1, 1.0, (rows, 2)), "U"),
+        "f": api.matrix(rng.uniform(0.1, 1.0, (cols, 2)), "F"),
+    }
+
+
+WIDE = 240
+CELL, MAGG = TemplateType.CELL, TemplateType.MAGG
+ROW, OUTER = TemplateType.ROW, TemplateType.OUTER
+
+#: name -> (template, out type, main-input columns, recipe).  The
+#: optimizer picks Outer plans for drivers wider than tall, except
+#: for the left-multiply, which wants a tall one.
+RECIPES = {
+    "cell-no-agg": (CELL, OutType.NO_AGG, 12,
+                    lambda h: [h["x"] * h["c"] + h["r"]]),
+    "cell-row-agg": (CELL, OutType.ROW_AGG, 12,
+                     lambda h: [(h["x"] * h["c"] + h["r"]).row_sums()]),
+    "cell-col-agg": (CELL, OutType.COL_AGG, 12,
+                     lambda h: [(h["x"] * h["c"] + h["r"]).col_maxs()]),
+    "magg-full-agg": (MAGG, OutType.FULL_AGG, 12,
+                      lambda h: [(h["x"] * h["c"] + h["r"]).sum()]),
+    "magg-multi-agg": (MAGG, OutType.MULTI_AGG, 12,
+                       lambda h: [(h["x"] * h["c"] + h["r"]).sum(),
+                                  (h["x"] * h["c"]).max()]),
+    "row-no-agg": (ROW, OutType.NO_AGG, 12,
+                   lambda h: [api.sigmoid(h["x"] @ h["w"]) * h["c"]]),
+    "row-row-agg": (ROW, OutType.ROW_AGG, 12,
+                    lambda h: [(h["x"] * h["c"]) @ h["v"]]),
+    "row-col-agg": (ROW, OutType.COL_AGG, 12,
+                    lambda h: [(h["x"] * (h["x"] @ h["v"]) * h["c"])
+                               .col_sums()]),
+    "row-col-agg-t": (ROW, OutType.COL_AGG_T, 12,
+                      lambda h: [h["x"].T @ ((h["x"] @ h["v"]) * h["c"])]),
+    "row-full-agg": (ROW, OutType.FULL_AGG, 12,
+                     lambda h: [((h["x"] @ h["v"]) * h["c"]).sum()]),
+    "outer-no-agg": (OUTER, OutType.OUTER_NO_AGG, WIDE,
+                     lambda h: [h["s"] * (h["u"] @ h["f"].T)]),
+    "outer-left": (OUTER, OutType.OUTER_LEFT, 6,
+                   lambda h: [((h["s"] != 0.0) * (h["u"] @ h["f"].T)).T
+                              @ h["u"]]),
+    "outer-right": (OUTER, OutType.OUTER_RIGHT, WIDE,
+                    lambda h: [((h["s"] != 0.0) * (h["u"] @ h["f"].T))
+                               @ h["f"]]),
+    "outer-full-agg": (OUTER, OutType.OUTER_FULL_AGG, WIDE,
+                       lambda h: [(h["s"] * api.log(h["u"] @ h["f"].T
+                                                    + 1e-15)).sum()]),
+}
+
+
+def _compiled(recipe, rows: int, cols: int):
+    """The recipe's one fused operator and its bound input values."""
+    engine = Engine(mode="gen", config=CodegenConfig(intra_op_threads=1))
+    program = engine.compile([e.hop for e in recipe(_handles(rows, cols))])
+    (hop,) = [i.hop for i in program.instructions if i.opcode == "spoof"]
+    values = [h.data if isinstance(h, DataOp) else h.value
+              for h in hop.inputs]
+    return hop, values
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("intra-op execution entered the distributed path")
+
+
+def _array(value):
+    if isinstance(value, BlockedMatrix):
+        value = value.collect()
+    return value.to_dense() if isinstance(value, MatrixBlock) else value
+
+
+@pytest.mark.parametrize("backend", ["simulated", "multiprocess"])
+@pytest.mark.parametrize("rows", [102, 2 * PARTS],
+                         ids=["ragged-last-part", "rows-2k"])
+@pytest.mark.parametrize("name", sorted(RECIPES))
+def test_intra_op_and_distributed_parts_agree(monkeypatch, name, rows,
+                                              backend):
+    ttype, out_type, cols, recipe = RECIPES[name]
+    hop, values = _compiled(recipe, rows, cols)
+    cplan = hop.operator.cplan
+    assert (cplan.ttype, cplan.out_type) == (ttype, out_type)
+    modes = [mode for mode, _ in spoof_plans(cplan, values, rows)]
+    assert {"main", "slice", "whole"} <= set(modes)
+    bounds = partition_bounds(rows, PARTS)
+    assert len(bounds) == PARTS
+    assert (bounds[-1][1] - bounds[-1][0] < bounds[0][1] - bounds[0][0]) \
+        == (rows % PARTS != 0)
+
+    stats = RuntimeStats()
+    with monkeypatch.context() as spy:
+        spy.setattr(BlockedMatrix, "partition", classmethod(_forbidden))
+        spy.setattr(rops, "rix", _forbidden)
+        for attr, member in list(vars(SparkExecutor).items()):
+            if callable(member) or isinstance(member, property):
+                spy.setattr(SparkExecutor, attr, _forbidden)
+        local = execute_operator(
+            hop.operator, values,
+            CodegenConfig(intra_op_threads=PARTS, intra_op_min_cells=1),
+            stats,
+        )
+    assert stats.n_intra_op_parallel == 1
+    assert stats.n_intra_op_partitions == PARTS
+
+    config = CodegenConfig(cluster=ClusterConfig(n_workers=2),
+                           distributed_backend=backend, mp_workers=2)
+    spark = SparkExecutor(config.cluster, config, RuntimeStats())
+    assert spark.n_partitions == PARTS
+    distributed = spark.execute_spoof(hop, values)
+    assert np.array_equal(_array(local), _array(distributed))
+
+
+# ----------------------------------------------------------------------
+# One intra-op gate
+# ----------------------------------------------------------------------
+def _boundary_shapes():
+    """(threads, rows, cols, min_cells) at both sides of both gates:
+    rows = 2n-1 / 2n, cells = min-1 / min."""
+    for threads in (2, 3, 4):
+        for rows in (2 * threads - 1, 2 * threads):
+            for cols in (1, 5):
+                for min_cells in (rows * cols, rows * cols + 1):
+                    yield threads, rows, cols, min_cells
+
+
+@pytest.mark.parametrize("threads, rows, cols, min_cells",
+                         list(_boundary_shapes()))
+def test_runtime_and_cost_model_share_the_gate(threads, rows, cols,
+                                               min_cells):
+    config = CodegenConfig(intra_op_threads=threads,
+                           intra_op_min_cells=min_cells)
+    x = api.matrix(np.random.default_rng(rows).uniform(0.1, 1.0,
+                                                       (rows, cols)), "X")
+    engine = Engine(mode="gen", config=config)
+    api.eval((x * 2.0).sum(), engine=engine)
+    runtime_parts = max(1, engine.stats.n_intra_op_partitions)
+
+    cost = CostEstimator(None, config, {})
+    cv = SimpleNamespace(ttype=TemplateType.CELL, inputs={0: x.hop})
+    assert cost._intra_op_parallelism(cv) == runtime_parts
+
+    expected = (threads if rows >= 2 * threads and rows * cols >= min_cells
+                else 1)
+    assert config.intra_op_partitions(rows, cols) == expected == runtime_parts

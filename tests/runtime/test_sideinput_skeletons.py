@@ -63,20 +63,6 @@ class TestSideInput:
         out = side.gather(np.array([0, 0]), np.array([0, 0]))
         np.testing.assert_array_equal(out, [4.5, 4.5])
 
-    def test_gather_row(self, rng):
-        arr = rng.random((6, 9))
-        side = SideInput(MatrixBlock(arr))
-        cols = np.array([2, 4, 8])
-        np.testing.assert_array_equal(side.gather_row(3, cols), arr[3, cols])
-
-    def test_gather_row_sparse(self):
-        block = MatrixBlock.rand(6, 9, sparsity=0.3, seed=2)
-        side = SideInput(block)
-        cols = np.array([0, 4, 8])
-        np.testing.assert_allclose(
-            side.gather_row(2, cols), block.to_dense()[2, cols]
-        )
-
 
 class TestSkeletonEdgeCases:
     """Generated operators over shapes that stress the skeletons."""
