@@ -5,6 +5,12 @@ of CNodes, determines the template binding (main input, row-aligned and
 full side inputs, scalars), the output variant, and sparse-safety (by
 partial evaluation: a plan is sparse-safe iff its body is exactly zero
 whenever the main input value is zero, whatever the other inputs hold).
+
+Every template builds its body with :func:`_build_body`, one
+:func:`~repro.hops.hop.topological_order` walk of the covered hops, so
+the CPlan's input order (and with it the plan-cache hash) follows that
+walk.  A template supplies only its leaf rule, how an uncovered side
+input is read, and the non-cellwise operators its body admits.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from repro.hops.hop import (
     ReorgOp,
     TernaryOp,
     UnaryOp,
+    topological_order,
 )
 from repro.hops.types import AggDir, AggOp
 
@@ -109,44 +116,65 @@ class _Builder:
         return specs, main_index
 
 
-def _cell_build(builder: _Builder, hop: Hop, row_count: int) -> CNode:
-    """Body construction for cell-aligned (element-wise) sub-DAGs.
+def _build_body(builder: _Builder, root: Hop, side, admit=None) -> CNode:
+    """The CNode body of the covered hops under ``root``.
 
-    Iterative post-order: covered sub-DAGs can be arbitrarily deep
-    (long element-wise chains), so no recursion.
+    An uncovered hop is a data leaf, read as a scalar or with the access
+    the template's leaf rule ``side(hop)`` gives (the rule raises for a
+    side the template cannot read).  A covered cell-wise hop maps
+    through :func:`_cell_like`; any other covered hop needs
+    ``admit(builder, hop)`` to return ``(operands, make)``: the hops its
+    node reads and a function of their CNodes that makes the node.
+    Hops an earlier call built are reused from ``builder.cache``.
     """
-    stack = [hop]
-    while stack:
-        node = stack[-1]
-        if node.id in builder.cache:
-            stack.pop()
+    cache, covered = builder.cache, builder.covered_ids
+    admitted: dict[int, tuple] = {}
+
+    def children(hop: Hop):
+        if hop.id in cache or hop.id not in covered:
+            return ()
+        if isinstance(hop, (UnaryOp, BinaryOp, TernaryOp)):
+            return hop.inputs
+        rule = admit(builder, hop) if admit is not None else None
+        if rule is None:
+            raise CodegenError(f"unsupported body op {hop.opcode()}")
+        admitted[hop.id] = rule
+        return rule[0]
+
+    for hop in topological_order([root], children):
+        if hop.id in cache:
             continue
-        if node.id not in builder.covered_ids:
-            if node.is_scalar:
-                cnode = builder.data(node, Access.SCALAR)
-            elif node.rows == row_count:
-                cnode = builder.data(node, Access.SIDE_ROW)
-            else:
-                cnode = builder.data(node, Access.SIDE_FULL)
-            builder.cache[node.id] = cnode
-            stack.pop()
-            continue
-        missing = [c for c in node.inputs if c.id not in builder.cache]
-        if missing:
-            stack.extend(reversed(missing))
-            continue
-        children = [builder.cache[c.id] for c in node.inputs]
-        if isinstance(node, UnaryOp):
-            cnode = CNode(f"u:{node.op}", children)
-        elif isinstance(node, BinaryOp):
-            cnode = CNode(f"b:{node.op}", children)
-        elif isinstance(node, TernaryOp):
-            cnode = CNode(f"t:{node.op}", children)
+        if hop.id not in covered:
+            access = Access.SCALAR if hop.is_scalar else side(hop)
+            cache[hop.id] = builder.data(hop, access)
+        elif hop.id in admitted:
+            operands, make = admitted[hop.id]
+            cache[hop.id] = make([cache[c.id] for c in operands])
         else:
-            raise CodegenError(f"unsupported cell body op {node.opcode()}")
-        builder.cache[node.id] = cnode
-        stack.pop()
-    return builder.cache[hop.id]
+            cache[hop.id] = _cell_like(hop, [cache[c.id] for c in hop.inputs])
+    return cache[root.id]
+
+
+def _cell_like(hop: Hop, children: list[CNode]) -> CNode:
+    if isinstance(hop, UnaryOp):
+        return CNode(f"u:{hop.op}", children)
+    if isinstance(hop, BinaryOp):
+        return CNode(f"b:{hop.op}", children)
+    return CNode(f"t:{hop.op}", children)
+
+
+def _row_side(n_rows: int):
+    """Cell and Row leaf rule: a side with the body's row count is read
+    row-aligned, any other in full."""
+    return lambda hop: Access.SIDE_ROW if hop.rows == n_rows else Access.SIDE_FULL
+
+
+def _agg_body(body: CNode, agg_op: AggOp) -> tuple[CNode, str]:
+    """``body`` and the skeleton's reduction for ``agg_op``: SUM_SQ
+    squares inside the body and reduces with a plain sum."""
+    if agg_op is AggOp.SUM_SQ:
+        return CNode("u:pow2", [body]), "sum"
+    return body, _AGG_NAME[agg_op]
 
 
 # ----------------------------------------------------------------------
@@ -166,14 +194,15 @@ def _construct_cell(plan: OperatorPlan, config):
             AggDir.COL: OutType.COL_AGG,
         }[root.direction]
         body_root_hop = root.inputs[0]
-    cell_rows = body_root_hop.rows
-
-    builder = _Builder(plan.inputs, covered_ids)
     if body_root_hop.id not in covered_ids:
         raise CodegenError("cell body root not covered")
-    body = _cell_build(builder, body_root_hop, cell_rows)
-    if agg_op is AggOp.SUM_SQ:
-        body = CNode("u:pow2", [body])
+    builder = _Builder(plan.inputs, covered_ids)
+    body = _build_body(builder, body_root_hop, _row_side(body_root_hop.rows))
+    agg_ops: list[str] = []
+    if agg_op is not None:
+        # MEAN is never fused (Cell template conditions).
+        body, agg = _agg_body(body, agg_op)
+        agg_ops = [agg]
 
     main_hop = _pick_cell_main(builder.input_hops, body_root_hop.dims, config)
     if main_hop is None:
@@ -183,10 +212,6 @@ def _construct_cell(plan: OperatorPlan, config):
     sparse_safe = _sparse_safe([body], specs, main_index) and (
         agg_op in (None, AggOp.SUM, AggOp.SUM_SQ)
     )
-    if agg_op is not None:
-        # SUM_SQ squares inside the body, so the skeleton reduces with
-        # a plain sum; MEAN is never fused (Cell template conditions).
-        agg_name = "sum" if agg_op in (AggOp.SUM, AggOp.SUM_SQ) else _AGG_NAME[agg_op]
     cplan = CPlan(
         ttype=TemplateType.CELL,
         out_type=out_type,
@@ -194,7 +219,7 @@ def _construct_cell(plan: OperatorPlan, config):
         inputs=specs,
         main_index=main_index,
         sparse_safe=sparse_safe,
-        agg_ops=[agg_name] if agg_op else [],
+        agg_ops=agg_ops,
         out_rows=root.rows,
         out_cols=root.cols,
         covered_hop_ids=sorted(covered_ids),
@@ -238,13 +263,11 @@ def construct_multi_agg(plans: list[OperatorPlan], config):
             raise CodegenError("multi-agg root is not an aggregation")
         body_hop = root.inputs[0]
         dims = body_hop.dims if dims is None else dims
-        body = _cell_build(builder, body_hop, body_hop.rows)
-        if root.agg_op is AggOp.SUM_SQ:
-            body = CNode("u:pow2", [body])
-        roots.append(body)
-        agg_ops.append(
-            _AGG_NAME[root.agg_op if root.agg_op is not AggOp.SUM_SQ else AggOp.SUM]
+        body, agg = _agg_body(
+            _build_body(builder, body_hop, _row_side(body_hop.rows)), root.agg_op
         )
+        roots.append(body)
+        agg_ops.append(agg)
 
     main_hop = _pick_cell_main(builder.input_hops, dims, config)
     if main_hop is None:
@@ -278,71 +301,11 @@ def _construct_row(plan: OperatorPlan, config):
     builder = _Builder(plan.inputs, covered_ids)
 
     def build(root_hop: Hop) -> CNode:
-        # Iterative post-order (Row bodies host deep cellwise chains).
-        stack = [root_hop]
-        while stack:
-            hop = stack[-1]
-            if hop.id in builder.cache:
-                stack.pop()
-                continue
-            if hop.id not in builder.covered_ids:
-                if hop.is_scalar:
-                    node = builder.data(hop, Access.SCALAR)
-                elif hop.is_matrix and hop.rows == n_rows:
-                    node = builder.data(hop, Access.SIDE_ROW)
-                else:
-                    node = builder.data(hop, Access.SIDE_FULL)
-                builder.cache[hop.id] = node
-                stack.pop()
-                continue
-            if isinstance(hop, AggUnaryOp):
-                if hop.direction is not AggDir.ROW:
-                    raise CodegenError("non-row aggregation inside a Row body")
-                kids = [hop.inputs[0]]
-            elif isinstance(hop, AggBinaryOp):
-                left, right = hop.inputs
-                if isinstance(left, ReorgOp) and left.id in builder.covered_ids:
-                    raise CodegenError("t(Z) %*% Q only valid at the operator root")
-                if right.id in builder.covered_ids:
-                    raise CodegenError("matmult with fused right operand in Row body")
-                kids = [left]
-            elif isinstance(hop, IndexingOp):
-                kids = [hop.inputs[0]]
-            elif isinstance(hop, (UnaryOp, BinaryOp, TernaryOp)):
-                kids = list(hop.inputs)
-            else:
-                raise CodegenError(f"unsupported Row body op {hop.opcode()}")
-            missing = [c for c in kids if c.id not in builder.cache]
-            if missing:
-                stack.extend(reversed(missing))
-                continue
-            if isinstance(hop, AggUnaryOp):
-                node = CNode(
-                    f"rowagg:{_AGG_NAME[hop.agg_op]}",
-                    [builder.cache[hop.inputs[0].id]],
-                )
-            elif isinstance(hop, AggBinaryOp):
-                left, right = hop.inputs
-                node = CNode(
-                    "mm",
-                    [builder.cache[left.id], builder.data(right, Access.SIDE_FULL)],
-                )
-            elif isinstance(hop, IndexingOp):
-                node = CNode(
-                    "rix", [builder.cache[hop.inputs[0].id]], meta=(hop.cl, hop.cu)
-                )
-            else:
-                node = _cell_like(hop, [builder.cache[c.id] for c in hop.inputs])
-            builder.cache[hop.id] = node
-            stack.pop()
-        return builder.cache[root_hop.id]
+        return _build_body(builder, root_hop, _row_side(n_rows), _row_op)
 
     agg_ops: list[str] = []
     if isinstance(root, AggUnaryOp) and root.direction in (AggDir.COL, AggDir.FULL):
-        inner = build(root.inputs[0])
-        if root.agg_op is AggOp.SUM_SQ:
-            inner = CNode("u:pow2", [inner])
-        agg = _AGG_NAME[root.agg_op if root.agg_op is not AggOp.SUM_SQ else AggOp.SUM]
+        inner, agg = _agg_body(build(root.inputs[0]), root.agg_op)
         if root.direction is AggDir.COL:
             out_type = OutType.COL_AGG
             body = CNode(f"colagg:{agg}", [inner])
@@ -400,12 +363,26 @@ def _pick_row_main(input_hops: list[Hop], n_rows: int) -> Hop | None:
     return max(aligned, key=lambda h: h.cells)
 
 
-def _cell_like(hop: Hop, children: list[CNode]) -> CNode:
-    if isinstance(hop, UnaryOp):
-        return CNode(f"u:{hop.op}", children)
-    if isinstance(hop, BinaryOp):
-        return CNode(f"b:{hop.op}", children)
-    return CNode(f"t:{hop.op}", children)
+def _row_op(builder: _Builder, hop: Hop):
+    """The non-cellwise ops a Row body admits: row aggregation, a matrix
+    multiply by an uncovered right operand (read in full), and column
+    indexing."""
+    if isinstance(hop, AggUnaryOp):
+        if hop.direction is not AggDir.ROW:
+            raise CodegenError("non-row aggregation inside a Row body")
+        return hop.inputs, lambda kids: CNode(f"rowagg:{_AGG_NAME[hop.agg_op]}", kids)
+    if isinstance(hop, AggBinaryOp):
+        left, right = hop.inputs
+        if isinstance(left, ReorgOp) and left.id in builder.covered_ids:
+            raise CodegenError("t(Z) %*% Q only valid at the operator root")
+        if right.id in builder.covered_ids:
+            raise CodegenError("matmult with fused right operand in Row body")
+        return (left,), lambda kids: CNode(
+            "mm", [kids[0], builder.data(right, Access.SIDE_FULL)]
+        )
+    if isinstance(hop, IndexingOp):
+        return hop.inputs, lambda kids: CNode("rix", kids, meta=(hop.cl, hop.cu))
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -442,40 +419,21 @@ def _construct_outer(plan: OperatorPlan):
         inputs.append(v_hop)
     builder = _Builder(inputs, covered_ids)
 
+    def side(hop: Hop) -> Access:
+        if hop.dims != outer_mm.dims:
+            raise CodegenError("outer side input with foreign dims")
+        return Access.SIDE_ROW
+
+    def outer_op(_, hop: Hop):
+        # The outer-product matmult is the body's ``uv`` leaf.
+        return ((), lambda kids: CNode("uv")) if hop is outer_mm else None
+
     def build(root_hop: Hop) -> CNode:
-        # Iterative post-order, mirroring the other template builders.
-        stack = [root_hop]
-        while stack:
-            hop = stack[-1]
-            if hop.id in builder.cache:
-                stack.pop()
-                continue
-            if hop is outer_mm:
-                node = CNode("uv")
-            elif hop.id not in builder.covered_ids:
-                if hop.is_scalar:
-                    node = builder.data(hop, Access.SCALAR)
-                elif hop.dims == outer_mm.dims:
-                    node = builder.data(hop, Access.SIDE_ROW)
-                else:
-                    raise CodegenError("outer side input with foreign dims")
-            elif isinstance(hop, (UnaryOp, BinaryOp, TernaryOp)):
-                missing = [c for c in hop.inputs if c.id not in builder.cache]
-                if missing:
-                    stack.extend(reversed(missing))
-                    continue
-                node = _cell_like(hop, [builder.cache[c.id] for c in hop.inputs])
-            else:
-                raise CodegenError(f"unsupported Outer body op {hop.opcode()}")
-            builder.cache[hop.id] = node
-            stack.pop()
-        return builder.cache[root_hop.id]
+        return _build_body(builder, root_hop, side, outer_op)
 
     side_w_hop = None
     if isinstance(root, AggUnaryOp):
-        body = build(root.inputs[0])
-        if root.agg_op is AggOp.SUM_SQ:
-            body = CNode("u:pow2", [body])
+        body, _ = _agg_body(build(root.inputs[0]), root.agg_op)
         out_type = OutType.OUTER_FULL_AGG
         out_rows, out_cols = 0, 0
     elif isinstance(root, AggBinaryOp) and root is not outer_mm:
@@ -554,36 +512,20 @@ def eval_cnode(node: CNode, env: dict) -> float | None:
     value; row-agg/matmult nodes are treated as their scalar analogue.
     A None value is unknown and propagates, except where the known
     inputs decide a node (``0 * y``, ``0 & y``, ``0 / y``, matrix
-    products, ``x + 0 * y``, a known ``ifelse`` condition).  Evaluation
-    is iterative and memoized per call (bodies can be thousands of nodes
-    deep).
+    products, ``x + 0 * y``, a known ``ifelse`` condition).  Each node
+    is evaluated once per call.
     """
     memo: dict[int, float | None] = {}
-    stack = [node]
-    while stack:
-        cur = stack[-1]
-        if cur.id in memo:
-            stack.pop()
-            continue
-        if cur.op == "lit":
-            memo[cur.id] = cur.value
-            stack.pop()
-            continue
-        if cur.op == "data":
-            memo[cur.id] = env[f"in{cur.input_index}"]
-            stack.pop()
-            continue
-        if cur.op == "uv":
-            memo[cur.id] = env["uv"]
-            stack.pop()
-            continue
-        missing = [c for c in cur.inputs if c.id not in memo]
-        if missing:
-            stack.extend(reversed(missing))
-            continue
+    for cur in topological_order([node]):
         vals = [memo[c.id] for c in cur.inputs]
         kind, _, op = cur.op.partition(":")
-        if None in vals:
+        if kind == "lit":
+            value = cur.value
+        elif kind == "data":
+            value = env[f"in{cur.input_index}"]
+        elif kind == "uv":
+            value = env["uv"]
+        elif None in vals:
             value = _partial_value(kind, op, vals)
         elif kind == "u":
             value = _scalar_unary(op, vals[0])
@@ -596,16 +538,13 @@ def eval_cnode(node: CNode, env: dict) -> float | None:
                 value = vals[0] - vals[1] * vals[2]
             else:
                 value = vals[1] if vals[0] != 0 else vals[2]
-        elif kind in ("rowagg", "colagg", "fullagg"):
+        elif kind in ("rowagg", "colagg", "fullagg", "rix"):
             value = vals[0]
         elif kind in ("mm", "touter"):
             value = vals[0] * vals[1]
-        elif kind == "rix":
-            value = vals[0]
         else:
             raise CodegenError(f"cannot evaluate CNode op {cur.op}")
         memo[cur.id] = value
-        stack.pop()
     return memo[node.id]
 
 

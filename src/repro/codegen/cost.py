@@ -88,7 +88,6 @@ class OperatorPlan:
     covered: list[Hop]
     inputs: list[Hop]
     time: float
-    sparse_safe: bool = False
 
     @property
     def n_covered(self) -> int:
@@ -301,11 +300,9 @@ class CostEstimator:
         cv = CostVector(ttype, hop)
         self._visit(hop, self._most_usable(hop, entries, q), cv, q)
         time = self._vector_time(cv)
-        plan = OperatorPlan(
+        return OperatorPlan(
             hop, ttype, cv.entries, cv.covered, list(cv.inputs.values()), time
         )
-        plan.sparse_safe = self._is_sparse_safe(cv)
-        return plan
 
     def _most_usable(self, hop: Hop, entries: list[MemoEntry], q: int) -> MemoEntry:
         """The first entry with the most references ``q`` leaves fusable."""

@@ -1,8 +1,9 @@
 """Code generation: CPlans to Python source (codegen step 4).
 
 Mirrors the paper's recursive template expansion: each CPlan body
-expands depth-first into straight-line calls of the shared
-vector-primitive library ``vp``.  This is the only module that builds
+expands in :func:`~repro.hops.hop.topological_order` into straight-line
+calls of the shared vector-primitive library ``vp``, whose ``t<k>``
+variables are numbered in that order.  This is the only module that builds
 source text, and it emits one function per fused operator,
 ``genbody``, which returns the operator's root values.  Everything
 around the body belongs to the hand-written template drivers in
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from repro.codegen.cplan import Access, CNode, CPlan
 from repro.codegen.template import TemplateType
 from repro.errors import CodegenError
+from repro.hops.hop import topological_order
 from repro.runtime.vector import BINARY_PRIMITIVES, UNARY_PRIMITIVES
 
 #: Import surface of generated sources.  ``genbody`` imports only
@@ -100,7 +102,7 @@ def generate_source(cplan: CPlan) -> tuple[str, str]:
 
 
 class _Emitter:
-    """Depth-first template expansion of a CPlan body DAG."""
+    """Post-order template expansion of a CPlan body DAG."""
 
     def __init__(self, cplan: CPlan):
         self.cplan = cplan
@@ -123,7 +125,9 @@ class _Emitter:
 
     # ------------------------------------------------------------------
     def emit_roots(self) -> tuple[list[str], list[str]]:
-        results = [self._emit(root) for root in self.cplan.roots]
+        for node in topological_order(self.cplan.roots):
+            self.vars[node.id] = self._emit_node(node)
+        results = [self.vars[root.id] for root in self.cplan.roots]
         if not self.lines:
             # Ensure at least one statement for trivial bodies.
             self.lines.append("pass")
@@ -136,30 +140,6 @@ class _Emitter:
         var = self._fresh()
         self.lines.append(f"{var} = {expr}")
         return var
-
-    def _ref(self, node: CNode) -> str:
-        return self.vars[node.id]
-
-    def _emit(self, node: CNode) -> str:
-        # Iterative post-order over the body DAG (which can be thousands
-        # of nodes deep for long fused chains).
-        stack = [node]
-        while stack:
-            cur = stack[-1]
-            if cur.id in self.vars:
-                stack.pop()
-                continue
-            if cur.op in ("lit", "data", "uv"):
-                self.vars[cur.id] = self._emit_node(cur)
-                stack.pop()
-                continue
-            missing = [c for c in cur.inputs if c.id not in self.vars]
-            if missing:
-                stack.extend(reversed(missing))
-                continue
-            self.vars[cur.id] = self._emit_node(cur)
-            stack.pop()
-        return self.vars[node.id]
 
     def _emit_node(self, node: CNode) -> str:
         """Emit one node whose inputs are already in ``self.vars``."""

@@ -13,8 +13,10 @@ symbol table:
   instructions,
 * in ``fused`` mode, hand-coded pattern matching happens *here*, at
   compile time: a matched pattern lowers into a single ``fused``
-  instruction reading the pattern's leaf slots (this is what removed
-  the old demand-driven interpreter and its recursion-limit hack).
+  instruction reading the pattern's leaf slots.
+
+Both passes here (lowering and the recompile markers) are
+:func:`~repro.hops.hop.topological_order` walks.
 
 The resulting program is what the runtime executor
 (:mod:`repro.runtime.executor`) schedules — serially or over a thread
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.hops.hop import DataOp, Hop, LiteralOp, SpoofOp, SpoofOutOp
+from repro.hops.hop import DataOp, Hop, LiteralOp, SpoofOp, SpoofOutOp, topological_order
 from repro.hops.types import ExecType
 
 
@@ -247,11 +249,12 @@ def lower_program(roots: list[Hop], mode: str,
                   distributed: bool = False) -> Program:
     """Lower an optimized multi-root HOP DAG into a :class:`Program`.
 
-    The walk is demand-driven from the roots and fully iterative, so
-    arbitrarily deep DAGs lower without recursion.  In ``fused`` mode
-    hand-coded patterns are matched per demanded hop; intermediates
-    covered by a pattern are lowered only if another consumer demands
-    them separately (matching the old lazy interpreter's semantics).
+    Hops lower in :func:`~repro.hops.hop.topological_order` from the
+    roots, which fixes instruction and slot order.  In ``fused`` mode
+    hand-coded patterns are matched per demanded hop, and a matched
+    hop's children are the pattern's leaves: intermediates covered by a
+    pattern are lowered only if another consumer demands them
+    separately (matching the old lazy interpreter's semantics).
     With ``distributed=True`` (a cluster is configured), explicit
     ``collect`` instructions are inserted wherever a SPARK-typed
     producer feeds a CP-typed consumer or a program root.
@@ -261,7 +264,7 @@ def lower_program(roots: list[Hop], mode: str,
     use_fused = mode == "fused"
     program = Program()
     slot_of: dict[int, int] = {}
-    plans: dict[int, tuple] = {}  # hop.id -> (match, dep hops)
+    matches: dict[int, object] = {}  # hop.id -> FusedMatch
 
     def assign_slot(hop: Hop) -> int:
         slot = program.n_slots
@@ -302,29 +305,17 @@ def lower_program(roots: list[Hop], mode: str,
             )
         )
 
-    stack: list[Hop] = list(reversed(roots))
-    while stack:
-        hop = stack[-1]
-        if hop.id in slot_of:
-            stack.pop()
-            continue
-        if isinstance(hop, (DataOp, LiteralOp)):
-            emit(hop, None, [])
-            stack.pop()
-            continue
-        plan = plans.get(hop.id)
-        if plan is None:
-            match = match_fused_pattern(hop) if use_fused else None
-            deps = match.leaves if match is not None else hop.inputs
-            plan = (match, deps)
-            plans[hop.id] = plan
-        match, deps = plan
-        missing = [d for d in deps if d.id not in slot_of]
-        if missing:
-            stack.extend(reversed(missing))
-            continue
-        emit(hop, match, deps)
-        stack.pop()
+    def children(hop: Hop):
+        leaf = isinstance(hop, (DataOp, LiteralOp))
+        match = match_fused_pattern(hop) if use_fused and not leaf else None
+        if match is not None:
+            matches[hop.id] = match
+            return match.leaves
+        return hop.inputs
+
+    for hop in topological_order(roots, children):
+        match = matches.get(hop.id)
+        emit(hop, match, match.leaves if match is not None else hop.inputs)
 
     program.root_slots = [slot_of[r.id] for r in roots]
     program.distributed = distributed
@@ -337,34 +328,14 @@ def lower_program(roots: list[Hop], mode: str,
 # ----------------------------------------------------------------------
 # Adaptive recompilation markers
 # ----------------------------------------------------------------------
-def _unknown_derived(hops, memo: dict) -> None:
-    """Propagate unknown-metadata taint bottom-up over a hop DAG.
-
-    A matrix hop is *unknown-derived* when its own nnz is unknown
-    (``< 0``) or any matrix input is unknown-derived — its size/sparsity
-    estimate (and every choice the compiler based on it) may be
-    arbitrarily wrong.  Scalars never carry the taint: scalar values do
-    not drive format or exec-type decisions.  Iterative walk: covered
-    fusion bodies can be thousands of hops deep.
-    """
-    stack = list(hops)
-    while stack:
-        node = stack[-1]
-        if node.id in memo:
-            stack.pop()
-            continue
-        missing = [i for i in node.inputs if i.id not in memo]
-        if missing:
-            stack.extend(missing)
-            continue
-        memo[node.id] = node.is_matrix and (
-            node.nnz < 0 or any(memo[i.id] for i in node.inputs)
-        )
-        stack.pop()
-
-
 def annotate_recompile_markers(program: Program) -> int:
     """Mark instructions whose plan choices rest on unknown estimates.
+
+    A matrix hop is *unknown-derived* when its own nnz is unknown
+    (``< 0``) or any input is unknown-derived — its size/sparsity
+    estimate (and every choice the compiler based on it) may be
+    arbitrarily wrong.  Scalars never carry the taint: scalar values do
+    not drive format or exec-type decisions.
 
     An instruction reading a slot whose producing hop is unknown-derived
     gains ``meta_checks``: (slot, estimated nnz, cells) triples the
@@ -376,8 +347,11 @@ def annotate_recompile_markers(program: Program) -> int:
     recompute the whole aggregate).  Returns the number of marked
     instructions.
     """
-    memo: dict[int, bool] = {}
-    _unknown_derived(program.slot_hops.values(), memo)
+    unknown: dict[int, bool] = {}
+    for hop in topological_order(program.slot_hops.values()):
+        unknown[hop.id] = hop.is_matrix and (
+            hop.nnz < 0 or any(unknown[i.id] for i in hop.inputs)
+        )
     n_marked = 0
     for instr in program.instructions:
         if instr.opcode == "spoof_out":
@@ -389,7 +363,7 @@ def annotate_recompile_markers(program: Program) -> int:
                 continue
             seen.add(slot)
             hop = program.slot_hops.get(slot)
-            if hop is None or not hop.is_matrix or not memo.get(hop.id):
+            if hop is None or not hop.is_matrix or not unknown.get(hop.id):
                 continue
             estimate = hop.nnz if hop.nnz >= 0 else hop.cells
             checks.append((slot, estimate, hop.cells))

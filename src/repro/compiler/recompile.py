@@ -11,9 +11,11 @@ implements that splice for lowered
   segment boundary (``instr.meta_checks`` — see
   :func:`~repro.compiler.program.annotate_recompile_markers`) plus the
   executor's live symbol table, and rebuilds the not-yet-executed HOP
-  sub-DAG with every already-materialized value replaced by an *exact*
-  leaf: a ``DataOp`` over the observed block (re-formatted per the
-  shared :func:`~repro.runtime.matrix.recommend_format` policy) or a
+  sub-DAG (one :func:`~repro.hops.hop.topological_order` walk cut at
+  materialized values) with every already-materialized value replaced
+  by an *exact* leaf: a ``DataOp`` over the observed block
+  (re-formatted per the shared
+  :func:`~repro.runtime.matrix.recommend_format` policy) or a
   ``LiteralOp`` for scalars,
 * generated fused operators are **de-fused** through
   ``SpoofOp.covered_roots`` back to the original HOPs, so the codegen
@@ -50,6 +52,7 @@ from repro.hops.hop import (
     SpoofOutOp,
     TernaryOp,
     UnaryOp,
+    topological_order,
 )
 from repro.runtime.compressed import compress, estimate_distinct
 from repro.runtime.matrix import MatrixBlock, recommend_format
@@ -157,10 +160,14 @@ def clone_with_observations(roots: list[Hop], boundary: dict[int, int],
     runtime value is already materialized in ``values``; those hops
     become exact ``DataOp`` / ``LiteralOp`` leaves.  Fused operators
     between boundary cuts are de-fused so codegen can re-explore.  The
-    walk is iterative (covered bodies can be thousands of hops deep)
-    and never mutates the original DAG.
+    original DAG is never mutated.
     """
-    memo: dict[int, Hop] = {}
+    def children(hop: Hop):
+        if hop.id in boundary:
+            return ()
+        if isinstance(hop, (SpoofOp, SpoofOutOp)):
+            return (_defuse(hop),)
+        return hop.inputs
 
     def leaf_for(hop: Hop) -> Hop:
         value = values[boundary[hop.id]]
@@ -170,43 +177,19 @@ def clone_with_observations(roots: list[Hop], boundary: dict[int, int],
             value = observed_block(value, stats)
         return DataOp(value, name=hop.name)
 
-    def clone(root: Hop) -> Hop:
-        stack = [root]
-        while stack:
-            node = stack[-1]
-            if node.id in memo:
-                stack.pop()
-                continue
-            if node.id in boundary:
-                memo[node.id] = leaf_for(node)
-                stack.pop()
-                continue
-            if isinstance(node, (SpoofOp, SpoofOutOp)):
-                target = _defuse(node)
-                if target.id in memo:
-                    memo[node.id] = memo[target.id]
-                    stack.pop()
-                else:
-                    stack.append(target)
-                continue
-            if isinstance(node, DataOp):
-                memo[node.id] = DataOp(node.data, name=node.name)
-                stack.pop()
-                continue
-            if isinstance(node, LiteralOp):
-                memo[node.id] = LiteralOp(node.value)
-                stack.pop()
-                continue
-            missing = [i for i in node.inputs if i.id not in memo]
-            if missing:
-                stack.extend(reversed(missing))
-                continue
-            kids = [memo[i.id] for i in node.inputs]
-            memo[node.id] = clone_structural(node, kids)
-            stack.pop()
-        return memo[root.id]
-
-    return [clone(root) for root in roots]
+    memo: dict[int, Hop] = {}
+    for hop in topological_order(roots, children):
+        if hop.id in boundary:
+            memo[hop.id] = leaf_for(hop)
+        elif isinstance(hop, (SpoofOp, SpoofOutOp)):
+            memo[hop.id] = memo[_defuse(hop).id]
+        elif isinstance(hop, DataOp):
+            memo[hop.id] = DataOp(hop.data, name=hop.name)
+        elif isinstance(hop, LiteralOp):
+            memo[hop.id] = LiteralOp(hop.value)
+        else:
+            memo[hop.id] = clone_structural(hop, [memo[i.id] for i in hop.inputs])
+    return [memo[root.id] for root in roots]
 
 
 class Recompiler:

@@ -16,7 +16,8 @@ input placeholders from the same :class:`SymbolicBlock`.
 **Leaves.**  A matrix leaf is described by rows, cols, dense/CSR
 storage, the coarse :func:`sparsity_class` of its block, and whether its
 nnz is hidden from the compiler (``nnz_unknown``); leaves over the same
-block share a number, so ``g * g`` and ``g * h`` differ.  A compressed
+block share a number, so ``g * g`` and ``g * h`` differ.  Leaves are
+numbered in :func:`~repro.hops.hop.topological_order`.  A compressed
 leaf is model data: it is keyed by identity and stays in the program.
 
 **Literals.**  A literal stays in the key *by value* when its value is
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 
 from repro.compiler.recompile import clone_structural
-from repro.hops.hop import BinaryOp, DataOp, Hop, LiteralOp
+from repro.hops.hop import BinaryOp, DataOp, Hop, LiteralOp, topological_order
 from repro.hops.rewrites import structure_key
 from repro.runtime.compressed import CompressedMatrix
 from repro.runtime.matrix import SPARSE_THRESHOLD, MatrixBlock
@@ -150,35 +151,25 @@ def _binds_at_run_time(literal: LiteralOp) -> bool:
 
 
 def dag_signature(roots: list[Hop]) -> DagShape | None:
-    """One post-order walk from ``roots`` to a :class:`DagShape`.
+    """The :class:`DagShape` of the DAG under ``roots``.
 
-    Hops are numbered in order of completion and described by
-    :func:`~repro.hops.rewrites.structure_key` over their inputs'
-    numbers — the description CSE merges by — so equal keys mean equal
-    computations over equally described leaves, root order included.
-    Returns ``None`` for a DAG with a hop that has no structural
-    description (already-spliced fused operators): those compile the
-    ordinary way.  Iterative: DAGs can be thousands of hops deep.
+    Hops are numbered in :func:`~repro.hops.hop.topological_order` and
+    described by :func:`~repro.hops.rewrites.structure_key` over their
+    inputs' numbers — the description CSE merges by — so equal keys mean
+    equal computations over equally described leaves, root order
+    included.  Returns ``None`` for a DAG with a hop that has no
+    structural description (already-spliced fused operators): those
+    compile the ordinary way.
     """
-    number: dict[int, int] = {}  # hop id -> position in ``nodes``
+    order = topological_order(roots)
+    number: dict[int, int] = {}  # hop id -> position in ``order``
     nodes: list[tuple] = []
-    order: list[Hop] = []
     leaves: list = []
     leaf_number: dict[int, int] = {}  # id(block) -> leaf ordinal
     scalars: list[float] = []
     scalar_number: dict[float, int] = {}
     bound: dict[int, int] = {}
-    stack = list(reversed(roots))
-    while stack:
-        hop = stack[-1]
-        if hop.id in number:
-            stack.pop()
-            continue
-        missing = [i for i in hop.inputs if i.id not in number]
-        if missing:
-            stack.extend(reversed(missing))
-            continue
-        stack.pop()
+    for hop in order:
         if isinstance(hop, DataOp):
             block = hop.data
             ordinal = leaf_number.get(id(block))
@@ -209,7 +200,6 @@ def dag_signature(roots: list[Hop]) -> DagShape | None:
                 return None
         number[hop.id] = len(nodes)
         nodes.append(node)
-        order.append(hop)
     key = (tuple(nodes), tuple(number[root.id] for root in roots))
     return DagShape(key, leaves, scalars, roots, order, bound)
 

@@ -13,6 +13,7 @@ Scalars are represented with ``rows == cols == 0``.
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from repro.errors import CompileError, ShapeError
@@ -517,35 +518,39 @@ def collect_dag(roots: Iterable[Hop]) -> list[Hop]:
     return list(seen.values())
 
 
-def topological_order(roots: Iterable[Hop]) -> list[Hop]:
-    """Inputs-before-consumers ordering of the DAG under ``roots``."""
-    order: list[Hop] = []
-    state: dict[int, int] = {}  # 0 = visiting, 1 = done
+def topological_order(roots: Iterable, children=attrgetter("inputs")) -> list:
+    """Left-first post-order of the DAG under ``roots``: every node after
+    its children, children in list order, roots in order, each node once.
 
-    def visit(hop: Hop) -> None:
-        stack = [(hop, iter(hop.inputs))]
+    This is the compiler's one DAG walk.  ``children(node)`` lists a
+    node's operands (``node.inputs`` by default) and is called once per
+    node reached; a node it gives no children is a leaf, which is how
+    callers cut the walk at boundaries and at nodes they already built.
+    Nodes need only ``.id``, so HOPs and CPlan ``CNode`` bodies walk
+    alike.  Iterative (DAGs can be thousands of nodes deep); a cycle
+    raises :class:`CompileError`.
+    """
+    order: list = []
+    done: dict[int, bool] = {}  # False while on the stack, True once ordered
+    for root in roots:
+        if root.id in done:
+            continue
+        done[root.id] = False
+        stack = [(root, iter(children(root)))]
         while stack:
-            node, it = stack[-1]
-            if state.get(node.id) == 1:
-                stack.pop()
-                continue
-            state[node.id] = 0
-            advanced = False
-            for child in it:
-                if state.get(child.id) != 1:
-                    if state.get(child.id) == 0:
-                        raise CompileError("cycle in HOP DAG")
-                    stack.append((child, iter(child.inputs)))
-                    advanced = True
+            node, kids = stack[-1]
+            for child in kids:
+                state = done.get(child.id)
+                if state is None:
+                    done[child.id] = False
+                    stack.append((child, iter(children(child))))
                     break
-            if not advanced:
-                state[node.id] = 1
+                if not state:
+                    raise CompileError("cycle in DAG")
+            else:
+                done[node.id] = True
                 order.append(node)
                 stack.pop()
-
-    for root in roots:
-        if state.get(root.id) != 1:
-            visit(root)
     return order
 
 

@@ -29,25 +29,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import RuntimeExecError, ShapeError
-from repro.hops.types import OpKind
+from repro.hops.types import SPARSE_SAFE_UNARY, OpKind
 from repro.runtime import vector
 from repro.runtime.compressed import CompressedMatrix, transform_dictionaries
 from repro.runtime.matrix import MatrixBlock
 
 Value = Union[MatrixBlock, CompressedMatrix, float]
-
-# Unary cell functions f(0) == 0; safe to apply to non-zeros only.
-SPARSE_SAFE_UNARY = {
-    "abs",
-    "sign",
-    "sqrt",
-    "round",
-    "floor",
-    "ceil",
-    "neg",
-    "sprop",
-    "pow2",
-}
 
 _UNARY_FUNCS = {
     "exp": np.exp,

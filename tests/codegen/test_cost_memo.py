@@ -57,7 +57,6 @@ def _plans(record):
         root_id: (
             plan.root.id, plan.ttype, [h.id for h in plan.covered],
             [h.id for h in plan.inputs], plan.entries, repr(plan.time),
-            plan.sparse_safe,
         )
         for root_id, plan in record.items()
     }

@@ -1,12 +1,13 @@
-"""Deep-chain regression: compile-time lowering needs no recursion.
+"""Deep-chain regression: no compiler pass recurses over the DAG.
 
-The old demand-driven fused interpreter raised ``sys.setrecursionlimit``
-to survive long elementwise chains; compile-time lowering of fused
-patterns (and the iterative codegen walkers) made that hack obsolete.
-These tests build a ~5k-operator chain — far beyond any Python
-recursion limit — and require every layer (rewrites, exploration,
-costing, CPlan construction, code generation, lowering, execution) to
-handle it with the interpreter's default limit untouched.
+Every DAG pass — signatures, CPlan construction, code generation,
+sparse-safety evaluation, lowering, recompile markers and the adaptive
+recompile clone — walks with :func:`repro.hops.hop.topological_order`,
+which keeps its own stack.  These tests build element-wise chains far
+deeper than the recursion limit and require every layer (rewrites,
+exploration, costing, construction of Cell and Row operators, code
+generation, lowering, adaptive recompilation, execution) to handle them
+with the interpreter's default limit untouched.
 """
 
 import sys
@@ -15,26 +16,33 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.runtime.matrix import MatrixBlock
 from tests.conftest import make_engine
 
 CHAIN_OPS = 5000
+# Costing builds one greedy cover per hop of the chain, each as deep as
+# the chain below it, so the Row case uses a shorter chain — still
+# deeper than the recursion limit.
+ROW_CHAIN_OPS = 1200
 ROWS, COLS = 40, 15
 
 
-def _deep_chain():
-    rng = np.random.default_rng(21)
-    x = api.matrix(rng.random((ROWS, COLS)), "X")
-    e = x
-    for i in range(CHAIN_OPS // 2):
+def _chain(e, n_ops=CHAIN_OPS):
+    for _ in range(n_ops // 2):
         e = e * 1.0001 + 0.0001
-    return e.sum()
+    return e
+
+
+def _input():
+    return np.random.default_rng(21).random((ROWS, COLS))
+
+
+def _deep_chain():
+    return _chain(api.matrix(_input(), "X")).sum()
 
 
 def _reference():
-    arr = np.random.default_rng(21).random((ROWS, COLS))
-    for _ in range(CHAIN_OPS // 2):
-        arr = arr * 1.0001 + 0.0001
-    return float(arr.sum())
+    return float(_chain(_input()).sum())
 
 
 class TestDeepChain:
@@ -55,6 +63,31 @@ class TestDeepChain:
         # program is a handful of instructions, not thousands.
         assert engine.stats.spoof_executions.get("Cell") == 1
         assert engine.stats.n_instructions_lowered < 10
+
+    def test_gen_fuses_chain_and_matmult_into_one_row_operator(self):
+        limit = sys.getrecursionlimit()
+        assert ROW_CHAIN_OPS > limit
+        v = np.random.default_rng(22).random((COLS, 1))
+        engine = make_engine("gen")
+        expr = _chain(api.matrix(_input(), "X"), ROW_CHAIN_OPS) @ api.matrix(v, "v")
+        result = api.eval(expr, engine=engine)
+        expected = _chain(_input(), ROW_CHAIN_OPS) @ v
+        np.testing.assert_allclose(result.to_dense(), expected, rtol=1e-9)
+        assert engine.stats.spoof_executions.get("Row") == 1
+        assert sys.getrecursionlimit() == limit
+
+    def test_adaptive_recompile_clones_the_chain(self):
+        # A dense-stored, mostly zero input with hidden nnz: the observed
+        # sparsity diverges from the dense estimate, and the remainder
+        # recompiled from the observation is the whole chain.
+        limit = sys.getrecursionlimit()
+        arr = _input() * (np.random.default_rng(23).random((ROWS, COLS)) < 0.05)
+        x = api.matrix(MatrixBlock(arr), "X", nnz_unknown=True)
+        engine = make_engine("gen", adaptive_recompile=True)
+        result = api.eval(_chain(x).sum(), engine=engine)
+        assert engine.stats.n_recompiles >= 1
+        assert result == pytest.approx(float(_chain(arr).sum()), rel=1e-9)
+        assert sys.getrecursionlimit() == limit
 
     def test_base_matches_reference(self):
         engine = make_engine("base")

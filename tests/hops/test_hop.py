@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.errors import ShapeError
+from repro.codegen.cplan import CNode
+from repro.errors import CompileError, ShapeError
 from repro.hops.hop import (
     AggBinaryOp,
     AggUnaryOp,
@@ -144,6 +145,46 @@ class TestDagUtilities:
         ids = [h.id for h in order]
         assert len(ids) == len(set(ids))
         assert s1.hop.id in ids and s2.hop.id in ids
+
+
+class TestWalkContract:
+    """The order every caller of ``topological_order`` relies on."""
+
+    @staticmethod
+    def _diamond():
+        # x is listed twice by a and reached again through b.
+        x = _data(4, 4)
+        a = BinaryOp("*", x, x)
+        b = UnaryOp("exp", x)
+        return x, a, b, BinaryOp("+", a, b)
+
+    def test_left_first_post_order(self):
+        x, a, b, c = self._diamond()
+        assert topological_order([c]) == [x, a, b, c]
+        assert topological_order([BinaryOp("-", b, a)])[:3] == [x, b, a]
+
+    def test_roots_in_order_each_node_once(self):
+        x, a, b, c = self._diamond()
+        assert topological_order([b, c, a]) == [x, b, a, c]
+
+    def test_empty_children_make_a_leaf(self):
+        x, a, b, c = self._diamond()
+        cut = topological_order([c], children=lambda h: () if h is a else h.inputs)
+        assert cut == [a, x, b, c]
+
+    def test_cycle_through_children_raises(self):
+        x, a, b, c = self._diamond()
+        with pytest.raises(CompileError, match="cycle"):
+            topological_order([c], children=lambda h: (c,) if h is x else h.inputs)
+
+    def test_cnode_body_walks_like_its_hop_dag(self):
+        x, a, b, c = self._diamond()
+        cx = CNode("data", input_index=0)
+        ca = CNode("b:*", [cx, cx])
+        cb = CNode("u:exp", [cx])
+        cc = CNode("b:+", [ca, cb])
+        mirror = {x.id: cx, a.id: ca, b.id: cb, c.id: cc}
+        assert topological_order([cc]) == [mirror[h.id] for h in topological_order([c])]
 
 
 class TestMemoryEstimates:
