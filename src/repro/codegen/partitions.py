@@ -35,10 +35,6 @@ class PlanPartition:
     mat_points: set[int] = field(default_factory=set)
     points: list[InterestingPoint] = field(default_factory=list)
 
-    @property
-    def search_space_size(self) -> int:
-        return 1 << len(self.points)
-
 
 def _fusion_edges(memo: MemoTable) -> list[tuple[int, int]]:
     """All (consumer, target) fusion references in the memo table."""

@@ -75,8 +75,8 @@ def generate_source(cplan: CPlan) -> tuple[str, str]:
     input, the side inputs and the scalars in spec order, and Outer's
     ``genbody(a, uv, b, s)`` also the ``U V^T`` products of the cells in
     ``a``.  It returns one value, or a tuple for several roots; the
-    drivers call it on whole blocks, row chunks, non-zero batches and
-    dictionary values alike.
+    drivers call it once per block — dense rows, CSR rows, a block's
+    non-zero values — or per column's dictionary values.
     """
     name = operator_name(cplan)
     emitter = _Emitter(cplan)

@@ -39,10 +39,6 @@ class CloseType(IntEnum):
     def is_closed(self) -> bool:
         return self in (CloseType.CLOSED_VALID, CloseType.CLOSED_INVALID)
 
-    @property
-    def is_valid(self) -> bool:
-        return self in (CloseType.OPEN_VALID, CloseType.CLOSED_VALID)
-
 
 # Which child-entry template types an operator of a given template may
 # absorb when following fusion references downward.
@@ -87,8 +83,3 @@ def is_cellwise(hop: Hop) -> bool:
     if isinstance(hop, TernaryOp):
         return hop.op in CELLWISE_TERNARY and hop.is_matrix
     return False
-
-
-def matrix_inputs(hop: Hop) -> list[Hop]:
-    """The matrix-typed inputs of a hop."""
-    return [h for h in hop.inputs if h.is_matrix]

@@ -66,14 +66,6 @@ def classification_data(rows: int, cols: int, n_classes: int = 2,
     return x, MatrixBlock(labels.reshape(-1, 1))
 
 
-def one_hot(labels: MatrixBlock, n_classes: int) -> MatrixBlock:
-    """Labels in {1..k} to an n x k indicator matrix."""
-    idx = labels.to_dense().ravel().astype(int) - 1
-    out = np.zeros((len(idx), n_classes))
-    out[np.arange(len(idx)), idx] = 1.0
-    return MatrixBlock(out)
-
-
 def clustering_data(rows: int, cols: int, n_centers: int = 5,
                     seed: int = 0, spread: float = 0.3) -> MatrixBlock:
     """Gaussian blobs around random centers (KMeans workloads)."""

@@ -552,8 +552,3 @@ def topological_order(roots: Iterable, children=attrgetter("inputs")) -> list:
                 order.append(node)
                 stack.pop()
     return order
-
-
-def consumers_in_dag(hop: Hop, dag_ids: set[int]) -> list[Hop]:
-    """The hop's parents restricted to a DAG membership set."""
-    return [p for p in hop.parents if p.id in dag_ids]

@@ -67,8 +67,3 @@ def compute_flops(hop: Hop, config: CodegenConfig) -> float:
         weight = config.op_flop_weights.get(op, 1.0)
     cells = hop.cells if hop.is_matrix else 1
     return max(cells, 1.0) * weight
-
-
-def exceeds_local_budget(hop: Hop, config: CodegenConfig) -> bool:
-    """True if the operation does not fit the local memory budget."""
-    return operation_bytes(hop) > config.local_mem_budget

@@ -360,13 +360,6 @@ def cla_kernel(hop, values):
     return None
 
 
-def decompress_values(values):
-    """Replace compressed inputs by their decompressed blocks."""
-    return [
-        v.decompress() if isinstance(v, CompressedMatrix) else v for v in values
-    ]
-
-
 def compress(block: MatrixBlock, co_code: bool = True,
              max_distinct_frac: float = 0.2) -> CompressedMatrix:
     """Compress a matrix column-wise.

@@ -114,16 +114,6 @@ class MatrixBlock:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_array(cls, arr: np.ndarray) -> "MatrixBlock":
-        """Wrap a dense numpy array (no sparsity examination)."""
-        return cls(arr)
-
-    @classmethod
-    def from_sparse(cls, mat: sp.spmatrix) -> "MatrixBlock":
-        """Wrap a scipy sparse matrix, converting to CSR."""
-        return cls(mat)
-
-    @classmethod
     def zeros(cls, rows: int, cols: int, sparse: bool = False) -> "MatrixBlock":
         """An all-zero matrix, sparse or dense on request."""
         if sparse:

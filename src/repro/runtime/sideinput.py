@@ -1,9 +1,13 @@
-"""Side-input access for fused-operator skeletons.
+"""Side-input access for fused-operator drivers.
 
 The paper's skeletons expose side inputs through a stateless
 ``getValue`` abstraction backed by stateful iterators for sparse data.
-Here a :class:`SideInput` prepares row-aligned tile views and per-cell
-gathers for dense, sparse, and vector-shaped sides.
+Here a :class:`SideInput` wraps one side input of the block a driver
+runs on: the whole side as a tile (dense, or CSR for bodies that only
+multiply it) and per-cell gathers for dense, sparse, and vector-shaped
+sides.  Row-aligned sides arrive already sliced to the driver's block
+(:func:`repro.runtime.skeletons.partition_values`), so nothing here
+takes a row range.
 """
 
 from __future__ import annotations
@@ -19,30 +23,21 @@ class SideInput:
     def __init__(self, block: MatrixBlock):
         self.block = block
         self.rows, self.cols = block.shape
-        self._dense_cache: np.ndarray | None = None
 
     def dense(self) -> np.ndarray:
-        """Full dense view (cached; used for SIDE_FULL access)."""
-        if self._dense_cache is None:
-            self._dense_cache = self.block.to_dense()
-        return self._dense_cache
+        """The whole side as a dense array (SIDE_FULL access)."""
+        return self.block.to_dense()
 
-    def row_tile(self, r0: int, r1: int, keep_csr: bool = False):
-        """Rows [r0, r1) as a dense tile (SIDE_ROW access).
+    def tile(self, keep_csr: bool = False):
+        """The whole side as a dense tile (SIDE_ROW access).
 
-        Row and column vectors return broadcast-compatible views: a
-        (1, m) row vector is shared across all tiles, a column vector
-        yields a (bs, 1) slice.  With ``keep_csr`` a CSR side stays CSR
-        (for bodies that only multiply it).
+        A (1, m) row vector is shared as is and broadcasts against the
+        block.  With ``keep_csr`` a CSR side of more than one row stays
+        CSR (for bodies that only multiply it).
         """
-        if self.rows == 1:
-            return self.dense()
-        if self.block.is_sparse:
-            csr = self.block.to_csr()
-            if (r0, r1) != (0, self.rows):
-                csr = csr[r0:r1]
-            return csr if keep_csr else np.asarray(csr.todense())
-        return self.block.to_dense()[r0:r1]
+        if keep_csr and self.block.is_sparse and self.rows > 1:
+            return self.block.to_csr()
+        return self.dense()
 
     def gather(self, row_idx: np.ndarray, col_idx: np.ndarray) -> np.ndarray:
         """Per-cell values at (row_idx, col_idx) as a flat array.

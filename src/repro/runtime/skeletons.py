@@ -2,28 +2,33 @@
 
 :func:`execute_operator` is the runtime entry point of every generated
 fused operator.  It normalizes the inputs (observed-sparsity format
-switch, compressed side inputs), decides whether the main input splits
-into parts, and hands each part to the template's driver in
-:mod:`repro.runtime.npexec`, which owns the data access over dense,
-CSR and compressed values and calls the generated code.
+switch, one counted decompression of every compressed input a
+dictionary-direct plan does not read), decides whether the main input
+splits into parts and each part into chunks, and hands each chunk to
+the template's driver in :mod:`repro.runtime.npexec`, which runs the
+generated code once over that block.
 
 This module is the one place that cuts a fused operator's main input
-into row parts, resolves its side inputs per part and puts the partials
-back together.  Intra-operator partitions, the Row driver's CSR densify
-chunks and the distributed backend's partitions all go through the same
-three pieces:
+into row ranges, resolves its side inputs per range and puts the
+partials back together.  Intra-operator partitions, the drivers' chunks
+(:func:`~repro.runtime.npexec.chunk_bounds`: non-zero budgets for CSR
+Cell and Outer, row budgets for dense Outer and densified Row) and the
+distributed backend's partitions all go through the same three pieces:
 
 * :func:`row_parts` — the row slicer: dense views, CSR row ranges
   (:meth:`~repro.runtime.distributed.BlockedMatrix.partition` cuts
   through it too);
 * :func:`spoof_plans` and :func:`partition_values` — the plan list
   (``main`` / ``slice`` / ``whole`` per input; the distributed executor
-  adds ``zip`` for basic hops) and its per-part resolver, which slices
+  adds ``zip`` for basic hops) and its per-range resolver, which slices
   row-aligned sides with :func:`row_parts`;
 * :func:`combine_partials` — row-aligned outputs concatenate,
   aggregating outputs combine through :func:`reduce_spoof_partials`
   over the fixed-topology :func:`tree_reduce`, pairing partials with
   the one binary :func:`combine_pair`.
+
+Chunks run serially on the thread that runs their part or partition;
+an operator that fits one chunk goes to its driver unsliced.
 
 Large operators execute *intra-operator parallel*: the main input
 splits into a fixed number of parts (row ranges, or compressed
@@ -258,7 +263,8 @@ def execute_operator(operator, inputs: list, config, stats=None,
 
     When ``config.intra_op_partitions`` splits the main input, the
     parts run on the shared worker pool with thread-local partial
-    results, which :func:`combine_partials` puts back together.
+    results, which :func:`combine_partials` puts back together.  Each
+    part, or the whole operator, runs through :func:`_execute_chunks`.
     ``allow_parallel=False`` keeps one part — the distributed backend
     sets it for its per-partition calls so partitions never nest
     another fan-out.
@@ -267,42 +273,37 @@ def execute_operator(operator, inputs: list, config, stats=None,
     if stats is not None:
         stats.record_spoof(cplan.ttype.value)
     inputs = _consult_observed_sparsity(cplan, inputs, config, stats)
-    if stats is not None and isinstance(
-        inputs[cplan.main_index] if 0 <= cplan.main_index < len(inputs) else None,
-        CompressedMatrix,
-    ):
-        # Dictionary-compatible plans run over distinct values only;
-        # everything else decompresses inside the driver.
-        if compressed_cell_eligible(cplan):
-            stats.n_compressed_ops += 1
-        else:
-            stats.n_decompressions += 1
-    # Side inputs are consumed through dense/CSR tile access in every
-    # driver (only the main input has a dictionary-direct path), so
-    # compressed sides decompress once here, explicitly and counted.
-    for idx, (spec, value) in enumerate(zip(cplan.inputs, inputs)):
-        if idx == cplan.main_index or spec.access is Access.SCALAR:
-            continue
-        if isinstance(value, CompressedMatrix):
-            if stats is not None:
-                stats.n_decompressions += 1
-            inputs = list(inputs)
-            inputs[idx] = value.decompress()
-    if stats is not None:
-        stats.n_compiled_runs += 1
     tracer = stats.tracer if stats is not None else obs_trace.NULL_TRACER
     if tracer.level >= obs_trace.INSTRUCTIONS:
         # Enrich the executor's enclosing instruction span (same
         # thread) with what the profiler attributes per operator.
         tracer.annotate(template=cplan.ttype.value,
                         fmt=_main_input_format(cplan, inputs))
+    # Only a dictionary-compatible plan runs over a compressed main
+    # (distinct values only); every other compressed input decompresses
+    # once here, explicitly and counted, so the split path and the
+    # drivers see dense and CSR blocks.
+    inputs = list(inputs)
+    for idx, (spec, value) in enumerate(zip(cplan.inputs, inputs)):
+        if spec.access is Access.SCALAR or not isinstance(
+                value, CompressedMatrix):
+            continue
+        if idx == cplan.main_index and compressed_cell_eligible(cplan):
+            if stats is not None:
+                stats.n_compressed_ops += 1
+            continue
+        if stats is not None:
+            stats.n_decompressions += 1
+        inputs[idx] = value.decompress()
+    if stats is not None:
+        stats.n_compiled_runs += 1
     with tracer.span(f"op:{cplan.ttype.value}", cat="operator",
                      level=obs_trace.FULL):
         if allow_parallel:
             parts = _intra_op_parts(cplan, inputs, config)
             if parts is not None:
                 return _execute_parts(operator, parts, stats)
-        return npexec.execute_kernel(operator, inputs, stats)
+        return _execute_chunks(operator, inputs, stats)
 
 
 def _main_input_format(cplan: CPlan, inputs: list) -> str:
@@ -350,8 +351,9 @@ def _intra_op_parts(cplan: CPlan, inputs: list, config):
     The part count is ``config.intra_op_partitions`` of the main
     input's shape — fixed by configuration, never by the tokens the
     thread budget later grants — so a given (config, input shape) pair
-    always produces the same parts and combine topology.  Compressed
-    sides were decompressed by :func:`execute_operator`.
+    always produces the same parts and combine topology.  A main that
+    is still compressed belongs to a dictionary-only plan
+    (:func:`execute_operator` decompressed every other).
     """
     main_index = cplan.main_index
     main = inputs[main_index] if 0 <= main_index < len(inputs) else None
@@ -361,17 +363,13 @@ def _intra_op_parts(cplan: CPlan, inputs: list, config):
     if n_parts < 2:
         return None
     if isinstance(main, CompressedMatrix):
-        if compressed_cell_eligible(cplan):
-            # Dictionary-only plans read no side input: each part swaps
-            # in a view over a share of the column groups.
-            views = _column_group_views(main, n_parts)
-            if views is None:
-                return None
-            return [[view if idx == main_index else value
-                     for idx, value in enumerate(inputs)] for view in views]
-        # Dictionary-only execution does not apply: decompress once here
-        # (instead of once per part) and row-partition the result.
-        main = main.decompress()
+        # Dictionary-only plans read no side input: each part swaps in
+        # a view over a share of the column groups.
+        views = _column_group_views(main, n_parts)
+        if views is None:
+            return None
+        return [[view if idx == main_index else value
+                 for idx, value in enumerate(inputs)] for view in views]
     bounds = partition_bounds(main.rows, n_parts)
     plans = spoof_plans(cplan, inputs, main.rows)
     return list(partition_values(plans, row_parts(main, bounds), bounds))
@@ -405,8 +403,7 @@ def _column_group_views(main: CompressedMatrix, n_parts: int):
 
 def _execute_parts(operator, part_inputs: list, stats):
     tasks = [
-        (lambda values: lambda: npexec.execute_kernel(
-            operator, values, stats))(pv)
+        (lambda values: lambda: _execute_chunks(operator, values, stats))(pv)
         for pv in part_inputs
     ]
     partials, workers = run_tasks(tasks)
@@ -417,3 +414,21 @@ def _execute_parts(operator, part_inputs: list, stats):
         stats.intra_op_combine_levels += levels
         stats.intra_op_max_threads = max(stats.intra_op_max_threads, workers)
     return result
+
+
+def _execute_chunks(operator, inputs: list, stats):
+    """Run the driver once per chunk of
+    :func:`~repro.runtime.npexec.chunk_bounds`, serially on the calling
+    thread, and put the chunk results back together like parts; a
+    single chunk goes to the driver as is."""
+    bounds = npexec.chunk_bounds(operator, inputs)
+    if len(bounds) < 2:
+        return npexec.execute_kernel(operator, inputs, stats)
+    cplan = operator.cplan
+    main = inputs[cplan.main_index]
+    plans = spoof_plans(cplan, inputs, main.rows)
+    partials = [
+        npexec.execute_kernel(operator, values, stats)
+        for values in partition_values(plans, row_parts(main, bounds), bounds)
+    ]
+    return combine_partials(cplan, partials)[0]

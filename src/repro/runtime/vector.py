@@ -2,14 +2,18 @@
 
 The paper's generated Java operators call a shared library of vector
 primitives (``dotProduct``, ``vectMultAdd``, ``vectMatMult``, ...) so
-that generated methods stay small and primitives stay hot.  Generated
-Python operators in this reproduction call the functions below.
+that generated methods stay small and primitives stay hot.  The one
+generated function of each operator (``genbody``,
+:mod:`repro.codegen.pygen`) calls the functions below through the
+:data:`UNARY_PRIMITIVES` / :data:`BINARY_PRIMITIVES` tables, plus
+``vect_ifelse``, ``vect_matmult`` and the row reductions.
 
-All primitives are *tile-polymorphic*: they accept a single row (shape
-``(n,)``) or a row-block tile (shape ``(bs, n)``) and operate row-wise.
-Per-row scalars are represented as shape-``(bs,)`` arrays (or Python
-floats for a single row); the :func:`rs` helper reshapes them for
-broadcasting against row vectors.
+``genbody`` runs once over a whole block, so every operand is a whole
+array: a flat vector of non-zero values (sparse Cell and Outer
+drivers), a dense or CSR row block, a ``(rows, 1)`` per-row scalar, a
+``(1, cols)`` row vector, or a Python scalar.  The primitives rely on
+NumPy broadcasting between them; row reductions keep their axis
+(``*_kd``) so per-row scalars stay columns.
 """
 
 from __future__ import annotations
@@ -18,39 +22,7 @@ import numpy as np
 import scipy.special
 
 
-def rs(x):
-    """Reshape a per-row scalar for broadcasting against row vectors."""
-    if isinstance(x, np.ndarray) and x.ndim == 1:
-        return x[:, None]
-    return x
-
-
-# ----------------------------------------------------------------------
-# Reductions (row-wise)
-# ----------------------------------------------------------------------
-def vect_sum(a):
-    """Row-wise sum -> per-row scalar."""
-    return np.sum(a, axis=-1)
-
-
-def vect_min(a):
-    return np.min(a, axis=-1)
-
-
-def vect_max(a):
-    return np.max(a, axis=-1)
-
-
-def vect_mean(a):
-    return np.mean(a, axis=-1)
-
-
-def dot_product(a, b):
-    """Row-wise inner product -> per-row scalar."""
-    return np.sum(a * b, axis=-1)
-
-
-# keepdims variants: per-row scalars as (bs, 1) columns, the convention
+# Row reductions: per-row scalars as (rows, 1) columns, the convention
 # of generated Row operators.
 def vect_sum_kd(a):
     return np.sum(a, axis=-1, keepdims=True)
@@ -68,39 +40,9 @@ def vect_mean_kd(a):
     return np.mean(a, axis=-1, keepdims=True)
 
 
-def dot_product_kd(a, b):
-    return np.sum(a * b, axis=-1, keepdims=True)
-
-
-# ----------------------------------------------------------------------
-# Matrix-shaped primitives
-# ----------------------------------------------------------------------
 def vect_matmult(a, block):
-    """Row(s) times a matrix: (bs, n) @ (n, k) -> (bs, k)."""
+    """A row block times a matrix: (rows, n) @ (n, k) -> (rows, k)."""
     return a @ block
-
-
-def vect_tmatmult(a, block):
-    """Row(s) times a transposed matrix: (bs, n) @ (k, n)^T -> (bs, k)."""
-    return a @ block.T
-
-
-def vect_outer_mult_add(a, b, c):
-    """Accumulate per-row outer products: c += sum_i outer(a_i, b_i).
-
-    For tiles this is exactly ``c += a^T @ b`` which realizes column
-    aggregation of ``t(X) %*% F(X)`` patterns in a single pass.
-    """
-    if a.ndim == 1:
-        c += np.outer(a, b)
-    else:
-        c += a.T @ b
-    return c
-
-
-def vect_cumsum(a):
-    """Row-wise cumulative sum."""
-    return np.cumsum(a, axis=-1)
 
 
 # ----------------------------------------------------------------------
@@ -135,12 +77,6 @@ def vect_min2(a, b):
 
 def vect_max2(a, b):
     return np.maximum(a, b)
-
-
-def vect_mult_add(a, s, c):
-    """c += s * a with per-row scalar s (the paper's vectMultAdd)."""
-    c += a * s
-    return c
 
 
 # Comparison primitives return 0/1 float tiles.

@@ -131,9 +131,6 @@ class PreparedProgram:
     def n_specializations(self) -> int:
         return len(self._cache)
 
-    def signature_of(self, inputs: dict) -> tuple:
-        return input_signature(normalize_inputs(inputs))
-
     # ------------------------------------------------------------------
     # Bind: specialization lookup / dynamic recompilation
     # ------------------------------------------------------------------

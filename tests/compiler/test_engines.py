@@ -204,8 +204,8 @@ class TestSharedIntermediates:
     def test_rowsums_shared_between_roots(self):
         def build():
             m = _mats()
-            rs = (m["X"] * m["Y"]).row_sums()
-            return [(m["X"] * rs).sum(), (m["Z"] / (rs + 1.0)).sum()]
+            sums = (m["X"] * m["Y"]).row_sums()
+            return [(m["X"] * sums).sum(), (m["Z"] / (sums + 1.0)).sum()]
 
         assert_engines_agree(build)
 

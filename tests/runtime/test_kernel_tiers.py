@@ -4,6 +4,7 @@ Template x out-type x main-storage grid asserting that the generated
 operators reproduce ``Engine(mode="base")`` — unfused ``runtime/ops.py``
 kernels, which share no code with the generated bodies or their
 drivers — plus the Row driver's chunked densification of CSR mains,
+the Cell and Outer drivers over inputs larger than one chunk,
 failure propagation out of generated code on every backend, kernel
 sharing through the plan cache and serving specializations, and the
 source-hash compile cache.
@@ -306,6 +307,170 @@ def test_sparse_row_densifies_in_chunks(out_type, execution, monkeypatch):
     assert not operator.csr_main_safe
     if execution != "spark":  # its partitions run without a stats object
         assert engine.stats.n_format_conversions >= 1
+
+
+# ----------------------------------------------------------------------
+# Cell and Outer drivers over inputs larger than one chunk
+# ----------------------------------------------------------------------
+_CHUNKED_NNZ_PER_ROW, _CHUNKED_EMPTY_ROWS = 64, 32
+_PARTS = {"serial": 1, "intra-op-2": 2, "spark": 4}
+
+_CHUNKED_CASES = (
+    [pytest.param("cell", out, "sparse", id=f"cell-{out}-sparse")
+     for out in ("no_agg", "row_agg", "col_agg", "full_agg", "multi_agg")]
+    + [pytest.param("outer", out, storage, id=f"{out}-{storage}")
+       for storage in ("sparse", "dense")
+       for out in sorted(_OUTER_RECIPES)]
+)
+
+
+def _chunked_main(storage: str, rows: int, cols: int) -> MatrixBlock:
+    """64 non-zeros in every row but the last 32, which are all zero:
+    CSR chunks end on row boundaries and the trailing rows form a chunk
+    without non-zeros."""
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(29)
+    shape = (rows, cols)
+    if storage == "sparse":
+        keep = rng.random(shape).argsort(axis=1) < _CHUNKED_NNZ_PER_ROW
+        data = np.where(keep, rng.uniform(0.2, 1.5, shape), 0.0)
+    else:
+        data = rng.uniform(0.1, 1.0, shape)
+    data[-_CHUNKED_EMPTY_ROWS:] = 0.0
+    return MatrixBlock(sp.csr_matrix(data) if storage == "sparse" else data)
+
+
+@pytest.mark.parametrize("execution", sorted(_PARTS))
+@pytest.mark.parametrize("template,out_type,storage", _CHUNKED_CASES)
+def test_cell_and_outer_drivers_run_in_chunks(template, out_type, storage,
+                                              execution, monkeypatch):
+    """Every part of every leg spans at least three chunks: a 1,024
+    non-zero budget cuts CSR mains into chunks of at most 16 rows, and
+    dense Outer drivers run 16-row chunks.  Each chunk with non-zeros
+    calls ``genbody`` once; the one without calls it not at all."""
+    from repro.codegen import plan_cache
+
+    monkeypatch.setattr(npexec, "_CHUNK_CELLS", 1024)
+    calls = []
+    compile_operator = plan_cache.compile_operator
+
+    def counting_compile(*args, **kwargs):
+        genbody = compile_operator(*args, **kwargs)
+
+        def counting(*body_args):
+            calls.append(np.size(body_args[0]))
+            return genbody(*body_args)
+
+        return counting
+
+    monkeypatch.setattr(plan_cache, "compile_operator", counting_compile)
+    # Wider than tall, the right-multiply is cheaper as an Outer
+    # operator than as a Row one; taller than wide, the left one is.
+    rows, cols = (256, 384) if out_type == "outer_right" else (384, 256)
+    main = _chunked_main(storage, rows, cols)
+    rng = np.random.default_rng(8)
+    if template == "cell":
+        side = rng.uniform(0.5, 1.5, main.shape)
+
+        def build():
+            return _CELL_RECIPES[out_type](api.matrix(main, "X"),
+                                           api.matrix(side, "Y"))
+    else:
+        u = rng.uniform(0.1, 1.0, (rows, 4))
+        v = rng.uniform(0.1, 1.0, (cols, 4))
+
+        def build():
+            return _OUTER_RECIPES[out_type](api.matrix(main, "S"),
+                                            api.matrix(u, "U"),
+                                            api.matrix(v, "V"))
+
+    oracle = _as_arrays(api.eval_all(build(), engine=_engine("base")))
+    assert not calls
+    engine = Engine(mode="gen",
+                    config=CodegenConfig(**_EXECUTION_CONFIGS[execution]))
+    actual = _as_arrays(api.eval_all(build(), engine=engine))
+    for expected, got in zip(oracle, actual):
+        np.testing.assert_allclose(got, expected, rtol=1e-8, atol=1e-11)
+    (operator,) = engine.plan_cache._cache.values()
+    assert operator.cplan.out_type.value == out_type
+    assert len(calls) >= 3 * _PARTS[execution]
+    assert 0 not in calls
+
+
+class _MainStub:
+    """What :func:`npexec.chunk_bounds` reads of a main input — shape,
+    format and CSR row pointer — without allocating millions of
+    non-zeros."""
+
+    def __init__(self, rows: int, cols: int, nnz_per_row=None):
+        self.shape = (rows, cols)
+        self.cols = cols
+        self.is_sparse = nnz_per_row is not None
+        if self.is_sparse:
+            self.indptr = np.concatenate([[0], np.cumsum(nnz_per_row)])
+
+    def to_csr(self):
+        return self
+
+
+def _stub_operator(ttype: str, sparse_safe=True, csr_main_safe=False):
+    from types import SimpleNamespace
+
+    from repro.codegen.template import TemplateType
+
+    cplan = SimpleNamespace(ttype=TemplateType(ttype), main_index=0,
+                            u_index=1, sparse_safe=sparse_safe)
+    return SimpleNamespace(cplan=cplan, csr_main_safe=csr_main_safe)
+
+
+def test_chunk_bounds_at_the_shipped_budget():
+    """Chunk boundaries at the shipped ``_CHUNK_CELLS`` = 4M cells,
+    computed by hand: moving them moves the bits of every multi-chunk
+    aggregate."""
+    budget = npexec._CHUNK_CELLS
+    assert budget == 1 << 22
+    quarter = budget // 4
+
+    def bounds(ttype, main, rank=1, **flags):
+        rank_side = _MainStub(main.shape[0], rank)
+        return npexec.chunk_bounds(_stub_operator(ttype, **flags),
+                                   [main, rank_side])
+
+    # Cell over CSR: a chunk ends at the first row boundary a budget
+    # past its start.  Row 2 (2 budgets) starts a chunk, so it is one;
+    # the ragged last chunk takes the two empty rows behind it.
+    nnz = [2 * quarter, 2 * quarter, 2 * budget] + [quarter] * 5 + [0, 0]
+    main = _MainStub(10, 1 << 30, nnz)
+    assert bounds("Cell", main) == [(0, 2), (2, 3), (3, 7), (7, 10)]
+    assert bounds("MAgg", main) == [(0, 2), (2, 3), (3, 7), (7, 10)]
+    # Trailing empty rows after a chunk that ends on a row boundary form
+    # a chunk with no non-zeros.
+    assert bounds("Cell", _MainStub(3, 1 << 30, [budget, 0, 0])) == [
+        (0, 1), (1, 3)]
+    # A plan that is not sparse-safe densifies the whole block.
+    assert bounds("Cell", main, sparse_safe=False) == [(0, 10)]
+
+    # Outer over CSR: rank 4 divides the budget by four, so the empty
+    # rows are a chunk of their own here.
+    assert bounds("Outer", main, rank=4) == [
+        (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8),
+        (8, 10)]
+    # Outer over a dense driver so wide that a budget // rank of cells is
+    # 8 rows: the 16-row floor binds.
+    wide = _MainStub(40, 1 << 16)
+    assert bounds("Outer", wide, rank=8) == [(0, 16), (16, 32), (32, 40)]
+    # ... and one narrow enough to be a single chunk.
+    assert bounds("Outer", _MainStub(40, 100), rank=8) == [(0, 40)]
+
+    # Row over CSR: one range when the body only multiplies the main,
+    # rows of a budget of densified cells when it reads them.
+    csr = _MainStub(10, 1 << 20, [3] * 10)
+    assert bounds("Row", csr, csr_main_safe=True) == [(0, 10)]
+    assert bounds("Row", csr) == [(0, 4), (4, 8), (8, 10)]
+    # Dense Row and Cell mains are one range.
+    assert bounds("Row", _MainStub(10, 1 << 20)) == [(0, 10)]
+    assert bounds("Cell", _MainStub(10, 1 << 20)) == [(0, 10)]
 
 
 # ----------------------------------------------------------------------

@@ -10,34 +10,36 @@ from tests.conftest import make_engine
 
 
 class TestSideInput:
-    def test_row_tile_dense(self, rng):
+    def test_tile_dense(self, rng):
+        """A dense side is its own tile: no copy, no slice."""
         block = MatrixBlock(rng.random((10, 4)))
-        side = SideInput(block)
-        np.testing.assert_array_equal(side.row_tile(2, 5), block.to_dense()[2:5])
+        assert SideInput(block).tile() is block.to_dense()
 
-    def test_row_tile_sparse(self):
+    def test_tile_sparse(self):
         block = MatrixBlock.rand(20, 6, sparsity=0.2, seed=1)
-        side = SideInput(block)
-        np.testing.assert_allclose(side.row_tile(3, 9), block.to_dense()[3:9])
+        tile = SideInput(block).tile()
+        assert isinstance(tile, np.ndarray) and tile.shape == (20, 6)
+        np.testing.assert_array_equal(tile, block.to_dense())
 
-    def test_row_tile_keeps_csr_on_request(self):
-        import scipy.sparse as sp
-
+    def test_tile_keeps_csr_on_request(self):
         block = MatrixBlock.rand(20, 6, sparsity=0.2, seed=1)
-        side = SideInput(block)
-        tile = side.row_tile(3, 9, keep_csr=True)
-        assert sp.issparse(tile) and tile.shape == (6, 6)
-        np.testing.assert_allclose(tile.toarray(), block.to_dense()[3:9])
-        assert side.row_tile(0, 20, keep_csr=True) is block.to_csr()
+        assert SideInput(block).tile(keep_csr=True) is block.to_csr()
         # A dense side has nothing to keep.
         dense = SideInput(MatrixBlock(block.to_dense()))
-        assert isinstance(dense.row_tile(3, 9, keep_csr=True), np.ndarray)
+        assert isinstance(dense.tile(keep_csr=True), np.ndarray)
 
     def test_row_vector_shared_across_tiles(self, rng):
+        """A (1, m) row vector is the whole dense row, which broadcasts
+        against a block of any height — even when it is stored as CSR
+        and the body could keep it."""
+        import scipy.sparse as sp
+
         block = MatrixBlock(rng.random((1, 6)))
-        side = SideInput(block)
-        np.testing.assert_array_equal(side.row_tile(0, 3), block.to_dense())
-        np.testing.assert_array_equal(side.row_tile(3, 9), block.to_dense())
+        assert SideInput(block).tile() is block.to_dense()
+        row = SideInput(MatrixBlock(sp.csr_matrix(rng.random((1, 6)))))
+        tile = row.tile(keep_csr=True)
+        assert isinstance(tile, np.ndarray) and tile.shape == (1, 6)
+        np.testing.assert_array_equal(tile, row.block.to_dense())
 
     def test_gather_full_matrix(self, rng):
         arr = rng.random((8, 8))

@@ -4,7 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.runtime import vector as vp
 
@@ -13,23 +12,11 @@ RNG = np.random.default_rng(3)
 
 
 class TestReductions:
-    def test_vect_sum_tile(self):
-        a = RNG.random((4, 6))
-        np.testing.assert_allclose(vp.vect_sum(a), a.sum(axis=1))
-
     def test_vect_sum_kd_shape(self):
         a = RNG.random((4, 6))
         result = vp.vect_sum_kd(a)
         assert result.shape == (4, 1)
         np.testing.assert_allclose(result.ravel(), a.sum(axis=1))
-
-    def test_dot_product(self):
-        a, b = RNG.random((3, 5)), RNG.random((3, 5))
-        np.testing.assert_allclose(vp.dot_product(a, b), (a * b).sum(axis=1))
-
-    def test_dot_product_kd(self):
-        a, b = RNG.random((3, 5)), RNG.random((3, 5))
-        assert vp.dot_product_kd(a, b).shape == (3, 1)
 
     def test_min_max_mean(self):
         a = RNG.random((4, 6))
@@ -43,26 +30,6 @@ class TestMatrixShaped:
         a, block = RNG.random((4, 6)), RNG.random((6, 3))
         np.testing.assert_allclose(vp.vect_matmult(a, block), a @ block)
 
-    def test_vect_tmatmult(self):
-        a, block = RNG.random((4, 6)), RNG.random((3, 6))
-        np.testing.assert_allclose(vp.vect_tmatmult(a, block), a @ block.T)
-
-    def test_vect_outer_mult_add_tile(self):
-        a, b = RNG.random((4, 6)), RNG.random((4, 3))
-        c = np.zeros((6, 3))
-        vp.vect_outer_mult_add(a, b, c)
-        np.testing.assert_allclose(c, a.T @ b)
-
-    def test_vect_outer_mult_add_single_row(self):
-        a, b = RNG.random(6), RNG.random(3)
-        c = np.zeros((6, 3))
-        vp.vect_outer_mult_add(a, b, c)
-        np.testing.assert_allclose(c, np.outer(a, b))
-
-    def test_vect_cumsum(self):
-        a = RNG.random((3, 5))
-        np.testing.assert_allclose(vp.vect_cumsum(a), np.cumsum(a, axis=1))
-
 
 class TestElementwise:
     def test_row_scalar_broadcast(self):
@@ -70,13 +37,6 @@ class TestElementwise:
         scalar_col = vp.vect_sum_kd(tile)  # (4, 1)
         result = vp.vect_mult(tile, scalar_col)
         np.testing.assert_allclose(result, tile * tile.sum(axis=1, keepdims=True))
-
-    def test_vect_mult_add(self):
-        a = RNG.random((4, 6))
-        s = vp.vect_sum_kd(a)
-        c = np.ones((4, 6))
-        vp.vect_mult_add(a, s, c)
-        np.testing.assert_allclose(c, 1.0 + a * s)
 
     @pytest.mark.parametrize(
         "func,ref",
@@ -134,19 +94,3 @@ class TestPrimitiveRegistry:
     def test_every_binary_primitive_exists(self):
         for name in vp.BINARY_PRIMITIVES.values():
             assert callable(getattr(vp, name))
-
-
-@given(
-    rows=st.integers(1, 8),
-    cols=st.integers(1, 8),
-    seed=st.integers(0, 2**16),
-)
-@settings(max_examples=50, deadline=None)
-def test_outer_mult_add_property(rows, cols, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.random((rows, cols))
-    b = rng.random((rows, 3))
-    c = np.zeros((cols, 3))
-    vp.vect_outer_mult_add(a, b, c)
-    expected = sum(np.outer(a[i], b[i]) for i in range(rows))
-    np.testing.assert_allclose(c, expected, atol=1e-12)
