@@ -8,8 +8,8 @@ to honor:
 
 * **Imports**: only the allowed generated-code surface
   (``repro.codegen.pygen.GENERATED_IMPORT_MODULES`` — numpy, scipy,
-  and the runtime vector-primitive library).  No ``__import__``, no
-  I/O, no introspection builtins.
+  and the runtime cell-function table :mod:`repro.runtime.vector`).
+  No ``__import__``, no I/O, no introspection builtins.
 * **Names**: every loaded global must be a parameter, a local
   assignment, an import alias, or an allowlisted builtin.
 * **Determinism**: no ``random``/``time``/``datetime``/``uuid`` use —

@@ -566,6 +566,15 @@ def _partial_value(kind: str, op: str, vals: list) -> float | None:
 
 
 def _scalar_unary(op: str, x: float) -> float:
+    """``op`` on one known value, for the sparse-safety proof.
+
+    Deliberately not :data:`repro.runtime.vector.UNARY`: these are the
+    proof's own semantics, where a ``math`` domain error or overflow
+    ends the proof and zero dominates ``*`` and ``/``
+    (:func:`_scalar_binary`).  Routing them through the table would
+    change which plans are proven sparse-safe in corner cases such as
+    ``X * log(-1)`` or ``X * sigmoid(-1000)``.
+    """
     table = {
         "exp": math.exp,
         "log": lambda v: math.log(v) if v > 0 else float("-inf"),
@@ -587,6 +596,9 @@ def _scalar_unary(op: str, x: float) -> float:
 
 
 def _scalar_binary(op: str, a: float, b: float) -> float:
+    """``op`` on two known values, for the sparse-safety proof; kept
+    apart from :data:`repro.runtime.vector.BINARY` for the reason
+    :func:`_scalar_unary` gives."""
     table = {
         "+": lambda: a + b,
         "-": lambda: a - b,

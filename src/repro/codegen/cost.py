@@ -32,12 +32,9 @@ from repro.hops.hop import (
     UnaryOp,
     topological_order,
 )
-from repro.hops.types import AggOp, OpKind, SPARSE_SAFE_UNARY
+from repro.hops.types import SPARSE_SAFE_BINARY, SPARSE_SAFE_UNARY, AggOp, OpKind
 
 INFINITE = math.inf
-
-# Cell operations safe over non-zeros of the main input.
-_CELL_SPARSE_SAFE_BINARY = {"*"}
 
 _LEAF_KINDS = (OpKind.DATA, OpKind.LITERAL)
 
@@ -460,7 +457,7 @@ class CostEstimator:
                     return False
                 continue
             if isinstance(hop, BinaryOp):
-                if hop.op not in _CELL_SPARSE_SAFE_BINARY:
+                if hop.op not in SPARSE_SAFE_BINARY:
                     return False
                 if any(i.id == main.id for i in hop.inputs):
                     has_main_mult = True

@@ -195,7 +195,7 @@ def _restricted_import(name, globals=None, locals=None, fromlist=(),
     """``__import__`` hook for generated code: allowlisted modules only.
 
     Generated sources import exactly the surface the kernel lint
-    permits (numpy/scipy and the runtime vector primitives); anything
+    permits (numpy/scipy and the runtime cell-function table); anything
     else — smuggled past the lint or injected into a cached source —
     fails here at exec time.
     """

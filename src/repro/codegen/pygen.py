@@ -2,9 +2,12 @@
 
 Mirrors the paper's recursive template expansion: each CPlan body
 expands in :func:`~repro.hops.hop.topological_order` into straight-line
-calls of the shared vector-primitive library ``vp``, whose ``t<k>``
-variables are numbered in that order.  This is the only module that builds
-source text, and it emits one function per fused operator,
+calls into the one cell-function table, :mod:`repro.runtime.vector`
+imported as ``vp`` — ``vp.UNARY['exp'](t1)``, ``vp.BINARY['*'](t1,
+t2)``, ``vp.AGG['sum'](t3, axis=-1, keepdims=True)`` — the same
+functions the basic kernels of :mod:`repro.runtime.ops` apply, with
+``t<k>`` variables numbered in that order.  This is the only module
+that builds source text, and it emits one function per fused operator,
 ``genbody``, which returns the operator's root values.  Everything
 around the body belongs to the hand-written template drivers in
 :mod:`repro.runtime.npexec` — data access over dense, CSR and
@@ -22,16 +25,34 @@ from repro.codegen.cplan import Access, CNode, CPlan
 from repro.codegen.template import TemplateType
 from repro.errors import CodegenError
 from repro.hops.hop import topological_order
-from repro.runtime.vector import BINARY_PRIMITIVES, UNARY_PRIMITIVES
+from repro.runtime.vector import AGG, BINARY, UNARY
 
 #: Import surface of generated sources.  ``genbody`` imports only
-#: ``import numpy as np`` / ``from repro.runtime import vector as vp``
-#: (scipy is reserved for sparse bodies); the kernel lint
+#: ``from repro.runtime import vector as vp`` (numpy and scipy stay
+#: allowed for hand-written bodies and tests); the kernel lint
 #: (:mod:`repro.analysis.kernel_lint`) and the restricted ``exec``
 #: namespace (:mod:`repro.codegen.plan_cache`) enforce exactly this
 #: contract — extend it here, in one place, if a template grows a new
 #: dependency.
 GENERATED_IMPORT_MODULES = ("numpy", "scipy", "repro.runtime")
+
+
+#: Reduction arguments per aggregation node: per-row scalars stay
+#: ``(rows, 1)`` columns, column aggregates ``(1, cols)`` rows.
+_AGG_AXIS = {
+    "rowagg": ", axis=-1, keepdims=True",
+    "colagg": ", axis=0, keepdims=True",
+    "fullagg": "",
+}
+
+_TABLES = {"UNARY": UNARY, "BINARY": BINARY, "AGG": AGG}
+
+
+def _call(table: str, op: str, args: str) -> str:
+    """A generated call of ``op``'s entry in a cell-function table."""
+    if op not in _TABLES[table]:
+        raise CodegenError(f"no {table} entry for '{op}'")
+    return f"vp.{table}[{op!r}]({args})"
 
 
 def operator_name(cplan: CPlan) -> str:
@@ -87,7 +108,6 @@ def generate_source(cplan: CPlan) -> tuple[str, str]:
     lines = [
         f"# generated fused operator {name}: {cplan.ttype.value} "
         f"({cplan.out_type.value})",
-        "import numpy as np",
         "from repro.runtime import vector as vp",
         "",
         header,
@@ -153,41 +173,22 @@ class _Emitter:
         args = [self.vars[c.id] for c in node.inputs]
         kind, _, detail = op.partition(":")
         if kind == "u":
-            func = UNARY_PRIMITIVES.get(detail)
-            if func is None:
-                raise CodegenError(f"no primitive for unary '{detail}'")
-            return self._assign(f"vp.{func}({args[0]})")
+            return self._assign(_call("UNARY", detail, args[0]))
         if kind == "b":
-            func = BINARY_PRIMITIVES.get(detail)
-            if func is None:
-                raise CodegenError(f"no primitive for binary '{detail}'")
-            return self._assign(f"vp.{func}({args[0]}, {args[1]})")
+            return self._assign(_call("BINARY", detail, ", ".join(args)))
         if kind == "t":
-            if detail == "+*":
-                return self._assign(f"vp.vect_add({args[0]}, vp.vect_mult({args[1]}, {args[2]}))")
-            if detail == "-*":
-                return self._assign(f"vp.vect_minus({args[0]}, vp.vect_mult({args[1]}, {args[2]}))")
+            if detail in ("+*", "-*"):
+                product = _call("BINARY", "*", f"{args[1]}, {args[2]}")
+                return self._assign(_call("BINARY", detail[0], f"{args[0]}, {product}"))
             if detail == "ifelse":
                 return self._assign(f"vp.vect_ifelse({args[0]}, {args[1]}, {args[2]})")
             raise CodegenError(f"unknown ternary '{detail}'")
-        if kind == "rowagg":
-            func = {
-                "sum": "vect_sum_kd",
-                "min": "vect_min_kd",
-                "max": "vect_max_kd",
-                "mean": "vect_mean_kd",
-                "sumsq": "vect_sum_kd",
-            }[detail]
+        if kind in ("rowagg", "colagg", "fullagg"):
             arg = args[0]
             if detail == "sumsq":
-                arg = self._assign(f"vp.vect_pow2({arg})")
-            return self._assign(f"vp.{func}({arg})")
-        if kind == "colagg":
-            reducer = {"sum": "np.sum", "min": "np.min", "max": "np.max"}[detail]
-            return self._assign(f"{reducer}({args[0]}, axis=0, keepdims=True)")
-        if kind == "fullagg":
-            reducer = {"sum": "np.sum", "min": "np.min", "max": "np.max"}[detail]
-            return self._assign(f"{reducer}({args[0]})")
+                arg = self._assign(_call("UNARY", "pow2", arg))
+                detail = "sum"
+            return self._assign(_call("AGG", detail, arg + _AGG_AXIS[kind]))
         if kind == "mm":
             return self._assign(f"vp.vect_matmult({args[0]}, {args[1]})")
         if kind == "touter":

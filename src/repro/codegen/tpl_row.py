@@ -13,8 +13,6 @@ from repro.codegen.template import CloseType, Template, TemplateType, is_cellwis
 from repro.hops.hop import AggBinaryOp, AggUnaryOp, Hop, IndexingOp, ReorgOp
 from repro.hops.types import AggDir, AggOp
 
-ROW_AGGS = {AggOp.SUM, AggOp.SUM_SQ, AggOp.MIN, AggOp.MAX, AggOp.MEAN}
-
 #: Block size of blocked (distributed) matrices, a SystemML system
 #: property: the Row template requires ncol(X) <= blocksize for the
 #: second factor of its matrix multiplies so distributed operations
@@ -24,6 +22,14 @@ _BLOCKSIZE = 1024
 
 def _is_transpose(hop: Hop) -> bool:
     return isinstance(hop, ReorgOp) and hop.op == "t"
+
+
+def _row_agg(hop: AggUnaryOp) -> bool:
+    """Whether a Row operator computes the aggregation ``hop``: every
+    one, but a mean only within a row.  Column and full partials of row
+    blocks combine by ``+`` / ``min`` / ``max``, and a mean would need a
+    count rescale."""
+    return hop.agg_op is not AggOp.MEAN or hop.direction is AggDir.ROW
 
 
 def row_dim(hop: Hop) -> int:
@@ -59,7 +65,7 @@ class RowTemplate(Template):
         if isinstance(hop, AggUnaryOp):
             hop_in = hop.inputs[0]
             return (
-                hop.agg_op in ROW_AGGS
+                _row_agg(hop)
                 and hop_in.is_matrix
                 and hop_in.cols >= 2
                 and hop.direction in (AggDir.ROW, AggDir.COL)
@@ -92,7 +98,7 @@ class RowTemplate(Template):
         if is_cellwise(hop):
             return hop.rows == hop_in.rows
         if isinstance(hop, AggUnaryOp):
-            return hop.agg_op in ROW_AGGS and hop_in.is_matrix
+            return _row_agg(hop) and hop_in.is_matrix
         if isinstance(hop, AggBinaryOp):
             left, right = hop.inputs
             if left is hop_in:

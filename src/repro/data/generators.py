@@ -30,13 +30,6 @@ def rand_dense(rows: int, cols: int, seed: int = 0,
     return MatrixBlock.rand(rows, cols, seed=seed, low=low, high=high)
 
 
-def rand_sparse(rows: int, cols: int, sparsity: float = 0.1,
-                seed: int = 0) -> MatrixBlock:
-    """Uniform sparse matrix with the given density."""
-    return MatrixBlock.rand(rows, cols, sparsity=sparsity, seed=seed,
-                            low=0.1, high=1.0)
-
-
 # ----------------------------------------------------------------------
 # Supervised-learning data
 # ----------------------------------------------------------------------

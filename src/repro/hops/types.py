@@ -1,8 +1,16 @@
-"""Enumerations shared across the HOP IR and the codegen optimizer."""
+"""Enumerations shared across the HOP IR and the codegen optimizer.
+
+The fusable cell ops are the keys of the cell-function table in
+:mod:`repro.runtime.vector`, which defines what each op computes; that
+module imports only NumPy and SciPy, so importing it here adds no
+cycle.
+"""
 
 from __future__ import annotations
 
 from enum import Enum
+
+from repro.runtime.vector import BINARY, UNARY
 
 
 class OpKind(Enum):
@@ -46,45 +54,18 @@ class ExecType(Enum):
     SPARK = "spark"  # simulated distributed
 
 
-# Cell-wise unary ops eligible for fusion templates.  'cumsum' is a
-# column operation and deliberately excluded.
-CELLWISE_UNARY = {
-    "exp",
-    "log",
-    "sqrt",
-    "abs",
-    "sign",
-    "round",
-    "floor",
-    "ceil",
-    "neg",
-    "not",
-    "sigmoid",
-    "sprop",
-    "pow2",
-    "erf",
-    "normpdf",
-}
-
-CELLWISE_BINARY = {
-    "+",
-    "-",
-    "*",
-    "/",
-    "^",
-    "min",
-    "max",
-    "==",
-    "!=",
-    "<",
-    ">",
-    "<=",
-    ">=",
-    "&",
-    "|",
-}
-
+# Cell-wise ops eligible for fusion templates.  'cumsum' is a column
+# operation and has no table entry, so it is excluded.
+CELLWISE_UNARY = frozenset(UNARY)
+CELLWISE_BINARY = frozenset(BINARY)
 CELLWISE_TERNARY = {"+*", "-*", "ifelse"}
 
-# Unary ops with f(0) == 0 (sparse-safe).
+# Unary ops with f(0) == 0 (sparse-safe).  An explicit set rather than
+# derived from the table: 'erf' also maps 0 to 0 but is not listed, and
+# adding it would move nnz estimates and plan costs.
 SPARSE_SAFE_UNARY = {"abs", "sign", "sqrt", "round", "floor", "ceil", "neg", "sprop", "pow2"}
+
+# Binary ops with f(0, y) == f(x, 0) == 0 for finite operands: a cell
+# plan over a sparse main stays sparse through them, and the basic
+# kernel multiplies over the sparse operand's pattern.
+SPARSE_SAFE_BINARY = {"*"}

@@ -298,68 +298,6 @@ def estimate_distinct(block: MatrixBlock, sample_rows: int = 2048) -> float:
     return float(np.mean(counts))
 
 
-def cla_kernel(hop, values):
-    """Execute a basic HOP over compressed inputs, CLA-style.
-
-    Value-wise operations transform the dictionaries only (a shallow
-    copy of the compressed data, as in the paper's Figure 9 discussion);
-    aggregates combine dictionary values with counts; matrix-vector
-    multiplies pre-aggregate per group.  Returns None when the
-    operation requires decompression (the caller falls back).
-    """
-    from repro.hops.hop import AggBinaryOp, AggUnaryOp, BinaryOp, UnaryOp
-    from repro.hops.types import AggDir, AggOp
-    from repro.runtime import ops as rops
-
-    if isinstance(hop, UnaryOp) and isinstance(values[0], CompressedMatrix):
-        if hop.op == "cumsum":
-            return None
-        func = lambda d: np.asarray(rops.unary(hop.op, MatrixBlock(d)).to_dense())
-        return transform_dictionaries(values[0], func)
-
-    if isinstance(hop, BinaryOp):
-        comp = next((v for v in values if isinstance(v, CompressedMatrix)), None)
-        other = values[0] if values[1] is comp else values[1]
-        if comp is not None and not isinstance(other, (MatrixBlock, CompressedMatrix)):
-            scalar = float(other)
-            swapped = values[0] is not comp
-
-            def func(d):
-                a, b = (scalar, MatrixBlock(d)) if swapped else (MatrixBlock(d), scalar)
-                return np.asarray(rops.binary(hop.op, a, b).to_dense())
-
-            return transform_dictionaries(comp, func)
-        return None
-
-    if isinstance(hop, AggUnaryOp) and isinstance(values[0], CompressedMatrix):
-        comp = values[0]
-        if hop.direction is AggDir.FULL:
-            if hop.agg_op is AggOp.SUM:
-                return comp.sum()
-            if hop.agg_op is AggOp.SUM_SQ:
-                return comp.sum_sq()
-            if hop.agg_op in (AggOp.MIN, AggOp.MAX):
-                reducer = np.min if hop.agg_op is AggOp.MIN else np.max
-                return float(
-                    reducer([reducer(g.dictionary) for g in comp.groups])
-                )
-            if hop.agg_op is AggOp.MEAN:
-                return comp.sum() / (comp.rows * comp.cols)
-        if hop.direction is AggDir.COL and hop.agg_op is AggOp.SUM:
-            return comp.col_sums()
-        if hop.direction is AggDir.ROW and hop.agg_op is AggOp.SUM:
-            return comp.row_sums()
-        return None
-
-    if isinstance(hop, AggBinaryOp) and isinstance(values[0], CompressedMatrix):
-        right = values[1]
-        if isinstance(right, MatrixBlock) and right.cols == 1:
-            return values[0].matvec(right.to_dense())
-        return None
-
-    return None
-
-
 def compress(block: MatrixBlock, co_code: bool = True,
              max_distinct_frac: float = 0.2) -> CompressedMatrix:
     """Compress a matrix column-wise.

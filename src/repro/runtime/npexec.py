@@ -8,8 +8,9 @@ it — the data access over dense, CSR and compressed inputs and the
 output epilogue:
 
 * **Cell/MAgg** — a dense main runs ``genbody`` once on the whole
-  array and reduces with ``np.sum``/``min``/``max`` over the output's
-  axis (or broadcasts ``NO_AGG``); a sum root that is a product of
+  array and reduces with the root's ``vector.AGG`` entry (``sum`` /
+  ``min`` / ``max``) over the output's axis (or broadcasts
+  ``NO_AGG``); a sum root that is a product of
   same-shape inputs contracts in one ``np.einsum`` instead, and the body
   runs only if some root still needs it.  A CSR main of a sparse-safe
   plan runs ``genbody`` once over its non-zero values and assembles
@@ -47,10 +48,9 @@ from repro.errors import RuntimeExecError
 from repro.runtime.compressed import CompressedMatrix
 from repro.runtime.matrix import MatrixBlock
 from repro.runtime.sideinput import SideInput
+from repro.runtime.vector import AGG
 
 _CELL_TEMPLATES = (TemplateType.CELL, TemplateType.MAGG)
-
-_REDUCERS = {"sum": np.sum, "min": np.min, "max": np.max}
 
 #: Cell budget of one chunk: non-zeros per sparse Cell chunk, ``uv``
 #: cells (cells x rank) per Outer chunk, densified cells per Row chunk
@@ -193,7 +193,7 @@ def _cell_dense(operator, main: MatrixBlock, sides, scalars):
     if out is OutType.NO_AGG:
         raw = np.broadcast_to(value, (a.shape[0], np.shape(value)[-1]))
         return MatrixBlock(np.ascontiguousarray(raw)).examine_representation()
-    reduce = _REDUCERS.get(cplan.agg_op(), np.sum)
+    reduce = AGG[cplan.agg_op()]
     if out is OutType.ROW_AGG:
         return MatrixBlock(reduce(np.broadcast_to(value, a.shape), axis=1,
                                   keepdims=True))
@@ -222,7 +222,7 @@ def _cell_aggregates(operator, a, b: list, scalars) -> list[float]:
             continue
         if values is None:
             values = _root_values(cplan, operator.genbody(a, b, scalars))
-        reduce = _REDUCERS.get(cplan.agg_op(k), np.sum)
+        reduce = AGG[cplan.agg_op(k)]
         parts.append(float(reduce(values[k])))
     return parts
 

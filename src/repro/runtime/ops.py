@@ -5,6 +5,13 @@ These kernels implement single high-level operators over
 their outputs.  The "Base" engine of the experiments executes every HOP
 with exactly one kernel call, which is what operator fusion eliminates.
 
+Every cell function and dense reduction is an entry of the one
+cell-function table, :data:`~repro.runtime.vector.UNARY` /
+:data:`~repro.runtime.vector.BINARY` / :data:`~repro.runtime.vector.AGG`
+— the same objects generated operators call, so the base engine and
+the fused operators compute each cell op with one function; the
+kernels here own only the format dispatch around it.
+
 All kernels accept scalars (Python floats) where SystemML would accept
 scalar operands.  Kernels dispatch per operator and input format —
 sparse-sparse and sparse-dense element-wise, aggregation, reorg, and
@@ -29,52 +36,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import RuntimeExecError, ShapeError
-from repro.hops.types import SPARSE_SAFE_UNARY, OpKind
-from repro.runtime import vector
+from repro.hops.types import SPARSE_SAFE_BINARY, SPARSE_SAFE_UNARY, OpKind
 from repro.runtime.compressed import CompressedMatrix, transform_dictionaries
 from repro.runtime.matrix import MatrixBlock
+from repro.runtime.vector import AGG, BINARY, UNARY
 
 Value = Union[MatrixBlock, CompressedMatrix, float]
-
-_UNARY_FUNCS = {
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-    "sign": np.sign,
-    "round": np.round,
-    "floor": np.floor,
-    "ceil": np.ceil,
-    "neg": np.negative,
-    "not": vector.vect_not,
-    "sigmoid": vector.vect_sigmoid,
-    "sprop": vector.vect_sprop,  # sample proportion x*(1-x)
-    "pow2": vector.vect_pow2,
-    "erf": vector.vect_erf,
-    "normpdf": vector.vect_normpdf,
-}
-
-_BINARY_FUNCS = {
-    "+": np.add,
-    "-": np.subtract,
-    "*": np.multiply,
-    "/": np.divide,
-    "^": np.power,
-    "min": np.minimum,
-    "max": np.maximum,
-    "==": lambda a, b: (a == b).astype(np.float64),
-    "!=": lambda a, b: (a != b).astype(np.float64),
-    "<": lambda a, b: (a < b).astype(np.float64),
-    ">": lambda a, b: (a > b).astype(np.float64),
-    "<=": lambda a, b: (a <= b).astype(np.float64),
-    ">=": lambda a, b: (a >= b).astype(np.float64),
-    "&": lambda a, b: ((a != 0) & (b != 0)).astype(np.float64),
-    "|": lambda a, b: ((a != 0) | (b != 0)).astype(np.float64),
-}
-
-# Binary ops where a zero cell in *either* input yields a zero output,
-# provided the other operand is a matrix ('*' ) -- used for sparse outputs.
-_ZERO_PRESERVING_BINARY = {"*"}
 
 # Same-shape sparse-sparse kernels: ops with f(0, 0) == 0, so the output
 # pattern is contained in the union of the operands' patterns and scipy
@@ -141,7 +108,7 @@ def _broadcast_dense(arr: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 def unary(op: str, x: Value, stats=None) -> Value:
     """Apply a cell-wise unary function."""
-    func = _UNARY_FUNCS.get(op)
+    func = UNARY.get(op)
     if func is None:
         raise RuntimeExecError(f"unknown unary op '{op}'")
     if _is_scalar(x):
@@ -171,7 +138,7 @@ def cumsum(x: Value, axis: int = 0, stats=None) -> Value:
 
 def binary(op: str, a: Value, b: Value, stats=None) -> Value:
     """Apply a cell-wise binary function with R-style broadcasting."""
-    func = _BINARY_FUNCS.get(op)
+    func = BINARY.get(op)
     if func is None:
         raise RuntimeExecError(f"unknown binary op '{op}'")
     if isinstance(a, CompressedMatrix) or isinstance(b, CompressedMatrix):
@@ -228,7 +195,7 @@ def _binary_matrix_matrix(op, func, a: MatrixBlock, b: MatrixBlock) -> MatrixBlo
     if same_shape and a.is_sparse and b.is_sparse and op in _SPARSE_SPARSE_BINARY:
         result = _SPARSE_SPARSE_BINARY[op](a.to_csr(), b.to_csr())
         return _output(sp.csr_matrix(result))
-    if op in _ZERO_PRESERVING_BINARY and same_shape and (a.is_sparse or b.is_sparse):
+    if op in SPARSE_SAFE_BINARY and same_shape and (a.is_sparse or b.is_sparse):
         # One sparse operand: multiply over its stored pattern without
         # converting the dense operand to CSR.
         mat, other = (a, b) if a.is_sparse else (b, a)
@@ -324,17 +291,10 @@ def agg_unary(op: str, x: Value, direction: str = "full", stats=None) -> Value:
             return float(result)
         out = np.asarray(result, dtype=np.float64)
         return MatrixBlock(out.reshape(-1, 1) if axis == 1 else out.reshape(1, -1))
-    dense = x.to_dense()
-    if op == "sum":
-        result = dense.sum(axis=axis)
-    elif op == "sumsq":
-        result = (dense * dense).sum(axis=axis)
-    elif op == "min":
-        result = dense.min(axis=axis)
-    elif op == "max":
-        result = dense.max(axis=axis)
-    elif op == "mean":
-        result = dense.mean(axis=axis)
+    if op == "sumsq":
+        result = AGG["sum"](UNARY["pow2"](x.to_dense()), axis=axis)
+    elif op in AGG:
+        result = AGG[op](x.to_dense(), axis=axis)
     else:
         raise RuntimeExecError(f"unknown aggregation '{op}'")
     if axis is None:
@@ -360,7 +320,7 @@ def _agg_compressed(op: str, x: CompressedMatrix, direction: str):
         if op == "mean":
             return x.sum() / max(cells, 1)
         if op in ("min", "max"):
-            reducer = np.min if op == "min" else np.max
+            reducer = AGG[op]
             return float(reducer([reducer(g.dictionary) for g in x.groups]))
     elif direction == "col":
         if op == "sum":
@@ -370,7 +330,7 @@ def _agg_compressed(op: str, x: CompressedMatrix, direction: str):
         if op == "mean":
             return MatrixBlock(x.col_sums().to_dense() / max(x.rows, 1))
         if op in ("min", "max"):
-            return x.col_reduce(np.min if op == "min" else np.max)
+            return x.col_reduce(AGG[op])
     elif direction == "row":
         if op == "sum":
             return x.row_sums()

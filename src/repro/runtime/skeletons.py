@@ -52,6 +52,7 @@ from repro.runtime import npexec
 from repro.runtime.compressed import CompressedMatrix
 from repro.runtime.matrix import MatrixBlock, recommend_format
 from repro.runtime.parallel import run_tasks
+from repro.runtime.vector import BINARY
 
 #: Output variants whose partition-wise results are row-aligned with the
 #: main input — the distributed backend keeps them as a BlockedMatrix.
@@ -61,8 +62,6 @@ _ROW_PARTITIONED_OUT = frozenset({
     OutType.OUTER_NO_AGG,
     OutType.OUTER_RIGHT,
 })
-
-_AGG_FUNCS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
 
 
 def is_row_partitioned_output(out_type: OutType) -> bool:
@@ -189,12 +188,13 @@ def tree_reduce(partials: list, combine) -> tuple[object, int]:
 
 
 def combine_pair(a, b, agg: str):
-    """Combine two aggregation partials under ``agg``: two floats into
-    a float, MatrixBlocks into a MatrixBlock.  The one binary combine of
+    """Combine two aggregation partials under ``agg`` with the table's
+    ``+`` (sum), ``min`` or ``max``: two floats into a float,
+    MatrixBlocks into a MatrixBlock.  The one binary combine of
     fused-operator and basic-hop partials alike."""
-    func = _AGG_FUNCS.get(agg)
-    if func is None:
+    if agg not in ("sum", "min", "max"):
         raise RuntimeExecError(f"unknown aggregation '{agg}'")
+    func = BINARY["+" if agg == "sum" else agg]
     if isinstance(a, MatrixBlock) or isinstance(b, MatrixBlock):
         return MatrixBlock(func(_dense(a), _dense(b)))
     return float(func(a, b))

@@ -102,6 +102,18 @@ class TestRowTemplate:
         v = _mat(20, 1)
         assert not tpl.open(AggUnaryOp(AggOp.SUM, AggDir.ROW, v))
 
+    def test_mean_only_within_a_row(self, config):
+        """Column and full partials of row blocks cannot combine a mean."""
+        tpl = RowTemplate(config)
+        x = _mat(20, 8)
+        mv = AggBinaryOp(x, _mat(8, 1, seed=1))
+        assert tpl.open(AggUnaryOp(AggOp.MEAN, AggDir.ROW, x))
+        assert not tpl.open(AggUnaryOp(AggOp.MEAN, AggDir.COL, x))
+        assert tpl.fuse(AggUnaryOp(AggOp.MEAN, AggDir.ROW, mv), mv)
+        assert not tpl.fuse(AggUnaryOp(AggOp.MEAN, AggDir.FULL, mv), mv)
+        assert not tpl.fuse(AggUnaryOp(AggOp.MEAN, AggDir.COL, mv), mv)
+        assert tpl.fuse(AggUnaryOp(AggOp.SUM, AggDir.FULL, mv), mv)
+
     def test_close_semantics(self, config):
         tpl = RowTemplate(config)
         x = _mat(20, 8)

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.hops.hop import AggUnaryOp
+from repro.hops.types import AggDir, AggOp
 from repro.runtime.matrix import MatrixBlock
-from tests.conftest import ALL_MODES, assert_engines_agree, make_engine
+from tests.conftest import ALL_MODES, as_array, assert_engines_agree, make_engine
 
 
 RNG = np.random.default_rng(99)
@@ -172,6 +174,39 @@ class TestBroadcastAndVectors:
             return [(api.sigmoid(m["X"]) * api.sprop(api.sigmoid(m["Y"]))).sum()]
 
         assert_engines_agree(build)
+
+
+class TestMeanOverRowBodies:
+    """Column and full means over a Row body: the Row template computes
+    a mean only within a row, so the outer mean stays a basic op."""
+
+    @staticmethod
+    def _build():
+        m = _mats()
+        x, v, w = m["X"], m["v"], m["W"]
+        return [
+            (x @ v).mean(),
+            api.exp(x).row_sums().mean(),
+            (api.exp(x) @ v).mean(),
+            api.Mat(AggUnaryOp(AggOp.MEAN, AggDir.COL, (api.exp(x) * (x @ v)).hop)),
+            api.Mat(AggUnaryOp(AggOp.MEAN, AggDir.ROW, (x @ w).hop)).sum(),
+        ]
+
+    @pytest.mark.parametrize("mode,config", [
+        ("gen", {}),
+        ("gen-fa", {}),
+        ("gen-fnr", {}),
+        ("gen", {"intra_op_threads": 2, "intra_op_min_cells": 1}),
+    ], ids=["gen", "gen-fa", "gen-fnr", "gen-intra-op-2"])
+    def test_mean_matches_base(self, mode, config):
+        reference = [as_array(r) for r in api.eval_all(self._build(),
+                                                       engine=make_engine("base"))]
+        engine = make_engine(mode, **config)
+        results = [as_array(r) for r in api.eval_all(self._build(), engine=engine)]
+        for idx, (expected, actual) in enumerate(zip(reference, results)):
+            np.testing.assert_allclose(actual, expected, rtol=1e-8, atol=1e-10,
+                                       err_msg=f"output={idx}")
+        assert engine.stats.n_compiled_runs > 0
 
 
 class TestSharedIntermediates:

@@ -86,7 +86,8 @@ def expression_dags(draw):
             )
     finishers = draw(
         st.lists(
-            st.sampled_from(["sum", "row_sums", "col_sums", "raw", "mv_chain"]),
+            st.sampled_from(["sum", "mean", "row_sums", "col_sums", "raw",
+                             "mv_chain"]),
             min_size=1,
             max_size=3,
         )
@@ -127,6 +128,8 @@ def _build(leaves, col_vec, row_vec, op_script, finishers, seed):
         base = pool[rng.integers(0, len(pool))]
         if finisher == "sum":
             roots.append(base.sum())
+        elif finisher == "mean":
+            roots.append(base.mean())
         elif finisher == "row_sums":
             roots.append(base.row_sums())
         elif finisher == "col_sums":
@@ -161,8 +164,10 @@ def _strategy_configs() -> dict[str, CodegenConfig]:
     cluster path, which the distributed tests already cover.
 
     Every strategy must agree with the base interpreter, whose unfused
-    ``runtime/ops.py`` kernels share no code with the generated
-    operators.
+    ``runtime/ops.py`` kernels share only the cell-function table
+    (``runtime/vector.py``) with the generated operators — and that
+    table is itself tested against ``math`` references
+    (``tests/runtime/test_vector.py``).
 
     The ``verified`` leg is the static-analysis differential check:
     every random DAG also compiles and runs under ``verify_level=full``

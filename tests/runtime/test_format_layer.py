@@ -14,6 +14,7 @@ from repro.runtime.matrix import (
     MatrixBlock,
     recommend_format,
 )
+from repro.runtime.vector import BINARY
 
 RNG = np.random.default_rng(9)
 
@@ -79,7 +80,7 @@ class TestSparseBinaryDispatch:
         b = _sparse_block(seed=2)
         result = ops.binary(op, a, b)
         assert result.is_sparse
-        expected = ops._BINARY_FUNCS[op](a.to_dense(), b.to_dense())
+        expected = BINARY[op](a.to_dense(), b.to_dense())
         np.testing.assert_array_equal(result.to_dense(), expected)
 
     def test_sparse_dense_multiply_keeps_pattern(self):
