@@ -11,6 +11,12 @@ Reported per configuration: end-to-end runtime, plans costed, operators
 compiled.  Expected: disabling cost pruning inflates costed plans;
 disabling the plan cache inflates compilations; results stay identical
 (asserted).
+
+Every partition is enumerated (the ``always_enumerate`` fixture sets
+``optimizer._PLAN_COST_S`` to 0): on these 5000 x 30 inputs the cost
+policy's guard would send every partition with points to
+fuse-no-redundancy unenumerated, and the pruning counts would compare 0
+with 0.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from repro.algorithms import kmeans, l2svm
 from repro.compiler.execution import Engine
 from repro.config import CodegenConfig
 from repro.data import generators
+
+pytestmark = pytest.mark.usefixtures("always_enumerate")
 
 _CACHE: dict = {}
 

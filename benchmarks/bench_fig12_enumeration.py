@@ -15,6 +15,11 @@ configurations:
 Expected shape: partitioning cuts plans by orders of magnitude and
 pruning cuts them again — no algorithm needs more than a few thousand
 costed plans.
+
+Every partition is enumerated (the ``always_enumerate`` fixture sets
+``optimizer._PLAN_COST_S`` to 0): on these 1500 x 30 inputs the cost
+policy's guard would send every partition with points to
+fuse-no-redundancy unenumerated, and the counts would compare 0 with 0.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ from repro.codegen import explore as explore_mod
 from repro.codegen.partitions import build_partitions
 from repro.compiler.execution import Engine
 from repro.data import generators
+
+pytestmark = pytest.mark.usefixtures("always_enumerate")
 
 _CACHE: dict = {}
 

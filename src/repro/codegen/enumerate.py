@@ -32,6 +32,11 @@ from repro.hops.hop import Hop
 _MAX_ENUM_PLANS = 1 << 22
 
 
+def search_space(n_points: int) -> int:
+    """Plans in the linearized space of ``n_points`` points, capped."""
+    return min(1 << n_points, _MAX_ENUM_PLANS)
+
+
 @dataclass
 class EnumResult:
     """Best assignment found plus search statistics."""
@@ -116,7 +121,7 @@ def mpskip_enum(estimator: CostEstimator, part: PlanPartition,
     best_cost = math.inf
     n_evaluated = 0
     n_skipped = 0.0
-    total = min(1 << n, _MAX_ENUM_PLANS)
+    total = search_space(n)
 
     j = 1
     while j <= total:
@@ -189,7 +194,7 @@ def _enumerate_subset(estimator, part, side: list[int], base_q: int):
     base_q &= ~sum(bits)
     best_q = base_q
     best_cost = math.inf
-    total = min(1 << n, _MAX_ENUM_PLANS)
+    total = search_space(n)
     for local_q in range(total):
         q = base_q | _point_mask(local_q, bits)
         cost = estimator.cost_partition(part, q, bound=best_cost)

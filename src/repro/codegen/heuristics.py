@@ -27,7 +27,13 @@ def fuse_all(estimator: CostEstimator, part: PlanPartition) -> dict[int, Operato
 def fuse_no_redundancy(estimator: CostEstimator,
                        part: PlanPartition) -> dict[int, OperatorPlan]:
     """Materialize all intermediates with multiple consumers."""
+    return no_redundancy_plan(estimator, part)[0]
+
+
+def no_redundancy_plan(estimator: CostEstimator, part: PlanPartition
+                       ) -> tuple[dict[int, OperatorPlan], float]:
+    """fuse-no-redundancy's operators for ``part`` and their total cost."""
     q = assignment_mask(p.target_id in part.mat_points for p in part.points)
     record: dict[int, OperatorPlan] = {}
-    estimator.cost_partition(part, q, record=record, prefer_max_fusion=True)
-    return record
+    cost = estimator.cost_partition(part, q, record=record, prefer_max_fusion=True)
+    return record, cost

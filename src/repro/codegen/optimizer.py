@@ -14,10 +14,10 @@ import time
 
 from repro.codegen.construct import construct_cplan, construct_multi_agg
 from repro.codegen.cost import CostEstimator, OperatorPlan, assignment_mask
-from repro.codegen.enumerate import mpskip_enum
+from repro.codegen.enumerate import mpskip_enum, search_space
 from repro.codegen.explore import explore
-from repro.codegen.heuristics import fuse_all, fuse_no_redundancy
-from repro.codegen.partitions import build_partitions
+from repro.codegen.heuristics import fuse_all, fuse_no_redundancy, no_redundancy_plan
+from repro.codegen.partitions import PlanPartition, build_partitions
 from repro.codegen.plan_cache import PlanCache
 from repro.codegen.template import TemplateType
 from repro.config import CodegenConfig
@@ -31,6 +31,16 @@ from repro.runtime.stats import RuntimeStats
 #: above any DAG the experiments produce; only pathological programs
 #: (e.g. thousands of chained cellwise ops) hit it.
 _LARGE_PARTITION_MEMBERS = 512
+
+#: Seconds MPSkipEnum spends costing one plan: the enumerate seconds
+#: over the plans evaluated on the ``compile-glm`` op's 22-member,
+#: 10-point partition (489 plans).  Medians of 64-69 us per plan over
+#: four runs of 7 cold compiles each, on a 2-CPU x86-64 VM with Python
+#: 3.11, NumPy 2.4 and OpenBLAS at one thread.  Only the cost policy's
+#: guard reads it, to project enumeration time; every guard decision on
+#: the end-to-end workloads is the same for any value from 1.4 us to
+#: 118 us.
+_PLAN_COST_S = 6.5e-5
 
 
 class CodegenOptimizer:
@@ -47,6 +57,19 @@ class CodegenOptimizer:
 
         ``policy``: 'cost' (the optimizer), 'fa' (fuse-all), or 'fnr'
         (fuse-no-redundancy).  Returns the (possibly modified) roots.
+
+        Under 'cost', a partition with interesting points is enumerated
+        (MPSkipEnum) only when enumerating can pay for itself.  Its
+        fuse-no-redundancy plan is costed first; enumeration can save at
+        most that plan's cost (no plan costs less than zero), so when the
+        cost is below the projected enumeration time
+        ``search_space(|points|) * _PLAN_COST_S`` the partition takes that
+        plan and its whole search space counts as skipped plans.  The
+        decision reads the cost model and a constant, never a clock, so
+        plan choice stays deterministic.  It charges enumeration against
+        one execution of the plan; the program cache reuses compiled
+        DAGs, so on a warm workload it under-counts what a better plan
+        would save.
         """
         start = time.perf_counter()
         heuristic = policy in ("fa", "fnr")
@@ -76,6 +99,11 @@ class CodegenOptimizer:
                 # descent would compute one O(|members|) cover per node
                 # (quadratic overall).  Take maximal fusion.
                 chosen.update(fuse_all(estimator, part))
+            elif (fnr := _unenumerated_plan(estimator, part)) is not None:
+                # Enumerating is projected to cost more than the
+                # no-redundancy plan runs for: take that plan.
+                self.stats.n_plans_skipped += search_space(len(part.points))
+                chosen.update(fnr)
             else:
                 result = mpskip_enum(
                     estimator, part, self.config, memo, hop_by_id, self.stats
@@ -152,6 +180,18 @@ class CodegenOptimizer:
                     agg_root.rewire_to(out)
                     root_map[agg_root.id] = out
         return [root_map.get(r.id, r) for r in roots]
+
+
+def _unenumerated_plan(estimator: CostEstimator,
+                       part: PlanPartition) -> dict[int, OperatorPlan] | None:
+    """``part``'s fuse-no-redundancy plan if it runs for less than
+    enumerating ``part``'s plans is projected to take, else None."""
+    if not part.points:
+        return None
+    plans, cost = no_redundancy_plan(estimator, part)
+    if cost < search_space(len(part.points)) * _PLAN_COST_S:
+        return plans
+    return None
 
 
 def _group_multi_aggregates(chosen: dict[int, OperatorPlan]):

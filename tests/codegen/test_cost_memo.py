@@ -165,16 +165,43 @@ def test_memo_matches_fresh_costing_on_random_dags(config):
 # ----------------------------------------------------------------------
 # (b) what one cold GLM compile costs, in counts
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("always_enumerate")
 def test_cold_glm_compile_plan_and_cover_counts(monkeypatch):
-    """The ``compile-glm`` workload's op: the plans enumerated are what
-    they were before the memos were re-keyed, the covers built to cost
-    them are a thirtieth (12,954 with whole-assignment keys).
+    """The ``compile-glm`` workload's op with every partition
+    enumerated: the plans enumerated are what they were before the
+    memos were re-keyed, the covers built to cost them are a thirtieth
+    (12,954 with whole-assignment keys).
 
     491, not the 492 of ``BENCH_18.json``: the second CG iteration
     rebuilds three DAG shapes the first one compiled, and the engine's
     program cache now serves them (12 -> 9 compiles); the one of them
     with a partition to enumerate evaluated a single plan.  Pinned in
-    ``BENCH_23.json`` (``ci_pinned_counts``) from a traced run."""
+    ``BENCH_23.json`` (``ci_pinned_counts``) from a traced run; CI now
+    pins the guarded counts of the test below."""
+    engine, estimators = _cold_glm_compile(monkeypatch)
+    assert engine.stats.n_plans_evaluated == 491
+    assert engine.stats.n_plans_skipped == 191
+    assert engine.stats.n_programs_compiled == 9
+    assert 0 < sum(e.n_covers_built for e in estimators) <= 450
+
+
+def test_cold_glm_compile_takes_fnr_where_enumerating_costs_more(monkeypatch):
+    """The same op under the enumeration guard: the no-redundancy plans
+    of its three partitions with points (22 members / 10 points and two
+    with one point) cost 3-6 us, below their projected enumeration
+    time, so none is enumerated and their 2^10 + 2 + 2 plans all count
+    as skipped; costing the no-redundancy plans builds 49 covers.  Pinned in
+    ``BENCH_34.json`` (``ci_pinned_counts``)."""
+    engine, estimators = _cold_glm_compile(monkeypatch)
+    assert engine.stats.n_plans_evaluated == 0
+    assert engine.stats.n_plans_skipped == 1028
+    assert engine.stats.n_programs_compiled == 9
+    assert sum(e.n_covers_built for e in estimators) == 49
+
+
+def _cold_glm_compile(monkeypatch):
+    """One ``compile-glm`` op on a new engine, and every cost estimator
+    the optimizer made for it."""
     estimators = []
 
     class Recorded(CostEstimator):
@@ -190,10 +217,7 @@ def test_cold_glm_compile_plan_and_cover_counts(monkeypatch):
     engine = Engine("gen")
     glm_binomial_probit(MatrixBlock(x), MatrixBlock(y), engine=engine,
                         lam=1e-3, tol=0.0, max_iter=1, max_inner=2)
-    assert engine.stats.n_plans_evaluated == 491
-    assert engine.stats.n_plans_skipped == 191
-    assert engine.stats.n_programs_compiled == 9
-    assert 0 < sum(e.n_covers_built for e in estimators) <= 450
+    return engine, estimators
 
 
 # ----------------------------------------------------------------------

@@ -148,6 +148,7 @@ def test_outer_grid_compiled_matches_interpreted(out_type, storage):
         np.testing.assert_allclose(actual, expected, rtol=1e-8, atol=1e-11)
 
 
+@pytest.mark.usefixtures("always_enumerate")
 @pytest.mark.parametrize("recipe", ["full_agg", "multi_agg"])
 def test_compressed_cell_kernel_runs_dictionary_direct(recipe):
     """Parity for the compressed Cell path: an eligible
@@ -341,6 +342,7 @@ def _chunked_main(storage: str, rows: int, cols: int) -> MatrixBlock:
     return MatrixBlock(sp.csr_matrix(data) if storage == "sparse" else data)
 
 
+@pytest.mark.usefixtures("always_enumerate")
 @pytest.mark.parametrize("execution", sorted(_PARTS))
 @pytest.mark.parametrize("template,out_type,storage", _CHUNKED_CASES)
 def test_cell_and_outer_drivers_run_in_chunks(template, out_type, storage,

@@ -58,7 +58,8 @@ ROW, OUTER = TemplateType.ROW, TemplateType.OUTER
 
 #: name -> (template, out type, main-input columns, recipe).  The
 #: optimizer picks Outer plans for drivers wider than tall, except
-#: for the left-multiply, which wants a tall one.
+#: for the left-multiply, which wants a tall one.  On inputs this small
+#: it picks them only when it enumerates (``always_enumerate``).
 RECIPES = {
     "cell-no-agg": (CELL, OutType.NO_AGG, 12,
                     lambda h: [h["x"] * h["c"] + h["r"]]),
@@ -116,6 +117,7 @@ def _array(value):
     return value.to_dense() if isinstance(value, MatrixBlock) else value
 
 
+@pytest.mark.usefixtures("always_enumerate")
 @pytest.mark.parametrize("backend", ["simulated", "multiprocess"])
 @pytest.mark.parametrize("rows", [102, 2 * PARTS],
                          ids=["ragged-last-part", "rows-2k"])
