@@ -25,10 +25,10 @@ Simplifications relative to full Eraser, chosen for a debug tool:
   same-named locks never alias,
 * the checker pins every tracked object alive for the debug window:
   fields key on ``id(obj)``, and without the pin a per-run structure
-  (``RuntimeMetadata``, run-local stats) could be collected and its id
-  recycled by a later run on another thread, corrupting that field's
-  ownership state.  Memory grows with the number of distinct objects
-  touched while enabled — fine for a debug session,
+  (run-local stats) could be collected and its id recycled by a later
+  run on another thread, corrupting that field's ownership state.
+  Memory grows with the number of distinct objects touched while
+  enabled — fine for a debug session,
 * threads are identified by ``threading.get_ident``, which the
   interpreter may reuse after a thread exits — the detector targets
   workloads whose threads overlap in time (pools, serving), where

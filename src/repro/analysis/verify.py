@@ -55,9 +55,7 @@ from repro.compiler.program import (
 )
 from repro.errors import CompileError, ShapeError, VerificationError
 from repro.hops.hop import (
-    DataOp,
     Hop,
-    LiteralOp,
     SpoofOp,
     SpoofOutOp,
     topological_order,
@@ -404,12 +402,6 @@ def _check_recompile_markers(program: Program, flag) -> None:
             if estimate < 0 or cells < 0:
                 flag("recompile-markers", subject,
                      f"negative meta-check estimate for slot {slot}")
-            if slot not in program.observe_slots:
-                flag(
-                    "recompile-markers", subject,
-                    f"checked slot {slot} missing from observe_slots "
-                    "(nnz would never be recorded)",
-                )
     if program.has_recompile_markers != any_marked:
         flag(
             "recompile-markers", "program",

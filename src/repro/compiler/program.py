@@ -97,10 +97,6 @@ class Program:
     # True once annotate_recompile_markers found at least one marked
     # instruction; the executor skips all adaptive bookkeeping otherwise.
     has_recompile_markers: bool = False
-    # Slots some marked instruction checks: the executor records nnz
-    # eagerly for these (dims-only for everything else — dense nnz
-    # counting is O(cells)).
-    observe_slots: set = field(default_factory=set)
     # True when lowered with a cluster configured: collect boundaries
     # were inserted, and the verifier re-derives them as an invariant.
     distributed: bool = False
@@ -369,7 +365,6 @@ def annotate_recompile_markers(program: Program) -> int:
             checks.append((slot, estimate, hop.cells))
         if checks:
             instr.meta_checks = tuple(checks)
-            program.observe_slots.update(slot for slot, _, _ in checks)
             n_marked += 1
     program.has_recompile_markers = n_marked > 0
     return n_marked

@@ -1,6 +1,5 @@
 """Runtime substrate: matrices, kernels, fused-operator skeletons."""
 
 from repro.runtime.matrix import MatrixBlock, recommend_format
-from repro.runtime.meta import ObservedMeta, RuntimeMetadata
 
-__all__ = ["MatrixBlock", "recommend_format", "ObservedMeta", "RuntimeMetadata"]
+__all__ = ["MatrixBlock", "recommend_format"]

@@ -37,10 +37,18 @@ driver.  Materialization happens only at the explicit ``collect``
 boundaries the compiler inserts at exec-type transitions (and program
 roots).
 
-The RDD-cache model is keyed by *lineage* — stable symbol-table-slot
-keys for intermediates and identity-guarded keys for program inputs —
-never by the transient ``id()`` of a runtime value, so eagerly freed
-(and address-reused) blocks can never register a spurious cache hit.
+The driver is the one owner of *lineage keys*, the names both caches
+use for a distributed value: the RDD-cache model here and the worker
+block caches of the multiprocess backend.  :meth:`SparkExecutor.slot_keys`
+makes them, ``("v", epoch, slot)`` for an instruction output and
+``("data", id)`` for a program input, whose source it pins with a
+weakref guard in one registry.  :meth:`SparkExecutor.is_live` is the
+one death rule: a guard that is gone, or a ``v`` key older than the
+live epoch.  Dead keys are retired from the RDD cache and handed to the
+backend, which forgets their locations and has its workers drop the
+blocks; no other module parses a key.  An input key re-bound to a new
+object (a freed block whose address was reused) is retired before
+anything reads it, so it can never register a spurious cache hit.
 
 Execution remains numerically exact up to floating-point reassociation
 of aggregations — per-partition kernels compute the same results as
@@ -152,7 +160,8 @@ def run_partition_task(kind: str, payload, values: list, config, stats):
 class InProcessBackend:
     """Runs partition tasks one after another in the calling thread and
     records into the driver's stats.  No processes, so nothing to ship,
-    cache, lose or retry: ``prune`` and ``register_guard`` are no-ops."""
+    cache, lose or retry: it holds no lineage keys and ``retire`` is a
+    no-op."""
 
     def __init__(self, config: CodegenConfig, stats: RuntimeStats):
         self.config = config
@@ -173,10 +182,10 @@ class InProcessBackend:
                   main_key=None, output_key=None) -> list:
         return self._run("spoof", operator, main_blocked, plans)
 
-    def prune(self, live_epoch) -> None:
-        pass
+    def lineage_keys(self) -> tuple:
+        return ()
 
-    def register_guard(self, key, source) -> None:
+    def retire(self, keys) -> None:
         pass
 
 
@@ -192,20 +201,22 @@ class SparkExecutor:
         self.cluster = cluster
         self.config = config
         self.stats = stats
+        # Lineage registry: ("data", id) key -> weakref guard of the
+        # input it names.  v keys older than the live epoch are dead.
+        self._inputs: dict = {}
+        self._live_epoch = 0
         # Who runs the partition tasks (config.distributed_backend);
         # placement, plans, cost charging and tree-reduces stay here.
         if config.distributed_backend == "multiprocess":
             from repro.runtime.mpexec import ProcessPoolBackend
 
-            self.backend = ProcessPoolBackend(config, stats)
+            self.backend = ProcessPoolBackend(config, stats, self.is_live)
         else:
             self.backend = InProcessBackend(config, stats)
         # RDD-cache model: distributed datasets stay in aggregate
         # executor memory after the first read/write, so re-reads cost
-        # memory bandwidth, not distributed-IO bandwidth.  Entries are
-        # keyed by lineage (symbol-table slot or guarded input
-        # identity), never by the id() of a runtime value.
-        self._cache: dict = {}  # key -> (size_bytes, guard weakref | None)
+        # memory bandwidth, not distributed-IO bandwidth.
+        self._cache: dict = {}  # lineage key -> size_bytes
         self._cached_bytes: float = 0.0
         # Broadcast variables occupy aggregate memory; accumulated
         # pressure eventually evicts cached datasets (Table 6).
@@ -217,39 +228,75 @@ class SparkExecutor:
         return self.cluster.n_workers * 2
 
     # ------------------------------------------------------------------
+    # Lineage keys
+    # ------------------------------------------------------------------
+    def slot_keys(self, program, epoch: int, values: list) -> list:
+        """Lineage keys per symbol-table slot of one program run.
+
+        Instruction outputs key by ``("v", epoch, slot)``, unique for
+        the lifetime of the engine, so a freed-and-reallocated block can
+        never alias a cache entry.  Program inputs (bound per-request
+        overlays too, through ``values``) key by data identity, so
+        iterative workloads re-binding the same block keep hitting the
+        caches across programs.  Binding is the identity-aliasing
+        check: a key whose guard names another object is retired first.
+        """
+        keys = [("v", epoch, slot) for slot in range(program.n_slots)]
+        for slot, _ in program.constants:
+            value = values[slot]
+            if not isinstance(value, MatrixBlock):
+                continue
+            key = keys[slot] = ("data", id(value))
+            guard = self._inputs.get(key)
+            if guard is not None and guard() is not value:
+                self._retire([key])
+            self._inputs[key] = weakref.ref(value)
+        return keys
+
+    def is_live(self, key) -> bool:
+        """The one death rule: a ``v`` key lives from the live epoch on,
+        a ``data`` key while its guarded source does."""
+        if key[0] == "v":
+            return key[1] >= self._live_epoch
+        guard = self._inputs.get(key)
+        return guard is not None and guard() is not None
+
+    def prune_cache(self, live_epoch: int) -> None:
+        """Start the run of epoch ``live_epoch``: retire every key that
+        can never be probed again (earlier epochs' intermediates, inputs
+        whose source died), so dead lineages pin neither the modeled
+        ``aggregate_mem`` nor worker memory.  The executor calls this at
+        the start of every program run."""
+        self._live_epoch = live_epoch
+        held = {*self._cache, *self._inputs, *self.backend.lineage_keys()}
+        self._retire([key for key in held if not self.is_live(key)])
+
+    def _retire(self, keys: list) -> None:
+        """Forget dead keys in the registry, the RDD cache and the
+        backend's worker caches."""
+        lockset.note_access("SparkExecutor", self, "lineage_cache")
+        for key in keys:
+            self._inputs.pop(key, None)
+            self._cached_bytes -= self._cache.pop(key, 0.0)
+        if keys:
+            self.backend.retire(keys)
+
+    # ------------------------------------------------------------------
     # RDD cache (lineage-keyed)
     # ------------------------------------------------------------------
-    def _is_cached(self, key, value=None) -> bool:
+    def _is_cached(self, key) -> bool:
         # Lineage-cache accesses happen inside an executor run holding
         # the Spark run lock; the lockset detector verifies that.
         lockset.note_access("SparkExecutor", self, "lineage_cache")
-        if key is None:
-            return False
-        entry = self._cache.get(key)
-        if entry is None:
-            return False
-        size, guard = entry
-        if guard is not None and guard() is not value:
-            # The guarded input died (or was replaced); the cached RDD
-            # is unreachable — drop the entry instead of aliasing.
-            del self._cache[key]
-            self._cached_bytes -= size
-            return False
-        return True
+        return key in self._cache and self.is_live(key)
 
-    def _cache_put(self, key, size_bytes: float, value=None) -> None:
+    def _cache_put(self, key, size_bytes: float) -> None:
         lockset.note_access("SparkExecutor", self, "lineage_cache")
-        if key is None or key in self._cache:
+        if key is None or key in self._cache or not self.is_live(key):
             return
         if self._cached_bytes + size_bytes > self.cluster.aggregate_mem:
             return
-        guard = None
-        if key[0] == "data" and value is not None:
-            try:
-                guard = weakref.ref(value)
-            except TypeError:
-                return  # identity key without a liveness guard: skip
-        self._cache[key] = (size_bytes, guard)
+        self._cache[key] = size_bytes
         self._cached_bytes += size_bytes
 
     def _evict_cache(self) -> None:
@@ -260,44 +307,20 @@ class SparkExecutor:
         self._cached_bytes = 0.0
         self._broadcast_pressure = 0.0
 
-    def prune_cache(self, live_epoch: int | None = None) -> None:
-        """Drop entries that can never be probed again, so dead
-        lineages don't pin ``aggregate_mem`` and starve live datasets.
-
-        Key layout (produced by ``ProgramExecutor._slot_keys``):
-        ``("v", epoch, slot)`` intermediates are unreachable once their
-        program finished (any epoch < ``live_epoch``); ``("data", id)``
-        input entries die with their weakref guard.  The executor calls
-        this at the start of every program run.
-        """
-        lockset.note_access("SparkExecutor", self, "lineage_cache")
-        for key in list(self._cache):
-            size, guard = self._cache[key]
-            dead = (
-                guard() is None if guard is not None
-                else key[0] == "v" and (
-                    live_epoch is None or key[1] < live_epoch
-                )
-            )
-            if dead:
-                del self._cache[key]
-                self._cached_bytes -= size
-        self.backend.prune(live_epoch)
-
     # ------------------------------------------------------------------
     # Cost charging
     # ------------------------------------------------------------------
-    def charge_read(self, size_bytes: float, key=None, value=None) -> None:
-        if self._is_cached(key, value):
+    def charge_read(self, size_bytes: float, key=None) -> None:
+        if self._is_cached(key):
             self.stats.n_rdd_cache_hits += 1
             self.stats.sim_seconds += size_bytes / self._mem_bandwidth
             return
         self.stats.sim_seconds += size_bytes / self.cluster.hdfs_bandwidth
-        self._cache_put(key, size_bytes, value)
+        self._cache_put(key, size_bytes)
 
-    def charge_write(self, size_bytes: float, key=None, value=None) -> None:
+    def charge_write(self, size_bytes: float, key=None) -> None:
         self.stats.sim_seconds += size_bytes / self.cluster.hdfs_bandwidth
-        self._cache_put(key, size_bytes, value)
+        self._cache_put(key, size_bytes)
 
     def charge_memory_scan(self, size_bytes: float) -> None:
         """Reading an in-memory (blocked/cached) dataset."""
@@ -346,11 +369,10 @@ class SparkExecutor:
             self.stats.n_blocked_passthrough += 1
             self.charge_memory_scan(value.size_bytes)
             return value
-        self.charge_read(value.size_bytes, key=key, value=value)
+        self.charge_read(value.size_bytes, key=key)
         self.stats.n_partitioned += 1
         blocked = BlockedMatrix.partition(value, self.n_partitions)
         blocked.mp_key = key
-        self.backend.register_guard(key, value)
         return blocked
 
     # ------------------------------------------------------------------
@@ -489,8 +511,7 @@ class SparkExecutor:
                 value = self.collect_value(value)
             elif isinstance(value, MatrixBlock):
                 if idx == main_idx:
-                    self.charge_read(value.size_bytes, key=keys[idx],
-                                     value=value)
+                    self.charge_read(value.size_bytes, key=keys[idx])
                 elif value.shape == _shape_of(values[main_idx]):
                     self.charge_shuffle(value.size_bytes)
                 else:
@@ -499,7 +520,7 @@ class SparkExecutor:
         result = run_partition_task("hop", rops.hop_spec(hop), local_values,
                                     self.config, self.stats)
         if isinstance(result, MatrixBlock):
-            self.charge_write(result.size_bytes, key=output_key, value=result)
+            self.charge_write(result.size_bytes, key=output_key)
         return result
 
     def _execute_reduce(self, hop: Hop, main_blocked: BlockedMatrix,

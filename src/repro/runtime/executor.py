@@ -22,15 +22,14 @@ pinned), cutting peak memory for long programs.  Scheduling counters
 
 **Adaptive recompilation** (serial local runs): programs whose plan
 choices rest on unknown sparsity estimates carry recompilation markers
-(``instr.meta_checks``).  The serial loop records observed dims/nnz of
-materialized intermediates into a :class:`~repro.runtime.meta
-.RuntimeMetadata` sidecar, and at each marked instruction compares the
-estimates against the observations; when they diverge beyond
-``_RECOMPILE_DIVERGENCE_RATIO`` the program remainder is
-recompiled (:mod:`repro.compiler.recompile`) with the observed values
-spliced in as exact leaves, and execution continues inside the fresh
-program.  Marked programs always take the serial path so every segment
-boundary is honored; distributed (Spark) runs never recompile.
+(``instr.meta_checks``).  At each marked instruction the serial loop
+compares the estimates against the nnz of the checked inputs' live
+values; when they diverge beyond ``_RECOMPILE_DIVERGENCE_RATIO`` the
+program remainder is recompiled (:mod:`repro.compiler.recompile`) with
+the observed values spliced in as exact leaves, and execution continues
+inside the fresh program.  Marked programs always take the serial path
+so every segment boundary is honored; distributed (Spark) runs never
+recompile.
 
 ``run`` is safe to call from several threads at once against the same
 executor (the serving scheduler multiplexes in-flight programs over one
@@ -58,7 +57,6 @@ from repro.hops.types import ExecType
 from repro.obs import trace as obs_trace
 from repro.runtime.compressed import CompressedMatrix
 from repro.runtime.matrix import MatrixBlock
-from repro.runtime.meta import RuntimeMetadata
 from repro.runtime.parallel import shared_budget
 from repro.runtime.stats import RuntimeStats
 
@@ -245,9 +243,9 @@ class ProgramExecutor:
                 # / cost state: serialize whole runs and record directly
                 # into the shared stats (held for the whole run).
                 with self._spark_run_lock, self.stats.lock:
-                    # Previous programs' intermediate lineages (and
-                    # inputs whose guard died) can never be probed again
-                    # — release their share of the modeled memory.
+                    # Lineage keys of earlier runs (and of inputs whose
+                    # source died) can never be probed again: the driver
+                    # retires them from its cache and the workers'.
                     self.spark.prune_cache(epoch)
                     self._run_serial(program, values, self.stats, epoch)
             else:
@@ -268,23 +266,6 @@ class ProgramExecutor:
                 return self.spark.collect_value(value)
             return value.collect()
         return value
-
-    def _slot_keys(self, program, epoch: int, values: list) -> list:
-        """Lineage keys per symbol-table slot.
-
-        Instruction outputs key by (epoch, slot) — unique for the
-        lifetime of the engine, so a freed-and-reallocated block can
-        never alias a cache entry.  Program inputs key by data identity
-        (guarded by a weakref inside the cache) so iterative workloads
-        re-binding the same input block keep hitting the RDD cache
-        across programs.  Bound (per-request) input overlays take part
-        through the same identity keys via the ``values`` array.
-        """
-        keys = [("v", epoch, slot) for slot in range(program.n_slots)]
-        for slot, _ in program.constants:
-            if isinstance(values[slot], MatrixBlock):
-                keys[slot] = ("data", id(values[slot]))
-        return keys
 
     def _adaptive_for(self, program) -> bool:
         """Does adaptive recompilation apply to this program?"""
@@ -357,11 +338,10 @@ class ProgramExecutor:
         counts = list(program.consumer_counts)
         pinned = program.pinned
         slot_keys = (
-            self._slot_keys(program, epoch, values)
+            self.spark.slot_keys(program, epoch, values)
             if self.spark is not None else None
         )
         adaptive = self._adaptive_for(program)
-        meta = RuntimeMetadata() if adaptive else None
         tracer = stats.tracer
         # Hoisted level check: at trace_level "off"/"phases" the loop
         # below pays one branch per instruction, nothing else.
@@ -372,7 +352,7 @@ class ProgramExecutor:
                 adaptive
                 and instr.meta_checks
                 and recompiles_done < _MAX_RECOMPILES_PER_RUN
-                and self._diverged(instr, values, meta, stats)
+                and self._diverged(instr, values, stats)
             ):
                 with tracer.span("recompile-splice", cat="recompile",
                                  at_instruction=instr.index,
@@ -403,11 +383,6 @@ class ProgramExecutor:
                 )
             values[instr.output_slot] = result
             executed += 1
-            if meta is not None:
-                meta.observe(
-                    instr.output_slot, result,
-                    with_nnz=instr.output_slot in program.observe_slots,
-                )
             stats.n_freed_early += self._free_dead_inputs(
                 instr, values, counts, pinned
             )
@@ -421,20 +396,23 @@ class ProgramExecutor:
                 stats.executor_max_concurrency, 1
             )
 
-    def _diverged(self, instr, values: list, meta: RuntimeMetadata,
-                  stats: RuntimeStats) -> bool:
+    def _diverged(self, instr, values: list, stats: RuntimeStats) -> bool:
         """Compare estimates against observed nnz at a segment boundary.
 
-        Every comparison lands in the divergence histogram; the check
-        triggers when the worst ratio crosses the configured threshold.
-        ``+1`` smoothing keeps empty observations finite.
+        Every checked slot is an input of ``instr``, so its value is
+        live in ``values``; a block caches its nnz, so repeated checks
+        are free.  Slots without a matrix (scalars) are skipped.  Every
+        comparison lands in the divergence histogram; the check triggers
+        when the worst ratio crosses the configured threshold.  ``+1``
+        smoothing keeps empty observations finite.
         """
         tracer = stats.tracer
         worst = 0.0
         for slot, est_nnz, _cells in instr.meta_checks:
-            observed = meta.observed_nnz(slot, values)
-            if observed < 0:
+            value = values[slot]
+            if not isinstance(value, (MatrixBlock, CompressedMatrix)):
                 continue
+            observed = value.nnz
             stats.n_meta_checks += 1
             ratio = max(
                 (est_nnz + 1.0) / (observed + 1.0),

@@ -28,6 +28,13 @@ Side inputs are encoded once per operator and broadcast to every
 participating worker; the driver's broadcast-pressure accounting has
 already charged them before this module is reached.
 
+Lineage keys belong to the driver: this module treats them as opaque
+names.  The backend keeps only ``_locations`` (which worker caches
+which partition of which key), asks the driver's ``is_live`` before it
+trusts or records a location, and on :meth:`ProcessPoolBackend.retire`
+forgets the keys the driver retired and tells the workers which blocks
+to drop.
+
 Failure model: a worker that dies or produces no result for
 ``_TASK_TIMEOUT_S`` seconds is replaced (``n_worker_respawns``) and
 its tasks are re-dispatched (``n_task_retries``).  Because every task
@@ -50,7 +57,6 @@ import os
 import sys
 import threading
 import time
-import weakref
 from collections import deque
 from dataclasses import replace as dataclass_replace
 from multiprocessing import connection as mp_connection
@@ -209,7 +215,7 @@ class ProcessPool:
             return fresh
 
     def broadcast(self, message) -> None:
-        """Best-effort send to every live worker (prune/free)."""
+        """Best-effort send to every live worker (drop/free)."""
         with self.lock:
             workers = list(self.workers)
         for worker in workers:
@@ -266,22 +272,22 @@ class ProcessPoolBackend:
     """Ships SparkExecutor partition tasks to the worker pool.
 
     One instance per SparkExecutor; created when
-    ``config.distributed_backend == "multiprocess"``.  All methods are
-    called with the executor's stats lock held (the Spark run path is
-    serialized), so counter updates are plain attribute bumps.
+    ``config.distributed_backend == "multiprocess"``, with the driver's
+    death rule for lineage keys (``SparkExecutor.is_live``).  All
+    methods are called with the executor's stats lock held (the Spark
+    run path is serialized), so counter updates are plain attribute
+    bumps.
     """
 
     _IDS = itertools.count(1)
 
-    def __init__(self, config, stats):
+    def __init__(self, config, stats, is_live):
         self.config = config
         self.stats = stats
         self.backend_id = next(self._IDS)
+        self._is_live = is_live
         # (lineage_key, p) -> set of worker ids caching that block.
         self._locations: dict[tuple, set] = {}
-        # lineage_key -> weakref guard for ("data", id) input keys: an
-        # address-reused block must never alias a dead lineage entry.
-        self._guards: dict = {}
         self._bids = itertools.count(1)
         self._inject: deque = deque()
 
@@ -352,24 +358,20 @@ class ProcessPoolBackend:
                    "cache_as": None, "label": "echo", "partition": 0}]
         return self._execute(protos, [], None, force_shm=force_shm)[0]
 
-    def prune(self, live_epoch) -> None:
-        """Forget locality entries (and worker cache blocks) whose
-        lineage epoch ended — mirrors SparkExecutor.prune_cache."""
-        for loc_key in list(self._locations):
-            key = loc_key[0]
-            guard = self._guards.get(key)
-            dead = (
-                guard() is None if guard is not None
-                else isinstance(key, tuple) and key and key[0] == "v"
-                and (live_epoch is None or key[1] < live_epoch)
-            )
-            if dead:
-                del self._locations[loc_key]
-        for key in list(self._guards):
-            if self._guards[key]() is None:
-                del self._guards[key]
-        if _POOL is not None:
-            _POOL.broadcast(("prune", self.backend_id, live_epoch))
+    def lineage_keys(self) -> set:
+        """The lineage keys some worker caches a block under."""
+        return {key for key, _p in self._locations}
+
+    def retire(self, keys) -> None:
+        """Forget every location of keys the driver retired, and have
+        the workers drop those blocks."""
+        dead = set(keys)
+        wkeys = [(self.backend_id, key, p)
+                 for key, p in self._locations if key in dead]
+        for _bid, key, p in wkeys:
+            del self._locations[(key, p)]
+        if wkeys and _POOL is not None:
+            _POOL.broadcast(("drop", wkeys))
 
     # -- internals -----------------------------------------------------
     def _worker_config(self):
@@ -377,55 +379,13 @@ class ProcessPoolBackend:
             self.config, distributed_backend="simulated", trace_level="off",
         )
 
-    def register_guard(self, key, source) -> None:
-        """Pin a ``("data", id)`` lineage key to its source object.
-
-        Identity keys alias once the source dies and its address is
-        reused; the weakref guard (same discipline as the driver's RDD
-        cache) invalidates every worker-cache location for the key the
-        moment the source is gone.  Called by ``SparkExecutor`` when it
-        partitions a driver-side input.
-        """
-        if not (isinstance(key, tuple) and key and key[0] == "data"):
-            return
-        guard = self._guards.get(key)
-        if guard is not None and guard() is not None:
-            return
-        try:
-            self._guards[key] = weakref.ref(source)
-        except TypeError:
-            self._guards.pop(key, None)
-
     def _location_hit(self, key, p: int, wid: int) -> bool:
-        if key is None:
-            return False
-        wids = self._locations.get((key, p))
-        if not wids or wid not in wids:
-            return False
-        if isinstance(key, tuple) and key and key[0] == "data":
-            guard = self._guards.get(key)
-            if guard is None or guard() is None:
-                # The guarded input died (or its address was reused):
-                # the worker's cached block belongs to a dead lineage.
-                self._drop_location(key)
-                return False
-        return True
+        return (wid in self._locations.get((key, p), ())
+                and self._is_live(key))
 
     def _note_location(self, key, p: int, wid: int) -> None:
-        if key is None:
-            return
-        if (isinstance(key, tuple) and key and key[0] == "data"
-                and key not in self._guards):
-            # No liveness guard registered for this identity key: a
-            # cached copy could silently alias a future object at the
-            # same address, so never remember it.
-            return
-        self._locations.setdefault((key, p), set()).add(wid)
-
-    def _drop_location(self, key) -> None:
-        for loc_key in [k for k in self._locations if k[0] == key]:
-            del self._locations[loc_key]
-        self._guards.pop(key, None)
+        if self._is_live(key):
+            self._locations.setdefault((key, p), set()).add(wid)
 
     def _forget_location(self, key, p: int, wid: int) -> None:
         wids = self._locations.get((key, p))

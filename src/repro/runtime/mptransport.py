@@ -9,7 +9,8 @@ operator completes — on Linux existing mappings stay valid — and
 workers attach a read-only ndarray view); CSR blocks,
 ``CompressedMatrix`` values and scalars take the pickle fallback.
 :class:`_BlockCache` is the worker-side LRU that makes locality
-possible: partition blocks stay cached under their lineage key.
+possible: partition blocks stay cached under the key the driver names
+them by, until the LRU evicts them or the driver says to drop them.
 """
 
 from __future__ import annotations
@@ -107,9 +108,8 @@ class _BlockCache:
         """Insert or replace; returns the keys evicted to make room.
 
         The driver ships a block under a key this cache already holds
-        only after it forgot the location.  For a ``("data", id)`` key
-        that means the source died and another object now lives at its
-        address, so the shipped block supersedes the cached one.
+        only after it forgot the location, so the shipped block
+        supersedes the cached one.
         """
         if wkey in self.entries:
             self._drop(wkey)
@@ -132,10 +132,8 @@ class _BlockCache:
             except BufferError:
                 pass  # a live view still pins the mapping
 
-    def prune(self, backend_id: int, live_epoch) -> None:
-        for wkey in list(self.entries):
-            bid, key, _p = wkey
-            if bid != backend_id or not (isinstance(key, tuple) and key):
-                continue
-            if key[0] == "v" and (live_epoch is None or key[1] < live_epoch):
+    def drop(self, wkeys) -> None:
+        """Drop the blocks the driver retired; keys are opaque here."""
+        for wkey in wkeys:
+            if wkey in self.entries:
                 self._drop(wkey)

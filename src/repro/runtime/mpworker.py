@@ -8,7 +8,9 @@ them; :func:`_run_task` resolves the inputs and calls
 :func:`repro.runtime.distributed.run_partition_task`, the same function
 the in-process backend calls, then sends back the result, the task's
 nonzero ``RuntimeStats`` fields by name (:func:`_export_stats`) and the
-block-cache keys it evicted.
+block-cache keys it evicted.  Block-cache keys are opaque here: the
+worker caches what it is told to cache and drops what it is told to
+drop (a ``("drop", keys)`` message); it never decides a block is dead.
 
 Generated operators arrive as ``(name, source, cplan)``;
 :func:`_materialize_operator` rebuilds them with the function the
@@ -171,11 +173,10 @@ def _worker_main(conn, worker_id: int) -> None:
             for bkey in msg[1]:
                 broadcasts.pop(bkey, None)
             continue
-        if tag == "prune":
-            _, backend_id, live_epoch = msg
+        if tag == "drop":
             cache = caches.get("blocks")
             if cache is not None:
-                cache.prune(backend_id, live_epoch)
+                cache.drop(msg[1])
             continue
         if tag != "task":
             continue

@@ -40,6 +40,7 @@ from repro.hops import memory
 from repro.hops.hop import DataOp
 from repro.runtime.compressed import CompressedMatrix
 from repro.runtime.matrix import MatrixBlock
+from repro.runtime.skeletons import row_parts
 from repro.compiler.speccache import SpecializationCache
 from repro.compiler.symbolic import SymbolicBlock
 from repro.serve.symbolic import (
@@ -221,16 +222,20 @@ class PreparedProgram:
         bound = batch.bound
         roles = bound.spec.batch_roles
         values = self.engine.executor.run(bound.spec.program, bound.bindings)
-        results = []
-        offset_bounds = np.cumsum([0] + batch.row_counts)
-        for index in range(len(batch.row_counts)):
-            lo, hi = int(offset_bounds[index]), int(offset_bounds[index + 1])
-            request_values = [
-                _slice_rows(value, lo, hi) if role == SPLIT else value
-                for value, role in zip(values, roles)
-            ]
-            results.append(self._package(bound.spec, request_values))
-        return results
+        offsets = np.cumsum([0] + batch.row_counts).tolist()
+        bounds = list(zip(offsets[:-1], offsets[1:]))
+        # A stacked matrix output splits into one row range per request;
+        # every other output is shared by all of them.
+        columns = [
+            row_parts(value, bounds)
+            if role == SPLIT and isinstance(value, MatrixBlock)
+            else [value] * len(bounds)
+            for value, role in zip(values, roles)
+        ]
+        return [
+            self._package(bound.spec, [column[index] for column in columns])
+            for index in range(len(bounds))
+        ]
 
     def run_batch(self, inputs_list: list[dict]) -> list:
         """Bind and execute several requests as one stacked run."""
@@ -482,12 +487,3 @@ def _stack_blocks(blocks: list) -> MatrixBlock:
         stacked = MatrixBlock(sp.vstack([b.to_csr() for b in blocks]))
         return stacked.examine_representation()
     return MatrixBlock(np.vstack([b.to_dense() for b in blocks]))
-
-
-def _slice_rows(value, lo: int, hi: int):
-    """One request's row range of a stacked output."""
-    if isinstance(value, MatrixBlock):
-        if value.is_sparse:
-            return MatrixBlock(value.to_csr()[lo:hi])
-        return MatrixBlock(value.to_dense()[lo:hi])
-    return value

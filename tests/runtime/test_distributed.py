@@ -1,6 +1,9 @@
 """The distributed executor: correctness, cost accounting, and the
 in-process and multiprocess task backends agreeing on both."""
 
+import gc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from repro.config import ClusterConfig, CodegenConfig
 from repro.runtime.distributed import BlockedMatrix
 from repro.runtime.matrix import MatrixBlock
 from repro.runtime.skeletons import partition_bounds as _partition_bounds
+from repro.runtime.stats import RuntimeStats
 
 
 def _cluster_config(budget=1e5, **cluster_kwargs) -> CodegenConfig:
@@ -292,22 +296,83 @@ class TestLineageCache:
         api.eval((api.matrix(x_block, "X") * 3.0).sum(), engine=engine)
         assert engine.stats.n_rdd_cache_hits >= 1
 
-    def test_identity_guard_rejects_aliased_block(self, rng):
-        from repro.config import ClusterConfig
-        from repro.runtime.distributed import SparkExecutor
-        from repro.runtime.stats import RuntimeStats
+    def test_identity_guard_rejects_aliased_block(self, rng, monkeypatch):
+        from repro.runtime import distributed
 
-        stats = RuntimeStats()
-        spark = SparkExecutor(ClusterConfig(), CodegenConfig(), stats)
+        spark = distributed.SparkExecutor(ClusterConfig(), CodegenConfig(),
+                                          RuntimeStats())
+        # Every block at one address: the aliasing scenario (a freed
+        # block whose address was reused) on demand.
+        monkeypatch.setattr(distributed, "id", lambda value: 12345,
+                            raising=False)
+        program = SimpleNamespace(n_slots=1, constants=[(0, None)])
         block = MatrixBlock(rng.random((10, 10)))
-        key = ("data", 12345)
-        spark._cache_put(key, block.size_bytes, value=block)
-        assert spark._is_cached(key, block)
-        # A different object under the same identity key (the aliasing
-        # scenario: freed block, reused address) must MISS and evict.
+        [key] = spark.slot_keys(program, 1, [block])
+        spark._cache_put(key, block.size_bytes)
+        assert spark._is_cached(key)
+        # A different object under the same identity key must MISS and
+        # evict, before anything reads it.
         impostor = MatrixBlock(rng.random((10, 10)))
-        assert not spark._is_cached(key, impostor)
+        assert spark.slot_keys(program, 1, [impostor]) == [key]
+        assert not spark._is_cached(key)
         assert key not in spark._cache
+
+    @pytest.mark.parametrize("source_alive", [False, True])
+    @pytest.mark.parametrize("backend", ["simulated", "multiprocess"])
+    def test_rebound_input_key_ships_the_new_block(self, rng, monkeypatch,
+                                                   backend, source_alive):
+        """An input key re-bound to a new block, after its source died
+        (or, with the source alive, under an aliased address) is retired
+        everywhere before anything reads it: the RDD model misses and
+        evicts, the backend drops the key's locations, and the next task
+        ships and reads the new block."""
+        from repro.runtime import distributed
+
+        monkeypatch.setattr(distributed, "id", lambda value: 12345,
+                            raising=False)
+        config = CodegenConfig(cluster=ClusterConfig(n_workers=1),
+                               distributed_backend=backend, mp_workers=1)
+        stats = RuntimeStats()
+        spark = distributed.SparkExecutor(config.cluster, config, stats)
+        hop = (api.matrix(np.ones((40, 3)), "X") * 2.0).hop
+        program = SimpleNamespace(n_slots=2, constants=[(0, None)])
+
+        def bind(epoch, block):
+            spark.prune_cache(epoch)
+            return spark.slot_keys(program, epoch, [block, None])
+
+        def run(keys, block):
+            out = spark.execute_hop(hop, [block, 2.0], [keys[0], None],
+                                    keys[1])
+            return out.collect().to_dense()
+
+        old = MatrixBlock(rng.random((40, 3)))
+        run(bind(1, old), old)
+        keys = bind(2, old)
+        run(keys, old)
+        key = keys[0]
+        hits = stats.n_rdd_cache_hits
+        ships, local = stats.n_mp_block_ships, stats.n_mp_locality_hits
+        assert hits == 1
+        if backend == "multiprocess":
+            assert ships == local == spark.n_partitions
+
+        new = MatrixBlock(rng.random((24, 3)))
+        if not source_alive:
+            del old
+            gc.collect()
+            assert not spark.is_live(key)
+        keys = bind(3, new)
+        assert keys[0] == key
+        assert key not in spark._cache
+        assert key not in spark.backend.lineage_keys()
+        np.testing.assert_array_equal(run(keys, new), new.to_dense() * 2.0)
+        assert stats.n_rdd_cache_hits == hits
+        assert spark._cache[key] == new.size_bytes
+        assert stats.n_mp_block_ships == ships + (
+            spark.n_partitions if backend == "multiprocess" else 0
+        )
+        assert stats.n_mp_locality_hits == local
 
     def test_dead_lineages_do_not_starve_live_inputs(self, rng):
         # Regression: dead per-program entries used to pin the modeled

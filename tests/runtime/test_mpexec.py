@@ -431,18 +431,37 @@ class TestWorkerHelpers:
         assert list(cache.entries) == [wkey]
         assert cache.bytes == cache.entries[wkey][2]
 
-    def test_block_cache_prune_drops_dead_epochs(self, rng):
+    def test_block_cache_prune_drops_dead_epochs(self, rng, monkeypatch):
+        """The driver's prune retires dead keys; the backend forgets
+        their locations and the worker cache drops exactly those blocks,
+        never reading a key."""
+        from repro.runtime.distributed import SparkExecutor
+        from repro.runtime.stats import RuntimeStats
+
+        config = _mp_config()
+        spark = SparkExecutor(config.cluster, config, RuntimeStats())
+        backend = spark.backend
         block = MatrixBlock(rng.random((10, 10)))
+        program = SimpleNamespace(n_slots=1, constants=[(0, None)])
+        [data_key] = spark.slot_keys(program, 0, [block])
+        bid = backend.backend_id
         cache = mpexec._BlockCache(cap_bytes=1e9)
-        cache.put((1, ("v", 0), 0), block, None)
-        cache.put((1, ("v", 5), 0), block, None)
-        cache.put((1, ("data", 7), 0), block, None)
-        cache.put((2, ("v", 0), 0), block, None)  # other backend
-        cache.prune(backend_id=1, live_epoch=5)
-        assert cache.get((1, ("v", 0), 0)) is None
-        assert cache.get((1, ("v", 5), 0)) is block
-        assert cache.get((1, ("data", 7), 0)) is block
-        assert cache.get((2, ("v", 0), 0)) is block
+        for key in (("v", 0, 0), ("v", 5, 0), data_key):
+            backend._note_location(key, 0, 0)
+            cache.put((bid, key, 0), block, None)
+        cache.put((bid + 1, ("v", 0, 0), 0), block, None)  # other backend
+        sent: list = []
+        monkeypatch.setattr(mpexec, "_POOL",
+                            SimpleNamespace(broadcast=sent.append))
+        spark.prune_cache(live_epoch=5)
+        for tag, wkeys in sent:
+            assert tag == "drop"
+            cache.drop(wkeys)
+        assert cache.get((bid, ("v", 0, 0), 0)) is None
+        assert cache.get((bid, ("v", 5, 0), 0)) is block
+        assert cache.get((bid, data_key, 0)) is block
+        assert cache.get((bid + 1, ("v", 0, 0), 0)) is block
+        assert backend.lineage_keys() == {("v", 5, 0), data_key}
 
     def test_apply_spec_dispatch(self, rng):
         from repro.runtime import ops as rops
