@@ -12,9 +12,16 @@ Two scheduling modes over the same instruction semantics:
 
 A run goes parallel only with at least two executor threads, two heavy
 instructions that can run side by side, and two tokens granted by the
-process-wide thread budget; otherwise it runs serially.
+process-wide thread budget; otherwise it runs serially.  At most as many
+instructions are in flight as tokens were granted; ready ones beyond
+that wait in a per-run queue.  The worker that completes an instruction
+submits its successors itself, so a chain never waits for another
+thread to wake.  After a failure nothing new is submitted, and the run
+raises the first error only once no instruction is in flight, so its
+budget tokens are never returned under running work.
 
-Both modes maintain per-slot reference counts and eagerly free
+Both modes run each instruction through one ``_step`` (instruction
+span and execute), maintain per-slot reference counts and eagerly free
 intermediates once their last consumer ran (roots and constants are
 pinned), cutting peak memory for long programs.  Scheduling counters
 (tasks launched, peak concurrency, early frees) land in
@@ -332,6 +339,25 @@ class ProgramExecutor:
                 freed += 1
         return freed
 
+    def _step(self, instr, inputs: list, stats: RuntimeStats,
+              trace_instr: bool, slot_keys: list | None = None):
+        """Execute one instruction on its gathered inputs, inside an
+        instruction span when the tracer records them."""
+        input_keys = output_key = None
+        if slot_keys is not None:
+            input_keys = [slot_keys[slot] for slot in instr.input_slots]
+            output_key = slot_keys[instr.output_slot]
+        if not trace_instr:
+            return execute_instruction(instr, inputs, self.config, stats,
+                                       self.spark, input_keys, output_key)
+        with stats.tracer.span(_instr_label(instr), cat="instruction",
+                               level=obs_trace.INSTRUCTIONS,
+                               index=instr.index) as span:
+            result = execute_instruction(instr, inputs, self.config, stats,
+                                         self.spark, input_keys, output_key)
+            span.annotate(bytes=_moved_bytes(inputs, result))
+        return result
+
     def _run_serial(self, program, values: list, stats: RuntimeStats,
                     epoch: int, recompiles_done: int = 0,
                     continuation: bool = False) -> None:
@@ -363,25 +389,9 @@ class ProgramExecutor:
                     )
                 break  # the remainder ran inside the recompiled program
             inputs = [values[slot] for slot in instr.input_slots]
-            input_keys = output_key = None
-            if slot_keys is not None:
-                input_keys = [slot_keys[slot] for slot in instr.input_slots]
-                output_key = slot_keys[instr.output_slot]
-            if trace_instr:
-                with tracer.span(_instr_label(instr), cat="instruction",
-                                 level=obs_trace.INSTRUCTIONS,
-                                 index=instr.index) as span:
-                    result = execute_instruction(
-                        instr, inputs, self.config, stats, self.spark,
-                        input_keys, output_key
-                    )
-                    span.annotate(bytes=_moved_bytes(inputs, result))
-            else:
-                result = execute_instruction(
-                    instr, inputs, self.config, stats, self.spark,
-                    input_keys, output_key
-                )
-            values[instr.output_slot] = result
+            values[instr.output_slot] = self._step(
+                instr, inputs, stats, trace_instr, slot_keys
+            )
             executed += 1
             stats.n_freed_early += self._free_dead_inputs(
                 instr, values, counts, pinned
@@ -455,18 +465,17 @@ class ProgramExecutor:
 
     # ------------------------------------------------------------------
     def _run_parallel(self, program, values: list,
-                      run_stats: RuntimeStats,
-                      max_concurrency: int | None = None,
+                      run_stats: RuntimeStats, width: int,
                       continuation: bool = False) -> None:
+        """Dependency-readiness scheduler: at most ``width`` (the granted
+        budget tokens) instructions in flight; ready ones beyond the cap
+        wait in a queue."""
         pool = self._ensure_pool()
         instructions = program.instructions
         counts = list(program.consumer_counts)
         pinned = program.pinned
         tracer = run_stats.tracer
         trace_instr = tracer.enabled(obs_trace.INSTRUCTIONS)
-        # Bound in-flight instructions to the budget tokens granted for
-        # this run; ready instructions beyond the cap wait in a queue.
-        cap = max_concurrency if max_concurrency else self.n_threads
 
         # Per-run lock: concurrent runs sharing this executor must not
         # serialize each other's dependency bookkeeping.
@@ -496,30 +505,20 @@ class ProgramExecutor:
                 state["max_running"] = max(
                     state["max_running"], state["running"]
                 )
+            # `inputs` lives until this worker returns, so the buffers of
+            # dead inputs are freed after the lock is released, not under
+            # it (freeing them there slowed the parallel leg of
+            # `bench_executor_parallel.py` by ~18% on a 2-CPU host).
+            inputs = [values[slot] for slot in instr.input_slots]
             try:
-                inputs = [values[slot] for slot in instr.input_slots]
-                if trace_instr:
-                    with tracer.span(_instr_label(instr),
-                                     cat="instruction",
-                                     level=obs_trace.INSTRUCTIONS,
-                                     index=instr.index) as span:
-                        result = execute_instruction(
-                            instr, inputs, self.config, local_stats,
-                            self.spark
-                        )
-                        span.annotate(bytes=_moved_bytes(inputs, result))
-                else:
-                    result = execute_instruction(
-                        instr, inputs, self.config, local_stats, self.spark
-                    )
+                result = self._step(instr, inputs, local_stats, trace_instr)
             except BaseException as exc:  # propagate to the caller
                 with lock:
                     if state["error"] is None:
                         state["error"] = exc
-                    state["remaining"] -= 1
                     state["running"] -= 1
                     state["inflight"] -= 1
-                    if state["remaining"] == 0 or state["error"] is not None:
+                    if state["inflight"] == 0:
                         done.set()
                 return
             ready = []
@@ -539,18 +538,18 @@ class ProgramExecutor:
                 if state["error"] is None:
                     for nxt in ready:
                         _submit(nxt)
-                    while state["queued"] and state["inflight"] < cap:
+                    while state["queued"] and state["inflight"] < width:
                         _submit(state["queued"].popleft())
+                elif state["inflight"] == 0:
+                    done.set()  # the last straggler of a failed run
                 if state["remaining"] == 0:
                     done.set()
 
         def _submit(instr) -> None:
             # Caller holds the lock; `running` is tracked by the worker
             # itself so peak concurrency reflects tasks actually on a
-            # thread, not queued submissions.  In-flight submissions are
-            # capped at the budget tokens granted to this run; excess
-            # ready instructions wait in the queue.
-            if state["inflight"] >= cap:
+            # thread, not queued submissions.
+            if state["inflight"] >= width:
                 state["queued"].append(instr)
                 return
             state["inflight"] += 1
@@ -564,8 +563,8 @@ class ProgramExecutor:
             for instr in initial:
                 _submit(instr)
         done.wait()
-        # Drain: on error some workers may still be running; they only
-        # touch `values` under the lock, and we re-raise afterwards.
+        # A failed run gets here only once no instruction is in flight:
+        # `_run_local` returns the budget tokens right after.
         if state["error"] is not None:
             raise state["error"]
         run_stats.n_instructions_executed += len(instructions)
@@ -578,19 +577,8 @@ class ProgramExecutor:
             run_stats.n_parallel_runs += 1
 
 
-def run_program(program, config: CodegenConfig,
-                stats: RuntimeStats | None = None, spark=None) -> list:
-    """One-shot convenience: execute ``program`` and return root values."""
-    executor = ProgramExecutor(config, stats or RuntimeStats(), spark)
-    try:
-        return executor.run(program)
-    finally:
-        executor.close()
-
-
 __all__ = [
     "ProgramExecutor",
     "execute_instruction",
-    "run_program",
     "RuntimeExecError",
 ]

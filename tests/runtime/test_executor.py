@@ -27,6 +27,24 @@ def _serial_engine(mode="base", **kwargs):
     return Engine(mode=mode, config=CodegenConfig(executor_threads=1, **kwargs))
 
 
+def _substitute(program, instr, compute):
+    """Swap ``instr`` for a fused instruction whose match runs ``compute``."""
+    from repro.compiler.program import Instruction
+
+    match = type("M", (), {"compute": staticmethod(compute)})()
+    program.instructions[instr.index] = Instruction(
+        index=instr.index,
+        opcode="fused",
+        hop=instr.hop,
+        input_slots=instr.input_slots,
+        output_slot=instr.output_slot,
+        fused_match=match,
+        dep_indices=instr.dep_indices,
+        dependent_indices=instr.dependent_indices,
+        weight=instr.weight,
+    )
+
+
 def _branches(rng, n=3, size=30):
     mats = [api.matrix(rng.random((size, size)), f"M{i}") for i in range(n)]
     return [(api.exp(m * 0.5) + m * 2.0).sum() for m in mats]
@@ -37,8 +55,9 @@ class TestParallelSerialParity:
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_identical_results_all_modes(self, mode, rng):
         seed_data = rng.random((40, 20))
+        branch_data = [rng.random((12, 12)) for _ in range(16)]
 
-        def build():
+        def three_roots():
             x = api.matrix(seed_data, "X")
             y = api.matrix(seed_data * 0.5, "Y")
             return [
@@ -47,12 +66,26 @@ class TestParallelSerialParity:
                 x.T @ (x @ api.matrix(seed_data[:20, :1], "v")),
             ]
 
-        serial = api.eval_all(build(), engine=_serial_engine(mode))
-        parallel = api.eval_all(build(), engine=_parallel_engine(mode))
-        for s, p in zip(serial, parallel):
-            s_arr = s.to_dense() if isinstance(s, MatrixBlock) else s
-            p_arr = p.to_dense() if isinstance(p, MatrixBlock) else p
-            np.testing.assert_allclose(p_arr, s_arr, rtol=1e-12)
+        def sixteen_branches():
+            mats = [api.matrix(d, f"M{i}") for i, d in enumerate(branch_data)]
+            return [((m * 2.0 + 1.0) * (m - 0.5)).sum() for m in mats]
+
+        for build in (three_roots, sixteen_branches):
+            serial_engine = _serial_engine(mode)
+            parallel_engine = _parallel_engine(mode)
+            serial = api.eval_all(build(), engine=serial_engine)
+            parallel = api.eval_all(build(), engine=parallel_engine)
+            for s, p in zip(serial, parallel):
+                s_arr = s.to_dense() if isinstance(s, MatrixBlock) else s
+                p_arr = p.to_dense() if isinstance(p, MatrixBlock) else p
+                np.testing.assert_allclose(p_arr, s_arr, rtol=1e-12)
+            # Same instructions, intermediates and early frees on both
+            # schedules.
+            assert parallel_engine.stats.n_parallel_runs == 1
+            for name in ("n_instructions_executed", "n_intermediates",
+                         "n_freed_early"):
+                assert (getattr(parallel_engine.stats, name)
+                        == getattr(serial_engine.stats, name)), name
 
     def test_repeated_execution_reuses_pool(self, rng):
         engine = _parallel_engine()
@@ -111,6 +144,42 @@ class TestSchedulingStats:
                 )
         engine.executor.run(program)
         assert engine.stats.executor_max_concurrency >= 2
+
+    def test_in_flight_capped_at_granted_tokens(self, rng, monkeypatch):
+        """Four ready instructions, four executor threads, two budget
+        tokens: never more than two instructions run at once."""
+        import threading
+
+        from repro.runtime import parallel
+
+        monkeypatch.setattr(parallel, "_BUDGET", parallel.ThreadBudget(total=2))
+        engine = _parallel_engine(threads=4)
+        mats = [api.matrix(rng.random((8, 8)), f"M{i}") for i in range(4)]
+        program = engine.compile([(m * 2.0).sum().hop for m in mats])
+        initial = [i for i in program.instructions if not i.dep_indices]
+        assert len(initial) == 4
+        lock = threading.Lock()
+        running = [0]
+        peak = [0]
+        # Pairs rendezvous here, so two in flight always overlap.
+        barrier = threading.Barrier(2, timeout=10)
+
+        def counting(inputs):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            barrier.wait()
+            with lock:
+                running[0] -= 1
+            return MatrixBlock(np.ones((8, 8)))
+
+        for instr in initial:
+            _substitute(program, instr, counting)
+        results = engine.executor.run(program)
+        assert results == [pytest.approx(64.0)] * 4
+        assert peak[0] == 2
+        assert engine.stats.executor_max_concurrency == 2
+        assert engine.stats.n_parallel_runs == 1
 
     def test_serial_fallback_stats(self, rng):
         engine = _serial_engine()
@@ -205,6 +274,43 @@ class TestErrorPropagation:
         )
         with pytest.raises(Boom):
             engine.executor.run(program)
+
+    def test_failed_run_waits_for_instructions_in_flight(self, rng):
+        """The first error is raised only after every instruction still
+        running has finished, and the run's budget tokens are back."""
+        import threading
+        import time
+
+        from repro.runtime.parallel import shared_budget
+
+        engine = _parallel_engine(threads=2)
+        x = api.matrix(rng.random((8, 8)), "X")
+        y = api.matrix(rng.random((8, 8)), "Y")
+        program = engine.compile([(x * 2.0).sum().hop, (y * 3.0).sum().hop])
+        slow, failing = [i for i in program.instructions if not i.dep_indices][:2]
+        started = threading.Event()
+        finished = threading.Event()
+
+        class Boom(RuntimeError):
+            pass
+
+        def slow_compute(inputs):
+            started.set()
+            time.sleep(0.3)
+            finished.set()
+            return MatrixBlock(np.ones((8, 8)))
+
+        def failing_compute(inputs):
+            assert started.wait(10)
+            raise Boom("kernel failure")
+
+        _substitute(program, slow, slow_compute)
+        _substitute(program, failing, failing_compute)
+        active_before = shared_budget().active
+        with pytest.raises(Boom):
+            engine.executor.run(program)
+        assert finished.is_set()
+        assert shared_budget().active == active_before
 
 
 class TestExecutorConfig:
