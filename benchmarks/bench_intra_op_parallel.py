@@ -11,6 +11,11 @@ On a multicore host the Row template must reach >= 1.3x at 4 threads
 over 1 thread; single-core hosts still execute (and verify) every
 configuration but skip the speedup assertion.
 
+Every operator splits, quick mode's small inputs included: the
+parallelism threshold (``repro.runtime.parallel.PARALLEL_MIN_CELLS``)
+is 1 here, through the root ``conftest.py``'s ``parallel_tiny_ops``
+fixture under pytest and the same patch in ``main``.
+
 Run directly (writes JSON when ``REPRO_BENCH_JSON`` is set)::
 
     PYTHONPATH=src python benchmarks/bench_intra_op_parallel.py
@@ -34,6 +39,7 @@ from repro.bench.harness import (
 )
 from repro.compiler.execution import Engine
 from repro.config import CodegenConfig
+from repro.runtime import parallel
 
 try:
     from conftest import QUICK
@@ -96,11 +102,7 @@ def _engine(threads: int) -> Engine:
     # Serial instruction executor: single-operator programs leave the
     # inter-instruction scheduler nothing to overlap anyway, and this
     # pins the measurement on the intra-op partition workers.
-    config = CodegenConfig(
-        executor_threads=1,
-        intra_op_threads=threads,
-        intra_op_min_cells=1,
-    )
+    config = CodegenConfig(executor_threads=1, intra_op_threads=threads)
     return Engine(mode="gen", config=config)
 
 
@@ -124,6 +126,7 @@ def run(repeats: int = 3) -> list[BenchResult]:
 
 
 @pytest.mark.bench
+@pytest.mark.usefixtures("parallel_tiny_ops")
 def test_intra_op_scaling(benchmark):
     results = run()
     by_label = {r.label: r for r in results}
@@ -155,7 +158,9 @@ def test_intra_op_scaling(benchmark):
 
 
 def main() -> None:
-    results = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parallel, "PARALLEL_MIN_CELLS", 1)
+        results = run()
     modes = [f"{t}t" for t in THREADS]
     print_table("Intra-operator parallel fused execution", modes, results)
     for result in results:

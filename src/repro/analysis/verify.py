@@ -36,7 +36,9 @@ boundaries, behind ``CodegenConfig.verify_level``:
     * recompile-marker discipline: ``spoof_out`` never marked, checked
       slots observed, ``recompile_segments()`` contiguously covering
       the instruction range — so spliced remainder programs re-enter
-      the same checks through the pipeline on adaptive recompile.
+      the same checks through the pipeline on adaptive recompile,
+    * parallelism: ``parts`` and ``parallel`` are what lowering's policy
+      (:mod:`repro.runtime.parallel`) gives on the program's dims.
 
 :func:`check_dag` / :func:`check_program` are the raising wrappers the
 pipeline calls: findings increment ``RuntimeStats.n_verifier_findings``
@@ -52,7 +54,10 @@ from repro.compiler.program import (
     Program,
     _consumes_blocked_values,
     _emits_blocked_value,
+    instruction_parts,
+    runs_parallel,
 )
+from repro.config import DEFAULT_CONFIG, CodegenConfig
 from repro.errors import CompileError, ShapeError, VerificationError
 from repro.hops.hop import (
     Hop,
@@ -221,8 +226,9 @@ def _check_spoof(hop: SpoofOp, claimed: dict, flag) -> None:
 # ----------------------------------------------------------------------
 # Program verification
 # ----------------------------------------------------------------------
-def verify_program(program: Program, stage: str = "") -> list[Finding]:
-    """Verify a lowered program; returns all findings (empty = ok)."""
+def verify_program(program: Program, stage: str = "",
+                   config: CodegenConfig = DEFAULT_CONFIG) -> list[Finding]:
+    """Verify a program lowered under ``config``; returns all findings."""
     findings: list[Finding] = []
 
     def flag(code: str, subject: str, message: str) -> None:
@@ -260,6 +266,10 @@ def verify_program(program: Program, stage: str = "") -> list[Finding]:
         if instr.index != position:
             flag("instruction-order", subject,
                  f"index {instr.index} at list position {position}")
+        parts = instruction_parts(instr, config)
+        if instr.parts != parts:
+            flag("parallelism", subject,
+                 f"parts {instr.parts} != {parts} of its main input")
         for slot in instr.input_slots:
             if not slot_ok(slot, subject, "input"):
                 continue
@@ -302,6 +312,9 @@ def verify_program(program: Program, stage: str = "") -> list[Finding]:
     if getattr(program, "distributed", False):
         _check_collect_boundaries(program, flag)
     _check_recompile_markers(program, flag)
+    if program.parallel != runs_parallel(program):
+        flag("parallelism", "program", f"parallel={program.parallel} "
+             "disagrees with its heavy instructions and level width")
     return findings
 
 
@@ -450,7 +463,7 @@ def check_dag(roots: list[Hop], ctx, stage: str) -> None:
 
 def check_program(program: Program, ctx, stage: str) -> None:
     """Verify a lowered program inside the pipeline; raises on findings."""
-    findings = verify_program(program, stage=stage)
+    findings = verify_program(program, stage=stage, config=ctx.config)
     _raise_on_findings(findings, ctx.stats, f"program ({stage})")
 
 

@@ -33,6 +33,7 @@ from repro.hops.hop import (
     topological_order,
 )
 from repro.hops.types import SPARSE_SAFE_BINARY, SPARSE_SAFE_UNARY, AggOp, OpKind
+from repro.runtime.parallel import intra_op_parts
 
 INFINITE = math.inf
 
@@ -399,12 +400,11 @@ class CostEstimator:
 
     def _intra_op_parallelism(self, cv: CostVector) -> float:
         """Effective speedup of partition-parallel fused execution: the
-        part count the runtime gives the main input
-        (``config.intra_op_partitions``)."""
+        part count lowering gives the main input (``intra_op_parts``)."""
         main = self._main_input(cv) if cv.ttype is not None else None
         if main is None:
             return 1.0
-        return float(self.config.intra_op_partitions(main.rows, main.cols))
+        return float(intra_op_parts(main.rows, main.cols, self.config))
 
     def _sparsity_scale(self, cv: CostVector) -> float:
         """Scale factor of sparsity-exploiting operators (main input)."""

@@ -185,9 +185,7 @@ def compile_program(roots: list[Hop], ctx: CompilationContext,
                 check_dag(roots, ctx, stage="post-optimization")
         start = time.perf_counter()
         with ctx.tracer.span("lowering", cat="compile"):
-            program = lower_program(
-                roots, ctx.mode, distributed=ctx.config.cluster is not None
-            )
+            program = lower_program(roots, ctx.mode, ctx.config)
             # Partition the lowered program into recompilation segments:
             # instructions whose exec-type / fusion / format choices
             # rest on unknown or unknown-derived estimates are marked,

@@ -26,10 +26,13 @@ eager freeing of dead intermediates.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
+from repro.config import DEFAULT_CONFIG, CodegenConfig
 from repro.hops.hop import DataOp, Hop, LiteralOp, SpoofOp, SpoofOutOp, topological_order
 from repro.hops.types import ExecType
+from repro.runtime import parallel
 
 
 @dataclass
@@ -56,9 +59,9 @@ class Instruction:
     # Dependency edges (instruction indices), derived from input slots.
     dep_indices: tuple = ()
     dependent_indices: tuple = ()
-    # Largest matrix (cells) this instruction touches; the executor's
-    # parallel/serial heuristic keys off it.
-    weight: int = 0
+    # Row parts a CP-typed generated operator splits its main input
+    # into (instruction_parts); 1 for every other instruction.
+    parts: int = 1
     # Adaptive recompilation markers: (slot, estimated_nnz, cells) per
     # input whose compile-time metadata is unknown or derived from an
     # unknown estimate.  Non-empty checks start a recompilation segment:
@@ -100,6 +103,8 @@ class Program:
     # True when lowered with a cluster configured: collect boundaries
     # were inserted, and the verifier re-derives them as an invariant.
     distributed: bool = False
+    # Worth the executor's thread pool (runs_parallel, set by finalize).
+    parallel: bool = False
 
     @property
     def n_instructions(self) -> int:
@@ -124,20 +129,8 @@ class Program:
             for i, start in enumerate(starts)
         ]
 
-    def max_width(self) -> int:
-        """Upper bound on schedulable concurrency (levelized width)."""
-        level: dict[int, int] = {}
-        width: dict[int, int] = {}
-        for instr in self.instructions:
-            lvl = 1 + max(
-                (level[d] for d in instr.dep_indices), default=-1
-            )
-            level[instr.index] = lvl
-            width[lvl] = width.get(lvl, 0) + 1
-        return max(width.values(), default=0)
-
     def finalize(self) -> None:
-        """Derive dependency edges and per-slot reference counts."""
+        """Derive dependency edges, per-slot reference counts, ``parallel``."""
         producer: dict[int, int] = {}
         for instr in self.instructions:
             producer[instr.output_slot] = instr.index
@@ -159,6 +152,38 @@ class Program:
             instr.dependent_indices = tuple(dependents[instr.index])
         self.pinned = {slot for slot, _ in self.constants}
         self.pinned.update(self.root_slots)
+        self.parallel = runs_parallel(self)
+
+
+def runs_parallel(program: Program) -> bool:
+    """At least two instructions touch (read or write)
+    :data:`~repro.runtime.parallel.PARALLEL_MIN_CELLS` cells and some
+    dependency level holds two instructions."""
+    cells = {slot: program.slot_hops[slot].cells for slot, _ in program.constants}
+    level: dict[int, int] = {}
+    heavy = 0
+    for instr in program.instructions:
+        touched = max([instr.hop.cells]
+                      + [cells.get(s, 0) for s in instr.input_slots])
+        cells[instr.output_slot] = instr.hop.cells
+        heavy += touched >= parallel.PARALLEL_MIN_CELLS
+        level[instr.index] = 1 + max(
+            (level.get(d, 0) for d in instr.dep_indices), default=-1)
+    widths = Counter(level.values()).values()
+    return heavy >= 2 and max(widths, default=0) >= 2
+
+
+def instruction_parts(instr: Instruction, config: CodegenConfig) -> int:
+    """Parts a CP-typed generated operator splits its main input into; 1
+    for every other instruction (SPARK partitions never nest a fan-out)."""
+    hop = instr.hop
+    if instr.opcode != "spoof" or hop.exec_type is ExecType.SPARK:
+        return 1
+    main_index = hop.operator.cplan.main_index
+    if main_index < 0:
+        return 1
+    main = hop.inputs[main_index]
+    return parallel.intra_op_parts(main.rows, main.cols, config)
 
 
 def _emits_blocked_value(instr: Instruction) -> bool:
@@ -230,7 +255,6 @@ def insert_collect_boundaries(program: Program) -> None:
                     hop=instr.hop,
                     input_slots=[instr.output_slot],
                     output_slot=fresh,
-                    weight=instr.weight,
                 )
             )
     for position, instr in enumerate(rebuilt):
@@ -242,7 +266,7 @@ def insert_collect_boundaries(program: Program) -> None:
 
 
 def lower_program(roots: list[Hop], mode: str,
-                  distributed: bool = False) -> Program:
+                  config: CodegenConfig = DEFAULT_CONFIG) -> Program:
     """Lower an optimized multi-root HOP DAG into a :class:`Program`.
 
     Hops lower in :func:`~repro.hops.hop.topological_order` from the
@@ -251,9 +275,9 @@ def lower_program(roots: list[Hop], mode: str,
     hop's children are the pattern's leaves: intermediates covered by a
     pattern are lowered only if another consumer demands them
     separately (matching the old lazy interpreter's semantics).
-    With ``distributed=True`` (a cluster is configured), explicit
-    ``collect`` instructions are inserted wherever a SPARK-typed
-    producer feeds a CP-typed consumer or a program root.
+    With a cluster configured, explicit ``collect`` instructions are
+    inserted wherever a SPARK-typed producer feeds a CP-typed consumer
+    or a program root.  Parallelism is decided here, once, on exact dims.
     """
     from repro.compiler.fused_lib import match_fused_pattern
 
@@ -286,20 +310,16 @@ def lower_program(roots: list[Hop], mode: str,
             opcode = "spoof"
         else:
             opcode = "hop"
-        weight = hop.cells
-        for dep in deps:
-            weight = max(weight, dep.cells)
-        program.instructions.append(
-            Instruction(
-                index=len(program.instructions),
-                opcode=opcode,
-                hop=hop,
-                input_slots=input_slots,
-                output_slot=assign_slot(hop),
-                fused_match=match,
-                weight=weight,
-            )
+        instr = Instruction(
+            index=len(program.instructions),
+            opcode=opcode,
+            hop=hop,
+            input_slots=input_slots,
+            output_slot=assign_slot(hop),
+            fused_match=match,
         )
+        instr.parts = instruction_parts(instr, config)
+        program.instructions.append(instr)
 
     def children(hop: Hop):
         leaf = isinstance(hop, (DataOp, LiteralOp))
@@ -314,8 +334,8 @@ def lower_program(roots: list[Hop], mode: str,
         emit(hop, match, match.leaves if match is not None else hop.inputs)
 
     program.root_slots = [slot_of[r.id] for r in roots]
-    program.distributed = distributed
-    if distributed:
+    program.distributed = config.cluster is not None
+    if program.distributed:
         insert_collect_boundaries(program)
     program.finalize()
     return program

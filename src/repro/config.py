@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 
 #: What ``executor_threads=0`` and ``intra_op_threads=0`` mean on this
-#: host, resolved once: the runtime asks per run and per operator call,
-#: and ``os.cpu_count()`` is a syscall.
+#: host, resolved once: lowering asks per fused operator, and
+#: ``os.cpu_count()`` is a syscall.
 AUTO_THREADS = min(8, os.cpu_count() or 1)
 
 
@@ -45,7 +45,7 @@ class CodegenConfig:
 
     Only settings that some caller sets to more than one value, or that
     a calibration fits to the host, live here.  Thresholds with one
-    value in use are constants in the one module that reads them.
+    value in use are constants in the one module that owns them.
     """
 
     # Cost model bandwidths (Section 4.3).
@@ -82,14 +82,11 @@ class CodegenConfig:
     # main input into this many row partitions (dense slices, CSR row
     # ranges, compressed column-group views) and combine aggregation
     # partials through a fixed tree topology.  0 = auto (min(8, cpus));
-    # 1 falls back to the exact serial skeleton code path.  The
-    # partition count is fixed by this knob — the thread budget only
-    # bounds how many partitions run concurrently — so results are
+    # 1 falls back to the exact serial skeleton code path.  Lowering
+    # fixes the partition count (runtime/parallel.py) — the thread budget
+    # only bounds how many partitions run concurrently — so results are
     # deterministic run-to-run.
     intra_op_threads: int = 0
-    # Operators whose main input has fewer cells than this run the
-    # serial skeletons: partition dispatch overhead dominates.
-    intra_op_min_cells: int = 1 << 16
 
     # Static analysis (repro.analysis).  verify_level gates the IR
     # verifier and the generated-kernel lint: 'off' disables them,
@@ -143,16 +140,6 @@ class CodegenConfig:
             "^": 30.0,
         }
     )
-
-    def intra_op_partitions(self, rows: int, cols: int) -> int:
-        """Parts a fused operator's ``rows x cols`` main input splits
-        into: the resolved ``intra_op_threads`` when the input has at
-        least ``intra_op_min_cells`` cells and two rows per part, else 1.
-        The one gate of the runtime and the cost model."""
-        n = self.intra_op_threads if self.intra_op_threads > 0 else AUTO_THREADS
-        if rows * cols < self.intra_op_min_cells or rows < 2 * n:
-            return 1
-        return n
 
     def copy(self) -> "CodegenConfig":
         """Return a shallow copy (cluster config shared)."""

@@ -153,8 +153,7 @@ def run_partition_task(kind: str, payload, values: list, config, stats):
     """
     if kind == "hop":
         return rops.apply_spec(payload, values, stats)
-    return execute_operator(payload, values, config, stats,
-                            allow_parallel=False)
+    return execute_operator(payload, values, config, stats)
 
 
 class InProcessBackend:

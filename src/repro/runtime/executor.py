@@ -10,15 +10,16 @@ Two scheduling modes over the same instruction semantics:
   ``eval_all``) run concurrently.  NumPy kernels release the GIL, so
   this overlaps real compute on multicore hosts.
 
-A run goes parallel only with at least two executor threads, two heavy
-instructions that can run side by side, and two tokens granted by the
-process-wide thread budget; otherwise it runs serially.  At most as many
-instructions are in flight as tokens were granted; ready ones beyond
-that wait in a per-run queue.  The worker that completes an instruction
-submits its successors itself, so a chain never waits for another
-thread to wake.  After a failure nothing new is submitted, and the run
-raises the first error only once no instruction is in flight, so its
-budget tokens are never returned under running work.
+A run goes parallel only when lowering marked its program ``parallel``
+(two heavy instructions that can run side by side), the executor has at
+least two threads and the process-wide thread budget grants two tokens;
+otherwise it runs serially.  At most as many instructions are in flight
+as tokens were granted; ready ones beyond that wait in a per-run queue.
+The worker that completes an instruction submits its successors itself,
+so a chain never waits for another thread to wake.  After a failure
+nothing new is submitted, and the run raises the first error only once
+no instruction is in flight, so its budget tokens are never returned
+under running work.
 
 Both modes run each instruction through one ``_step`` (instruction
 span and execute), maintain per-slot reference counts and eagerly free
@@ -66,10 +67,6 @@ from repro.runtime.compressed import CompressedMatrix
 from repro.runtime.matrix import MatrixBlock
 from repro.runtime.parallel import shared_budget
 from repro.runtime.stats import RuntimeStats
-
-#: Programs whose instructions all touch fewer cells than this run
-#: serially: thread-pool dispatch overhead dominates tiny operators.
-_PARALLEL_MIN_CELLS = 1 << 16
 
 #: Estimate / observation nnz ratio (either way) at a segment boundary
 #: that triggers recompiling the program remainder.
@@ -161,7 +158,7 @@ def execute_instruction(instr, inputs: list, config: CodegenConfig,
                 )
             else:
                 result = execute_operator(hop.operator, inputs, config,
-                                          stats)
+                                          stats, instr.parts)
         except Exception as exc:
             # Generated code that raises is a compiler bug: name the
             # operator, whichever backend and thread it ran on.
@@ -284,21 +281,11 @@ class ProgramExecutor:
         )
 
     def _should_parallelize(self, program) -> bool:
-        if self._adaptive_for(program):
-            # Marked programs run serially so every recompilation
-            # segment boundary is honored in instruction order.
-            return False
-        if self.n_threads < 2:
-            return False
-        heavy = sum(
-            1 for instr in program.instructions
-            if instr.weight >= _PARALLEL_MIN_CELLS
-        )
-        if heavy < 2:
-            return False
-        # A purely sequential chain of heavy ops gains nothing from the
-        # pool and pays per-instruction dispatch overhead.
-        return program.max_width() >= 2
+        # Lowering decided whether the program is worth the pool; marked
+        # programs run serially so every recompilation segment boundary
+        # is honored in instruction order.
+        return (program.parallel and self.n_threads >= 2
+                and not self._adaptive_for(program))
 
     def _run_local(self, program, values: list, stats: RuntimeStats,
                    epoch: int, recompiles_done: int = 0,

@@ -1,4 +1,8 @@
-"""Process-wide thread budget and the shared intra-operator worker pool.
+"""Parallelism policy, process-wide thread budget and the shared
+intra-operator worker pool.
+
+Lowering applies the policy once, to exact dims (``Instruction.parts``,
+``Program.parallel``); the runtime never decides again.
 
 Three runtime layers can spawn concurrency: the inter-instruction
 executor pool (:mod:`repro.runtime.executor`), the intra-operator
@@ -16,9 +20,9 @@ is the single token pool they all draw from:
   progress regardless (``minimum``) and finds the pool exhausted is not
   given a token it does not have: it is counted as running on the
   thread it already holds, and never blocks,
-* grants only bound *scheduling concurrency* — partition counts and
-  combine topologies are fixed by configuration, so results are
-  deterministic regardless of how many tokens a run was granted.
+* grants only bound *scheduling concurrency* — part counts and combine
+  topologies are fixed at lowering, so results are deterministic
+  regardless of how many tokens a run was granted.
 
 The total is ``max(8, cpu_count)``: generous enough that a single layer
 keeps its configured width on small hosts, while nested layers still
@@ -32,6 +36,20 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.analysis import lockset
+from repro.config import AUTO_THREADS
+
+#: Below this many cells, thread dispatch costs more than it saves.
+PARALLEL_MIN_CELLS = 1 << 16
+
+
+def intra_op_parts(rows: int, cols: int, config) -> int:
+    """Parts a fused operator's ``rows x cols`` main input splits into:
+    the resolved ``intra_op_threads`` when the input has at least
+    :data:`PARALLEL_MIN_CELLS` cells and two rows per part, else 1."""
+    n = config.intra_op_threads if config.intra_op_threads > 0 else AUTO_THREADS
+    if rows * cols < PARALLEL_MIN_CELLS or rows < 2 * n:
+        return 1
+    return n
 
 
 class ThreadBudget:
@@ -164,4 +182,4 @@ def run_tasks(tasks: list) -> tuple[list, int]:
         budget.release(granted)
 
 
-__all__ = ["ThreadBudget", "shared_budget", "run_tasks"]
+__all__ = ["PARALLEL_MIN_CELLS", "ThreadBudget", "intra_op_parts", "run_tasks", "shared_budget"]

@@ -255,19 +255,19 @@ def combine_partials(cplan: CPlan, partials: list) -> tuple[object, int]:
 # Execution
 # ----------------------------------------------------------------------
 def execute_operator(operator, inputs: list, config, stats=None,
-                     allow_parallel: bool = True):
+                     parts: int = 1):
     """Execute a generated fused operator on runtime values.
 
     ``inputs`` parallels ``operator.cplan.inputs``: MatrixBlock /
     CompressedMatrix for matrix bindings, floats for scalars.
 
-    When ``config.intra_op_partitions`` splits the main input, the
-    parts run on the shared worker pool with thread-local partial
-    results, which :func:`combine_partials` puts back together.  Each
-    part, or the whole operator, runs through :func:`_execute_chunks`.
-    ``allow_parallel=False`` keeps one part — the distributed backend
-    sets it for its per-partition calls so partitions never nest
-    another fan-out.
+    With ``parts`` (``Instruction.parts``, decided at lowering) of two or
+    more, the main input splits into that many parts, which run on the
+    shared worker pool with thread-local partial results that
+    :func:`combine_partials` puts back together.  Each part, or the
+    whole operator, runs through :func:`_execute_chunks`.  The
+    distributed backend's per-partition calls keep one part, so
+    partitions never nest another fan-out.
     """
     cplan = operator.cplan
     if stats is not None:
@@ -299,10 +299,9 @@ def execute_operator(operator, inputs: list, config, stats=None,
         stats.n_compiled_runs += 1
     with tracer.span(f"op:{cplan.ttype.value}", cat="operator",
                      level=obs_trace.FULL):
-        if allow_parallel:
-            parts = _intra_op_parts(cplan, inputs, config)
-            if parts is not None:
-                return _execute_parts(operator, parts, stats)
+        part_inputs = _intra_op_parts(cplan, inputs, parts)
+        if part_inputs is not None:
+            return _execute_parts(operator, part_inputs, stats)
         return _execute_chunks(operator, inputs, stats)
 
 
@@ -345,23 +344,19 @@ def _consult_observed_sparsity(cplan: CPlan, inputs: list, config,
     return inputs
 
 
-def _intra_op_parts(cplan: CPlan, inputs: list, config):
+def _intra_op_parts(cplan: CPlan, inputs: list, n_parts: int):
     """Per-part input lists, or None when the operator runs as one part.
 
-    The part count is ``config.intra_op_partitions`` of the main
-    input's shape — fixed by configuration, never by the tokens the
-    thread budget later grants — so a given (config, input shape) pair
+    ``n_parts`` was fixed at lowering from the main input's dims, never
+    by the tokens the thread budget later grants, so a given program
     always produces the same parts and combine topology.  A main that
     is still compressed belongs to a dictionary-only plan
     (:func:`execute_operator` decompressed every other).
     """
-    main_index = cplan.main_index
-    main = inputs[main_index] if 0 <= main_index < len(inputs) else None
-    if not isinstance(main, (MatrixBlock, CompressedMatrix)):
-        return None
-    n_parts = config.intra_op_partitions(main.rows, main.cols)
     if n_parts < 2:
         return None
+    main_index = cplan.main_index
+    main = inputs[main_index]
     if isinstance(main, CompressedMatrix):
         # Dictionary-only plans read no side input: each part swaps in
         # a view over a share of the column groups.

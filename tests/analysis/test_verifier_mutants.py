@@ -4,8 +4,9 @@ Each mutant corrupts a healthy compile in exactly the way the verifier
 exists to catch — an understated refcount (the eager-freeing executor
 would read a freed slot), an overstated refcount (a leak the executor
 would never free), a deleted collect boundary in a distributed program,
-dims corrupted mid-DAG, and a matmul whose input dims no longer chain
-(its ``refresh_sizes`` raises) — and the test asserts the finding names
+dims corrupted mid-DAG, a matmul whose input dims no longer chain
+(its ``refresh_sizes`` raises) and a part count or parallel flag that
+lowering did not decide — and the test asserts the finding names
 the offending instruction or hop, not just "verification failed".
 """
 
@@ -140,6 +141,36 @@ class TestCollectMutant:
         assert findings
         assert {f.code for f in findings} == {"missing-collect"}
         assert any(f"slot {raw}" in f.message for f in findings)
+
+
+class TestParallelismMutant:
+    def _program(self, rng):
+        engine = Engine(mode="gen", config=CodegenConfig(intra_op_threads=4))
+        x = api.matrix(rng.random((40, 8)), "X")
+        return engine, engine.compile([(x * 2.0).sum().hop])
+
+    @pytest.mark.usefixtures("parallel_tiny_ops")
+    def test_tampered_parts_name_the_instruction(self, rng):
+        engine, program = self._program(rng)
+        (spoof,) = [i for i in program.instructions if i.opcode == "spoof"]
+        assert spoof.parts == 4
+        assert verify_program(program, config=engine.config) == []
+
+        spoof.parts = 2  # would split differently from what was costed
+        findings = verify_program(program, config=engine.config)
+        assert [f.code for f in findings] == ["parallelism"]
+        assert f"[{spoof.index}]" in findings[0].subject
+        assert "parts 2 != 4" in findings[0].message
+        with pytest.raises(VerificationError, match="parallelism"):
+            check_program(program, engine.context, stage="mutant")
+
+    def test_tampered_parallel_flag_flagged(self, rng):
+        engine, program = self._program(rng)
+        assert not program.parallel  # one tiny operator
+        program.parallel = True
+        findings = verify_program(program, config=engine.config)
+        assert [(f.code, f.subject) for f in findings] == [
+            ("parallelism", "program")]
 
 
 class TestDimsMutant:

@@ -92,8 +92,8 @@ class TestCostModel:
         assert cost_for(4) < cost_for(1)
 
     def test_small_inputs_keep_serial_compute_estimates(self, rng):
-        """Below ``intra_op_min_cells`` the runtime stays serial, and
-        the cost model must mirror that gate."""
+        """Below ``parallel.PARALLEL_MIN_CELLS`` an operator runs as one
+        part, and the cost model must credit that count."""
         x = api.matrix(rng.random((40, 12)), "X")
 
         def cost_for(threads):

@@ -196,11 +196,14 @@ class TestMeanOverRowBodies:
         ("gen", {}),
         ("gen-fa", {}),
         ("gen-fnr", {}),
-        ("gen", {"intra_op_threads": 2, "intra_op_min_cells": 1}),
+        ("gen", {"intra_op_threads": 2}),
     ], ids=["gen", "gen-fa", "gen-fnr", "gen-intra-op-2"])
-    def test_mean_matches_base(self, mode, config):
+    def test_mean_matches_base(self, mode, config, request):
         reference = [as_array(r) for r in api.eval_all(self._build(),
                                                        engine=make_engine("base"))]
+        if config:
+            # The inputs here are below the parallelism threshold.
+            request.getfixturevalue("parallel_tiny_ops")
         engine = make_engine(mode, **config)
         results = [as_array(r) for r in api.eval_all(self._build(), engine=engine)]
         for idx, (expected, actual) in enumerate(zip(reference, results)):

@@ -79,10 +79,16 @@ class TestLoweringStructure:
         # shared feeds both operands of the add.
         assert program.consumer_counts[mult.output_slot] == 2
 
-    def test_max_width_of_independent_branches(self, rng):
+    @pytest.mark.usefixtures("parallel_tiny_ops")
+    def test_independent_heavy_branches_lower_parallel(self, rng):
         mats = [api.matrix(rng.random((5, 5)), f"M{i}") for i in range(3)]
-        program = _lower([(m * 2.0).sum() for m in mats])
-        assert program.max_width() == 3
+        assert _lower([(m * 2.0).sum() for m in mats]).parallel
+        # A chain of as many heavy instructions has a level width of 1.
+        assert not _lower([((mats[0] * 2.0) + 1.0).sum()]).parallel
+
+    def test_tiny_branches_lower_serial(self, rng):
+        mats = [api.matrix(rng.random((5, 5)), f"M{i}") for i in range(3)]
+        assert not _lower([(m * 2.0).sum() for m in mats]).parallel
 
 
 class TestFusedLowering:

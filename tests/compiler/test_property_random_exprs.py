@@ -16,11 +16,13 @@ match the base interpreter.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import api
 from repro.compiler.execution import Engine
 from repro.config import ClusterConfig, CodegenConfig
+from repro.runtime import parallel
 from repro.runtime.matrix import MatrixBlock
 from tests.conftest import assert_engines_agree, as_array
 
@@ -156,9 +158,10 @@ def test_all_engines_agree_on_random_dags(dag):
 def _strategy_configs() -> dict[str, CodegenConfig]:
     """The three execution strategies of the fusing engine.
 
-    ``intra_op_min_cells=1`` forces partitioning even on the small
-    property-test matrices, so the parallel skeleton paths actually
-    execute; the spark config keeps the default driver budget so
+    The intra-op legs lower the parallelism threshold to one cell (what
+    the ``parallel_tiny_ops`` fixture does, here per leg), so the
+    parallel skeleton paths actually execute on the small property-test
+    matrices; the spark config keeps the default driver budget so
     exec-type selection still distributes only oversized operators —
     ``local_mem_budget=0`` would push every tiny operator through the
     cluster path, which the distributed tests already cover.
@@ -178,8 +181,8 @@ def _strategy_configs() -> dict[str, CodegenConfig]:
     """
     return {
         "serial": CodegenConfig(intra_op_threads=1),
-        "intra-op-2": CodegenConfig(intra_op_threads=2, intra_op_min_cells=1),
-        "intra-op-4": CodegenConfig(intra_op_threads=4, intra_op_min_cells=1),
+        "intra-op-2": CodegenConfig(intra_op_threads=2),
+        "intra-op-4": CodegenConfig(intra_op_threads=4),
         "spark": CodegenConfig(cluster=ClusterConfig(),
                                local_mem_budget=1e4),
         "spark-mp": CodegenConfig(cluster=ClusterConfig(),
@@ -205,17 +208,24 @@ def test_execution_strategies_agree_on_random_dags(dag):
     ]
     by_strategy = {}
     for name, config in _strategy_configs().items():
-        engine = Engine(mode="gen", config=config)
-        for cache_pass in ("miss", "hit"):
-            results = [
-                as_array(v) for v in api.eval_all(build(), engine=engine)
-            ]
-            assert len(results) == len(reference)
-            for idx, (expected, actual) in enumerate(zip(reference, results)):
-                np.testing.assert_allclose(
-                    actual, expected, rtol=1e-7, atol=1e-9,
-                    err_msg=f"strategy={name} pass={cache_pass} output={idx}",
-                )
+        # Hypothesis runs every example in one test call, so the
+        # fixture's monkeypatch would outlive the leg.
+        with pytest.MonkeyPatch.context() as patch:
+            if config.intra_op_threads > 1:
+                patch.setattr(parallel, "PARALLEL_MIN_CELLS", 1)
+            engine = Engine(mode="gen", config=config)
+            for cache_pass in ("miss", "hit"):
+                results = [
+                    as_array(v) for v in api.eval_all(build(), engine=engine)
+                ]
+                assert len(results) == len(reference)
+                for idx, (expected, actual) in enumerate(
+                        zip(reference, results)):
+                    np.testing.assert_allclose(
+                        actual, expected, rtol=1e-7, atol=1e-9,
+                        err_msg=(f"strategy={name} pass={cache_pass} "
+                                 f"output={idx}"),
+                    )
         by_strategy[name] = results
         assert engine.stats.n_specialization_misses == 1
         assert engine.stats.n_specialization_hits == 1

@@ -137,11 +137,9 @@ class TestRecompilation:
         # The recompiled remainder continues the same logical run.
         assert engine.stats.n_serial_runs == 1
 
-    def test_recompiled_remainder_regains_parallel_scheduler(
-        self, monkeypatch
-    ):
+    @pytest.mark.usefixtures("parallel_tiny_ops")
+    def test_recompiled_remainder_regains_parallel_scheduler(self):
         """An unmarked recompiled program may use the thread pool."""
-        monkeypatch.setattr(executor_mod, "_PARALLEL_MIN_CELLS", 0)
         block = _sparse_as_dense_block(120, 90, 0.01)
         X = api.matrix(block, name="X", nnz_unknown=True)
         roots = [X * 2.0, api.abs_(X) * X, X * 0.5 * X]  # wide remainder

@@ -6,16 +6,9 @@ import pytest
 from repro import api
 from repro.compiler.execution import Engine
 from repro.config import CodegenConfig
-from repro.runtime import executor as executor_mod
 from repro.runtime.executor import ProgramExecutor
 from repro.runtime.matrix import MatrixBlock
 from tests.conftest import ALL_MODES
-
-
-@pytest.fixture
-def tiny_ops_parallel(monkeypatch):
-    """Let the thread pool take the tiny operators of these tests."""
-    monkeypatch.setattr(executor_mod, "_PARALLEL_MIN_CELLS", 0)
 
 
 def _parallel_engine(mode="base", threads=4, **kwargs):
@@ -41,7 +34,6 @@ def _substitute(program, instr, compute):
         fused_match=match,
         dep_indices=instr.dep_indices,
         dependent_indices=instr.dependent_indices,
-        weight=instr.weight,
     )
 
 
@@ -50,7 +42,7 @@ def _branches(rng, n=3, size=30):
     return [(api.exp(m * 0.5) + m * 2.0).sum() for m in mats]
 
 
-@pytest.mark.usefixtures("tiny_ops_parallel")
+@pytest.mark.usefixtures("parallel_tiny_ops")
 class TestParallelSerialParity:
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_identical_results_all_modes(self, mode, rng):
@@ -94,7 +86,7 @@ class TestParallelSerialParity:
         assert engine.stats.n_parallel_runs == 3
 
 
-@pytest.mark.usefixtures("tiny_ops_parallel")
+@pytest.mark.usefixtures("parallel_tiny_ops")
 class TestSchedulingStats:
     def test_parallel_stats_recorded(self, rng):
         engine = _parallel_engine()
@@ -140,7 +132,6 @@ class TestSchedulingStats:
                     fused_match=Blocking(MatrixBlock(np.ones((8, 8)))),
                     dep_indices=instr.dep_indices,
                     dependent_indices=instr.dependent_indices,
-                    weight=instr.weight,
                 )
         engine.executor.run(program)
         assert engine.stats.executor_max_concurrency >= 2
@@ -201,14 +192,14 @@ class TestHeuristicFallback:
         assert engine.stats.n_serial_runs == 1
         assert engine.stats.n_parallel_runs == 0
 
-    def test_single_thread_forces_serial(self, rng, tiny_ops_parallel):
+    def test_single_thread_forces_serial(self, rng, parallel_tiny_ops):
         config = CodegenConfig(executor_threads=1)
         engine = Engine(mode="base", config=config)
         api.eval_all(_branches(rng), engine=engine)
         assert engine.stats.n_parallel_runs == 0
 
 
-@pytest.mark.usefixtures("tiny_ops_parallel")
+@pytest.mark.usefixtures("parallel_tiny_ops")
 class TestEagerFreeing:
     def test_intermediates_freed_early(self, rng):
         engine = _serial_engine()
@@ -240,7 +231,7 @@ class TestEagerFreeing:
         assert results[1] == pytest.approx(results[0].to_dense().sum())
 
 
-@pytest.mark.usefixtures("tiny_ops_parallel")
+@pytest.mark.usefixtures("parallel_tiny_ops")
 class TestErrorPropagation:
     def test_parallel_executor_propagates_kernel_errors(self, rng):
         engine = _parallel_engine()
@@ -270,7 +261,6 @@ class TestErrorPropagation:
             )(),
             dep_indices=broken.dep_indices,
             dependent_indices=broken.dependent_indices,
-            weight=broken.weight,
         )
         with pytest.raises(Boom):
             engine.executor.run(program)

@@ -16,7 +16,6 @@ from repro.codegen.template import TemplateType
 from repro.compiler.execution import Engine
 from repro.config import CodegenConfig
 from repro.errors import RuntimeExecError
-from repro.runtime import executor as executor_mod
 from repro.runtime import parallel as parallel_mod
 from repro.runtime import skeletons
 from repro.runtime.compressed import compress
@@ -36,9 +35,9 @@ def _serial_engine() -> Engine:
 
 
 def _parallel_engine(threads: int = 4, **kwargs) -> Engine:
-    config = CodegenConfig(
-        intra_op_threads=threads, intra_op_min_cells=1, **kwargs
-    )
+    """Splits only under the ``parallel_tiny_ops`` fixture: the inputs
+    here are below the parallelism threshold."""
+    config = CodegenConfig(intra_op_threads=threads, **kwargs)
     return Engine(mode="gen", config=config)
 
 
@@ -79,6 +78,7 @@ _CELL_RECIPES = {
 
 @pytest.mark.parametrize("storage", ["dense", "sparse", "compressed"])
 @pytest.mark.parametrize("out_type", sorted(_CELL_RECIPES))
+@pytest.mark.usefixtures("parallel_tiny_ops")
 def test_cell_grid_parallel_matches_serial(out_type, storage):
     main = _main_block(storage)
     side = np.random.default_rng(5).uniform(0.5, 1.5, (ROWS, COLS))
@@ -106,6 +106,7 @@ _ROW_RECIPES = {
 
 @pytest.mark.parametrize("storage", ["dense", "sparse", "compressed"])
 @pytest.mark.parametrize("out_type", sorted(_ROW_RECIPES))
+@pytest.mark.usefixtures("parallel_tiny_ops")
 def test_row_grid_parallel_matches_serial(out_type, storage):
     main = _main_block(storage)
     vec = np.random.default_rng(6).uniform(0.1, 1.0, (COLS, 1))
@@ -135,6 +136,7 @@ _OUTER_RECIPES = {
 
 @pytest.mark.parametrize("storage", ["sparse", "dense"])
 @pytest.mark.parametrize("out_type", sorted(_OUTER_RECIPES))
+@pytest.mark.usefixtures("parallel_tiny_ops")
 def test_outer_grid_parallel_matches_serial(out_type, storage):
     rng = np.random.default_rng(9)
     if storage == "sparse":
@@ -159,6 +161,7 @@ def test_outer_grid_parallel_matches_serial(out_type, storage):
 # ----------------------------------------------------------------------
 # Determinism: fixed partition count + fixed combine topology
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("parallel_tiny_ops")
 class TestParallelDeterminism:
     """Repeated parallel runs must be bit-identical, not just allclose —
     the partition count comes from the config and the tree-reduce pairs
@@ -221,6 +224,7 @@ class TestCompressedRowAlignedSides:
 
         return build
 
+    @pytest.mark.usefixtures("parallel_tiny_ops")
     def test_intra_op_parallel_matches_serial(self):
         build = self._setup()
         serial = _as_arrays(api.eval_all(build(), engine=_serial_engine()))
@@ -242,6 +246,7 @@ class TestCompressedRowAlignedSides:
         np.testing.assert_allclose(spark[0], serial[0], rtol=1e-9)
 
 
+@pytest.mark.usefixtures("parallel_tiny_ops")
 def test_parallel_summary_keys():
     """The intra-op counters, read as ``RuntimeStats`` fields; the mean
     partition count is derived here, where it is used."""
@@ -416,6 +421,7 @@ class TestThreadBudget:
 
 
 class TestOversubscriptionGuard:
+    @pytest.mark.usefixtures("parallel_tiny_ops")
     def test_nested_layers_stay_within_budget(self, monkeypatch):
         """Serving workers + parallel executor + intra-op partitioning
         never hold more tokens than the configured budget."""
@@ -423,14 +429,9 @@ class TestOversubscriptionGuard:
 
         budget = ThreadBudget(total=4)
         monkeypatch.setattr(parallel_mod, "_BUDGET", budget)
-        monkeypatch.setattr(executor_mod, "_PARALLEL_MIN_CELLS", 0)
         engine = Engine(
             mode="gen",
-            config=CodegenConfig(
-                executor_threads=2,
-                intra_op_threads=4,
-                intra_op_min_cells=1,
-            ),
+            config=CodegenConfig(executor_threads=2, intra_op_threads=4),
         )
         rng = np.random.default_rng(3)
         weights = rng.uniform(0.1, 1.0, (COLS, 1))
@@ -476,6 +477,7 @@ class TestOversubscriptionGuard:
         assert engine.stats.n_intra_op_parallel == 0
         assert engine.stats.n_intra_op_partitions == 0
 
+    @pytest.mark.usefixtures("parallel_tiny_ops")
     def test_exhausted_budget_degrades_to_caller_thread(self, monkeypatch):
         """With the budget fully claimed, intra-op execution still
         completes (serially on the calling thread) and records a

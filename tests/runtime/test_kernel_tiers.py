@@ -240,6 +240,7 @@ def test_elementwise_kernels_bit_identical():
         assert np.array_equal(actual, expected)
 
 
+@pytest.mark.usefixtures("parallel_tiny_ops")
 def test_kernels_compose_with_intra_op_parallelism():
     """Partition-wise execution agrees with one-partition execution."""
     data = np.random.default_rng(41).uniform(0.1, 1.0, (256, 32))
@@ -249,8 +250,7 @@ def test_kernels_compose_with_intra_op_parallelism():
         return [(x * x).sum(), api.sigmoid(x) * 2.0]
 
     serial = _as_arrays(api.eval_all(build(), engine=_engine()))
-    engine = Engine(mode="gen", config=CodegenConfig(
-        intra_op_threads=4, intra_op_min_cells=1))
+    engine = Engine(mode="gen", config=CodegenConfig(intra_op_threads=4))
     parallel = _as_arrays(api.eval_all(build(), engine=engine))
     for expected, actual in zip(serial, parallel):
         np.testing.assert_allclose(actual, expected, rtol=1e-9, atol=1e-12)
@@ -264,12 +264,22 @@ def test_kernels_compose_with_intra_op_parallelism():
 # ----------------------------------------------------------------------
 _EXECUTION_CONFIGS = {
     "serial": dict(intra_op_threads=1),
-    "intra-op-2": dict(intra_op_threads=2, intra_op_min_cells=1),
+    "intra-op-2": dict(intra_op_threads=2),
     "spark": dict(cluster=ClusterConfig(n_workers=2), local_mem_budget=1e4),
     "spark-mp": dict(cluster=ClusterConfig(n_workers=2),
                      local_mem_budget=1e4,
                      distributed_backend="multiprocess", mp_workers=2),
 }
+
+
+def _execution_engine(execution: str, request) -> Engine:
+    """A gen engine for one leg; the intra-op leg splits these small
+    inputs only under the ``parallel_tiny_ops`` fixture."""
+    if execution == "intra-op-2":
+        request.getfixturevalue("parallel_tiny_ops")
+    return Engine(mode="gen",
+                  config=CodegenConfig(**_EXECUTION_CONFIGS[execution]))
+
 
 _SPARSE_ROW_RECIPES = {
     "no_agg": lambda x, v: [x * api.sigmoid(x @ v)],
@@ -282,7 +292,8 @@ _SPARSE_ROW_RECIPES = {
 
 @pytest.mark.parametrize("execution", ["serial", "intra-op-2", "spark"])
 @pytest.mark.parametrize("out_type", sorted(_SPARSE_ROW_RECIPES))
-def test_sparse_row_densifies_in_chunks(out_type, execution, monkeypatch):
+def test_sparse_row_densifies_in_chunks(out_type, execution, monkeypatch,
+                                        request):
     """The element-wise use of the main rules out running on the CSR:
     the Row driver densifies row chunks and combines their results."""
     rows, cols, chunk_rows = 200, 24, 17
@@ -298,8 +309,7 @@ def test_sparse_row_densifies_in_chunks(out_type, execution, monkeypatch):
                                              api.matrix(vec, "v"))
 
     oracle = _as_arrays(api.eval_all(build(), engine=_engine("base")))
-    engine = Engine(mode="gen",
-                    config=CodegenConfig(**_EXECUTION_CONFIGS[execution]))
+    engine = _execution_engine(execution, request)
     actual = _as_arrays(api.eval_all(build(), engine=engine))
     for expected, got in zip(oracle, actual):
         np.testing.assert_allclose(got, expected, rtol=RTOL, atol=1e-12)
@@ -346,7 +356,8 @@ def _chunked_main(storage: str, rows: int, cols: int) -> MatrixBlock:
 @pytest.mark.parametrize("execution", sorted(_PARTS))
 @pytest.mark.parametrize("template,out_type,storage", _CHUNKED_CASES)
 def test_cell_and_outer_drivers_run_in_chunks(template, out_type, storage,
-                                              execution, monkeypatch):
+                                              execution, monkeypatch,
+                                              request):
     """Every part of every leg spans at least three chunks: a 1,024
     non-zero budget cuts CSR mains into chunks of at most 16 rows, and
     dense Outer drivers run 16-row chunks.  Each chunk with non-zeros
@@ -389,8 +400,7 @@ def test_cell_and_outer_drivers_run_in_chunks(template, out_type, storage,
 
     oracle = _as_arrays(api.eval_all(build(), engine=_engine("base")))
     assert not calls
-    engine = Engine(mode="gen",
-                    config=CodegenConfig(**_EXECUTION_CONFIGS[execution]))
+    engine = _execution_engine(execution, request)
     actual = _as_arrays(api.eval_all(build(), engine=engine))
     for expected, got in zip(oracle, actual):
         np.testing.assert_allclose(got, expected, rtol=1e-8, atol=1e-11)
@@ -499,15 +509,14 @@ def _poison_literals(monkeypatch):
 
 
 @pytest.mark.parametrize("execution", ["serial", "intra-op-2", "spark-mp"])
-def test_raising_kernel_fails_the_run(execution, monkeypatch):
+def test_raising_kernel_fails_the_run(execution, monkeypatch, request):
     """A generated function that raises is a compiler bug: the run
     fails with the operator's name instead of falling back."""
     _poison_literals(monkeypatch)
     shm = Path("/dev/shm")
     segments_before = set(shm.iterdir())
     data = np.random.default_rng(3).uniform(0.1, 1.0, (3000, 20))
-    engine = Engine(mode="gen",
-                    config=CodegenConfig(**_EXECUTION_CONFIGS[execution]))
+    engine = _execution_engine(execution, request)
     with pytest.raises(RuntimeExecError) as info:
         api.eval((api.matrix(data, "X") * 2.0 + 1.0).sum(), engine=engine)
     (operator,) = engine.plan_cache._cache.values()

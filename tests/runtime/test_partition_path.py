@@ -9,8 +9,11 @@ side inputs with ``skeletons.partition_values`` and combine with
 Intra-op execution must never reach the distributed executor, its
 ``BlockedMatrix.partition`` or ``ops.rix``.
 
-The intra-op gate is one function, ``CodegenConfig.intra_op_partitions``;
-the runtime and the cost model must agree at each of its boundaries.
+Lowering decides an operator's part count once
+(``parallel.intra_op_parts``, carried as ``Instruction.parts``): at
+each boundary of that gate the runtime splits into exactly the carried
+count and the cost model credits the same one.  A SPARK-typed operator
+carries one part, since its partitions never nest another fan-out.
 """
 
 from types import SimpleNamespace
@@ -25,6 +28,7 @@ from repro.codegen.template import TemplateType
 from repro.compiler.execution import Engine
 from repro.config import ClusterConfig, CodegenConfig
 from repro.hops.hop import DataOp
+from repro.hops.types import ExecType
 from repro.runtime import ops as rops
 from repro.runtime.distributed import BlockedMatrix, SparkExecutor
 from repro.runtime.matrix import MatrixBlock
@@ -142,11 +146,8 @@ def test_intra_op_and_distributed_parts_agree(monkeypatch, name, rows,
         for attr, member in list(vars(SparkExecutor).items()):
             if callable(member) or isinstance(member, property):
                 spy.setattr(SparkExecutor, attr, _forbidden)
-        local = execute_operator(
-            hop.operator, values,
-            CodegenConfig(intra_op_threads=PARTS, intra_op_min_cells=1),
-            stats,
-        )
+        local = execute_operator(hop.operator, values, CodegenConfig(),
+                                 stats, parts=PARTS)
     assert stats.n_intra_op_parallel == 1
     assert stats.n_intra_op_partitions == PARTS
 
@@ -158,35 +159,65 @@ def test_intra_op_and_distributed_parts_agree(monkeypatch, name, rows,
     assert np.array_equal(_array(local), _array(distributed))
 
 
+@pytest.mark.usefixtures("always_enumerate", "parallel_tiny_ops")
+def test_spark_typed_operator_carries_one_part():
+    """The same operator on the ``spark`` leg: lowered SPARK-typed it
+    carries one part, and its partitions still give the intra-op
+    split's result."""
+    _, _, cols, recipe = RECIPES["cell-row-agg"]
+    config = CodegenConfig(intra_op_threads=PARTS,
+                           cluster=ClusterConfig(n_workers=2),
+                           local_mem_budget=1e3)
+    engine = Engine(mode="gen", config=config)
+    program = engine.compile([e.hop for e in recipe(_handles(102, cols))])
+    (instr,) = [i for i in program.instructions if i.opcode == "spoof"]
+    assert instr.hop.exec_type is ExecType.SPARK
+    assert instr.parts == 1
+    (distributed,) = engine.executor.run(program)
+    assert engine.stats.n_intra_op_parallel == 0
+
+    values = [h.data if isinstance(h, DataOp) else h.value
+              for h in instr.hop.inputs]
+    stats = RuntimeStats()
+    local = execute_operator(instr.hop.operator, values, config, stats,
+                             parts=PARTS)
+    assert stats.n_intra_op_partitions == PARTS
+    assert np.array_equal(_array(local), _array(distributed))
+
+
 # ----------------------------------------------------------------------
-# One intra-op gate
+# One intra-op gate, decided at lowering
 # ----------------------------------------------------------------------
 def _boundary_shapes():
-    """(threads, rows, cols, min_cells) at both sides of both gates:
-    rows = 2n-1 / 2n, cells = min-1 / min."""
+    """(threads, rows, cols, threshold) at both sides of both gates:
+    rows = 2n-1 / 2n, cells = threshold-1 / threshold."""
     for threads in (2, 3, 4):
         for rows in (2 * threads - 1, 2 * threads):
             for cols in (1, 5):
-                for min_cells in (rows * cols, rows * cols + 1):
-                    yield threads, rows, cols, min_cells
+                for threshold in (rows * cols, rows * cols + 1):
+                    yield threads, rows, cols, threshold
 
 
-@pytest.mark.parametrize("threads, rows, cols, min_cells",
-                         list(_boundary_shapes()))
+# The last column is the parallelism threshold, set through the fixture.
+@pytest.mark.parametrize("threads, rows, cols, parallel_tiny_ops",
+                         list(_boundary_shapes()),
+                         indirect=["parallel_tiny_ops"])
 def test_runtime_and_cost_model_share_the_gate(threads, rows, cols,
-                                               min_cells):
-    config = CodegenConfig(intra_op_threads=threads,
-                           intra_op_min_cells=min_cells)
+                                               parallel_tiny_ops):
+    config = CodegenConfig(intra_op_threads=threads)
     x = api.matrix(np.random.default_rng(rows).uniform(0.1, 1.0,
                                                        (rows, cols)), "X")
     engine = Engine(mode="gen", config=config)
-    api.eval((x * 2.0).sum(), engine=engine)
+    program = engine.compile([(x * 2.0).sum().hop])
+    (instr,) = [i for i in program.instructions if i.opcode == "spoof"]
+    engine.executor.run(program)
     runtime_parts = max(1, engine.stats.n_intra_op_partitions)
 
     cost = CostEstimator(None, config, {})
     cv = SimpleNamespace(ttype=TemplateType.CELL, inputs={0: x.hop})
-    assert cost._intra_op_parallelism(cv) == runtime_parts
+    assert instr.parts == runtime_parts == cost._intra_op_parallelism(cv)
 
-    expected = (threads if rows >= 2 * threads and rows * cols >= min_cells
+    threshold = parallel_tiny_ops
+    expected = (threads if rows >= 2 * threads and rows * cols >= threshold
                 else 1)
-    assert config.intra_op_partitions(rows, cols) == expected == runtime_parts
+    assert runtime_parts == expected

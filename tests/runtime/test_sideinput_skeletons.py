@@ -105,10 +105,10 @@ class TestSkeletonEdgeCases:
 
     @pytest.mark.parametrize("config", [
         {"intra_op_threads": 1},
-        {"intra_op_threads": 4, "intra_op_min_cells": 1},
+        {"intra_op_threads": 4},
     ], ids=["serial", "intra-op-4"])
     def test_row_operator_multiplies_a_csr_side_without_densifying(
-        self, rng, monkeypatch, config
+        self, rng, monkeypatch, request, config
     ):
         """ALS-CG's gradient shape: the side ``X`` of ``A @ F - X @ F``
         is only ever the left operand of a multiply, so the Row driver
@@ -127,6 +127,9 @@ class TestSkeletonEdgeCases:
             return [a @ f - x @ f]
 
         base = api.eval_all(build(), engine=make_engine("base"))[0]
+        if config["intra_op_threads"] > 1:
+            # 300 x 40 is below the parallelism threshold.
+            request.getfixturevalue("parallel_tiny_ops")
         engine = make_engine("gen", **config)
 
         def no_densify(self):
