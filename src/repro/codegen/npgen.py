@@ -13,7 +13,11 @@ from the CPlan rather than from generated text:
 * **CSR bindings** (:func:`csr_safe_inputs`) — a Row input the body
   only ever multiplies (the main when every use of it is a matrix
   multiply, *CSR-main-safe*; a row-aligned side when every use is the
-  left operand of one) is passed as CSR and never densified.
+  left operand of one) is passed as CSR and never densified;
+* **temporaries** (:func:`body_temporaries`) — how many block-sized
+  arrays ``genbody`` holds at once, which
+  :func:`~repro.runtime.npexec.chunk_bounds` scales by the block's
+  widths to size the driver's chunks.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from repro.analysis.kernel_lint import check_source
 from repro.codegen.cplan import Access, CNode, CPlan, OutType
 from repro.codegen.pygen import GeneratedOperator, generate_source
 from repro.codegen.template import TemplateType
+from repro.hops.hop import topological_order
 
 
 def generate_kernel_source(cplan: CPlan) -> tuple[str, str, bool, tuple]:
@@ -141,6 +146,14 @@ def csr_safe_inputs(cplan: CPlan) -> frozenset:
     return frozenset(safe & referenced)
 
 
+def body_temporaries(cplan: CPlan) -> int:
+    """The arrays ``genbody`` holds at once: one per body node that is
+    not an input or a literal (``uv`` included), since every ``t<k>``
+    stays alive until the body returns."""
+    return sum(1 for node in topological_order(cplan.roots)
+               if node.op not in ("data", "lit"))
+
+
 def compile_kernel(cplan: CPlan, config, stats=None) -> GeneratedOperator:
     """Emit, lint and compile a fused operator's ``genbody``.
 
@@ -159,4 +172,5 @@ def compile_kernel(cplan: CPlan, config, stats=None) -> GeneratedOperator:
         with stats.lock:
             stats.n_kernel_compiles += 1
     return GeneratedOperator(name, cplan, source, genbody, csr_main_safe,
-                             csr_sides, einsum_operands(cplan))
+                             csr_sides, einsum_operands(cplan),
+                             body_temporaries(cplan))

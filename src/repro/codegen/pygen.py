@@ -87,6 +87,9 @@ class GeneratedOperator:
     # FULL/MULTI_AGG Cell and MAgg, per root: the positions in
     # ``(a, *b)`` of the factors one ``np.einsum`` sums, or None.
     einsum: tuple
+    # Block-sized arrays the body holds at once; the drivers' chunks
+    # scale it by the block's widths (``npexec.chunk_bounds``).
+    temporaries: int
 
 
 def generate_source(cplan: CPlan) -> tuple[str, str]:

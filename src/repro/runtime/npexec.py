@@ -28,9 +28,12 @@ output epilogue:
   as a CSR over the driver's pattern or as a dense array, are the
   output, their sum, or one matmul with W.
 
-No driver loops over chunks or offsets into a side input.
-:func:`chunk_bounds` names the row ranges that keep a block's
-temporaries within ``_CHUNK_CELLS``, and
+No driver loops over chunks or offsets into a side input.  Every
+driver runs its block in one pass, so the block bounds its temporaries:
+:func:`chunk_bounds` names the row ranges that keep them within one
+byte budget, ``_CHUNK_BYTES`` — dense and CSR mains of every template
+alike, from the operator's count of body arrays
+(:func:`repro.codegen.npgen.body_temporaries`) and the block's widths.
 :mod:`repro.runtime.skeletons` cuts the inputs into those chunks and
 combines the chunk results, the same way it does for intra-operator and
 distributed partitions.  Inputs arrive decompressed, except the main
@@ -52,39 +55,70 @@ from repro.runtime.vector import AGG
 
 _CELL_TEMPLATES = (TemplateType.CELL, TemplateType.MAGG)
 
-#: Cell budget of one chunk: non-zeros per sparse Cell chunk, ``uv``
-#: cells (cells x rank) per Outer chunk, densified cells per Row chunk
-#: — it bounds the temporaries a driver materializes at a time.
-_CHUNK_CELLS = 1 << 22
+#: Byte budget of one chunk's live temporaries, the one chunk constant:
+#: :func:`chunk_bounds` sizes every driver's chunks so that the arrays
+#: the body and its driver hold at once fit in it.  Picked from a 1-8 MB
+#: sweep on a 2-CPU x86 VM: past about 2 MB a chunk's temporaries outgrow
+#: what the allocator keeps mapped between calls, and every call
+#: page-faults them in afresh.
+_CHUNK_BYTES = 1 << 21
 
 
 def chunk_bounds(operator, inputs: list) -> list[tuple[int, int]]:
     """The row ranges the driver runs one block each over.
 
-    A sparse-safe Cell/MAgg CSR main takes about ``_CHUNK_CELLS``
-    non-zeros per chunk and an Outer CSR driver ``_CHUNK_CELLS // rank``
-    (see :func:`_nnz_bounds`); a row over the budget at a chunk's start
-    is a chunk of its own.  A dense Outer driver takes rows of
-    ``_CHUNK_CELLS // rank`` cells, at least 16, and a CSR Row main the
-    body must densify rows of ``_CHUNK_CELLS`` cells.  Anything else is
-    one range.
+    A chunk holds ``operator.temporaries`` body arrays, each as wide as
+    the widest one can be, plus what the driver gathers or densifies;
+    each chunk keeps that within ``_CHUNK_BYTES`` of float64 cells, at
+    one row at least:
+
+    * a CSR main the driver runs over its non-zeros (sparse-safe Cell
+      and MAgg, Outer) — per non-zero, the body arrays, the repeated row
+      index, one gathered value per side and, for Outer, the two
+      gathered factor rows of ``rank`` cells each.  A chunk ends at the
+      first row boundary a budget past its start (:func:`_nnz_bounds`);
+    * any other main — per row, the body arrays times the main's
+      columns (Cell, MAgg, Outer) or, for Row, times the widest input
+      the body does more with than multiply: the main's columns unless
+      it is CSR-main-safe, each side's columns unless it is one of
+      ``operator.csr_sides``, and at least 1.  A CSR main the driver
+      densifies adds its dense copy.
+
+    A compressed main is one range.
     """
     cplan = operator.cplan
     main = inputs[cplan.main_index]
     rows, cols = main.shape
     if isinstance(main, CompressedMatrix):
         return [(0, rows)]
-    if cplan.ttype is TemplateType.OUTER:
-        budget = _CHUNK_CELLS // max(1, inputs[cplan.u_index].cols)
-        if main.is_sparse:
-            return _nnz_bounds(main.to_csr().indptr, budget)
-        return _step_bounds(rows, max(16, budget // max(1, cols)))
-    if main.is_sparse:
-        if cplan.ttype in _CELL_TEMPLATES and cplan.sparse_safe:
-            return _nnz_bounds(main.to_csr().indptr, _CHUNK_CELLS)
-        if cplan.ttype is TemplateType.ROW and not operator.csr_main_safe:
-            return _step_bounds(rows, max(1, _CHUNK_CELLS // max(1, cols)))
-    return [(0, rows)]
+    cells = _CHUNK_BYTES // 8  # float64
+    not_sides = (cplan.main_index, cplan.u_index, cplan.v_index,
+                 cplan.w_index)
+    side_cols = [
+        value.cols
+        for idx, (spec, value) in enumerate(zip(cplan.inputs, inputs))
+        if spec.access is not Access.SCALAR and idx not in not_sides
+    ]
+    ttype = cplan.ttype
+    if main.is_sparse and (ttype is TemplateType.OUTER or (
+            ttype in _CELL_TEMPLATES and cplan.sparse_safe)):
+        per_nnz = operator.temporaries + 1 + len(side_cols)
+        if ttype is TemplateType.OUTER:
+            per_nnz += 2 * inputs[cplan.u_index].cols
+        return _nnz_bounds(main.to_csr().indptr, max(1, cells // per_nnz))
+    width = cols
+    if ttype is TemplateType.ROW:
+        # An input the body only multiplies is never as wide as a
+        # temporary: the product takes the other factor's width.
+        width = max([1 if operator.csr_main_safe else cols] + [
+            w for slot, w in enumerate(side_cols)
+            if slot not in operator.csr_sides
+        ])
+    per_row = operator.temporaries * width
+    if main.is_sparse and not (ttype is TemplateType.ROW
+                               and operator.csr_main_safe):
+        per_row += cols
+    return _step_bounds(rows, max(1, cells // max(1, per_row)))
 
 
 def _nnz_bounds(indptr, budget: int) -> list[tuple[int, int]]:
@@ -343,7 +377,8 @@ def _execute_outer(operator, inputs):
         flat = csr.data
         if csr.nnz:
             row_idx = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
-            uv = np.einsum("ij,ij->i", u_arr[row_idx], v_arr[csr.indices])
+            uv = np.einsum("ij,ij->i", np.take(u_arr, row_idx, axis=0),
+                           np.take(v_arr, csr.indices, axis=0))
             side_vals = [s.gather(row_idx, csr.indices) for s in sides]
             flat = np.broadcast_to(
                 operator.genbody(csr.data, uv, side_vals, scalars),

@@ -11,9 +11,10 @@ generated code once over that block.
 This module is the one place that cuts a fused operator's main input
 into row ranges, resolves its side inputs per range and puts the
 partials back together.  Intra-operator partitions, the drivers' chunks
-(:func:`~repro.runtime.npexec.chunk_bounds`: non-zero budgets for CSR
-Cell and Outer, row budgets for dense Outer and densified Row) and the
-distributed backend's partitions all go through the same three pieces:
+(:func:`~repro.runtime.npexec.chunk_bounds`: one byte budget for the
+temporaries of every driver, counted in non-zeros for CSR Cell and
+Outer drivers and in rows for every other main) and the distributed
+backend's partitions all go through the same three pieces:
 
 * :func:`row_parts` — the row slicer: dense views, CSR row ranges
   (:meth:`~repro.runtime.distributed.BlockedMatrix.partition` cuts
@@ -28,7 +29,10 @@ distributed backend's partitions all go through the same three pieces:
   the one binary :func:`combine_pair`.
 
 Chunks run serially on the thread that runs their part or partition;
-an operator that fits one chunk goes to its driver unsliced.
+an operator that fits one chunk goes to its driver unsliced.  A chunk
+boundary depends on the part's shape and non-zeros alone, so the same
+part chunks the same way in any thread or worker process, and an
+aggregate over several chunks gets the same bits on every run.
 
 Large operators execute *intra-operator parallel*: the main input
 splits into a fixed number of parts (row ranges, or compressed

@@ -4,7 +4,8 @@ Template x out-type x main-storage grid asserting that the generated
 operators reproduce ``Engine(mode="base")`` — unfused ``runtime/ops.py``
 kernels, which share no code with the generated bodies or their
 drivers — plus the Row driver's chunked densification of CSR mains,
-the Cell and Outer drivers over inputs larger than one chunk,
+the Cell and Outer drivers over inputs larger than one chunk, dense
+Cell, MAgg and Row mains in chunks at the shipped budget on every leg,
 failure propagation out of generated code on every backend, kernel
 sharing through the plan cache and serving specializations, and the
 source-hash compile cache.
@@ -297,9 +298,11 @@ def test_sparse_row_densifies_in_chunks(out_type, execution, monkeypatch,
     """The element-wise use of the main rules out running on the CSR:
     the Row driver densifies row chunks and combines their results."""
     rows, cols, chunk_rows = 200, 24, 17
-    # 200 rows, 100 per intra-op partition, 50 per spark partition: every
-    # driver call sees at least three chunks, the last one ragged.
-    monkeypatch.setattr(npexec, "_CHUNK_CELLS", chunk_rows * cols)
+    # 200 rows, 100 per intra-op partition, 50 per spark partition.  A
+    # budget of 17 rows of 24 cells, shared by the body's arrays and the
+    # dense copy of the main, leaves at most 8 rows a chunk: every
+    # driver call sees at least three chunks.
+    monkeypatch.setattr(npexec, "_CHUNK_BYTES", 8 * chunk_rows * cols)
     main = MatrixBlock.rand(rows, cols, sparsity=0.15, seed=23,
                             low=0.2, high=1.5)
     vec = np.random.default_rng(6).uniform(0.1, 1.0, (cols, 1))
@@ -317,7 +320,8 @@ def test_sparse_row_densifies_in_chunks(out_type, execution, monkeypatch,
     assert operator.cplan.out_type.value == out_type
     assert not operator.csr_main_safe
     if execution != "spark":  # its partitions run without a stats object
-        assert engine.stats.n_format_conversions >= 1
+        # One densified chunk, one conversion.
+        assert engine.stats.n_format_conversions >= 3 * _PARTS[execution]
 
 
 # ----------------------------------------------------------------------
@@ -333,6 +337,27 @@ _CHUNKED_CASES = (
        for storage in ("sparse", "dense")
        for out in sorted(_OUTER_RECIPES)]
 )
+
+
+def _count_genbody_calls(monkeypatch) -> list:
+    """The size of ``a`` at every in-process ``genbody`` call of the
+    operators compiled from here on."""
+    from repro.codegen import plan_cache
+
+    calls = []
+    compile_operator = plan_cache.compile_operator
+
+    def counting_compile(*args, **kwargs):
+        genbody = compile_operator(*args, **kwargs)
+
+        def counting(*body_args):
+            calls.append(np.size(body_args[0]))
+            return genbody(*body_args)
+
+        return counting
+
+    monkeypatch.setattr(plan_cache, "compile_operator", counting_compile)
+    return calls
 
 
 def _chunked_main(storage: str, rows: int, cols: int) -> MatrixBlock:
@@ -358,26 +383,14 @@ def _chunked_main(storage: str, rows: int, cols: int) -> MatrixBlock:
 def test_cell_and_outer_drivers_run_in_chunks(template, out_type, storage,
                                               execution, monkeypatch,
                                               request):
-    """Every part of every leg spans at least three chunks: a 1,024
-    non-zero budget cuts CSR mains into chunks of at most 16 rows, and
-    dense Outer drivers run 16-row chunks.  Each chunk with non-zeros
+    """Every part of every leg spans at least three chunks: a budget of
+    4,096 cells, at 4 or more cells a non-zero (body arrays, row index,
+    gathered side or factor values), cuts CSR mains into chunks of at
+    most 16 rows, and dense Outer drivers, at 2 or more body arrays of
+    256 cells, into chunks of at most 8.  Each chunk with non-zeros
     calls ``genbody`` once; the one without calls it not at all."""
-    from repro.codegen import plan_cache
-
-    monkeypatch.setattr(npexec, "_CHUNK_CELLS", 1024)
-    calls = []
-    compile_operator = plan_cache.compile_operator
-
-    def counting_compile(*args, **kwargs):
-        genbody = compile_operator(*args, **kwargs)
-
-        def counting(*body_args):
-            calls.append(np.size(body_args[0]))
-            return genbody(*body_args)
-
-        return counting
-
-    monkeypatch.setattr(plan_cache, "compile_operator", counting_compile)
+    monkeypatch.setattr(npexec, "_CHUNK_BYTES", 8 * 4096)
+    calls = _count_genbody_calls(monkeypatch)
     # Wider than tall, the right-multiply is cheaper as an Outer
     # operator than as a Row one; taller than wide, the left one is.
     rows, cols = (256, 384) if out_type == "outer_right" else (384, 256)
@@ -410,8 +423,99 @@ def test_cell_and_outer_drivers_run_in_chunks(template, out_type, storage,
     assert 0 not in calls
 
 
+# ----------------------------------------------------------------------
+# Dense mains over several chunks at the shipped budget
+# ----------------------------------------------------------------------
+def _deep(x, y):
+    """A Cell body of 9 arrays: over 64 columns, 576 cells a row, so a
+    2 MB chunk takes 455 rows."""
+    z = x * y + 1.0
+    return api.sigmoid(z) * (x - y) + api.abs_(z - 2.0) * 0.5
+
+
+#: name -> (template, out type, recipe over X, Y and a vector v).
+_DENSE_CHUNK_RECIPES = {
+    "cell-no_agg": ("Cell", "no_agg", lambda x, y, v: [_deep(x, y)]),
+    "cell-row_agg": ("Cell", "row_agg",
+                     lambda x, y, v: [_deep(x, y).row_sums()]),
+    "cell-col_agg": ("Cell", "col_agg",
+                     lambda x, y, v: [_deep(x, y).col_sums()]),
+    "magg-full_agg": ("MAgg", "full_agg",
+                      lambda x, y, v: [_deep(x, y).sum()]),
+    "magg-multi_agg": ("MAgg", "multi_agg",
+                       lambda x, y, v: [_deep(x, y).sum(), (x * y).max()]),
+    "row-no_agg": ("Row", "no_agg",
+                   lambda x, y, v: [_deep(x, y) * api.sigmoid(x @ v)]),
+    "row-col_agg_t": ("Row", "col_agg_t",
+                      lambda x, y, v: [x.T @ (api.sigmoid(x @ v)
+                                              * _deep(x, y).row_sums())]),
+    "row-full_agg": ("Row", "full_agg",
+                     lambda x, y, v: [(_deep(x, y)
+                                       * api.sigmoid(x @ v)).sum()]),
+}
+
+
+_DENSE_CHUNK_PARTS = {**_PARTS, "spark-mp": 4}
+
+
+def _chunks_per_part(operator, values: list, parts: int) -> list[int]:
+    """How many chunks :func:`npexec.chunk_bounds` gives each of
+    ``parts`` parts: what every leg's driver calls, in this process or
+    a worker."""
+    from repro.runtime import skeletons
+
+    cplan = operator.cplan
+    main = values[cplan.main_index]
+    bounds = skeletons.partition_bounds(main.rows, parts)
+    plans = skeletons.spoof_plans(cplan, values, main.rows)
+    return [
+        len(npexec.chunk_bounds(operator, part))
+        for part in skeletons.partition_values(
+            plans, skeletons.row_parts(main, bounds), bounds)
+    ]
+
+
+@pytest.mark.parametrize("execution", sorted(_DENSE_CHUNK_PARTS))
+@pytest.mark.parametrize("name", sorted(_DENSE_CHUNK_RECIPES))
+def test_dense_mains_run_in_chunks(name, execution, monkeypatch, request):
+    """At the shipped budget, every part of every leg (worker processes
+    included) runs a dense main of 6,000 x 64 in at least three chunks;
+    the results match the base engine and repeat bit for bit."""
+    from repro.hops.hop import DataOp
+
+    ttype, out_type, recipe = _DENSE_CHUNK_RECIPES[name]
+    rng = np.random.default_rng(37)
+    xd, yd = rng.uniform(0.1, 1.0, (2, 6000, 64))
+    vd = rng.uniform(-1.0, 1.0, (64, 1))
+
+    def build():
+        return recipe(api.matrix(xd, "X"), api.matrix(yd, "Y"),
+                      api.matrix(vd, "v"))
+
+    oracle = _as_arrays(api.eval_all(build(), engine=_engine("base")))
+    calls = _count_genbody_calls(monkeypatch)
+    runs = []
+    for _ in range(2):
+        engine = _execution_engine(execution, request)
+        runs.append(_as_arrays(api.eval_all(build(), engine=engine)))
+        program = engine.compile([e.hop for e in build()])
+        engine.close()
+    for expected, got, again in zip(oracle, *runs):
+        np.testing.assert_allclose(got, expected, rtol=RTOL, atol=1e-12)
+        assert np.array_equal(got, again)
+    (hop,) = [i.hop for i in program.instructions if i.opcode == "spoof"]
+    cplan = hop.operator.cplan
+    assert (cplan.ttype.value, cplan.out_type.value) == (ttype, out_type)
+    values = [h.data if isinstance(h, DataOp) else h.value
+              for h in hop.inputs]
+    parts = _DENSE_CHUNK_PARTS[execution]
+    assert min(_chunks_per_part(hop.operator, values, parts)) >= 3
+    if execution != "spark-mp":  # its bodies run in the workers
+        assert len(calls) >= 2 * 3 * parts
+
+
 class _MainStub:
-    """What :func:`npexec.chunk_bounds` reads of a main input — shape,
+    """What :func:`npexec.chunk_bounds` reads of an input — shape,
     format and CSR row pointer — without allocating millions of
     non-zeros."""
 
@@ -426,63 +530,107 @@ class _MainStub:
         return self
 
 
-def _stub_operator(ttype: str, sparse_safe=True, csr_main_safe=False):
+def _stub_operator(ttype: str, temporaries: int, n_sides: int,
+                   sparse_safe=True, csr_main_safe=False, csr_sides=()):
+    """An operator over ``[main, *sides]``; an Outer one's first two
+    sides are U and V."""
     from types import SimpleNamespace
 
+    from repro.codegen.cplan import Access
     from repro.codegen.template import TemplateType
 
-    cplan = SimpleNamespace(ttype=TemplateType(ttype), main_index=0,
-                            u_index=1, sparse_safe=sparse_safe)
-    return SimpleNamespace(cplan=cplan, csr_main_safe=csr_main_safe)
+    outer = ttype == "Outer"
+    specs = [SimpleNamespace(access=Access.MAIN)] + [
+        SimpleNamespace(access=Access.SIDE_FULL)] * n_sides
+    cplan = SimpleNamespace(ttype=TemplateType(ttype), inputs=specs,
+                            main_index=0, u_index=1 if outer else -1,
+                            v_index=2 if outer else -1, w_index=-1,
+                            sparse_safe=sparse_safe)
+    return SimpleNamespace(cplan=cplan, temporaries=temporaries,
+                           csr_main_safe=csr_main_safe, csr_sides=csr_sides)
 
 
 def test_chunk_bounds_at_the_shipped_budget():
-    """Chunk boundaries at the shipped ``_CHUNK_CELLS`` = 4M cells,
-    computed by hand: moving them moves the bits of every multi-chunk
-    aggregate."""
-    budget = npexec._CHUNK_CELLS
-    assert budget == 1 << 22
-    quarter = budget // 4
+    """Chunk boundaries at the shipped ``_CHUNK_BYTES`` = 2 MB, i.e.
+    262,144 float64 cells, computed by hand: moving them moves the bits
+    of every multi-chunk aggregate."""
+    assert npexec._CHUNK_BYTES == 1 << 21
 
-    def bounds(ttype, main, rank=1, **flags):
-        rank_side = _MainStub(main.shape[0], rank)
-        return npexec.chunk_bounds(_stub_operator(ttype, **flags),
-                                   [main, rank_side])
+    def bounds(ttype, main, temporaries, *sides, **flags):
+        operator = _stub_operator(ttype, temporaries, len(sides), **flags)
+        return npexec.chunk_bounds(operator, [main, *sides])
 
-    # Cell over CSR: a chunk ends at the first row boundary a budget
-    # past its start.  Row 2 (2 budgets) starts a chunk, so it is one;
-    # the ragged last chunk takes the two empty rows behind it.
-    nnz = [2 * quarter, 2 * quarter, 2 * budget] + [quarter] * 5 + [0, 0]
-    main = _MainStub(10, 1 << 30, nnz)
-    assert bounds("Cell", main) == [(0, 2), (2, 3), (3, 7), (7, 10)]
-    assert bounds("MAgg", main) == [(0, 2), (2, 3), (3, 7), (7, 10)]
+    # Cell over CSR: 3 body arrays and the row index are 4 cells per
+    # non-zero, so a chunk ends at the first row boundary 65,536
+    # non-zeros past its start.  Row 2 (2 x 65,536) starts a chunk, so
+    # it is one; the ragged last chunk takes the two empty rows behind
+    # it.  A side's gathered value counts like a body array.
+    nnz_budget, quarter = 1 << 16, 1 << 14
+    nnz = [2 * quarter, 2 * quarter, 2 * nnz_budget] + [quarter] * 5 + [0, 0]
+    main = _MainStub(10, 1 << 20, nnz)
+    column = _MainStub(10, 1)
+    assert bounds("Cell", main, 3) == [(0, 2), (2, 3), (3, 7), (7, 10)]
+    assert bounds("MAgg", main, 2, column) == [(0, 2), (2, 3), (3, 7),
+                                               (7, 10)]
     # Trailing empty rows after a chunk that ends on a row boundary form
     # a chunk with no non-zeros.
-    assert bounds("Cell", _MainStub(3, 1 << 30, [budget, 0, 0])) == [
+    assert bounds("Cell", _MainStub(3, 1 << 20, [nnz_budget, 0, 0]), 3) == [
         (0, 1), (1, 3)]
-    # A plan that is not sparse-safe densifies the whole block.
-    assert bounds("Cell", main, sparse_safe=False) == [(0, 10)]
+    # A plan that is not sparse-safe densifies its chunks: 3 body arrays
+    # and the dense copy of 32,768 columns are 131,072 cells a row.
+    densified = _MainStub(10, 1 << 15, [3] * 10)
+    assert bounds("Cell", densified, 3, sparse_safe=False) == [
+        (0, 2), (2, 4), (4, 6), (6, 8), (8, 10)]
 
-    # Outer over CSR: rank 4 divides the budget by four, so the empty
-    # rows are a chunk of their own here.
-    assert bounds("Outer", main, rank=4) == [
+    # Outer over CSR: rank 6 gathers 2 x 6 factor cells a non-zero, and
+    # with 3 body arrays and the row index that is 16 cells, a budget of
+    # 16,384 non-zeros: the empty rows are a chunk of their own here.
+    u, v = _MainStub(10, 6), _MainStub(1 << 20, 6)
+    assert bounds("Outer", main, 3, u, v) == [
         (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8),
         (8, 10)]
-    # Outer over a dense driver so wide that a budget // rank of cells is
-    # 8 rows: the 16-row floor binds.
-    wide = _MainStub(40, 1 << 16)
-    assert bounds("Outer", wide, rank=8) == [(0, 16), (16, 32), (32, 40)]
+    # Outer over a dense driver: 2 body arrays of 8,192 columns leave 16
+    # rows a chunk, the last one ragged ...
+    u, v = _MainStub(40, 8), _MainStub(8192, 8)
+    assert bounds("Outer", _MainStub(40, 8192), 2, u, v) == [
+        (0, 16), (16, 32), (32, 40)]
     # ... and one narrow enough to be a single chunk.
-    assert bounds("Outer", _MainStub(40, 100), rank=8) == [(0, 40)]
+    assert bounds("Outer", _MainStub(40, 100), 2, u,
+                  _MainStub(100, 8)) == [(0, 40)]
 
-    # Row over CSR: one range when the body only multiplies the main,
-    # rows of a budget of densified cells when it reads them.
+    # Row over CSR.  A body that only multiplies the main (2 arrays, a
+    # vector side) is one range ...
     csr = _MainStub(10, 1 << 20, [3] * 10)
-    assert bounds("Row", csr, csr_main_safe=True) == [(0, 10)]
-    assert bounds("Row", csr) == [(0, 4), (4, 8), (8, 10)]
-    # Dense Row and Cell mains are one range.
-    assert bounds("Row", _MainStub(10, 1 << 20)) == [(0, 10)]
-    assert bounds("Cell", _MainStub(10, 1 << 20)) == [(0, 10)]
+    vector = _MainStub(1 << 20, 1)
+    assert bounds("Row", csr, 2, vector, csr_main_safe=True) == [(0, 10)]
+    # ... unless a side makes its arrays wide: X %*% W with W of 65,536
+    # columns is 131,072 cells a row.  A row-aligned side the body only
+    # left-multiplies, however wide, does not count.
+    wide_side, aligned = _MainStub(1 << 20, 1 << 16), _MainStub(10, 1 << 20)
+    assert bounds("Row", csr, 2, aligned, wide_side, csr_main_safe=True,
+                  csr_sides=(0,)) == [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10)]
+    # A body that reads the main's cells densifies rows: 3 arrays of
+    # 16,384 columns and the dense copy are 65,536 cells a row.
+    assert bounds("Row", _MainStub(10, 1 << 14, [3] * 10), 3) == [
+        (0, 4), (4, 8), (8, 10)]
+
+    # Dense mains.  A ragged last chunk: dense-l2svm's 10-array MAgg over
+    # one 100,000-row vector part, 26,214 rows a chunk.
+    assert bounds("MAgg", _MainStub(100_000, 1), 10, column) == [
+        (0, 26_214), (26_214, 52_428), (52_428, 78_642), (78_642, 100_000)]
+    # Its Row operator only multiplies the main, and its sides are
+    # vectors: 7 arrays one cell wide, 37,449 rows a chunk.
+    assert bounds("Row", _MainStub(100_000, 100), 7, column, column,
+                  csr_main_safe=True) == [
+        (0, 37_449), (37_449, 74_898), (74_898, 100_000)]
+    # A row over the budget is a chunk of its own.
+    assert bounds("Cell", _MainStub(3, 1 << 20), 1) == [(0, 1), (1, 2),
+                                                         (2, 3)]
+    assert bounds("Row", _MainStub(3, 1 << 20), 1) == [(0, 1), (1, 2),
+                                                        (2, 3)]
+    # A part smaller than the budget is one chunk: compile-glm's mains
+    # of 500 x 20 under 20 body arrays are 200,000 cells.
+    assert bounds("Cell", _MainStub(500, 20), 20) == [(0, 500)]
 
 
 # ----------------------------------------------------------------------

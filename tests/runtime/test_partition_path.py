@@ -7,7 +7,9 @@ backend.  Both cut the main input with ``skeletons.row_parts``, resolve
 side inputs with ``skeletons.partition_values`` and combine with
 ``skeletons.combine_partials``, so the results are ``array_equal``.
 Intra-op execution must never reach the distributed executor, its
-``BlockedMatrix.partition`` or ``ops.rix``.
+``BlockedMatrix.partition`` or ``ops.rix``.  A part that spans several
+driver chunks (``npexec.chunk_bounds``) cuts into the same chunks on
+either path, so the bits still agree.
 
 Lowering decides an operator's part count once
 (``parallel.intra_op_parts``, carried as ``Instruction.parts``): at
@@ -139,6 +141,13 @@ def test_intra_op_and_distributed_parts_agree(monkeypatch, name, rows,
     assert (bounds[-1][1] - bounds[-1][0] < bounds[0][1] - bounds[0][0]) \
         == (rows % PARTS != 0)
 
+    _assert_parts_agree(monkeypatch, hop, values, backend)
+
+
+def _assert_parts_agree(monkeypatch, hop, values: list, backend: str):
+    """The operator over ``PARTS`` intra-op parts, which never enter the
+    distributed path, and over as many distributed partitions on
+    ``backend``: ``array_equal``."""
     stats = RuntimeStats()
     with monkeypatch.context() as spy:
         spy.setattr(BlockedMatrix, "partition", classmethod(_forbidden))
@@ -157,6 +166,41 @@ def test_intra_op_and_distributed_parts_agree(monkeypatch, name, rows,
     assert spark.n_partitions == PARTS
     distributed = spark.execute_spoof(hop, values)
     assert np.array_equal(_array(local), _array(distributed))
+
+
+def _deep(h):
+    """A 9-array Cell body over ``x``: at 64 columns, 576 cells a row,
+    so the shipped 2 MB chunk budget takes 455 rows."""
+    z = h["x"] * h["c"] + 1.0
+    return api.sigmoid(z) * (h["x"] - h["r"]) + api.abs_(z - 2.0) * 0.5
+
+
+#: Dense mains of 4,000 x 64 whose 1,000-row parts each span three or
+#: more chunks at the shipped budget.
+CHUNKED_RECIPES = {
+    "cell-row-agg": (CELL, OutType.ROW_AGG,
+                     lambda h: [_deep(h).row_sums()]),
+    "magg-multi-agg": (MAGG, OutType.MULTI_AGG,
+                       lambda h: [_deep(h).sum(), (h["x"] * h["r"]).max()]),
+    "row-col-agg": (ROW, OutType.COL_AGG,
+                    lambda h: [(_deep(h) * api.sigmoid(h["x"] @ h["v"]))
+                               .col_sums()]),
+}
+
+
+@pytest.mark.parametrize("backend", ["simulated", "multiprocess"])
+@pytest.mark.parametrize("name", sorted(CHUNKED_RECIPES))
+def test_parts_of_several_chunks_agree(monkeypatch, name, backend):
+    """Driver chunks inside parts and partitions: every part cuts into
+    the same chunks on either path, so the bits still agree."""
+    from tests.runtime.test_kernel_tiers import _chunks_per_part
+
+    ttype, out_type, recipe = CHUNKED_RECIPES[name]
+    hop, values = _compiled(recipe, 4000, 64)
+    cplan = hop.operator.cplan
+    assert (cplan.ttype, cplan.out_type) == (ttype, out_type)
+    assert min(_chunks_per_part(hop.operator, values, PARTS)) >= 3
+    _assert_parts_agree(monkeypatch, hop, values, backend)
 
 
 @pytest.mark.usefixtures("always_enumerate", "parallel_tiny_ops")
