@@ -1,11 +1,9 @@
 """Intra-operator parallel fused execution: 1/2/4-thread scaling.
 
 One workload per template (Cell, MAgg, Row, Outer), each dominated by a
-single large fused operator — exactly the shape the inter-instruction
-scheduler cannot parallelize (one heavy instruction, no independent
-branches) and intra-operator row partitioning can.  Engines run with
-the serial instruction executor so the measured scaling isolates the
-partition workers.
+single large fused operator, so the measured scaling is the intra-op
+row partitioning's (instructions always run one at a time, in program
+order).
 
 On a multicore host the Row template must reach >= 1.3x at 4 threads
 over 1 thread; single-core hosts still execute (and verify) every
@@ -55,8 +53,7 @@ _CACHE: dict = {}
 #: ``RuntimeStats`` intra-operator counters reported per thread count.
 _STAT_FIELDS = ("n_intra_op_parallel", "n_intra_op_partitions",
                 "intra_op_combine_levels", "intra_op_max_threads",
-                "n_budget_degraded_runs", "n_parallel_runs",
-                "n_serial_runs", "executor_max_concurrency")
+                "n_serial_runs")
 
 
 def _data():
@@ -99,10 +96,7 @@ def _workloads():
 
 
 def _engine(threads: int) -> Engine:
-    # Serial instruction executor: single-operator programs leave the
-    # inter-instruction scheduler nothing to overlap anyway, and this
-    # pins the measurement on the intra-op partition workers.
-    config = CodegenConfig(executor_threads=1, intra_op_threads=threads)
+    config = CodegenConfig(intra_op_threads=threads)
     return Engine(mode="gen", config=config)
 
 

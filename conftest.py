@@ -22,12 +22,12 @@ def always_enumerate(monkeypatch):
 def parallel_tiny_ops(request, monkeypatch):
     """Treat every operator as big enough to parallelize.
 
-    One constant, ``parallel.PARALLEL_MIN_CELLS``, gates both the
-    executor's thread pool and intra-operator parts; this fixture sets
-    it to 1, or to ``request.param`` under indirect parametrization,
-    and returns the value.  Lowering reads it, so a test using this
-    fixture must compile in an ``Engine`` of its own: a program another
-    test compiled keeps the decisions it was lowered with."""
+    One constant, ``parallel.PARALLEL_MIN_CELLS``, gates intra-operator
+    parts; this fixture sets it to 1, or to ``request.param`` under
+    indirect parametrization, and returns the value.  Lowering reads
+    it, so a test using this fixture must compile in an ``Engine`` of
+    its own: a program another test compiled keeps the decisions it was
+    lowered with."""
     from repro.runtime import parallel
 
     threshold = getattr(request, "param", 1)

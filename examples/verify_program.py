@@ -63,7 +63,7 @@ def main() -> None:
           f"{engine.plan_cache.size} generated operator(s)")
 
     # 3. The lowered program's own report (slot discipline, refcounts,
-    # static use-after-free, dependency edges, recompile markers).
+    # static use-after-free, recompile markers, parallelism).
     print("\n== lowered program ==")
     print(format_report(verify_program(program, stage="post-lowering")))
     stats = engine.stats

@@ -29,16 +29,15 @@ boundaries, behind ``CodegenConfig.verify_level``:
     * declared ``consumer_counts`` equal the actual per-slot reads,
     * static use-after-free: simulating the executor's eager freeing
       with the *declared* counts never reads a freed slot,
-    * dependency edges match the producers of the input slots (and
-      their inverse ``dependent_indices``),
     * collect boundaries at every exec-type transition and at blocked
       program roots (distributed programs only),
     * recompile-marker discipline: ``spoof_out`` never marked, checked
       slots observed, ``recompile_segments()`` contiguously covering
       the instruction range — so spliced remainder programs re-enter
       the same checks through the pipeline on adaptive recompile,
-    * parallelism: ``parts`` and ``parallel`` are what lowering's policy
-      (:mod:`repro.runtime.parallel`) gives on the program's dims.
+    * parallelism: each instruction's ``parts`` is what lowering's
+      policy (:mod:`repro.runtime.parallel`) gives on its main input's
+      dims.
 
 :func:`check_dag` / :func:`check_program` are the raising wrappers the
 pipeline calls: findings increment ``RuntimeStats.n_verifier_findings``
@@ -55,7 +54,6 @@ from repro.compiler.program import (
     _consumes_blocked_values,
     _emits_blocked_value,
     instruction_parts,
-    runs_parallel,
 )
 from repro.config import DEFAULT_CONFIG, CodegenConfig
 from repro.errors import CompileError, ShapeError, VerificationError
@@ -294,7 +292,6 @@ def verify_program(program: Program, stage: str = "",
             defined.add(instr.output_slot)
             producer[instr.output_slot] = instr.index
 
-    _check_dep_edges(program, producer, flag)
     _check_refcounts(program, actual_reads, producer, flag)
 
     for slot in program.root_slots:
@@ -312,43 +309,7 @@ def verify_program(program: Program, stage: str = "",
     if getattr(program, "distributed", False):
         _check_collect_boundaries(program, flag)
     _check_recompile_markers(program, flag)
-    if program.parallel != runs_parallel(program):
-        flag("parallelism", "program", f"parallel={program.parallel} "
-             "disagrees with its heavy instructions and level width")
     return findings
-
-
-def _check_dep_edges(program: Program, producer: dict, flag) -> None:
-    dependents: dict[int, set] = {
-        instr.index: set() for instr in program.instructions
-    }
-    for instr in program.instructions:
-        subject = _instr_label(instr)
-        expected = {
-            producer[slot] for slot in instr.input_slots
-            if slot in producer
-        }
-        declared = set(instr.dep_indices)
-        if declared != expected:
-            flag(
-                "dep-edges", subject,
-                f"dep_indices {sorted(declared)} != producers "
-                f"{sorted(expected)} of its input slots",
-            )
-        for dep in declared:
-            if dep >= instr.index:
-                flag("dep-edges", subject,
-                     f"dependency {dep} does not precede the instruction")
-            if dep in dependents:
-                dependents[dep].add(instr.index)
-    for instr in program.instructions:
-        declared = set(instr.dependent_indices)
-        if declared != dependents[instr.index]:
-            flag(
-                "dep-edges", _instr_label(instr),
-                f"dependent_indices {sorted(declared)} != consumers "
-                f"{sorted(dependents[instr.index])}",
-            )
 
 
 def _check_refcounts(program: Program, actual_reads: list, producer: dict,

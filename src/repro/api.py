@@ -9,7 +9,8 @@ multiple roots, which is what exposes multi-aggregate fusion.
 Evaluation flows through the staged pipeline: the engine's compiler
 front half (rewrites → codegen → exec-type selection) optimizes the
 DAG, lowering turns it into a runtime ``Program`` of instructions, and
-the executor schedules it (in parallel where the DAG allows).
+the executor runs them in order (fused operators split large inputs
+over threads).
 
 Example::
 

@@ -15,11 +15,12 @@
    passes over a shared :class:`CompilationContext`,
 2. the **lowering layer** (:mod:`repro.compiler.program`) converts the
    optimized multi-root HOP DAG into a ``Program`` of instructions with
-   explicit symbol-table slots and dependency edges (hand-coded fused
-   patterns lower at compile time — no runtime pattern recursion),
-3. the **runtime executor** (:mod:`repro.runtime.executor`) schedules
-   the program serially or over a thread pool by dependency readiness,
-   eagerly freeing dead intermediates.
+   explicit symbol-table slots (hand-coded fused patterns lower at
+   compile time — no runtime pattern recursion),
+3. the **runtime executor** (:mod:`repro.runtime.executor`) runs the
+   instructions in program order on the calling thread, eagerly
+   freeing dead intermediates; parallelism lives inside fused
+   operators.
 
 An engine owns a plan cache, a program cache and runtime statistics.
 Every ``execute`` call plays the role of one statement-block
@@ -256,8 +257,9 @@ class Engine:
                                            **options)
 
     def close(self) -> None:
-        """Release the executor's thread pool (idempotent)."""
-        self.executor.close()
+        """Nothing to release: instructions run on the calling thread and
+        the worker pools are process-wide.  Kept so callers may close an
+        engine or use ``with Engine(...)``."""
 
     def __enter__(self) -> "Engine":
         return self

@@ -9,8 +9,7 @@ symbol table:
 * ``DataOp``/``LiteralOp`` leaves become preloaded constant slots (no
   instruction is scheduled for them),
 * every other hop becomes one instruction naming its input slots and
-  output slot, plus explicit dependency edges to the producing
-  instructions,
+  output slot,
 * in ``fused`` mode, hand-coded pattern matching happens *here*, at
   compile time: a matched pattern lowers into a single ``fused``
   instruction reading the pattern's leaf slots.
@@ -19,14 +18,12 @@ Both passes here (lowering and the recompile markers) are
 :func:`~repro.hops.hop.topological_order` walks.
 
 The resulting program is what the runtime executor
-(:mod:`repro.runtime.executor`) schedules — serially or over a thread
-pool by dependency readiness — with reference counts per slot enabling
-eager freeing of dead intermediates.
+(:mod:`repro.runtime.executor`) runs, in instruction order, with
+reference counts per slot enabling eager freeing of dead intermediates.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.config import DEFAULT_CONFIG, CodegenConfig
@@ -56,9 +53,6 @@ class Instruction:
     input_slots: list[int]
     output_slot: int
     fused_match: object = None  # FusedMatch for opcode == "fused"
-    # Dependency edges (instruction indices), derived from input slots.
-    dep_indices: tuple = ()
-    dependent_indices: tuple = ()
     # Row parts a CP-typed generated operator splits its main input
     # into (instruction_parts); 1 for every other instruction.
     parts: int = 1
@@ -79,12 +73,12 @@ class Instruction:
 
 @dataclass
 class Program:
-    """A lowered multi-root DAG ready for scheduling.
+    """A lowered multi-root DAG ready to run.
 
-    ``instructions`` are in a valid topological order, so serial
-    execution is a flat loop.  ``consumer_counts[slot]`` is the number
-    of instruction reads of that slot; ``pinned`` slots (constants and
-    root outputs) are never freed.
+    ``instructions`` are in a valid topological order, so execution is
+    a flat loop.  ``consumer_counts[slot]`` is the number of
+    instruction reads of that slot; ``pinned`` slots (constants and root
+    outputs) are never freed.
     """
 
     instructions: list[Instruction] = field(default_factory=list)
@@ -103,8 +97,6 @@ class Program:
     # True when lowered with a cluster configured: collect boundaries
     # were inserted, and the verifier re-derives them as an invariant.
     distributed: bool = False
-    # Worth the executor's thread pool (runs_parallel, set by finalize).
-    parallel: bool = False
 
     @property
     def n_instructions(self) -> int:
@@ -130,47 +122,13 @@ class Program:
         ]
 
     def finalize(self) -> None:
-        """Derive dependency edges, per-slot reference counts, ``parallel``."""
-        producer: dict[int, int] = {}
-        for instr in self.instructions:
-            producer[instr.output_slot] = instr.index
+        """Derive per-slot reference counts and pinned slots."""
         self.consumer_counts = [0] * self.n_slots
-        dependents: list[list[int]] = [[] for _ in self.instructions]
         for instr in self.instructions:
-            deps = []
-            seen = set()
             for slot in instr.input_slots:
                 self.consumer_counts[slot] += 1
-                dep = producer.get(slot)
-                if dep is not None and dep not in seen:
-                    seen.add(dep)
-                    deps.append(dep)
-            instr.dep_indices = tuple(deps)
-            for dep in deps:
-                dependents[dep].append(instr.index)
-        for instr in self.instructions:
-            instr.dependent_indices = tuple(dependents[instr.index])
         self.pinned = {slot for slot, _ in self.constants}
         self.pinned.update(self.root_slots)
-        self.parallel = runs_parallel(self)
-
-
-def runs_parallel(program: Program) -> bool:
-    """At least two instructions touch (read or write)
-    :data:`~repro.runtime.parallel.PARALLEL_MIN_CELLS` cells and some
-    dependency level holds two instructions."""
-    cells = {slot: program.slot_hops[slot].cells for slot, _ in program.constants}
-    level: dict[int, int] = {}
-    heavy = 0
-    for instr in program.instructions:
-        touched = max([instr.hop.cells]
-                      + [cells.get(s, 0) for s in instr.input_slots])
-        cells[instr.output_slot] = instr.hop.cells
-        heavy += touched >= parallel.PARALLEL_MIN_CELLS
-        level[instr.index] = 1 + max(
-            (level.get(d, 0) for d in instr.dep_indices), default=-1)
-    widths = Counter(level.values()).values()
-    return heavy >= 2 and max(widths, default=0) >= 2
 
 
 def instruction_parts(instr: Instruction, config: CodegenConfig) -> int:
@@ -277,7 +235,8 @@ def lower_program(roots: list[Hop], mode: str,
     separately (matching the old lazy interpreter's semantics).
     With a cluster configured, explicit ``collect`` instructions are
     inserted wherever a SPARK-typed producer feeds a CP-typed consumer
-    or a program root.  Parallelism is decided here, once, on exact dims.
+    or a program root.  Intra-operator parts are decided here, once, on
+    exact dims.
     """
     from repro.compiler.fused_lib import match_fused_pattern
 

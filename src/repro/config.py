@@ -5,18 +5,15 @@ The defaults mirror the hardware model of the paper's experimental setup
 bandwidth, and per-node peak compute.  The cost model (Section 4.3)
 normalizes byte and FLOP counts by these constants, so only their ratios
 matter for plan choices.
+
+What ``intra_op_threads=0`` means on this host (``AUTO_THREADS``) is
+resolved in :mod:`repro.runtime.parallel`, next to the parallelism
+threshold.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-
-
-#: What ``executor_threads=0`` and ``intra_op_threads=0`` mean on this
-#: host, resolved once: lowering asks per fused operator, and
-#: ``os.cpu_count()`` is a syscall.
-AUTO_THREADS = min(8, os.cpu_count() or 1)
 
 
 @dataclass
@@ -70,13 +67,6 @@ class CodegenConfig:
     # Candidate selection.
     enable_cost_pruning: bool = True
     enable_structural_pruning: bool = True
-
-    # Runtime executor worker threads (0 = min(8, cpu_count)).  The
-    # executor schedules lowered Program instructions over a thread pool
-    # by dependency readiness (independent DAG branches run
-    # concurrently; NumPy kernels release the GIL); with one thread it
-    # interprets them serially in topological order.
-    executor_threads: int = 0
 
     # Intra-operator parallelism: generated fused operators split their
     # main input into this many row partitions (dense slices, CSR row

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from enum import Enum
 
+import numpy as np
+
 from repro.runtime.vector import BINARY, UNARY
 
 
@@ -60,10 +62,17 @@ CELLWISE_UNARY = frozenset(UNARY)
 CELLWISE_BINARY = frozenset(BINARY)
 CELLWISE_TERNARY = {"+*", "-*", "ifelse"}
 
-# Unary ops with f(0) == 0 (sparse-safe).  An explicit set rather than
-# derived from the table: 'erf' also maps 0 to 0 but is not listed, and
-# adding it would move nnz estimates and plan costs.
-SPARSE_SAFE_UNARY = {"abs", "sign", "sqrt", "round", "floor", "ceil", "neg", "sprop", "pow2"}
+
+def _maps_zero_to_zero(fn) -> bool:
+    with np.errstate(all="ignore"):  # log(0) warns
+        return bool(fn(np.zeros(1))[0] == 0)
+
+
+# Unary ops with f(0) == 0 (sparse-safe), read off the cell-function
+# table so a new zero-preserving op is sparse-safe without an edit here.
+SPARSE_SAFE_UNARY = frozenset(
+    op for op, fn in UNARY.items() if _maps_zero_to_zero(fn)
+)
 
 # Binary ops with f(0, y) == f(x, 0) == 0 for finite operands: a cell
 # plan over a sparse main stays sparse through them, and the basic

@@ -1,15 +1,17 @@
 """Parallelism policy, process-wide thread budget and the shared
 intra-operator worker pool.
 
-Lowering applies the policy once, to exact dims (``Instruction.parts``,
-``Program.parallel``); the runtime never decides again.
+Lowering applies the policy once, to exact dims (``Instruction.parts``);
+the runtime never decides again.  The executor runs a program's
+instructions in order on the calling thread; concurrency comes from
+the layers below.
 
-Three runtime layers can spawn concurrency: the inter-instruction
-executor pool (:mod:`repro.runtime.executor`), the intra-operator
-partition workers (:mod:`repro.runtime.skeletons`), and the serving
-:class:`~repro.serve.scheduler.SessionScheduler` workers.  Without
-coordination, nesting them oversubscribes the machine (e.g. 8 executor
-threads each fanning out 8 partition workers).  The :class:`ThreadBudget`
+Two runtime layers can spawn threads: the intra-operator partition
+workers (:mod:`repro.runtime.skeletons`) and the serving
+:class:`~repro.serve.scheduler.SessionScheduler` workers; the
+multiprocess backend's dispatch draws tokens too.  Without
+coordination, nesting them oversubscribes the machine (e.g. 8 serving
+workers each fanning out 8 partition workers).  The :class:`ThreadBudget`
 is the single token pool they all draw from:
 
 * a layer *acquires* tokens before going parallel and *releases* them
@@ -36,7 +38,10 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.analysis import lockset
-from repro.config import AUTO_THREADS
+
+#: What ``intra_op_threads=0`` means on this host, resolved once:
+#: lowering asks per fused operator, and ``os.cpu_count()`` is a syscall.
+AUTO_THREADS = min(8, os.cpu_count() or 1)
 
 #: Below this many cells, thread dispatch costs more than it saves.
 PARALLEL_MIN_CELLS = 1 << 16

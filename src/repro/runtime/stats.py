@@ -96,14 +96,10 @@ class RuntimeStats:
     # of two: '1-2', '2-4', ..., '>=1024').
     recompile_divergence_hist: dict = field(default_factory=dict)
 
-    # Runtime executor scheduling.
+    # Runtime executor.
     n_instructions_executed: int = 0
-    n_parallel_tasks: int = 0  # instructions dispatched to the thread pool
-    executor_max_concurrency: int = 0  # peak simultaneously running tasks
     n_freed_early: int = 0  # intermediates freed before end of program
     n_serial_runs: int = 0
-    n_parallel_runs: int = 0
-    n_budget_degraded_runs: int = 0  # parallel-eligible runs forced serial
 
     # Intra-operator parallel fused execution.
     n_intra_op_parallel: int = 0  # operators executed partition-wise
@@ -146,8 +142,7 @@ class RuntimeStats:
     spoof_executions: dict = field(default_factory=dict)
 
     #: Gauge fields combine via max (not addition) when merging.
-    _GAUGES = ("executor_max_concurrency", "plan_cache_size",
-               "intra_op_max_threads", "mp_max_workers")
+    _GAUGES = ("plan_cache_size", "intra_op_max_threads", "mp_max_workers")
 
     def __post_init__(self):
         # Reentrant: the distributed backend mutates shared stats while

@@ -4,7 +4,8 @@
 subsystem: callers :meth:`submit` requests against prepared programs
 from any thread and receive a :class:`ServeTicket` (a future).  A pool
 of worker threads drains the queue and multiplexes many in-flight
-programs over the engine's single shared executor pool.
+programs over the engine's one executor, each run on its worker's
+thread.
 
 Three serving policies live here:
 
@@ -194,8 +195,8 @@ class SessionScheduler:
                     return  # closed and drained
                 batch = self._take_batch()
             # Hold one process-wide budget token while executing: the
-            # executor pool and intra-op workers the request fans out
-            # into draw from the same budget, so nested parallelism
+            # intra-op workers the request fans out into draw from the
+            # same budget, so nested parallelism
             # degrades instead of oversubscribing (minimum=1 keeps the
             # worker live even when the budget is exhausted).
             budget = shared_budget()

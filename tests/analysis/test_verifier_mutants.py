@@ -164,14 +164,6 @@ class TestParallelismMutant:
         with pytest.raises(VerificationError, match="parallelism"):
             check_program(program, engine.context, stage="mutant")
 
-    def test_tampered_parallel_flag_flagged(self, rng):
-        engine, program = self._program(rng)
-        assert not program.parallel  # one tiny operator
-        program.parallel = True
-        findings = verify_program(program, config=engine.config)
-        assert [(f.code, f.subject) for f in findings] == [
-            ("parallelism", "program")]
-
 
 class TestDimsMutant:
     def test_corrupted_dims_name_the_hop(self, rng):

@@ -1,4 +1,4 @@
-"""Program lowering: slots, dependencies, refcounts, fused matching."""
+"""Program lowering: slots, instruction order, refcounts, fused matching."""
 
 import numpy as np
 import pytest
@@ -32,15 +32,6 @@ class TestLoweringStructure:
         for instr in program.instructions:
             assert all(slot in produced for slot in instr.input_slots)
             produced.add(instr.output_slot)
-
-    def test_dependency_edges_match_slots(self, rng):
-        x = api.matrix(rng.random((6, 6)), "X")
-        program = _lower([(x * 3.0 + 1.0).sum()])
-        by_index = {i.index: i for i in program.instructions}
-        for instr in program.instructions:
-            for dep in instr.dep_indices:
-                assert by_index[dep].output_slot in instr.input_slots
-                assert instr.index in by_index[dep].dependent_indices
 
     def test_shared_subexpression_lowered_once(self, rng):
         x = api.matrix(rng.random((8, 8)), "X")
@@ -78,17 +69,6 @@ class TestLoweringStructure:
         )
         # shared feeds both operands of the add.
         assert program.consumer_counts[mult.output_slot] == 2
-
-    @pytest.mark.usefixtures("parallel_tiny_ops")
-    def test_independent_heavy_branches_lower_parallel(self, rng):
-        mats = [api.matrix(rng.random((5, 5)), f"M{i}") for i in range(3)]
-        assert _lower([(m * 2.0).sum() for m in mats]).parallel
-        # A chain of as many heavy instructions has a level width of 1.
-        assert not _lower([((mats[0] * 2.0) + 1.0).sum()]).parallel
-
-    def test_tiny_branches_lower_serial(self, rng):
-        mats = [api.matrix(rng.random((5, 5)), f"M{i}") for i in range(3)]
-        assert not _lower([(m * 2.0).sum() for m in mats]).parallel
 
 
 class TestFusedLowering:

@@ -7,6 +7,7 @@ fused sparse-safe) plan, and produces bit-identical results measurably
 faster than the estimate-frozen plan.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -131,26 +132,34 @@ class TestRecompilation:
 
     def test_recompile_counts_as_one_run(self):
         block = _sparse_as_dense_block(150, 100, 0.01)
-        engine = _engine("base", adaptive=True, executor_threads=1)
+        engine = _engine("base", adaptive=True)
         api.eval(_chain(block), engine=engine)
         assert engine.stats.n_recompiles == 1
         # The recompiled remainder continues the same logical run.
         assert engine.stats.n_serial_runs == 1
 
     @pytest.mark.usefixtures("parallel_tiny_ops")
-    def test_recompiled_remainder_regains_parallel_scheduler(self):
-        """An unmarked recompiled program may use the thread pool."""
+    def test_recompiled_remainder_runs_on_the_calling_thread(self,
+                                                             monkeypatch):
+        """A recompiled remainder continues in the same loop: every
+        instruction of both programs runs on the caller's thread."""
         block = _sparse_as_dense_block(120, 90, 0.01)
         X = api.matrix(block, name="X", nnz_unknown=True)
         roots = [X * 2.0, api.abs_(X) * X, X * 0.5 * X]  # wide remainder
-        engine = _engine("base", adaptive=True, executor_threads=4)
+        engine = _engine("base", adaptive=True)
+        threads = set()
+        real = executor_mod.execute_instruction
+
+        def spy(instr, *args, **kwargs):
+            threads.add(threading.get_ident())
+            return real(instr, *args, **kwargs)
+
+        monkeypatch.setattr(executor_mod, "execute_instruction", spy)
         results = api.eval_all(roots, engine=engine)
         stats = engine.stats
         assert stats.n_recompiles == 1
-        # The marked original ran serially; the recompiled remainder
-        # dispatched to the pool (visible via task counters).
-        assert stats.n_parallel_tasks > 0
         assert stats.n_serial_runs == 1
+        assert threads == {threading.get_ident()}
         arr = block.to_dense()
         for result, expected in zip(results, [
             arr * 2.0, np.abs(arr) * arr, arr * 0.5 * arr,

@@ -7,6 +7,8 @@ determinism of repeated parallel aggregations, direct unit tests for
 oversubscription guard.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,14 @@ def test_parallel_summary_keys():
     assert stats.intra_op_max_threads >= 1
 
 
+def test_thread_autosizing():
+    """``intra_op_threads=0`` splits into ``min(8, cpu_count)`` parts."""
+    auto = min(8, os.cpu_count() or 1)
+    assert parallel_mod.AUTO_THREADS == auto
+    config = CodegenConfig(intra_op_threads=0)
+    assert parallel_mod.intra_op_parts(1 << 20, 1, config) == auto
+
+
 # ----------------------------------------------------------------------
 # reduce_spoof_partials unit tests
 # ----------------------------------------------------------------------
@@ -423,15 +433,15 @@ class TestThreadBudget:
 class TestOversubscriptionGuard:
     @pytest.mark.usefixtures("parallel_tiny_ops")
     def test_nested_layers_stay_within_budget(self, monkeypatch):
-        """Serving workers + parallel executor + intra-op partitioning
-        never hold more tokens than the configured budget."""
+        """Serving workers + intra-op partitioning never hold more
+        tokens than the configured budget."""
         from repro.serve.scheduler import SessionScheduler
 
         budget = ThreadBudget(total=4)
         monkeypatch.setattr(parallel_mod, "_BUDGET", budget)
         engine = Engine(
             mode="gen",
-            config=CodegenConfig(executor_threads=2, intra_op_threads=4),
+            config=CodegenConfig(intra_op_threads=4),
         )
         rng = np.random.default_rng(3)
         weights = rng.uniform(0.1, 1.0, (COLS, 1))

@@ -245,3 +245,32 @@ class TestPrimitiveRegistry:
             assert vp.BINARY[op](y, 0.0) == 0.0
         finite = np.array([-3.5, 0.0, 1e300, 2.0])
         np.testing.assert_array_equal(vp.BINARY[op](np.zeros(4), finite), 0.0)
+
+
+class TestSparseSafeErf:
+    def test_erf_over_csr_plans_a_sparse_safe_cell(self):
+        """``erf(0) == 0``, so ``erf(X) * 2`` over a CSR ``X`` is one
+        sparse-safe Cell over the CSR main that keeps X's non-zero
+        count, and it computes what the basic operators compute."""
+        import scipy.sparse as sp
+
+        from repro.runtime.matrix import MatrixBlock
+
+        block = MatrixBlock(
+            sp.random(400, 300, density=0.02, format="csr", random_state=1)
+        )
+
+        def build():
+            return api.erf(api.matrix(block, "X")) * 2.0
+
+        engine = Engine("gen")
+        (instr,) = engine.compile([build().hop]).instructions
+        cplan = instr.hop.operator.cplan
+        main = instr.hop.inputs[cplan.main_index]
+        assert cplan.ttype.value == "Cell" and cplan.sparse_safe
+        assert main.name == "X" and main.data.is_sparse
+        assert instr.hop.nnz == block.nnz
+        gen = api.eval(build(), engine=engine)
+        base = api.eval(build(), engine=Engine("base"))
+        assert gen.is_sparse and base.is_sparse
+        np.testing.assert_array_equal(gen.to_dense(), base.to_dense())

@@ -13,7 +13,7 @@ KEPT_FIELDS = {
     # Optimizer and recompilation switches.
     "adaptive_recompile", "enable_cost_pruning", "enable_structural_pruning",
     # Parallelism.
-    "executor_threads", "intra_op_threads",
+    "intra_op_threads",
     # Diagnostics and code generation.
     "verify_level", "trace_level", "compiler", "plan_cache_enabled",
 }
