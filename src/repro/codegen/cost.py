@@ -390,18 +390,25 @@ class CostEstimator:
             )
             write_time = out_bytes / config.write_bandwidth
             compute_time = cv.flops * scale / config.peak_flops
-            # Fused operators execute multi-threaded over row partitions
-            # (skeletons intra-op parallelism): scale compute by the
-            # effective parallelism so enumeration prefers fusion plans
-            # that parallelize well.  I/O stays serial — bandwidth, not
-            # cores, bounds reads and writes.
+            # Fused operators and matrix multiplies execute
+            # multi-threaded over row partitions (skeletons intra-op
+            # parallelism): scale compute by the effective parallelism
+            # so enumeration prefers fusion plans that parallelize well.
+            # I/O stays serial — bandwidth, not cores, bounds reads and
+            # writes.
             compute_time /= self._intra_op_parallelism(cv)
         return write_time + max(read_time, compute_time)
 
     def _intra_op_parallelism(self, cv: CostVector) -> float:
-        """Effective speedup of partition-parallel fused execution: the
-        part count lowering gives the main input (``intra_op_parts``)."""
-        main = self._main_input(cv) if cv.ttype is not None else None
+        """Effective speedup of partition-parallel execution: the part
+        count lowering gives a fused operator's main input or a basic
+        matrix multiply's left input (``intra_op_parts``)."""
+        if cv.ttype is not None:
+            main = self._main_input(cv)
+        elif cv.output.kind is OpKind.AGG_BINARY:
+            main = cv.output.inputs[0]
+        else:
+            main = None
         if main is None:
             return 1.0
         return float(intra_op_parts(main.rows, main.cols, self.config))

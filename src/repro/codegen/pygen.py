@@ -6,7 +6,10 @@ calls into the one cell-function table, :mod:`repro.runtime.vector`
 imported as ``vp`` — ``vp.UNARY['exp'](t1)``, ``vp.BINARY['*'](t1,
 t2)``, ``vp.AGG['sum'](t3, axis=-1, keepdims=True)`` — the same
 functions the basic kernels of :mod:`repro.runtime.ops` apply, with
-``t<k>`` variables numbered in that order.  This is the only module
+``t<k>`` variables numbered in that order.  Matrix products are
+``vp.vect_matmult`` and, for ``t(a) %*% b``, ``vp.vect_tmatmult``,
+which keeps a dense transposed product off the GIL so that the row
+parts of a Row operator run on several cores.  This is the only module
 that builds source text, and it emits one function per fused operator,
 ``genbody``, which returns the operator's root values.  Everything
 around the body belongs to the hand-written template drivers in
@@ -195,7 +198,7 @@ class _Emitter:
         if kind == "mm":
             return self._assign(f"vp.vect_matmult({args[0]}, {args[1]})")
         if kind == "touter":
-            return self._assign(f"({args[0]}).T @ ({args[1]})")
+            return self._assign(f"vp.vect_tmatmult({args[0]}, {args[1]})")
         if kind == "rix":
             cl, cu = node.meta
             return self._assign(f"({args[0]})[:, {cl}:{cu}]")

@@ -19,8 +19,9 @@
    compile time — no runtime pattern recursion),
 3. the **runtime executor** (:mod:`repro.runtime.executor`) runs the
    instructions in program order on the calling thread, eagerly
-   freeing dead intermediates; parallelism lives inside fused
-   operators.
+   freeing dead intermediates; parallelism lives inside
+   instructions (fused operators and CP matrix multiplies split into
+   row parts).
 
 An engine owns a plan cache, a program cache and runtime statistics.
 Every ``execute`` call plays the role of one statement-block

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from repro.config import DEFAULT_CONFIG, CodegenConfig
 from repro.hops.hop import DataOp, Hop, LiteralOp, SpoofOp, SpoofOutOp, topological_order
-from repro.hops.types import ExecType
+from repro.hops.types import ExecType, OpKind
 from repro.runtime import parallel
 
 
@@ -132,15 +132,22 @@ class Program:
 
 
 def instruction_parts(instr: Instruction, config: CodegenConfig) -> int:
-    """Parts a CP-typed generated operator splits its main input into; 1
-    for every other instruction (SPARK partitions never nest a fan-out)."""
+    """Row parts a CP-typed instruction splits its main input into: a
+    generated operator's main, or a basic matrix multiply's left input
+    (the paper's CP runtime multiplies multi-threaded too).  1 for every
+    other instruction; SPARK partitions never nest a fan-out."""
     hop = instr.hop
-    if instr.opcode != "spoof" or hop.exec_type is ExecType.SPARK:
+    if hop.exec_type is ExecType.SPARK:
         return 1
-    main_index = hop.operator.cplan.main_index
-    if main_index < 0:
+    if instr.opcode == "spoof":
+        main_index = hop.operator.cplan.main_index
+        if main_index < 0:
+            return 1
+        main = hop.inputs[main_index]
+    elif instr.opcode == "hop" and hop.kind is OpKind.AGG_BINARY:
+        main = hop.inputs[0]
+    else:
         return 1
-    main = hop.inputs[main_index]
     return parallel.intra_op_parts(main.rows, main.cols, config)
 
 

@@ -2,9 +2,10 @@
 
 A run is one flat loop over the (topologically ordered) instruction
 list, on the calling thread.  Parallelism lives inside instructions:
-a generated fused operator splits its main input into the ``parts``
-lowering fixed (:mod:`repro.runtime.skeletons`), and SPARK-typed ones
-fan out partitions through the distributed backend.
+a CP-typed generated fused operator splits its main input, and a CP
+matrix multiply its left input, into the ``parts`` lowering fixed
+(:mod:`repro.runtime.skeletons`); SPARK-typed ones fan out partitions
+through the distributed backend.
 
 The loop wraps each instruction in an instruction span when the
 tracer records them, maintains per-slot reference counts and eagerly
@@ -94,7 +95,7 @@ def execute_instruction(instr, inputs: list, config: CodegenConfig,
     """
     from repro.runtime import ops as rops
     from repro.runtime.distributed import BlockedMatrix
-    from repro.runtime.skeletons import execute_operator
+    from repro.runtime.skeletons import execute_matmult, execute_operator
 
     hop = instr.hop
     if instr.opcode == "fused":
@@ -151,6 +152,8 @@ def execute_instruction(instr, inputs: list, config: CodegenConfig,
         result = spark.execute_instruction(
             instr, inputs, input_keys, output_key
         )
+    elif instr.parts > 1:  # a CP matrix multiply (instruction_parts)
+        result = execute_matmult(inputs[0], inputs[1], stats, instr.parts)
     else:
         result = rops.apply_spec(rops.hop_spec(hop), inputs, stats)
     _record_output(stats, result)

@@ -26,7 +26,8 @@ output epilogue:
 * **Outer** — ``uv`` for every cell the driver holds (its non-zeros,
   or the whole dense block), then ``genbody`` once.  The values, held
   as a CSR over the driver's pattern or as a dense array, are the
-  output, their sum, or one matmul with W.
+  output, their sum, or one matmul with W (the left one through
+  ``vector.vect_tmatmult``, the generated bodies' transposed product).
 
 No driver loops over chunks or offsets into a side input.  Every
 driver runs its block in one pass, so the block bounds its temporaries:
@@ -51,7 +52,7 @@ from repro.errors import RuntimeExecError
 from repro.runtime.compressed import CompressedMatrix
 from repro.runtime.matrix import MatrixBlock
 from repro.runtime.sideinput import SideInput
-from repro.runtime.vector import AGG
+from repro.runtime.vector import AGG, vect_tmatmult
 
 _CELL_TEMPLATES = (TemplateType.CELL, TemplateType.MAGG)
 
@@ -403,5 +404,5 @@ def _execute_outer(operator, inputs):
     if out_type is OutType.OUTER_RIGHT:
         values = values @ inputs[cplan.w_index].to_dense()
     elif out_type is OutType.OUTER_LEFT:
-        values = values.T @ inputs[cplan.w_index].to_dense()
+        values = vect_tmatmult(values, inputs[cplan.w_index].to_dense())
     return MatrixBlock(values).examine_representation()

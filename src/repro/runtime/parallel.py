@@ -1,13 +1,17 @@
 """Parallelism policy, process-wide thread budget and the shared
 intra-operator worker pool.
 
-Lowering applies the policy once, to exact dims (``Instruction.parts``);
-the runtime never decides again.  The executor runs a program's
-instructions in order on the calling thread; concurrency comes from
-the layers below.
+Lowering applies the policy once, to exact dims (``Instruction.parts``
+of every CP fused operator and matrix multiply); the runtime never
+decides again.  The executor runs a program's instructions in order on
+the calling thread; concurrency comes from the layers below.  Parts pay
+only where their work releases the GIL: NumPy's BLAS calls and scipy's
+sparse kernels do, ``np.matmul`` over a transposed dense view does not
+(hence :func:`repro.runtime.vector.vect_tmatmult`).
 
 Two runtime layers can spawn threads: the intra-operator partition
-workers (:mod:`repro.runtime.skeletons`) and the serving
+workers (:mod:`repro.runtime.skeletons`, fused operators and matrix
+multiplies alike) and the serving
 :class:`~repro.serve.scheduler.SessionScheduler` workers; the
 multiprocess backend's dispatch draws tokens too.  Without
 coordination, nesting them oversubscribes the machine (e.g. 8 serving
@@ -48,7 +52,8 @@ PARALLEL_MIN_CELLS = 1 << 16
 
 
 def intra_op_parts(rows: int, cols: int, config) -> int:
-    """Parts a fused operator's ``rows x cols`` main input splits into:
+    """Parts a fused operator's ``rows x cols`` main input (a matrix
+    multiply's left input) splits into:
     the resolved ``intra_op_threads`` when the input has at least
     :data:`PARALLEL_MIN_CELLS` cells and two rows per part, else 1."""
     n = config.intra_op_threads if config.intra_op_threads > 0 else AUTO_THREADS

@@ -16,7 +16,8 @@ temporaries of every driver, counted in non-zeros for CSR Cell and
 Outer drivers and in rows for every other main) and the distributed
 backend's partitions all go through the same three pieces:
 
-* :func:`row_parts` — the row slicer: dense views, CSR row ranges
+* :func:`row_parts` — the row slicer: dense views, CSR views over the
+  parent's arrays
   (:meth:`~repro.runtime.distributed.BlockedMatrix.partition` cuts
   through it too);
 * :func:`spoof_plans` and :func:`partition_values` — the plan list
@@ -41,18 +42,21 @@ worker pool (:mod:`repro.runtime.parallel`) with thread-local partial
 results.  The partition count and the combine topology are fixed by
 configuration and shape, so parallel results are deterministic
 run-to-run, and a distributed run with the same partition count
-computes the same bits.
+computes the same bits.  A CP matrix multiply splits its left input
+into row parts on the same pool (:func:`execute_matmult`).
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.codegen.cplan import Access, CPlan, OutType, compressed_cell_eligible
 from repro.codegen.template import TemplateType
 from repro.errors import RuntimeExecError
 from repro.obs import trace as obs_trace
 from repro.runtime import npexec
+from repro.runtime import ops as rops
 from repro.runtime.compressed import CompressedMatrix
 from repro.runtime.matrix import MatrixBlock, recommend_format
 from repro.runtime.parallel import run_tasks
@@ -92,10 +96,33 @@ def partition_bounds(rows: int, n_partitions: int) -> list[tuple[int, int]]:
 # Split: the row slicer, the plan list and the per-part resolver
 # ----------------------------------------------------------------------
 def row_parts(block: MatrixBlock, bounds) -> list[MatrixBlock]:
-    """Rows ``[r0, r1)`` of ``block`` per bound: views of a dense block,
-    row ranges of a CSR block.  The only row slicer of the runtime."""
-    data = block.to_csr() if block.is_sparse else block.to_dense()
-    return [MatrixBlock(data[r0:r1]) for r0, r1 in bounds]
+    """Rows ``[r0, r1)`` of ``block`` per bound.  The only row slicer of
+    the runtime.
+
+    Every part is a view: dense row slices, and CSR parts over the
+    parent's ``data`` / ``indices`` with a rebased ``indptr``, which
+    keep the parent's canonical flag so that no O(nnz) check runs per
+    part.  Blocks are value-immutable, and a part must stay so: an
+    in-place change of a part (``examine_representation``'s
+    ``eliminate_zeros``) would change its parent.
+    """
+    if not block.is_sparse:
+        data = block.to_dense()
+        return [MatrixBlock(data[r0:r1]) for r0, r1 in bounds]
+    csr = block.to_csr()
+    parts = []
+    for r0, r1 in bounds:
+        s, e = csr.indptr[r0], csr.indptr[r1]
+        # The arrays are set after construction: scipy's constructor
+        # copies a view of less than half its base.
+        part = sp.csr_matrix((r1 - r0, csr.shape[1]))
+        part.indptr = csr.indptr[r0:r1 + 1] - s
+        part.indices, part.data = csr.indices[s:e], csr.data[s:e]
+        # A block's CSR is canonical (MatrixBlock sums duplicates), so
+        # MatrixBlock(part) never canonicalizes the view in place.
+        part.has_canonical_format = csr.has_canonical_format
+        parts.append(MatrixBlock(part))
+    return parts
 
 
 def spoof_plans(cplan: CPlan, values: list, main_rows: int) -> list:
@@ -234,8 +261,6 @@ def reduce_spoof_partials(cplan: CPlan, partials: list):
 def concat_rows(blocks: list) -> MatrixBlock:
     """Stack row blocks into one: dense when every block is dense,
     CSR otherwise."""
-    import scipy.sparse as sp
-
     if all(not b.is_sparse for b in blocks):
         return MatrixBlock(np.concatenate([b.to_dense() for b in blocks],
                                           axis=0))
@@ -407,12 +432,40 @@ def _execute_parts(operator, part_inputs: list, stats):
     ]
     partials, workers = run_tasks(tasks)
     result, levels = combine_partials(operator.cplan, partials)
+    _count_parts(stats, len(part_inputs), levels, workers)
+    return result
+
+
+def _count_parts(stats, n_parts: int, levels: int, workers: int) -> None:
     if stats is not None:
         stats.n_intra_op_parallel += 1
-        stats.n_intra_op_partitions += len(part_inputs)
+        stats.n_intra_op_partitions += n_parts
         stats.intra_op_combine_levels += levels
         stats.intra_op_max_threads = max(stats.intra_op_max_threads, workers)
-    return result
+
+
+def execute_matmult(a, b, stats=None, parts: int = 1) -> MatrixBlock:
+    """A CP matrix multiply ``a %*% b`` (:func:`repro.runtime.ops.matmult`)
+    over ``parts`` row parts of ``a`` (``Instruction.parts``, decided at
+    lowering).
+
+    The parts run on the shared worker pool like a fused operator's and
+    their products concatenate.  An output row depends on its row of
+    ``a`` alone, so the bits are those of the unsplit product.  A
+    compressed operand runs as one part: its kernels count into
+    ``stats``, which parts on several threads must not share.
+    """
+    if parts < 2 or isinstance(a, CompressedMatrix) or isinstance(
+            b, CompressedMatrix):
+        return rops.matmult(a, b, stats=stats)
+    bounds = partition_bounds(a.rows, parts)
+    tasks = [
+        (lambda part: lambda: rops.matmult(part, b))(part)
+        for part in row_parts(a, bounds)
+    ]
+    partials, workers = run_tasks(tasks)
+    _count_parts(stats, len(bounds), 0, workers)
+    return concat_rows(partials).examine_representation()
 
 
 def _execute_chunks(operator, inputs: list, stats):

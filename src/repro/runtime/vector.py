@@ -18,11 +18,11 @@ HOP IR, whose fusable cell ops are the keys
 * :data:`AGG` — the NumPy reductions, called with ``axis`` /
   ``keepdims``; ``sumsq`` is ``pow2`` then ``sum``.
 
-``vect_ifelse`` and ``vect_matmult`` complete what generated code
-calls.  Operands are whatever a driver passes: a dense block, a flat
-vector of non-zero values, a ``(rows, 1)`` per-row scalar, a
-``(1, cols)`` row vector, or a Python or NumPy scalar; the functions
-rely on NumPy broadcasting between them.  This module imports only
+``vect_ifelse``, ``vect_matmult`` and ``vect_tmatmult`` complete what
+generated code calls.  Operands are whatever a driver passes: a dense
+block, a flat vector of non-zero values, a ``(rows, 1)`` per-row
+scalar, a ``(1, cols)`` row vector, or a Python or NumPy scalar; the
+functions rely on NumPy broadcasting between them.  This module imports only
 NumPy and SciPy, so the HOP IR can import it without a cycle.
 
 Three op-name maps stay outside the table on purpose: the public
@@ -103,6 +103,21 @@ AGG = {"sum": np.sum, "min": np.min, "max": np.max, "mean": np.mean}
 def vect_matmult(a, block):
     """A row block times a matrix: (rows, n) @ (n, k) -> (rows, k)."""
     return a @ block
+
+
+def vect_tmatmult(a, b):
+    """The transposed product ``t(a) %*% b``: (rows, n) and (rows, k)
+    -> (n, k).
+
+    Dense operands go through ``np.dot``, which hands the transposed
+    view to BLAS and releases the GIL; ``a.T @ b`` on a dense ``a``
+    keeps the GIL for a mat-vec, so two row parts would run one after
+    the other.  The bits are the same.  A CSR operand stays with scipy,
+    which releases the GIL too.
+    """
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return np.dot(a.T, b)
+    return a.T @ b
 
 
 def vect_ifelse(cond, a, b):

@@ -26,6 +26,7 @@ from repro.compiler.program import lower_program
 from repro.config import ClusterConfig, CodegenConfig
 from repro.errors import VerificationError
 from repro.hops.rewrites import apply_rewrites
+from repro.hops.types import OpKind
 
 
 def _lower(exprs, mode="base"):
@@ -163,6 +164,23 @@ class TestParallelismMutant:
         assert "parts 2 != 4" in findings[0].message
         with pytest.raises(VerificationError, match="parallelism"):
             check_program(program, engine.context, stage="mutant")
+
+    @pytest.mark.usefixtures("parallel_tiny_ops")
+    def test_tampered_matmult_parts_name_the_instruction(self, rng):
+        engine = Engine(mode="base", config=CodegenConfig(intra_op_threads=4))
+        x = api.matrix(rng.random((40, 8)), "X")
+        v = api.matrix(rng.random((8, 1)), "v")
+        program = engine.compile([(x @ v).hop])
+        (matmult,) = [i for i in program.instructions
+                      if i.hop.kind is OpKind.AGG_BINARY]
+        assert matmult.parts == 4
+        assert verify_program(program, config=engine.config) == []
+
+        matmult.parts = 1  # would run on one core, costed on four
+        findings = verify_program(program, config=engine.config)
+        assert [f.code for f in findings] == ["parallelism"]
+        assert f"[{matmult.index}]" in findings[0].subject
+        assert "parts 1 != 4" in findings[0].message
 
 
 class TestDimsMutant:

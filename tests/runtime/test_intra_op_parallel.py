@@ -248,6 +248,62 @@ class TestCompressedRowAlignedSides:
         np.testing.assert_allclose(spark[0], serial[0], rtol=1e-9)
 
 
+# ----------------------------------------------------------------------
+# CP matrix multiplies: row parts of the left input
+# ----------------------------------------------------------------------
+def _operand(storage: str, rows: int, cols: int, seed: int) -> MatrixBlock:
+    if storage == "csr":
+        return MatrixBlock.rand(rows, cols, sparsity=0.1, seed=seed,
+                                low=0.2, high=1.5)
+    return MatrixBlock(
+        np.random.default_rng(seed).uniform(-1.0, 1.0, (rows, cols)))
+
+
+#: name -> (left storage, right storage, right columns)
+_MATMULT_CASES = {
+    "dense-x-vector": ("dense", "dense", 1),
+    "dense-x-matrix": ("dense", "dense", 9),
+    "csr-x-dense": ("csr", "dense", 9),
+    "dense-x-csr": ("dense", "csr", 30),
+    "csr-x-csr": ("csr", "csr", 30),
+}
+
+
+def _base_matmult(a, b, threads: int):
+    engine = Engine(mode="base",
+                    config=CodegenConfig(intra_op_threads=threads))
+    result = api.eval(api.matrix(a, "A") @ api.matrix(b, "B"),
+                      engine=engine)
+    return engine.stats, result
+
+
+@pytest.mark.usefixtures("parallel_tiny_ops")
+@pytest.mark.parametrize("case", sorted(_MATMULT_CASES))
+def test_split_matmult_is_bit_identical(case):
+    left, right, cols = _MATMULT_CASES[case]
+    a = _operand(left, ROWS, COLS, 51)
+    b = _operand(right, COLS, cols, 52)
+    serial_stats, serial = _base_matmult(a, b, threads=1)
+    stats, split = _base_matmult(a, b, threads=4)
+    assert serial_stats.n_intra_op_parallel == 0
+    assert (stats.n_intra_op_parallel, stats.n_intra_op_partitions) == (1, 4)
+    assert split.is_sparse == serial.is_sparse
+    assert np.array_equal(split.to_dense(), serial.to_dense())
+
+
+@pytest.mark.usefixtures("parallel_tiny_ops")
+def test_compressed_left_matmult_runs_as_one_part():
+    """The dictionary pre-aggregation takes the whole compressed left
+    operand; its counter is bumped once."""
+    x = _main_block("compressed")
+    v = np.random.default_rng(53).uniform(0.1, 1.0, (COLS, 1))
+    stats, result = _base_matmult(x, v, threads=4)
+    assert stats.n_intra_op_parallel == 0
+    assert stats.n_compressed_ops == 1
+    np.testing.assert_allclose(result.to_dense(),
+                               x.decompress().to_dense() @ v, rtol=1e-12)
+
+
 @pytest.mark.usefixtures("parallel_tiny_ops")
 def test_parallel_summary_keys():
     """The intra-op counters, read as ``RuntimeStats`` fields; the mean

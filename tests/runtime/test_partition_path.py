@@ -11,11 +11,16 @@ Intra-op execution must never reach the distributed executor, its
 driver chunks (``npexec.chunk_bounds``) cuts into the same chunks on
 either path, so the bits still agree.
 
+A CSR main cuts into views of its parent: every part shares the
+parent's ``data`` and ``indices``, and no leg (intra-op, chunked,
+spark, spark-mp) changes them.
+
 Lowering decides an operator's part count once
 (``parallel.intra_op_parts``, carried as ``Instruction.parts``): at
 each boundary of that gate the runtime splits into exactly the carried
-count and the cost model credits the same one.  A SPARK-typed operator
-carries one part, since its partitions never nest another fan-out.
+count and the cost model credits the same one, for a fused operator
+and a CP matrix multiply alike.  A SPARK-typed operator carries one
+part, since its partitions never nest another fan-out.
 """
 
 from types import SimpleNamespace
@@ -30,7 +35,8 @@ from repro.codegen.template import TemplateType
 from repro.compiler.execution import Engine
 from repro.config import ClusterConfig, CodegenConfig
 from repro.hops.hop import DataOp
-from repro.hops.types import ExecType
+from repro.hops.types import ExecType, OpKind
+from repro.runtime import distributed, npexec, skeletons
 from repro.runtime import ops as rops
 from repro.runtime.distributed import BlockedMatrix, SparkExecutor
 from repro.runtime.matrix import MatrixBlock
@@ -203,6 +209,81 @@ def test_parts_of_several_chunks_agree(monkeypatch, name, backend):
     _assert_parts_agree(monkeypatch, hop, values, backend)
 
 
+#: name -> (main-input columns, recipe) over the CSR main ``s``: every
+#: template that takes one, sparse-safe or densified by its driver.
+CSR_MAIN_RECIPES = {
+    "cell-row-agg": (12, lambda h: [(h["s"] * h["c"]).row_sums()]),
+    "cell-no-agg": (12, lambda h: [h["s"] * h["c"] * 2.0]),
+    "cell-densified": (12, lambda h: [(api.exp(h["s"]) * h["c"])
+                                      .row_sums()]),
+    "magg-multi-agg": (12, lambda h: [(h["s"] * h["c"]).sum(),
+                                      (h["s"] * h["s"]).sum()]),
+    "row-no-agg": (12, lambda h: [api.sigmoid(h["s"] @ h["w"]) * h["c"]]),
+    "row-col-agg-t": (12, lambda h: [h["s"].T @ ((h["s"] @ h["v"])
+                                                 * h["c"])]),
+    "row-densified": (12, lambda h: [(h["s"] * (h["s"] @ h["v"]) * h["c"])
+                                     .col_sums()]),
+    **{name: (cols, recipe)
+       for name, (_, _, cols, recipe) in RECIPES.items()
+       if name.startswith("outer")},
+}
+
+
+def _run_leg(leg: str, hop, values: list, monkeypatch):
+    if leg == "chunked":
+        monkeypatch.setattr(npexec, "_CHUNK_BYTES", 8 * 64)
+    if leg in ("intra-op", "chunked"):
+        return execute_operator(hop.operator, values, CodegenConfig(),
+                                RuntimeStats(),
+                                parts=PARTS if leg == "intra-op" else 1)
+    config = CodegenConfig(
+        cluster=ClusterConfig(n_workers=2), mp_workers=2,
+        distributed_backend="multiprocess" if leg == "spark-mp"
+        else "simulated",
+    )
+    spark = SparkExecutor(config.cluster, config, RuntimeStats())
+    return spark.execute_spoof(hop, values)
+
+
+@pytest.mark.usefixtures("always_enumerate")
+@pytest.mark.parametrize("leg", ["intra-op", "chunked", "spark", "spark-mp"])
+@pytest.mark.parametrize("name", sorted(CSR_MAIN_RECIPES))
+def test_csr_main_parts_are_views_it_never_changes(monkeypatch, name, leg):
+    """Every part of a CSR main shares its parent's arrays, and the
+    run leaves them as they were.  Every fifth stored value is an
+    explicit zero, which an ``eliminate_zeros`` on a part would drop
+    from the parent."""
+    cols, recipe = CSR_MAIN_RECIPES[name]
+    hop, values = _compiled(recipe, 102, cols)
+    main_index = hop.operator.cplan.main_index
+    csr = values[main_index].to_csr().copy()
+    csr.data[::5] = 0.0
+    values[main_index] = MatrixBlock(csr)
+    before = [csr.data.copy(), csr.indices.copy(), csr.indptr.copy()]
+
+    cut: list = []
+
+    def spy(block, bounds):
+        parts = real(block, bounds)
+        if block.is_sparse and block.to_csr().data is csr.data:
+            cut.extend(parts)
+        return parts
+
+    real = skeletons.row_parts
+    monkeypatch.setattr(skeletons, "row_parts", spy)
+    monkeypatch.setattr(distributed, "row_parts", spy)
+    _run_leg(leg, hop, values, monkeypatch)
+
+    assert len(cut) >= 2
+    for part in cut:
+        part_csr = part.to_csr()
+        if part_csr.nnz:
+            assert np.shares_memory(part_csr.data, csr.data)
+            assert np.shares_memory(part_csr.indices, csr.indices)
+    after = [csr.data, csr.indices, csr.indptr]
+    assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+
 @pytest.mark.usefixtures("always_enumerate", "parallel_tiny_ops")
 def test_spark_typed_operator_carries_one_part():
     """The same operator on the ``spark`` leg: lowered SPARK-typed it
@@ -264,4 +345,16 @@ def test_runtime_and_cost_model_share_the_gate(threads, rows, cols,
     threshold = parallel_tiny_ops
     expected = (threads if rows >= 2 * threads and rows * cols >= threshold
                 else 1)
+    assert runtime_parts == expected
+
+    # A CP matrix multiply splits its left input at the same gate.
+    v = api.matrix(np.ones((cols, 1)), "v")
+    engine = Engine(mode="base", config=config)
+    program = engine.compile([(x @ v).hop])
+    (instr,) = [i for i in program.instructions
+                if i.hop.kind is OpKind.AGG_BINARY]
+    engine.executor.run(program)
+    runtime_parts = max(1, engine.stats.n_intra_op_partitions)
+    cv = SimpleNamespace(ttype=None, output=instr.hop)
+    assert instr.parts == runtime_parts == cost._intra_op_parallelism(cv)
     assert runtime_parts == expected

@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro import api
 from repro.compiler.execution import Engine
@@ -126,6 +127,34 @@ class TestMatrixShaped:
     def test_vect_matmult(self):
         a, block = RNG.random((4, 6)), RNG.random((6, 3))
         np.testing.assert_allclose(vp.vect_matmult(a, block), a @ block)
+
+    @pytest.mark.usefixtures("parallel_tiny_ops")
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    @pytest.mark.parametrize("shape", ["vector", "matrix", "f-order",
+                                       "strided"])
+    def test_vect_tmatmult_is_the_transposed_product(self, shape, sparse):
+        a = RNG.random((300, 7))
+        if sparse:
+            a = sp.csr_matrix(np.where(a < 0.7, 0.0, a))
+        b = {
+            "vector": lambda: RNG.random((300, 1)),
+            "matrix": lambda: RNG.random((300, 5)),
+            "f-order": lambda: np.asfortranarray(RNG.random((300, 5))),
+            "strided": lambda: RNG.random((600, 10))[::2, ::2],
+        }[shape]()
+        assert np.array_equal(vp.vect_tmatmult(a, b), a.T @ b)
+
+    @pytest.mark.usefixtures("parallel_tiny_ops")
+    def test_row_source_calls_vect_tmatmult(self):
+        """``t(X) %*% v`` in a Row body is the helper, never ``.T @``."""
+        x = api.matrix(RNG.random((40, 6)), "X")
+        v = api.matrix(RNG.random((6, 1)), "v")
+        engine = Engine(mode="gen")
+        api.eval(x.T @ (x @ v), engine=engine)
+        (operator,) = engine.plan_cache._cache.values()
+        assert operator.cplan.ttype.value == "Row"
+        assert "vp.vect_tmatmult(" in operator.source
+        assert ".T @" not in operator.source
 
 
 class TestElementwise:
