@@ -4,6 +4,24 @@ reproductions (``benchmarks/``)."""
 import pytest
 
 
+@pytest.fixture(autouse=True)
+def fresh_plan_cache(monkeypatch):
+    """Give every test and bench an empty process-wide plan cache.
+
+    Engines read ``plan_cache.PLAN_CACHE`` when they are built, so the
+    shared engines behind bare ``api.eval`` / ``run_script`` are dropped
+    too and rebuilt on first use.  No assertion passes, then, just
+    because an earlier test compiled its operators.  Returns the cache.
+    """
+    from repro.codegen import plan_cache
+    from repro.compiler import execution
+
+    cache = plan_cache.PlanCache()
+    monkeypatch.setattr(plan_cache, "PLAN_CACHE", cache)
+    monkeypatch.setattr(execution, "_shared_engines", {})
+    return cache
+
+
 @pytest.fixture
 def always_enumerate(monkeypatch):
     """Enumerate every partition with interesting points.

@@ -54,13 +54,14 @@ def main() -> None:
     print(format_report(verify_dag(roots, stage="pre-compile")))
 
     # 2. Compile under full verification: the pipeline re-verifies the
-    # DAG after every pass, the lowered program after lowering, and
-    # lints every generated kernel source before exec().
+    # DAG after every pass and the lowered program after lowering (every
+    # generated kernel source is linted before exec() at any level).
     engine = Engine(mode="gen", config=CodegenConfig(verify_level="full"))
     program = engine.compile(l2svm_iteration_roots(rng))
     print(f"\ncompiled: {program.n_instructions} instructions over "
           f"{program.n_slots} slots, "
-          f"{engine.plan_cache.size} generated operator(s)")
+          f"{engine.plan_cache.size} generated operator(s) in the "
+          "process-wide plan cache")
 
     # 3. The lowered program's own report (slot discipline, refcounts,
     # static use-after-free, recompile markers, parallelism).

@@ -1,8 +1,8 @@
 """Static analysis subsystem: IR verifier, kernel lint, lockset detector.
 
-Three passes: the first two are wired behind
-``CodegenConfig.verify_level`` (``off`` / ``boundaries`` / ``full``),
-the third is switched on for a ``with`` block by
+Three passes: the first is wired behind ``CodegenConfig.verify_level``
+(``off`` / ``boundaries`` / ``full``), the second runs on every
+generated source, the third is switched on for a ``with`` block by
 :func:`repro.analysis.lockset.lockset_debug`:
 
 * :mod:`repro.analysis.verify` — structural + semantic validation of

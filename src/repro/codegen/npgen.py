@@ -157,16 +157,15 @@ def body_temporaries(cplan: CPlan) -> int:
 def compile_kernel(cplan: CPlan, config, stats=None) -> GeneratedOperator:
     """Emit, lint and compile a fused operator's ``genbody``.
 
-    Compiles under ``config.compiler`` through the process-wide source
-    cache, so equivalent operators across engines never recompile
-    byte-identical code.
+    Every source is linted before it compiles, at any
+    ``config.verify_level``: the process-wide plan cache hands the
+    operator to every engine in the process.
     """
     from repro.codegen.plan_cache import compile_operator
 
     name, source, csr_main_safe, csr_sides = generate_kernel_source(cplan)
-    if config.verify_level != "off":
-        check_source(name, source, csr_main_safe=csr_main_safe,
-                     csr_sides=csr_sides, stats=stats)
+    check_source(name, source, csr_main_safe=csr_main_safe,
+                 csr_sides=csr_sides, stats=stats)
     genbody = compile_operator(name, source, config.compiler, stats=stats)
     if stats is not None:
         with stats.lock:

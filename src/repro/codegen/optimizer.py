@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import time
 
+from repro.codegen import plan_cache
 from repro.codegen.construct import construct_cplan, construct_multi_agg
 from repro.codegen.cost import CostEstimator, OperatorPlan, assignment_mask
 from repro.codegen.enumerate import mpskip_enum, search_space
 from repro.codegen.explore import explore
 from repro.codegen.heuristics import fuse_all, fuse_no_redundancy, no_redundancy_plan
 from repro.codegen.partitions import PlanPartition, build_partitions
-from repro.codegen.plan_cache import PlanCache
 from repro.codegen.template import TemplateType
 from repro.config import CodegenConfig
 from repro.errors import CodegenError
@@ -46,10 +46,10 @@ _PLAN_COST_S = 6.5e-5
 class CodegenOptimizer:
     """Optimizes one HOP DAG at a time and rewrites it in place."""
 
-    def __init__(self, config: CodegenConfig, plan_cache: PlanCache | None = None,
+    def __init__(self, config: CodegenConfig,
                  stats: RuntimeStats | None = None):
         self.config = config
-        self.plan_cache = plan_cache or PlanCache(config.plan_cache_enabled)
+        self.plan_cache = plan_cache.PLAN_CACHE
         self.stats = stats or RuntimeStats()
 
     def optimize(self, roots: list[Hop], policy: str = "cost") -> list[Hop]:

@@ -1,31 +1,35 @@
-"""Plan cache and operator compilation (codegen steps 4-5).
+"""The plan cache and operator compilation (codegen steps 4-5).
 
-Generated operators are maintained in a plan cache keyed by the CPlan's
-semantic hash, avoiding redundant code generation and compilation for
-equivalent operators — across DAGs and during dynamic recompilation
-(Section 2.1).  Each operator compiles exactly one source, its
-``genbody``, under ``CodegenConfig.compiler``; the two backends mirror
-the paper's janino vs javac comparison (Figure 11):
+Generated operators live in one process-wide plan cache,
+:data:`PLAN_CACHE`, keyed by the CPlan's semantic hash and the compiler
+backend.  Every engine, serving specialization and dynamic
+recompilation in the process looks its operators up there, so an
+equivalent operator is generated and compiled once per process, across
+DAGs and recompilations (Section 2.1).  ``plan_cache_enabled=False``
+bypasses it: every lookup builds, with no cache at any level (the
+no-cache legs of Table 3 and Figure 11).  Each operator compiles exactly
+one source, its ``genbody``, under ``CodegenConfig.compiler``; the two
+backends mirror the paper's janino vs javac comparison (Figure 11):
 
 * ``exec``: in-memory ``compile()`` + ``exec()`` (the fast janino path),
-* ``file``: write the source to disk, byte-compile it, and import it as
-  a module (the heavyweight javac path).
+* ``file``: write the source to a temporary directory, byte-compile it,
+  and import it as a module (the heavyweight javac path).
 
-The cache is thread-safe: a serving scheduler shares one cache across
-concurrent request compilations.  Lookup/insert run under a single
-lock, and a concurrent miss on the same key compiles exactly once —
-later threads wait on the first thread's in-flight compilation instead
-of duplicating it.
+The cache is thread-safe: serving requests and engines on several
+threads share it.  Lookup/insert run under a single lock, and a
+concurrent miss on the same key compiles exactly once — later threads
+wait on the first thread's in-flight compilation instead of
+duplicating it.  Per-engine hits and lookups are the
+``plan_cache_hits`` / ``plan_cache_lookups`` fields of the engine's
+``RuntimeStats``.
 """
 
 from __future__ import annotations
 
 import builtins
-import hashlib
 import importlib.util
 import os
 import py_compile
-import sys
 import tempfile
 import threading
 import time
@@ -41,43 +45,22 @@ from repro.codegen.pygen import (
 from repro.errors import CodegenError
 from repro.obs import trace as obs_trace
 
-# Process-wide exec()-compile cache keyed by source hash: semantically
-# identical operators regenerated across recompiles, specializations,
-# and engines produce byte-identical source (operator names are
-# deterministic functions of the semantic hash), so the compiled
-# callable is reused instead of re-``exec``-ing identical code.
-_SOURCE_CACHE: dict = {}
-_SOURCE_CACHE_LOCK = lockset.make_lock("plan_cache._SOURCE_CACHE_LOCK")
-
-
-def _source_cache_key(name: str, source: str, backend: str) -> str:
-    digest = hashlib.sha256(source.encode()).hexdigest()
-    return f"{backend}:{name}:{digest}"
-
 
 class PlanCache:
-    """CPlan-hash -> compiled operator cache (thread-safe)."""
+    """(CPlan semantic hash, compiler backend) -> compiled operator
+    (thread-safe)."""
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self._cache: dict[str, GeneratedOperator] = {}
+    def __init__(self):
+        self._cache: dict[tuple, GeneratedOperator] = {}
         self._lock = lockset.make_lock("PlanCache._lock")
         # key -> Event set once the owning thread finished compiling.
-        self._building: dict[str, threading.Event] = {}
-        self.hits = 0
-        self.lookups = 0
+        self._building: dict[tuple, threading.Event] = {}
 
     @property
     def size(self) -> int:
         """Number of cached operators."""
         with self._lock:
             return len(self._cache)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._cache.clear()
-            self.hits = 0
-            self.lookups = 0
 
     def _record(self, stats, **deltas) -> None:
         """Apply counter deltas to an engine stats object (locked)."""
@@ -94,25 +77,25 @@ class PlanCache:
         """Return a compiled operator, reusing cached equivalents.
 
         On a concurrent miss for the same key only one thread compiles;
-        the others block until the operator lands in the cache.
+        the others block until the operator lands in the cache.  With
+        ``config.plan_cache_enabled`` off every call builds.
         """
-        key = cplan.semantic_hash()
-        with self._lock:
-            lockset.note_access("PlanCache", self, "lookups")
-            self.lookups += 1
         self._record(stats, plan_cache_lookups=1)
+        if not config.plan_cache_enabled:
+            operator = build_operator(cplan, config, stats)
+            self._record(stats, n_classes_compiled=1)
+            return operator
+        key = (cplan.semantic_hash(), config.compiler)
         while True:
             with self._lock:
                 lockset.note_access("PlanCache", self, "cache")
-                if self.enabled and key in self._cache:
-                    self.hits += 1
-                    operator = self._cache[key]
+                operator = self._cache.get(key)
+                if operator is not None:
                     self._record(stats, plan_cache_hits=1)
                     return operator
                 event = self._building.get(key)
                 if event is None:
-                    if self.enabled:
-                        self._building[key] = threading.Event()
+                    event = self._building[key] = threading.Event()
                     break  # this thread owns the compilation
             # Another thread is compiling this key: wait, then re-check
             # (a hit if it succeeded; ownership if it failed).
@@ -120,22 +103,19 @@ class PlanCache:
 
         try:
             operator = build_operator(cplan, config, stats)
-        except BaseException:
             with self._lock:
-                failed = self._building.pop(key, None)
-            if failed is not None:
-                failed.set()
-            raise
-
-        with self._lock:
-            lockset.note_access("PlanCache", self, "cache")
-            if self.enabled:
+                lockset.note_access("PlanCache", self, "cache")
                 self._cache[key] = operator
-            finished = self._building.pop(key, None)
-        if finished is not None:
-            finished.set()
+        finally:
+            with self._lock:
+                del self._building[key]
+            event.set()
         self._record(stats, n_classes_compiled=1)
         return operator
+
+
+#: The process's one plan cache.  Engines read it when they are built.
+PLAN_CACHE = PlanCache()
 
 
 def build_operator(cplan: CPlan, config, stats=None) -> GeneratedOperator:
@@ -158,29 +138,12 @@ def build_operator(cplan: CPlan, config, stats=None) -> GeneratedOperator:
 
 def compile_source(name: str, source: str, backend: str = "exec",
                    stats=None) -> dict:
-    """Compile generated source into a namespace, via the source cache.
-
-    Byte-identical source compiles exactly once per process; later
-    requests (recompiles, serving specializations, other engines) reuse
-    the namespace and record a ``n_source_cache_hits``.
-    """
-    key = _source_cache_key(name, source, backend)
-    with _SOURCE_CACHE_LOCK:
-        lockset.note_access("plan_cache", _SOURCE_CACHE, "source_cache")
-        namespace = _SOURCE_CACHE.get(key)
-    if namespace is not None:
-        if stats is not None:
-            with stats.lock:
-                stats.n_source_cache_hits += 1
-        return namespace
+    """Compile generated source into a namespace under ``backend``."""
     start = time.perf_counter()
     namespace = _compile_namespace(name, source, backend)
     if stats is not None:
         with stats.lock:
             stats.class_compile_seconds += time.perf_counter() - start
-    with _SOURCE_CACHE_LOCK:
-        lockset.note_access("plan_cache", _SOURCE_CACHE, "source_cache")
-        _SOURCE_CACHE.setdefault(key, namespace)
     return namespace
 
 
@@ -196,8 +159,7 @@ def _restricted_import(name, globals=None, locals=None, fromlist=(),
 
     Generated sources import exactly the surface the kernel lint
     permits (numpy/scipy and the runtime cell-function table); anything
-    else — smuggled past the lint or injected into a cached source —
-    fails here at exec time.
+    else — smuggled past the lint — fails here at exec time.
     """
     if level == 0 and any(
         name == prefix or name.startswith(prefix + ".")
@@ -240,16 +202,16 @@ def _compile_namespace(name: str, source: str, backend: str) -> dict:
         exec(code, namespace)
         return namespace
     if backend == "file":
-        tmpdir = tempfile.mkdtemp(prefix="repro_codegen_")
-        path = os.path.join(tmpdir, f"{name.lower()}.py")
-        with open(path, "w") as handle:
-            handle.write(source)
-        # Byte-compile explicitly (the expensive out-of-process step of
-        # javac, approximated in-process) and import the module.
-        py_compile.compile(path, doraise=True)
-        spec = importlib.util.spec_from_file_location(f"repro_gen_{name}", path)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = module
-        spec.loader.exec_module(module)
+        with tempfile.TemporaryDirectory(prefix="repro_codegen_") as tmpdir:
+            path = os.path.join(tmpdir, f"{name.lower()}.py")
+            with open(path, "w") as handle:
+                handle.write(source)
+            # Byte-compile explicitly (the expensive out-of-process step
+            # of javac, approximated in-process) and import the module.
+            py_compile.compile(path, doraise=True)
+            spec = importlib.util.spec_from_file_location(
+                f"repro_gen_{name}", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
         return module.__dict__
     raise CodegenError(f"unknown compiler backend '{backend}'")

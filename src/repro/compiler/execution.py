@@ -23,7 +23,9 @@
    instructions (fused operators and CP matrix multiplies split into
    row parts).
 
-An engine owns a plan cache, a program cache and runtime statistics.
+An engine owns a program cache and runtime statistics; the generated
+operators it runs come from the process-wide plan cache
+(:data:`repro.codegen.plan_cache.PLAN_CACHE`), shared by every engine.
 Every ``execute`` call plays the role of one statement-block
 compilation, and iterative scripts rebuild the same few DAGs over new
 data, so the engine compiles once per DAG *shape*
@@ -31,15 +33,16 @@ data, so the engine compiles once per DAG *shape*
 a copy of the DAG over symbolic leaves and keeps the lowered program;
 every later call binds its blocks and run-time scalars into that
 program's constant slots and runs it — no rewrites, no codegen, no
-lowering.  Generated operators are still shared across shapes through
-the plan cache.  Engines are thread-safe: compilations serialize on the
-context's compile lock while runtime execution overlaps, which is what
-the serving subsystem (:mod:`repro.serve`) builds on.
+lowering.  Generated operators are shared across shapes and engines
+through the plan cache.  Engines are thread-safe: compilations
+serialize on the context's compile lock while runtime execution
+overlaps, which is what the serving subsystem (:mod:`repro.serve`)
+builds on.
 
 :func:`shared_engine` hands out one long-lived engine per mode, so
 interpreter entry points (``run_script``, ``api.eval``) that are called
-without an explicit engine reuse warm plan caches instead of paying the
-full compile pipeline on every call.
+without an explicit engine reuse warm program caches instead of paying
+the full compile pipeline on every call.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ def shared_engine(mode: str = "gen") -> "Engine":
 
     Callers that do not manage an engine themselves (``run_script``
     without an ``engine=``, bare ``api.eval``) share these instances so
-    repeated invocations hit warm plan and specialization caches.
+    repeated invocations hit warm specialization caches.
     """
     with _shared_engines_lock:
         engine = _shared_engines.get(mode)
@@ -132,7 +135,9 @@ class Engine:
     live engine — ``verify_level``, ``cluster`` and
     ``local_mem_budget`` — so changing one never runs a stale program;
     ``plan_cache_enabled=False`` turns the program cache off together
-    with the plan cache.  ``compile`` stays the plain pipeline: the
+    with the plan cache: every compile builds its operators.  The plan
+    cache (``engine.plan_cache``) is the process-wide one, read when
+    the engine is built.  ``compile`` stays the plain pipeline: the
     caller's DAG as it is, every literal by value.
     """
 
@@ -161,7 +166,7 @@ class Engine:
 
     @property
     def plan_cache(self):
-        return self.context.plan_cache
+        return self.context.optimizer.plan_cache
 
     @property
     def tracer(self):

@@ -22,7 +22,6 @@ import time
 
 from repro.analysis import lockset
 from repro.codegen.optimizer import CodegenOptimizer
-from repro.codegen.plan_cache import PlanCache
 from repro.config import CodegenConfig
 from repro.hops import memory
 from repro.hops.hop import Hop, collect_dag
@@ -45,13 +44,15 @@ MODE_POLICIES = {
 class CompilationContext:
     """Shared state threaded through all compiler passes.
 
-    Owns the long-lived pieces — config, plan cache, stats, and the
-    codegen optimizer — so iterative workloads (one ``execute`` per
-    loop iteration) reuse compiled operators across compilations.
+    Owns the long-lived pieces — config, stats, and the codegen
+    optimizer.  Compiled operators are not its own: the optimizer looks
+    them up in the process-wide plan cache
+    (:data:`repro.codegen.plan_cache.PLAN_CACHE`), so every context —
+    each engine, serving specialization and recompile — reuses what
+    any other compiled.
     """
 
     def __init__(self, mode: str, config: CodegenConfig,
-                 plan_cache: PlanCache | None = None,
                  stats: RuntimeStats | None = None):
         self.mode = mode
         self.config = config
@@ -62,8 +63,7 @@ class CompilationContext:
         # open spans without new plumbing.
         self.tracer = obs_trace.tracer_for(config)
         self.stats.tracer = self.tracer
-        self.plan_cache = plan_cache or PlanCache(config.plan_cache_enabled)
-        self.optimizer = CodegenOptimizer(config, self.plan_cache, self.stats)
+        self.optimizer = CodegenOptimizer(config, self.stats)
         # Serializes compilations through this context: the rewrite /
         # codegen passes mutate shared optimizer and stats state, so
         # concurrent serving requests compile one at a time (runtime

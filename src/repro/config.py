@@ -79,11 +79,12 @@ class CodegenConfig:
     intra_op_threads: int = 0
 
     # Static analysis (repro.analysis).  verify_level gates the IR
-    # verifier and the generated-kernel lint: 'off' disables them,
-    # 'boundaries' verifies the optimized DAG and the lowered program at
-    # every compile (and lints every generated source before exec),
-    # 'full' additionally re-verifies the DAG after every compiler pass
-    # and at adaptive-recompile splice points.
+    # verifier only: 'off' disables it, 'boundaries' verifies the
+    # optimized DAG and the lowered program at every compile, 'full'
+    # additionally re-verifies the DAG after every compiler pass and at
+    # adaptive-recompile splice points.  The generated-kernel lint runs
+    # on every source at every level, since the process-wide plan cache
+    # hands one engine's operators to all the others.
     verify_level: str = "off"
 
     # Observability (repro.obs): hierarchical span tracing.  'off' uses
@@ -100,6 +101,10 @@ class CodegenConfig:
     # (janino analogue); 'file' writes sources to disk and imports them
     # (javac analogue).
     compiler: str = "exec"
+    # False: every operator lookup builds (no cache at any level; the
+    # no-cache legs of Table 3 / Fig. 11), and Engine.execute's program
+    # cache is off too.  True shares operators through the process-wide
+    # plan cache (repro.codegen.plan_cache.PLAN_CACHE).
     plan_cache_enabled: bool = True
 
     # Who runs SparkExecutor's partition tasks: 'simulated' runs them

@@ -43,8 +43,10 @@ def _materialize_operator(operators: dict, name: str, config, stats):
     Asserts the fork-safety contract: building the operator from the
     shipped cplan must reproduce the source the driver compiled
     byte-for-byte (deterministic ``TMP_<hash10>`` naming), so the
-    source-hash compile cache and the driver/worker execution paths can
-    never diverge.
+    driver and worker execution paths can never diverge.  ``operators``
+    is the worker's own cache: each operator builds once per worker
+    process, bypassing the plan cache (the payload, not a lookup,
+    decides what the worker runs).
     """
     entry = operators[name]
     if not isinstance(entry, tuple):

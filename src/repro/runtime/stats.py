@@ -110,7 +110,7 @@ class RuntimeStats:
     # Generated fused operators.
     n_kernel_compiles: int = 0  # operator bodies emitted, linted and compiled
     n_compiled_runs: int = 0  # generated-operator executions
-    n_source_cache_hits: int = 0  # exec() compiles skipped via the source-hash cache
+    n_source_cache_hits: int = 0  # always 0: the plan cache is the one operator cache
 
     # Compressed (CLA) execution format.
     n_compressed_ops: int = 0  # ops executed dictionary-direct

@@ -24,8 +24,8 @@ engine signs the DAG it is handed, while a prepared program must not
 even trace its builder on a hit, so it signs the *inputs* — and bakes
 scalar inputs into the key, because builders branch on them in Python.
 
-Generated fused operators inside different specializations still share
-the engine's plan cache (semantic CPlan hash), so a shape-specialized
+Generated fused operators inside different specializations share the
+process-wide plan cache (semantic CPlan hash), so a shape-specialized
 recompile typically reuses every compiled operator class.
 """
 

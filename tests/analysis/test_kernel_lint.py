@@ -49,6 +49,59 @@ class TestCleanSources:
         assert engine.plan_cache.size > 0
 
 
+class TestLintAtEveryLevel:
+    """The plan cache is process-wide, so an operator one engine built
+    runs in every other: the lint cannot depend on ``verify_level``."""
+
+    def _roots(self):
+        rng = np.random.default_rng(5)
+        x = api.matrix(rng.random((40, 12)), "X")
+        v = api.matrix(rng.random((12, 1)), "v")
+        return [api.exp(x * 0.5).sum().hop, (x.T @ (x @ v)).hop]
+
+    def test_operator_built_unverified_was_linted(self, monkeypatch):
+        from repro.codegen import npgen
+
+        linted = []
+
+        def counting(name, source, **kwargs):
+            linted.append(name)
+            return check_source(name, source, **kwargs)
+
+        monkeypatch.setattr(npgen, "check_source", counting)
+        off = Engine(mode="gen", config=CodegenConfig(verify_level="off"))
+        off.execute(self._roots())
+        built = off.stats.n_classes_compiled
+        assert built > 0 and len(linted) == built
+        assert sorted(linted) == sorted(
+            op.name for op in off.plan_cache._cache.values())
+
+        checked = Engine(mode="gen",
+                         config=CodegenConfig(verify_level="boundaries"))
+        checked.execute(self._roots())
+        assert checked.stats.n_classes_compiled == 0
+        assert checked.stats.plan_cache_hits == built
+        assert len(linted) == built  # reused, not linted or built again
+        assert checked.stats.n_verified_programs == 1
+
+    def test_lint_rejects_at_verify_level_off(self, monkeypatch):
+        from repro.codegen import npgen
+
+        generate = npgen.generate_kernel_source
+
+        def hostile(cplan):
+            name, source, *csr = generate(cplan)
+            return (name, "import os\n" + source, *csr)
+
+        monkeypatch.setattr(npgen, "generate_kernel_source", hostile)
+        engine = Engine(mode="gen", config=CodegenConfig(verify_level="off"))
+        with pytest.raises(KernelLintError):
+            engine.execute(self._roots())
+        assert engine.stats.n_lint_rejects == 1
+        assert engine.stats.n_kernel_compiles == 0
+        assert engine.plan_cache.size == 0
+
+
 class TestViolations:
     def test_disallowed_import(self):
         assert _codes(lint_source("bad", "import os\n" + CLEAN)) == {"import"}

@@ -16,6 +16,7 @@ from repro.config import CodegenConfig
 from repro.hops.hop import collect_dag
 from repro.hops.rewrites import apply_rewrites
 from repro.runtime.matrix import MatrixBlock
+from repro.runtime.stats import RuntimeStats
 
 
 def _select_plan(exprs, want_type=None):
@@ -162,9 +163,9 @@ class TestPygen:
     def test_deterministic_operator_names(self):
         """Equivalent CPlans name identically (semantic-hash derived).
 
-        Deterministic names make regenerated source byte-identical, so
-        the source-hash compile cache can reuse exec()'d namespaces
-        across recompiles, specializations, and engines.
+        Deterministic names make regenerated source byte-identical, so a
+        multiprocess worker can check the operator it rebuilds against
+        the driver's source.
         """
         def make_cplan():
             return CPlan(
@@ -207,6 +208,7 @@ class TestPlanCache:
     def test_hit_on_equivalent_plan(self, rng):
         cache = PlanCache()
         config = CodegenConfig()
+        stats = RuntimeStats()
 
         def build(rows):
             x = api.matrix(rng.random((rows, 10)), "X")
@@ -214,14 +216,14 @@ class TestPlanCache:
             plan, _ = _select_plan([(x * y).sum()])
             return construct_cplan(plan, config)[0]
 
-        op1 = cache.get_or_compile(build(30), config)
-        op2 = cache.get_or_compile(build(90), config)
+        op1 = cache.get_or_compile(build(30), config, stats)
+        op2 = cache.get_or_compile(build(90), config, stats)
         assert op1 is op2
-        assert cache.hits == 1
+        assert stats.plan_cache_hits == 1
 
     def test_disabled_cache_recompiles(self, rng):
-        cache = PlanCache(enabled=False)
-        config = CodegenConfig()
+        cache = PlanCache()
+        config = CodegenConfig(plan_cache_enabled=False)
         x = api.matrix(rng.random((30, 10)), "X")
         y = api.matrix(rng.random((30, 10)), "Y")
         plan, _ = _select_plan([(x * y).sum()])
@@ -229,6 +231,8 @@ class TestPlanCache:
         op1 = cache.get_or_compile(cplan, config)
         op2 = cache.get_or_compile(cplan, config)
         assert op1 is not op2
+        assert op1.genbody is not op2.genbody  # compiled twice
+        assert cache.size == 0
 
     def test_file_backend_produces_working_operator(self):
         source = (
@@ -241,10 +245,9 @@ class TestPlanCache:
 
     def test_file_backend_compiles_every_template(self, rng):
         """``compiler="file"`` reaches every operator: the ``genbody`` of
-        a Cell, a Row and an Outer operator each come from a real file,
-        not from the exec backend's ``<generated …>`` code objects."""
-        import os
-
+        a Cell, a Row and an Outer operator each come from a real file
+        (removed once imported), not from the exec backend's
+        ``<generated …>`` code objects."""
         from repro.compiler.execution import Engine
 
         engine = Engine(mode="gen", config=CodegenConfig(compiler="file"))
@@ -260,7 +263,28 @@ class TestPlanCache:
             TemplateType.CELL, TemplateType.ROW, TemplateType.OUTER
         }
         for op in operators:
-            assert os.path.isfile(op.genbody.__code__.co_filename)
+            filename = op.genbody.__code__.co_filename
+            assert filename.endswith(f"/{op.name.lower()}.py")
+
+    def test_file_backend_leaves_no_directory(self, rng, tmp_path,
+                                              monkeypatch):
+        """Each file-backend build writes its module into a temporary
+        directory and removes it once the module is imported."""
+        import tempfile
+
+        from repro.compiler.execution import Engine
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        engine = Engine(mode="gen", config=CodegenConfig(
+            compiler="file", plan_cache_enabled=False))
+        x = api.matrix(rng.random((30, 10)), "X")
+        for _ in range(5):
+            api.eval((x * x + 1.0).row_sums(), engine=engine)
+        assert engine.stats.n_classes_compiled == 5
+        genbody = compile_operator(
+            "TMPX", "def genbody(a, b, s):\n    return a\n", backend="file")
+        assert genbody.__code__.co_filename.startswith(str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_backend_rejected(self):
         from repro.errors import CodegenError

@@ -5,12 +5,16 @@ generated operators are reused through the plan cache (Section 2.1's
 dynamic recompilation story).
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro import api
 from repro.codegen.plan_cache import PlanCache
 from repro.config import CodegenConfig
+from repro.runtime.stats import RuntimeStats
 from tests.conftest import GEN_MODES, make_engine
 
 RNG = np.random.default_rng(31)
@@ -33,50 +37,86 @@ class TestGetOrCompile:
         return operator.cplan
 
     def test_miss_compiles_then_hits(self):
-        engine = make_engine("gen")
-        cplan = self._cplan(engine)
-        cache = PlanCache(enabled=True)
+        cplan = self._cplan(make_engine("gen"))
+        cache = PlanCache()
         config = CodegenConfig()
-        first = cache.get_or_compile(cplan, config)
-        assert cache.lookups == 1 and cache.hits == 0
-        second = cache.get_or_compile(cplan, config)
-        assert cache.lookups == 2 and cache.hits == 1
+        stats = RuntimeStats()
+        first = cache.get_or_compile(cplan, config, stats)
+        assert stats.plan_cache_lookups == 1 and stats.plan_cache_hits == 0
+        second = cache.get_or_compile(cplan, config, stats)
+        assert stats.plan_cache_lookups == 2 and stats.plan_cache_hits == 1
         assert second is first
+        assert stats.n_classes_compiled == 1
 
-    def test_disabled_cache_always_misses(self):
-        engine = make_engine("gen")
-        cplan = self._cplan(engine)
-        cache = PlanCache(enabled=False)
-        config = CodegenConfig()
-        first = cache.get_or_compile(cplan, config)
-        second = cache.get_or_compile(cplan, config)
+    def test_disabled_cache_always_builds(self):
+        """``plan_cache_enabled=False``: no cache at any level — every
+        lookup generates and compiles its source again."""
+        cplan = self._cplan(make_engine("gen"))
+        cache = PlanCache()
+        config = CodegenConfig(plan_cache_enabled=False)
+        stats = RuntimeStats()
+        first = cache.get_or_compile(cplan, config, stats)
+        second = cache.get_or_compile(cplan, config, stats)
         assert first is not second
-        assert cache.hits == 0
+        assert first.genbody is not second.genbody
+        assert first.source == second.source
+        assert stats.plan_cache_lookups == 2 and stats.plan_cache_hits == 0
+        assert stats.n_classes_compiled == 2
+        assert stats.n_source_cache_hits == 0
+        assert stats.class_compile_seconds > 0.0
+        assert cache.size == 0
 
-    def test_clear_resets_counters_and_entries(self):
-        engine = make_engine("gen")
-        cplan = self._cplan(engine)
-        cache = PlanCache(enabled=True)
-        cache.get_or_compile(cplan, CodegenConfig())
-        cache.clear()
-        assert cache.lookups == 0 and cache.hits == 0
-        cache.get_or_compile(cplan, CodegenConfig())
-        assert cache.hits == 0  # recompiled after clear
+    def test_key_carries_the_compiler_backend(self):
+        cplan = self._cplan(make_engine("gen"))
+        cache = PlanCache()
+        by_exec = cache.get_or_compile(cplan, CodegenConfig())
+        by_file = cache.get_or_compile(cplan, CodegenConfig(compiler="file"))
+        assert by_exec is not by_file
+        assert cache.size == 2
+
+    def test_engines_read_the_module_cache_when_built(self, fresh_plan_cache):
+        """Every engine, the shared ones included, looks operators up in
+        ``plan_cache.PLAN_CACHE`` as it was when the engine was built."""
+        from repro.compiler.execution import shared_engine
+
+        first, second = make_engine("gen"), make_engine("gen")
+        assert first.plan_cache is fresh_plan_cache
+        assert shared_engine().plan_cache is fresh_plan_cache
+        api.eval(_sum_expr(), engine=first)
+        api.eval(_sum_expr(), engine=second)
+        assert fresh_plan_cache.size == first.stats.n_classes_compiled >= 1
+        assert second.stats.n_classes_compiled == 0
+        assert second.stats.plan_cache_hits == fresh_plan_cache.size
+
+    def test_failed_build_is_retried(self, monkeypatch):
+        """A build that raises caches nothing; the next lookup builds."""
+        from repro.codegen import plan_cache
+
+        cplan = self._cplan(make_engine("gen"))
+        cache = PlanCache()
+        build = plan_cache.build_operator
+
+        def failing(*args, **kwargs):
+            monkeypatch.setattr(plan_cache, "build_operator", build)
+            raise RuntimeError("build failed")
+
+        monkeypatch.setattr(plan_cache, "build_operator", failing)
+        with pytest.raises(RuntimeError, match="build failed"):
+            cache.get_or_compile(cplan, CodegenConfig())
+        assert cache.size == 0
+        assert cache.get_or_compile(cplan, CodegenConfig()) is not None
+        assert cache.size == 1
 
 
 class TestConcurrentAccess:
     def test_concurrent_miss_compiles_exactly_once(self):
         """Threads racing on the same key share one compilation."""
-        import threading
-
-        from repro.runtime.stats import RuntimeStats
-
         engine = make_engine("gen")
         api.eval(_sum_expr(), engine=engine)
         (operator,) = list(engine.plan_cache._cache.values())
         cplan = operator.cplan
 
-        cache = PlanCache(enabled=True)
+        cache = PlanCache()
         config = CodegenConfig()
         stats = RuntimeStats()
         n_threads = 8
@@ -101,9 +141,49 @@ class TestConcurrentAccess:
         operators = set(map(id, compiled.values()))
         assert len(operators) == 1  # everyone got the same object
         assert stats.n_classes_compiled == 1  # no double-compile
-        assert cache.lookups == n_threads
-        assert cache.hits == n_threads - 1
+        assert stats.plan_cache_lookups == n_threads
+        assert stats.plan_cache_hits == n_threads - 1
         assert cache.size == 1
+
+    def test_two_engines_racing_build_once(self, monkeypatch):
+        """Two engines compiling one operator on two threads: the
+        process-wide cache builds it once, and the engine that lost the
+        race waits for that build instead of starting its own."""
+        from repro.codegen import plan_cache
+
+        build = plan_cache.build_operator
+        builds = []
+
+        def slow_build(*args, **kwargs):
+            builds.append(args[0].semantic_hash())
+            time.sleep(0.2)  # hold the build open while the rival looks up
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(plan_cache, "build_operator", slow_build)
+        engines = [make_engine("gen"), make_engine("gen")]
+        barrier = threading.Barrier(len(engines))
+        values: dict[int, float] = {}
+        errors: list[BaseException] = []
+
+        def run(index):
+            try:
+                barrier.wait()
+                values[index] = api.eval(_sum_expr(), engine=engines[index])
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(engines))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        assert values[0] == values[1]
+        assert len(builds) == 1
+        assert sum(e.stats.n_classes_compiled for e in engines) == 1
+        assert sum(e.stats.plan_cache_hits for e in engines) == 1
+        assert plan_cache.PLAN_CACHE.size == 1
 
 
 class TestIterativeExecution:
