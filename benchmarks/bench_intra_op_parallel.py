@@ -52,8 +52,7 @@ RANK = 8
 _CACHE: dict = {}
 #: ``RuntimeStats`` intra-operator counters reported per thread count.
 _STAT_FIELDS = ("n_intra_op_parallel", "n_intra_op_partitions",
-                "intra_op_combine_levels", "intra_op_max_threads",
-                "n_serial_runs")
+                "intra_op_combine_levels", "n_serial_runs")
 
 
 def _data():
@@ -163,8 +162,7 @@ def main() -> None:
         print(f"\n{result.label}: 4-thread speedup {speedup:.2f}x "
               f"on {os.cpu_count()} cpu(s)")
         print(f"  partitions={summary['n_intra_op_partitions']} "
-              f"combine_levels={summary['intra_op_combine_levels']} "
-              f"max_threads={summary['intra_op_max_threads']}")
+              f"combine_levels={summary['intra_op_combine_levels']}")
     path = maybe_export_json(
         "intra_op_parallel", results, extra={"cpus": os.cpu_count()}
     )

@@ -2,8 +2,7 @@
 
 The runtime's thread-safety story is a set of *conventions*: the plan
 cache guards its tables with ``PlanCache._lock``, shared stats mutate
-under ``RuntimeStats.lock``, the thread budget's token count lives
-under ``ThreadBudget._lock``, and the simulated Spark lineage cache is
+under ``RuntimeStats.lock``, and the simulated Spark lineage cache is
 only touched while an executor run holds its Spark run lock.  This
 module turns those conventions into a *checkable protocol* (in the
 spirit of Savage et al.'s Eraser): instrumented code paths report each
@@ -40,8 +39,8 @@ Usage::
         ... concurrent workload ...
     assert checker.reports == []
 
-The wrappers always exist (module globals like the process-wide thread
-budget are created long before any checker is enabled); when no checker
+The wrappers always exist (module globals like the process-wide plan
+cache are created long before any checker is enabled); when no checker
 is active, instrumentation costs one attribute load and a ``None``
 check per operation.  This module must stay stdlib-only —
 ``runtime.stats`` imports it at module load.

@@ -73,9 +73,9 @@ class CodegenConfig:
     # ranges, compressed column-group views) and combine aggregation
     # partials through a fixed tree topology.  0 = auto (min(8, cpus));
     # 1 falls back to the exact serial skeleton code path.  Lowering
-    # fixes the partition count (runtime/parallel.py) — the thread budget
-    # only bounds how many partitions run concurrently — so results are
-    # deterministic run-to-run.
+    # fixes the partition count (runtime/parallel.py) — the shared
+    # intra-op pool's size only bounds how many partitions run at once —
+    # so results are deterministic run-to-run.
     intra_op_threads: int = 0
 
     # Static analysis (repro.analysis).  verify_level gates the IR
@@ -114,9 +114,8 @@ class CodegenConfig:
     # function, so results and counters are identical.
     distributed_backend: str = "simulated"
     # Worker processes for the multiprocess backend (0 = min(4, cpus)).
-    # Concurrent dispatch is additionally bounded by the process-wide
-    # ThreadBudget, so driver threads + worker processes stay within
-    # one shared token pool.
+    # An operator dispatches to at most this many of the process-wide
+    # pool's workers, and never to more than it has partitions.
     mp_workers: int = 0
 
     # Simulated cluster; None means pure single-node operation.

@@ -44,9 +44,10 @@ instead of re-running the program; driver-held inputs are simply
 re-shipped.  Worker-side *exceptions* are deterministic and are raised
 to the caller without retry.
 
-Worker counts coordinate with the process-wide ThreadBudget: each
-operator acquires up to ``mp_workers`` tokens before dispatching, so
-driver threads plus worker processes stay within one shared pool.
+An operator dispatches to ``min(mp_workers, partitions)`` workers of
+the one process-global pool, so the pool's size bounds the worker
+processes however many driver threads (serving workers) dispatch at
+once.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from multiprocessing import get_context
 
 from repro.errors import RuntimeExecError
 from repro.obs import trace as obs_trace
-from repro.runtime import parallel as parallel_mod
 from repro.runtime.mptransport import (  # noqa: F401  (re-exported)
     _BlockCache,
     decode_value,
@@ -79,8 +79,8 @@ from repro.runtime.mpworker import (  # noqa: F401  (re-exported)
 from repro.runtime.skeletons import partition_values
 from repro.runtime.stats import RuntimeStats
 
-#: Satellite guard: fork would duplicate held locks (stats RLock, plan
-#: cache, thread budget) into children — spawn starts workers clean.
+#: Fork would duplicate held locks (stats RLock, plan cache, the
+#: intra-op pool's lock) into children — spawn starts workers clean.
 _SPAWN = get_context("spawn")
 
 #: In-flight tasks per worker: keeps pipes shallow (no send/send
@@ -403,15 +403,13 @@ class ProcessPoolBackend:
         if not protos:
             return []
         stats = self.stats
-        budget = parallel_mod.shared_budget()
-        n_workers = self.resolve_workers()
-        granted = budget.acquire(min(n_workers, len(protos)), minimum=1)
+        n_workers = min(self.resolve_workers(), len(protos))
         segments: list = []
         bid = (self.backend_id, next(self._bids))
         state: dict | None = None
         try:
             pool = shared_pool()
-            active = {w.id: w for w in pool.ensure(granted)}
+            active = {w.id: w for w in pool.ensure(n_workers)}
             stats.mp_max_workers = max(stats.mp_max_workers, len(active))
             self._drain_stale(active)
 
@@ -454,7 +452,6 @@ class ProcessPoolBackend:
                 self._sanitize_pool(state)
             raise
         finally:
-            budget.release(granted)
             if _POOL is not None:
                 _POOL.broadcast(("free", [bid]))
             for seg in segments:

@@ -78,7 +78,8 @@ def is_row_partitioned_output(out_type: OutType) -> bool:
 
 
 def partition_bounds(rows: int, n_partitions: int) -> list[tuple[int, int]]:
-    """Contiguous row ranges splitting ``rows`` into ``n_partitions``.
+    """Exactly ``min(n_partitions, rows)`` contiguous row ranges
+    covering ``rows``; their sizes differ by at most one row.
 
     Shared by the local intra-op partitioner and the distributed
     backend's :class:`~repro.runtime.distributed.BlockedMatrix`, so both
@@ -87,9 +88,8 @@ def partition_bounds(rows: int, n_partitions: int) -> list[tuple[int, int]]:
     """
     if rows <= 0:
         return []
-    n_partitions = max(1, min(n_partitions, rows))
-    step = (rows + n_partitions - 1) // n_partitions
-    return [(r0, min(rows, r0 + step)) for r0 in range(0, rows, step)]
+    n = max(1, min(n_partitions, rows))
+    return [(rows * i // n, rows * (i + 1) // n) for i in range(n)]
 
 
 # ----------------------------------------------------------------------
@@ -377,7 +377,7 @@ def _intra_op_parts(cplan: CPlan, inputs: list, n_parts: int):
     """Per-part input lists, or None when the operator runs as one part.
 
     ``n_parts`` was fixed at lowering from the main input's dims, never
-    by the tokens the thread budget later grants, so a given program
+    by how many pool workers are free when it runs, so a given program
     always produces the same parts and combine topology.  A main that
     is still compressed belongs to a dictionary-only plan
     (:func:`execute_operator` decompressed every other).
@@ -412,7 +412,7 @@ def _column_group_views(main: CompressedMatrix, n_parts: int):
     if len(groups) < 2:
         return None
     views = []
-    for g0, g1 in partition_bounds(len(groups), min(n_parts, len(groups))):
+    for g0, g1 in partition_bounds(len(groups), n_parts):
         # Each view carries its column-share of the parent's
         # uncompressed bytes, so per-view compression ratios (and any
         # size-based accounting) stay proportional instead of every
@@ -430,18 +430,16 @@ def _execute_parts(operator, part_inputs: list, stats):
         (lambda values: lambda: _execute_chunks(operator, values, stats))(pv)
         for pv in part_inputs
     ]
-    partials, workers = run_tasks(tasks)
-    result, levels = combine_partials(operator.cplan, partials)
-    _count_parts(stats, len(part_inputs), levels, workers)
+    result, levels = combine_partials(operator.cplan, run_tasks(tasks))
+    _count_parts(stats, len(part_inputs), levels)
     return result
 
 
-def _count_parts(stats, n_parts: int, levels: int, workers: int) -> None:
+def _count_parts(stats, n_parts: int, levels: int) -> None:
     if stats is not None:
         stats.n_intra_op_parallel += 1
         stats.n_intra_op_partitions += n_parts
         stats.intra_op_combine_levels += levels
-        stats.intra_op_max_threads = max(stats.intra_op_max_threads, workers)
 
 
 def execute_matmult(a, b, stats=None, parts: int = 1) -> MatrixBlock:
@@ -463,8 +461,8 @@ def execute_matmult(a, b, stats=None, parts: int = 1) -> MatrixBlock:
         (lambda part: lambda: rops.matmult(part, b))(part)
         for part in row_parts(a, bounds)
     ]
-    partials, workers = run_tasks(tasks)
-    _count_parts(stats, len(bounds), 0, workers)
+    partials = run_tasks(tasks)
+    _count_parts(stats, len(bounds), 0)
     return concat_rows(partials).examine_representation()
 
 

@@ -62,7 +62,7 @@ class RuntimeStats:
     n_worker_respawns: int = 0  # worker processes replaced after a failure
     mp_shm_bytes: float = 0.0  # dense bytes moved via shared memory
     mp_pickle_bytes: float = 0.0  # bytes moved via the pickle fallback
-    mp_max_workers: int = 0  # gauge: peak worker processes granted
+    mp_max_workers: int = 0  # gauge: peak worker processes one operator used
 
     # Compiler / codegen overhead (Table 3, Fig 11).
     n_dags_optimized: int = 0
@@ -105,7 +105,6 @@ class RuntimeStats:
     n_intra_op_parallel: int = 0  # operators executed partition-wise
     n_intra_op_partitions: int = 0  # total partitions across those operators
     intra_op_combine_levels: int = 0  # total tree-reduce levels combined
-    intra_op_max_threads: int = 0  # gauge: peak workers granted per operator
 
     # Generated fused operators.
     n_kernel_compiles: int = 0  # operator bodies emitted, linted and compiled
@@ -142,7 +141,7 @@ class RuntimeStats:
     spoof_executions: dict = field(default_factory=dict)
 
     #: Gauge fields combine via max (not addition) when merging.
-    _GAUGES = ("plan_cache_size", "intra_op_max_threads", "mp_max_workers")
+    _GAUGES = ("plan_cache_size", "mp_max_workers")
 
     def __post_init__(self):
         # Reentrant: the distributed backend mutates shared stats while

@@ -35,7 +35,6 @@ import weakref
 from collections import deque
 
 from repro.errors import ServingError, UnbatchableProgramError
-from repro.runtime.parallel import shared_budget
 from repro.serve.prepared import PreparedProgram
 from repro.serve.symbolic import normalize_inputs, same_data
 
@@ -194,13 +193,6 @@ class SessionScheduler:
                 if not self._queue:
                     return  # closed and drained
                 batch = self._take_batch()
-            # Hold one process-wide budget token while executing: the
-            # intra-op workers the request fans out into draw from the
-            # same budget, so nested parallelism
-            # degrades instead of oversubscribing (minimum=1 keeps the
-            # worker live even when the budget is exhausted).
-            budget = shared_budget()
-            token = budget.acquire(1, minimum=1)
             try:
                 with self.engine.tracer.span("serve-batch", cat="serve",
                                              batch_size=len(batch)):
@@ -209,8 +201,6 @@ class SessionScheduler:
                 for request in batch:
                     if not request.ticket.done():
                         request.ticket._fail(error)
-            finally:
-                budget.release(token)
 
     def _take_batch(self) -> list[_Request]:
         """Pop the head request plus queued batch-mates (cv held)."""

@@ -109,13 +109,24 @@ class TestGetOrCompile:
 
 
 class TestConcurrentAccess:
-    def test_concurrent_miss_compiles_exactly_once(self):
+    def test_concurrent_miss_compiles_exactly_once(self, monkeypatch):
         """Threads racing on the same key share one compilation."""
+        from repro.codegen import plan_cache
+
         engine = make_engine("gen")
         api.eval(_sum_expr(), engine=engine)
         (operator,) = list(engine.plan_cache._cache.values())
         cplan = operator.cplan
 
+        build = plan_cache.build_operator
+        builds = []
+
+        def slow_build(*args, **kwargs):
+            builds.append(1)
+            time.sleep(0.05)  # every rival looks up while this builds
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(plan_cache, "build_operator", slow_build)
         cache = PlanCache()
         config = CodegenConfig()
         stats = RuntimeStats()
@@ -140,6 +151,7 @@ class TestConcurrentAccess:
         assert not errors
         operators = set(map(id, compiled.values()))
         assert len(operators) == 1  # everyone got the same object
+        assert len(builds) == 1
         assert stats.n_classes_compiled == 1  # no double-compile
         assert stats.plan_cache_lookups == n_threads
         assert stats.plan_cache_hits == n_threads - 1

@@ -3,11 +3,15 @@
 Differential grid (template × out-type × main-input storage) asserting
 parallel-vs-serial equality of ``execute_operator``, bit-identical
 determinism of repeated parallel aggregations, direct unit tests for
-``reduce_spoof_partials`` combining, and the process-wide thread-budget
-oversubscription guard.
+``reduce_spoof_partials`` combining, and the shared worker pool's
+``run_tasks``: task order, waiting for every task, no nesting, and
+results independent of the pool's size.
 """
 
 import os
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,7 +26,6 @@ from repro.runtime import parallel as parallel_mod
 from repro.runtime import skeletons
 from repro.runtime.compressed import compress
 from repro.runtime.matrix import MatrixBlock
-from repro.runtime.parallel import ThreadBudget
 from repro.runtime.skeletons import (
     partition_bounds,
     reduce_spoof_partials,
@@ -316,7 +319,6 @@ def test_parallel_summary_keys():
     mean_partitions = stats.n_intra_op_partitions / stats.n_intra_op_parallel
     assert mean_partitions == 4.0
     assert stats.intra_op_combine_levels >= 1
-    assert stats.intra_op_max_threads >= 1
 
 
 def test_thread_autosizing():
@@ -435,49 +437,66 @@ class TestTreeReduce:
 
 
 # ----------------------------------------------------------------------
-# Thread budget / oversubscription guard
+# The shared worker pool
 # ----------------------------------------------------------------------
-class TestThreadBudget:
-    def test_grants_within_total(self):
-        budget = ThreadBudget(total=4)
-        first = budget.acquire(3)
-        second = budget.acquire(3)
-        assert first == 3 and second == 1
-        assert budget.acquire(2) == 0  # exhausted, no minimum
-        budget.release(first)
-        assert budget.acquire(2) == 2
-        assert budget.peak == 4
+@pytest.fixture
+def small_pool(monkeypatch):
+    """Swap in a shared pool of ``n`` threads: ``small_pool(n)``."""
+    pools = []
 
-    def test_minimum_guarantees_liveness(self):
-        budget = ThreadBudget(total=1)
-        held = budget.acquire(1)
-        assert budget.acquire(4, minimum=1) == 1
-        budget.release(held)
+    def install(n: int) -> ThreadPoolExecutor:
+        pool = ThreadPoolExecutor(max_workers=n,
+                                  thread_name_prefix="repro-intra-op")
+        pools.append(pool)
+        monkeypatch.setattr(parallel_mod, "_POOL", pool)
+        return pool
 
-    @pytest.mark.parametrize("pool_holder_first", [True, False])
-    def test_minimum_on_exhausted_pool_is_not_a_pool_token(
-        self, pool_holder_first
-    ):
-        """``active <= total`` at every step, whoever releases first."""
-        budget = ThreadBudget(total=2)
-        held = budget.acquire(2)
-        forced = [budget.acquire(1, minimum=1) for _ in range(3)]
-        assert forced == [1, 1, 1]  # told to go ahead, never blocked
-        assert budget.active == 2 and budget.peak == 2
-        order = [held] + forced if pool_holder_first else forced + [held]
-        for grant in order:
-            budget.release(grant)
-            assert 0 <= budget.active <= budget.total
-        assert budget.active == 0
-        assert budget.acquire(2) == 2  # nothing leaked
+    yield install
+    for pool in pools:
+        pool.shutdown(wait=True)
 
-    def test_run_tasks_preserves_order_and_errors(self, monkeypatch):
-        monkeypatch.setattr(parallel_mod, "_BUDGET", ThreadBudget(total=8))
-        results, workers = parallel_mod.run_tasks(
+
+class _Gauge:
+    """Counts the tasks ``skeletons`` hands to ``run_tasks`` that run at
+    once, and the threads that call it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._running = 0
+        self.peak = 0
+        self.callers: list[str] = []
+
+    def _wrap(self, task):
+        def run():
+            with self._lock:
+                self._running += 1
+                self.peak = max(self.peak, self._running)
+            try:
+                return task()
+            finally:
+                with self._lock:
+                    self._running -= 1
+        return run
+
+    def run_tasks(self, tasks):
+        with self._lock:
+            self.callers.append(threading.current_thread().name)
+        return parallel_mod.run_tasks([self._wrap(task) for task in tasks])
+
+
+@pytest.fixture
+def gauge(monkeypatch):
+    gauge = _Gauge()
+    monkeypatch.setattr(skeletons, "run_tasks", gauge.run_tasks)
+    return gauge
+
+
+class TestRunTasks:
+    def test_run_tasks_preserves_order_and_errors(self):
+        results = parallel_mod.run_tasks(
             [(lambda i=i: i * i) for i in range(7)]
         )
         assert results == [i * i for i in range(7)]
-        assert workers >= 1
 
         def boom():
             raise ValueError("partition failure")
@@ -485,20 +504,62 @@ class TestThreadBudget:
         with pytest.raises(ValueError):
             parallel_mod.run_tasks([boom, lambda: 1])
 
+    def test_error_surfaces_after_every_task_finished(self):
+        """Task 0 fails at once; the caller sees the error only after
+        the slow task 1 has finished too."""
+        finished = threading.Event()
+
+        def boom():
+            raise ValueError("partition failure")
+
+        def slow():
+            time.sleep(0.05)
+            finished.set()
+
+        with pytest.raises(ValueError):
+            parallel_mod.run_tasks([boom, slow])
+        assert finished.is_set()
+
+    @pytest.mark.usefixtures("parallel_tiny_ops")
+    def test_no_task_calls_run_tasks(self, gauge):
+        """Nothing nests: every ``run_tasks`` call comes from a thread
+        outside the shared pool, whether the operator runs in a plain
+        engine, under a serving worker or beside a simulated cluster."""
+        from repro.algorithms import als_cg, l2svm
+        from repro.config import ClusterConfig
+        from repro.data import generators
+        from repro.serve.scheduler import SessionScheduler
+
+        x, y = generators.classification_data(200, 12, n_classes=2, seed=1)
+        l2svm(x, y, engine=_parallel_engine(), max_iter=2)
+        ratings = generators.factorization_data(120, 90, rank=3,
+                                                sparsity=0.1, seed=7)
+        als_cg(ratings, rank=3, engine=_parallel_engine(), max_iter=1,
+               seed=1)
+        with SessionScheduler(_parallel_engine(), n_workers=2) as scheduler:
+            prepared = scheduler.prepare(
+                lambda inputs: [(inputs["X"] * 2.0).sum()], name="nested")
+            data = np.random.default_rng(4).uniform(0.1, 1.0, (ROWS, COLS))
+            scheduler.submit(prepared, {"X": data}).result(timeout=30)
+        spark = _parallel_engine(
+            cluster=ClusterConfig(n_workers=4, executor_mem=10e6),
+            local_mem_budget=2e4)
+        l2svm(x, y, engine=spark, max_iter=2)
+        assert spark.stats.n_distributed_ops > 0
+        assert gauge.callers
+        assert not [name for name in gauge.callers
+                    if name.startswith("repro-intra-op")]
+
 
 class TestOversubscriptionGuard:
     @pytest.mark.usefixtures("parallel_tiny_ops")
-    def test_nested_layers_stay_within_budget(self, monkeypatch):
-        """Serving workers + intra-op partitioning never hold more
-        tokens than the configured budget."""
+    def test_nested_layers_stay_within_pool(self, gauge, small_pool):
+        """Two serving workers whose operators split into 4 parts each
+        run at most as many parts at once as the shared pool has
+        threads, and every result has the bits of a direct run."""
         from repro.serve.scheduler import SessionScheduler
 
-        budget = ThreadBudget(total=4)
-        monkeypatch.setattr(parallel_mod, "_BUDGET", budget)
-        engine = Engine(
-            mode="gen",
-            config=CodegenConfig(intra_op_threads=4),
-        )
+        small_pool(2)
         rng = np.random.default_rng(3)
         weights = rng.uniform(0.1, 1.0, (COLS, 1))
 
@@ -507,24 +568,23 @@ class TestOversubscriptionGuard:
             w = api.matrix(weights, "w")
             return [(x @ w).sum(), (x * x).sum()]
 
+        datas = [rng.uniform(0.1, 1.0, (ROWS, COLS)) for _ in range(6)]
+        engine = _parallel_engine()
         with SessionScheduler(engine, n_workers=2) as scheduler:
             prepared = scheduler.prepare(builder, name="guarded")
-            tickets = [
-                scheduler.submit(
-                    prepared,
-                    {"X": rng.uniform(0.1, 1.0, (ROWS, COLS))},
-                )
-                for _ in range(6)
-            ]
+            tickets = [scheduler.submit(prepared, {"X": data})
+                       for data in datas]
             results = [t.result(timeout=30) for t in tickets]
-        assert len(results) == 6
-        # ``acquire`` raises if it would ever hold more than ``total``,
-        # so this is an invariant of every grant made above, not a
-        # sample: two serving workers with ``minimum=1`` on an exhausted
-        # pool used to push it to 5.
-        assert budget.peak <= budget.total == 4
-        assert budget.active == 0
         assert engine.stats.n_requests_served == 6
+        assert engine.stats.n_intra_op_partitions == \
+            4 * engine.stats.n_intra_op_parallel > 0
+        assert 1 <= gauge.peak <= 2
+
+        direct = _parallel_engine()
+        for data, served in zip(datas, results):
+            expected = api.eval_all(builder({"X": api.matrix(data, "X")}),
+                                    engine=direct)
+            assert np.array_equal(_as_arrays(served), _as_arrays(expected))
 
     def test_single_thread_takes_exact_serial_path(self, monkeypatch):
         """``intra_op_threads=1`` must not even plan partitions: no row
@@ -544,20 +604,16 @@ class TestOversubscriptionGuard:
         assert engine.stats.n_intra_op_partitions == 0
 
     @pytest.mark.usefixtures("parallel_tiny_ops")
-    def test_exhausted_budget_degrades_to_caller_thread(self, monkeypatch):
-        """With the budget fully claimed, intra-op execution still
-        completes (serially on the calling thread) and records a
-        single-worker grant."""
-        budget = ThreadBudget(total=1)
-        monkeypatch.setattr(parallel_mod, "_BUDGET", budget)
-        held = budget.acquire(1)
+    def test_one_thread_pool_runs_every_part(self, small_pool):
+        """A one-thread pool runs the operator's 4 parts one after
+        another: the part count is fixed at lowering, so the result has
+        the bits of a run on the default pool."""
         data = np.random.default_rng(12).uniform(0.1, 1.0, (ROWS, COLS))
+        expr = (api.matrix(data, "X") * 3.0).sum()
+        expected = api.eval(expr, engine=_parallel_engine())
+        small_pool(1)
         engine = _parallel_engine()
-        result = api.eval((api.matrix(data, "X") * 3.0).sum(), engine=engine)
-        budget.release(held)
-        assert result == pytest.approx(float((data * 3.0).sum()))
-        # Partitioning still happened (fixed count), only the worker
-        # grant degraded — determinism is independent of the budget.
+        result = api.eval(expr, engine=engine)
+        assert np.array_equal(result, expected)
         assert engine.stats.n_intra_op_parallel == 1
         assert engine.stats.n_intra_op_partitions == 4
-        assert engine.stats.intra_op_max_threads == 1

@@ -3,8 +3,8 @@
 Covers the transport round-trip contract for all three block formats,
 bit-identity against the simulated backend, fault injection (worker
 death and straggler timeout recover via lineage recompute), locality
-reuse, worker stats/span merge-back, and the ThreadBudget
-oversubscription guard when the pool runs under a SessionScheduler.
+reuse, worker stats/span merge-back, and the pool's worker bound when
+it runs under a SessionScheduler.
 """
 
 import json
@@ -21,10 +21,8 @@ from repro.compiler.execution import Engine
 from repro.config import ClusterConfig, CodegenConfig
 from repro.errors import RuntimeExecError
 from repro.runtime import mpexec
-from repro.runtime import parallel as parallel_mod
 from repro.runtime.compressed import CompressedMatrix, compress
 from repro.runtime.matrix import MatrixBlock
-from repro.runtime.parallel import ThreadBudget
 
 
 def _mp_config(**kwargs) -> CodegenConfig:
@@ -353,15 +351,12 @@ class TestSpawnGuards:
         )
         assert rebuilt.source == op.source
 
-    def test_pool_under_scheduler_respects_thread_budget(
-        self, rng, monkeypatch
-    ):
-        """A worker pool created from inside a SessionScheduler request
-        must not oversubscribe the process-wide ThreadBudget."""
+    def test_pool_under_scheduler_stays_within_mp_workers(self, rng):
+        """Two serving workers dispatching at once share the pool's
+        ``mp_workers`` processes, and every result has the bits of a
+        direct run on the simulated backend."""
         from repro.serve.scheduler import SessionScheduler
 
-        budget = ThreadBudget(total=4)
-        monkeypatch.setattr(parallel_mod, "_BUDGET", budget)
         engine = _mp_engine()
         weights = rng.random((20, 1))
 
@@ -370,18 +365,20 @@ class TestSpawnGuards:
             w = api.matrix(weights, "w")
             return [((x @ w) * 2.0).sum()]
 
+        datas = [rng.random((3000, 20)) for _ in range(4)]
         with SessionScheduler(engine, n_workers=2) as scheduler:
             prepared = scheduler.prepare(builder, name="mp-guarded")
-            tickets = [
-                scheduler.submit(
-                    prepared, {"X": rng.random((3000, 20))}
-                )
-                for _ in range(4)
-            ]
+            tickets = [scheduler.submit(prepared, {"X": data})
+                       for data in datas]
             results = [t.result(timeout=60) for t in tickets]
-        assert len(results) == 4
-        assert budget.peak <= 4
+        assert 1 <= engine.stats.mp_max_workers <= engine.config.mp_workers
         assert engine.stats.n_mp_tasks > 0
+
+        direct = _mp_engine(distributed_backend="simulated")
+        for data, served in zip(datas, results):
+            (expected,) = api.eval_all(
+                builder({"X": api.matrix(data, "X")}), engine=direct)
+            assert served == [expected]
 
 
 # ----------------------------------------------------------------------

@@ -132,7 +132,7 @@ def _array(value):
 @pytest.mark.usefixtures("always_enumerate")
 @pytest.mark.parametrize("backend", ["simulated", "multiprocess"])
 @pytest.mark.parametrize("rows", [102, 2 * PARTS],
-                         ids=["ragged-last-part", "rows-2k"])
+                         ids=["ragged-parts", "rows-2k"])
 @pytest.mark.parametrize("name", sorted(RECIPES))
 def test_intra_op_and_distributed_parts_agree(monkeypatch, name, rows,
                                               backend):
@@ -144,8 +144,8 @@ def test_intra_op_and_distributed_parts_agree(monkeypatch, name, rows,
     assert {"main", "slice", "whole"} <= set(modes)
     bounds = partition_bounds(rows, PARTS)
     assert len(bounds) == PARTS
-    assert (bounds[-1][1] - bounds[-1][0] < bounds[0][1] - bounds[0][0]) \
-        == (rows % PARTS != 0)
+    sizes = {r1 - r0 for r0, r1 in bounds}
+    assert (len(sizes) > 1) == (rows % PARTS != 0)
 
     _assert_parts_agree(monkeypatch, hop, values, backend)
 
@@ -321,6 +321,10 @@ def _boundary_shapes():
             for cols in (1, 5):
                 for threshold in (rows * cols, rows * cols + 1):
                     yield threads, rows, cols, threshold
+    # 9 rows in 4 parts: every range must run, though 3-row ranges
+    # would cover the rows in 3.
+    for cols in (1, 5):
+        yield 4, 9, cols, 9 * cols
 
 
 # The last column is the parallelism threshold, set through the fixture.
